@@ -41,8 +41,7 @@ def _outdir(args) -> Path:
 
 
 def _eval_patterns(scenario: Scenario, schedule, grid_n: int):
-    engine = FieldEngine(scenario.geometry, DirectionGrid.uniform(grid_n),
-                         cache_steering=False)
+    engine = FieldEngine(scenario.geometry, DirectionGrid.uniform(grid_n))
     inc = scenario.incidence()
     return (engine.pattern(schedule, scenario.states, inc, h=0),
             engine.pattern(schedule, scenario.states, inc, h=1))

@@ -99,6 +99,9 @@ def read_schedule_csv(path) -> PulseSchedule:
             entries[(int(p_s) - 1, int(q_s) - 1)] = (float(rise_s), float(duty_s))
     if rows is None or cols is None or period_s is None:
         raise ValueError(f"{path} is missing rows/cols/period_s headers")
+    for i, j in entries:
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"{path}: cell ({i + 1}, {j + 1}) lies outside p in 1..{rows}, q in 1..{cols}")
     if len(entries) != rows * cols:
         raise ValueError(f"{path} holds {len(entries)} cells, expected {rows * cols}")
     rise = np.empty((rows, cols))

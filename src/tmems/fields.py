@@ -17,13 +17,14 @@ Conventions (time factor e^{+j w0 t}):
     referred to unit distance, two tangential components (x, y).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from .geometry import EmsGeometry
-from .modulation import PulseSchedule, ReflectionStates, harmonic_scalar_coefficients, harmonic_tensors
+from .modulation import PulseSchedule, ReflectionStates
 
 FREE_SPACE_IMPEDANCE = 376.730313668
 
@@ -135,16 +136,19 @@ def incident_phase_factors(incidence: PlaneWaveIncidence, geometry: EmsGeometry)
     return np.exp(1j * geometry.k0 * (incidence.u * xy[:, 0] + incidence.v * xy[:, 1]))
 
 
+def _cell_sinc(geometry: EmsGeometry, s) -> np.ndarray:
+    """One axis of the square-cell integral: sinc(k0 s a / 2), sinc(x) = sin(x)/x."""
+    half = 0.5 * geometry.k0 * geometry.cell_edge_m
+    return np.sinc(half * np.asarray(s, dtype=float) / np.pi)
+
+
 def cell_factor(geometry: EmsGeometry, u, v):
     """Aperture integral of one square cell toward direction cosines (u, v).
 
     Separable closed form: area * sinc(k0 u a / 2) * sinc(k0 v a / 2) with
     sinc(x) = sin(x)/x. Accepts scalars or arrays (broadcast).
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    half = 0.5 * geometry.k0 * geometry.cell_edge_m
-    out = geometry.cell_area_m2 * np.sinc(half * u / np.pi) * np.sinc(half * v / np.pi)
+    out = geometry.cell_area_m2 * _cell_sinc(geometry, u) * _cell_sinc(geometry, v)
     return out[()] if out.ndim == 0 else out
 
 
@@ -244,70 +248,92 @@ def power_db(power, reference: float, floor_db: float = -400.0):
     return out[()] if out.ndim == 0 else out
 
 
-class FieldEngine:
-    """Precomputed radiation tables for one (geometry, grid) pair.
+def steering_factors(geometry: EmsGeometry, u, v):
+    """Separable far-field kernel of the cell lattice toward direction cosines.
 
-    All tables are computed once and never mutated afterwards, so one engine
-    may be shared freely across threads. ``cache_steering=True`` retains the
-    (n_visible, n_cells) steering matrix for repeated evaluation (synthesis);
-    with False the matrix is streamed in blocks (large one-shot grids).
+    A unit source on cell (p, q), centred at (x_p, y_q), radiates
+    j k0 / (4 pi) * cell_factor(u, v) * e^{j k0 (u x_p + v y_q)}. Both the cell
+    integral and the phase factorise, so the kernel is A_u[., p] * A_v[., q]
+    with A_u = j k0 / (4 pi) * area * sinc_u * e^{j k0 u x_p}, shape
+    (len(u), rows), and A_v = sinc_v * e^{j k0 v y_q}, shape (len(v), cols).
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    k0 = geometry.k0
+    pref = 1j * k0 / (4.0 * np.pi) * geometry.cell_area_m2
+    a_u = (pref * _cell_sinc(geometry, u))[:, None] * np.exp(1j * k0 * np.multiply.outer(u, geometry.row_x_m))
+    a_v = _cell_sinc(geometry, v)[:, None] * np.exp(1j * k0 * np.multiply.outer(v, geometry.col_y_m))
+    return a_u, a_v
+
+
+def steering_rows(geometry: EmsGeometry, u, v) -> np.ndarray:
+    """Kernel rows for exact directions (u[i], v[i]): (n, n_cells), cells
+    row-major, built from the separable factors."""
+    a_u, a_v = steering_factors(geometry, np.atleast_1d(u), np.atleast_1d(v))
+    return (a_u[:, :, None] * a_v[:, None, :]).reshape(a_u.shape[0], geometry.n_cells)
+
+
+def state_sources(states: ReflectionStates, incidence: PlaneWaveIncidence):
+    """Tangential sources a = M2 Gamma_on J and b = M2 Gamma_off J, each (2,).
+
+    The harmonic tensor mixes the two states linearly, so a cell with
+    indicator coefficient u^h radiates g * (delta_h0 * b + u^h * (a - b)),
+    g its incident drive; scalar and tensor states share this form.
+    """
+    m2 = incidence.polarization_matrix
+    jones = np.asarray(incidence.jones)
+    return m2 @ (states.gamma_on @ jones), m2 @ (states.gamma_off @ jones)
+
+
+class FieldEngine:
+    """Radiation tables for one geometry and, optionally, one direction grid.
+
+    The tables are never mutated after construction, so one engine may be
+    shared freely across threads. Without a grid only field_at works.
     """
 
-    _BLOCK = 8192
-
-    def __init__(self, geometry: EmsGeometry, grid: DirectionGrid, cache_steering: bool = True):
+    def __init__(self, geometry: EmsGeometry, grid: Optional[DirectionGrid] = None):
         self.geometry = geometry
         self.grid = grid
+        if grid is None:
+            return
         vis = grid.visible
         self.vis_iu, self.vis_iv = np.nonzero(vis)
-        self.vis_u = grid.u[self.vis_iu]
-        self.vis_v = grid.v[self.vis_iv]
-        self.prefactor = 1j * geometry.k0 / (4.0 * np.pi)
-        # |prefactor| * cell integral per visible direction, real
-        self.cell_gain = np.abs(self.prefactor) * np.asarray(cell_factor(geometry, self.vis_u, self.vis_v))
-        self._steering = self._steering_block(self.vis_u, self.vis_v) if cache_steering else None
+        self._vis_flat = np.flatnonzero(vis)
+        self._a_u, self._a_v = steering_factors(geometry, grid.u, grid.v)
 
     @property
     def n_visible(self) -> int:
-        return self.vis_u.size
-
-    def _steering_block(self, u, v) -> np.ndarray:
-        xy = self.geometry.cell_xy_m
-        k0 = self.geometry.k0
-        return np.exp(1j * k0 * (np.asarray(u)[:, None] * xy[None, :, 0] + np.asarray(v)[:, None] * xy[None, :, 1]))
-
-    def _apply_steering(self, weights: np.ndarray) -> np.ndarray:
-        """Sum weights over cells toward every visible direction: (D, ...)"""
-        if self._steering is not None:
-            return self._steering @ weights
-        parts = []
-        for lo in range(0, self.n_visible, self._BLOCK):
-            hi = min(lo + self._BLOCK, self.n_visible)
-            parts.append(self._steering_block(self.vis_u[lo:hi], self.vis_v[lo:hi]) @ weights)
-        return np.concatenate(parts, axis=0)
+        return self._vis_flat.size
 
     def _cell_weights(self, schedule: PulseSchedule, states: ReflectionStates,
                       incidence: PlaneWaveIncidence, h: int) -> np.ndarray:
         """Per-cell tangential source vectors (n_cells, 2) for harmonic h."""
+        a, b = state_sources(states, incidence)
         g = incident_phase_factors(incidence, self.geometry) * incidence.amplitude_v_m
-        jones = np.asarray(incidence.jones)
-        m2 = incidence.polarization_matrix
-        scal = states.scalar_pair()
-        if scal is not None:
-            coef = harmonic_scalar_coefficients(schedule.rise, schedule.duty, h, *scal).ravel()
-            return (coef * g)[:, None] * (m2 @ jones)[None, :]
-        tens = harmonic_tensors(states, schedule, h).reshape(-1, 2, 2)
-        return g[:, None] * np.einsum("ij,njk,k->ni", m2, tens, jones)
+        src = schedule.fourier_coefficients(h).reshape(-1, 1) * (a - b)
+        if h == 0:
+            src += b
+        return g[:, None] * src
+
+    def _apply_steering(self, weights: np.ndarray) -> np.ndarray:
+        """Radiate (n_cells, k) cell sources toward every visible direction: (n_visible, k).
+
+        Per column F = A_u W A_v^T: one small matmul per row of cells, then
+        one matmul over the rows.
+        """
+        rows, cols = self.geometry.rows, self.geometry.cols
+        t = np.matmul(self._a_v, weights.reshape(rows, cols, -1))  # (rows, nv, k)
+        f = self._a_u @ t.reshape(rows, -1)  # (nu, nv * k)
+        return np.take(f.reshape(-1, weights.shape[1]), self._vis_flat, axis=0)
 
     def pattern(self, schedule: PulseSchedule, states: ReflectionStates,
                 incidence: PlaneWaveIncidence, h: int) -> HarmonicPattern:
         """Far-field pattern of harmonic h over the engine's grid."""
         w = self._cell_weights(schedule, states, incidence, h)
-        f_vis = self._apply_steering(w)
-        f_vis *= (self.prefactor * np.asarray(cell_factor(self.geometry, self.vis_u, self.vis_v)))[:, None]
         nu, nv = self.grid.shape
         out = np.zeros((nu, nv, 2), dtype=complex)
-        out[self.vis_iu, self.vis_iv, :] = f_vis
+        out[self.vis_iu, self.vis_iv, :] = self._apply_steering(w)
         omega = self.geometry.omega0 + h * 2.0 * np.pi / schedule.period_s
         return HarmonicPattern(harmonic=h, omega_rad_s=omega, grid=self.grid, field=out)
 
@@ -322,43 +348,23 @@ class FieldEngine:
         if np.any(u**2 + v**2 > 1.0 + 1e-12):
             raise ValueError("direction outside the visible disc")
         w = self._cell_weights(schedule, states, incidence, h)
-        f = self._steering_block(u, v) @ w
-        f *= (self.prefactor * np.asarray(cell_factor(self.geometry, u, v)))[:, None]
-        return f
-
-    def batched_scalar_powers(self, coef_batch: np.ndarray, incidence: PlaneWaveIncidence) -> np.ndarray:
-        """Power samples for many schedules at once (identity-multiple states).
-
-        Args:
-            coef_batch: per-cell scalar harmonic coefficients, shape
-                (n_cells, n_schedules).
-            incidence: shared excitation.
-
-        Returns:
-            (n_visible, n_schedules) real powers, |E|^2 summed over components.
-        """
-        g = incident_phase_factors(incidence, self.geometry) * incidence.amplitude_v_m
-        jones = np.asarray(incidence.jones)
-        pol2 = float(np.sum(np.abs(incidence.polarization_matrix @ jones) ** 2))
-        a = self._apply_steering(coef_batch * g[:, None])
-        return (self.cell_gain**2 * pol2)[:, None] * np.abs(a) ** 2
+        return steering_rows(self.geometry, u, v) @ w
 
 
 def harmonic_far_field(geometry: EmsGeometry, schedule: PulseSchedule, states: ReflectionStates,
                        incidence: PlaneWaveIncidence, grid: DirectionGrid, h: int) -> HarmonicPattern:
-    """One-shot pattern computation (streams the steering matrix)."""
+    """One-shot pattern computation."""
     if schedule.shape != (geometry.rows, geometry.cols):
         raise ValueError("schedule shape does not match the geometry")
-    return FieldEngine(geometry, grid, cache_steering=False).pattern(schedule, states, incidence, h)
+    return FieldEngine(geometry, grid).pattern(schedule, states, incidence, h)
 
 
 def field_samples(geometry: EmsGeometry, schedule: PulseSchedule, states: ReflectionStates,
                   incidence: PlaneWaveIncidence, u, v, h: int) -> np.ndarray:
-    """Exact-direction field samples without building a full grid."""
+    """Exact-direction field samples without building a grid."""
     if schedule.shape != (geometry.rows, geometry.cols):
         raise ValueError("schedule shape does not match the geometry")
-    engine = FieldEngine(geometry, DirectionGrid.uniform(2), cache_steering=False)
-    return engine.field_at(u, v, schedule, states, incidence, h)
+    return FieldEngine(geometry).field_at(u, v, schedule, states, incidence, h)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,10 @@ class EmsGeometry:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("geometry: rows and cols must be >= 1")
-        if not (self.cell_size_wl > 0.0):
-            raise ValueError("geometry: cell_size_wl must be positive")
-        if not (self.f0_hz > 0.0):
-            raise ValueError("geometry: f0_hz must be positive")
+        if not (0.0 < self.cell_size_wl < np.inf):
+            raise ValueError("geometry: cell_size_wl must be positive and finite")
+        if not (0.0 < self.f0_hz < np.inf):
+            raise ValueError("geometry: f0_hz must be positive and finite")
 
     @property
     def wavelength_m(self) -> float:

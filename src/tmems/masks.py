@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import DirectionGrid, PlaneWaveIncidence, cell_factor, incident_phase_factors
+from .fields import DirectionGrid, PlaneWaveIncidence, incident_phase_factors, steering_rows
 from .geometry import EmsGeometry
 
 
@@ -76,33 +76,17 @@ class BeamReference:
 
     def power_at(self, u, v) -> np.ndarray:
         """Carrier power of the reference design at exact directions."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        xy = self.geometry.cell_xy_m
-        k0 = self.geometry.k0
-        steer = np.exp(1j * k0 * (u[:, None] * xy[None, :, 0] + v[:, None] * xy[None, :, 1]))
-        f = steer @ self.weights
-        gain = (k0 / (4.0 * np.pi)) * np.asarray(cell_factor(self.geometry, u, v))
-        return self.pol2 * np.abs(gain * f) ** 2
+        f = steering_rows(self.geometry, u, v) @ self.weights
+        return self.pol2 * (f.real**2 + f.imag**2)
 
 
-def _apex_u(ref_weights, geometry, pol2, center_u, v, window: float):
-    """Apex (direction cosine, power) of the carrier lobe near center_u at
-    v=const.
+def _apex_u(p, us):
+    """Apex (direction cosine, power) of a carrier lobe sampled as powers p
+    on the uniform line us.
 
     Returns None when the maximum sits on the window edge, i.e. the lobe has
     left the window and the sample is not a lobe apex at all.
     """
-    us = center_u + np.linspace(-window, window, 241)
-    keep = us * us + v * v < 1.0
-    if not keep.any():
-        raise ValueError("beam window has no visible directions")
-    us = us[keep]
-    xy = geometry.cell_xy_m
-    k0 = geometry.k0
-    steer = np.exp(1j * k0 * (us[:, None] * xy[None, :, 0] + v * xy[None, :, 1]))
-    gain = (k0 / (4.0 * np.pi)) * np.asarray(cell_factor(geometry, us, np.full_like(us, v)))
-    p = pol2 * np.abs(gain * (steer @ ref_weights)) ** 2
     i = int(np.argmax(p))
     if i == 0 or i == us.size - 1:
         return None
@@ -142,11 +126,16 @@ def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence,
         return phase, duty, (gam_off + span * duty) * g
 
     fn = 1.0 / (geometry.rows * geometry.cell_size_wl)
-    window = 0.6 * fn
+    us = beam_u + np.linspace(-0.6 * fn, 0.6 * fn, 241)
+    us = us[us * us + beam_v * beam_v < 1.0]
+    if not us.size:
+        raise ValueError("beam window has no visible directions")
+    line = steering_rows(geometry, us, np.full_like(us, beam_v))
 
     def offset(steer_u: float):
         _, _, w = make(steer_u)
-        res = _apex_u(w, geometry, pol2, beam_u, beam_v, window)
+        f = line @ w
+        res = _apex_u(pol2 * (f.real**2 + f.imag**2), us)
         return None if res is None else (res[0] - beam_u, res[1])
 
     # the apex offset moves smoothly and monotonically with the steer inside
@@ -227,7 +216,9 @@ class MaskSet:
     lower and upper have shape (2, nu, nv) for harmonics (0, 1); inactive
     bounds are 0 (lower) and +inf (upper). reference is R0 in linear power.
     anchor_uv lists exact directions with their own bounds in anchor_lower
-    and anchor_upper, both shaped (2, n_anchors).
+    and anchor_upper, both shaped (2, n_anchors). beam_ref is the reference
+    design the anchors were calibrated against, None for the isolated-lobe
+    model.
     """
 
     grid: DirectionGrid
@@ -239,6 +230,7 @@ class MaskSet:
     anchor_uv: np.ndarray
     anchor_lower: np.ndarray
     anchor_upper: np.ndarray
+    beam_ref: Optional[BeamReference] = None
 
     def __post_init__(self):
         for name in ("lower", "upper", "anchor_uv", "anchor_lower", "anchor_upper"):
@@ -412,4 +404,5 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, params: MaskParams,
         raise ValueError("mask lower bound exceeds upper bound")
     return MaskSet(grid=grid, lower=lower, upper=upper, reference=r0,
                    beam_uv=(params.beam_u, params.beam_v), null_uv=(null_u, null_v),
-                   anchor_uv=anchor_uv, anchor_lower=anchor_lower, anchor_upper=anchor_upper)
+                   anchor_uv=anchor_uv, anchor_lower=anchor_lower, anchor_upper=anchor_upper,
+                   beam_ref=ref)

@@ -46,9 +46,10 @@ def pulse_fourier_coefficients(rise, duty, h: int):
     """
     rise = np.asarray(rise, dtype=float)
     duty = np.asarray(duty, dtype=float)
-    if np.any(rise < 0.0) or np.any(rise >= 1.0):
+    # written so that NaN fails the range test
+    if not np.all((rise >= 0.0) & (rise < 1.0)):
         raise ValueError("rise must lie in [0, 1)")
-    if np.any(duty < 0.0) or np.any(duty > 1.0):
+    if not np.all((duty >= 0.0) & (duty <= 1.0)):
         raise ValueError("duty must lie in [0, 1]")
     if h == 0:
         out = duty.astype(complex)
@@ -118,15 +119,15 @@ class PulseSchedule:
     duty: np.ndarray
 
     def __post_init__(self):
-        if not (self.period_s > 0.0):
-            raise ValueError("period_s must be positive")
+        if not (0.0 < self.period_s < np.inf):
+            raise ValueError("period_s must be positive and finite")
         rise = np.array(self.rise, dtype=float)
         duty = np.array(self.duty, dtype=float)
         if rise.ndim != 2 or rise.shape != duty.shape:
             raise ValueError("rise and duty must be 2-D arrays of equal shape")
-        if np.any(rise < 0.0) or np.any(rise >= 1.0):
+        if not np.all((rise >= 0.0) & (rise < 1.0)):
             raise ValueError("rise values must lie in [0, 1)")
-        if np.any(duty < 0.0) or np.any(duty > 1.0):
+        if not np.all((duty >= 0.0) & (duty <= 1.0)):
             raise ValueError("duty values must lie in [0, 1]")
         rise.setflags(write=False)
         duty.setflags(write=False)

@@ -16,8 +16,9 @@ from .fields import (
     DirectionGrid,
     FieldEngine,
     PlaneWaveIncidence,
-    cell_factor,
     incident_phase_factors,
+    state_sources,
+    steering_rows,
 )
 from .geometry import EmsGeometry
 from .masks import MaskSet, beam_reference
@@ -26,9 +27,8 @@ from .modulation import (
     PulseSchedule,
     ReflectionStates,
     check_delta_applicable,
-    harmonic_scalar_coefficients,
-    harmonic_tensors,
     mirror_rise,
+    pulse_fourier_coefficients,
 )
 
 
@@ -59,15 +59,10 @@ class CostEvaluator:
         self.incidence = incidence
         self.masks = masks
         self.period_s = float(period_s)
-        self.engine = FieldEngine(geometry, grid, cache_steering=True)
+        self.engine = FieldEngine(geometry, grid)
         iu, iv = self.engine.vis_iu, self.engine.vis_iv
         anchors = masks.anchor_uv
-        a_u, a_v = anchors[:, 0], anchors[:, 1]
-        self._anchor_s = self.engine._steering_block(a_u, a_v)
-        anchor_gain = np.abs(self.engine.prefactor) * np.asarray(cell_factor(geometry, a_u, a_v))
-        self._gain2 = np.concatenate([self.engine.cell_gain, anchor_gain]) ** 2
-        self._lower = np.concatenate([masks.lower[:, iu, iv], masks.anchor_lower], axis=1)
-        self._upper = np.concatenate([masks.upper[:, iu, iv], masks.anchor_upper], axis=1)
+        self._anchor_rows = steering_rows(geometry, anchors[:, 0], anchors[:, 1])
         # an anchor is a hard point requirement, so by default it weighs as
         # much as a main-lobe box worth of grid nodes, not a single cell
         if anchor_weight is None:
@@ -80,44 +75,51 @@ class CostEvaluator:
             np.full(iu.size, grid.cell_weight),
             np.full(anchors.shape[0], self.anchor_weight),
         ])
-        self._scalars = states.scalar_pair()
-        self._phases = incident_phase_factors(incidence, geometry) * incidence.amplitude_v_m
-        jones = np.asarray(incidence.jones)
-        self._pol2 = float(np.sum(np.abs(incidence.polarization_matrix @ jones) ** 2))
-        self._m2j = incidence.polarization_matrix @ jones
+        # A cell radiates g * (delta_h0 * b + u^h * d) with d = a - b (see
+        # fields.state_sources) and g its incident drive. Split b into
+        # beta * d / |d| plus a part beta_perp orthogonal to d: then
+        #   P_h = |K(g * (delta_h0 * beta + |d| * u^h))|^2 + delta_h0 * |beta_perp K(g)|^2
+        # with K the far-field kernel. The second term does not depend on the
+        # schedule, so it shifts the h = 0 bounds instead of every power.
+        a, b = state_sources(states, incidence)
+        d = a - b
+        self._d_norm = float(np.linalg.norm(d))
+        e = d / self._d_norm if self._d_norm > 0.0 else np.array([1.0 + 0j, 0j])
+        self._beta = complex(np.vdot(e, b))
+        self._drive = incident_phase_factors(incidence, geometry) * incidence.amplitude_v_m
+        s0 = self._project(self._drive[:, None])[:, 0]
+        self._carrier_floor = abs(e[0] * b[1] - e[1] * b[0]) ** 2 * (s0.real**2 + s0.imag**2)
+        lower = np.concatenate([masks.lower[:, iu, iv], masks.anchor_lower], axis=1)
+        self._upper = np.concatenate([masks.upper[:, iu, iv], masks.anchor_upper], axis=1)
+        # lower bounds are active on a few lobe and anchor nodes only
+        active = [np.flatnonzero(lower[h] > 0.0) for h in (0, 1)]
+        lower[0] -= self._carrier_floor
+        self._upper[0] -= self._carrier_floor
+        self._floors = [(idx, lower[h][idx], self._weights[idx]) for h, idx in enumerate(active)]
 
     def _project(self, w: np.ndarray) -> np.ndarray:
-        """Steer (n_cells, k) weights to visible nodes plus anchors."""
-        return np.concatenate([self.engine._apply_steering(w), self._anchor_s @ w], axis=0)
+        """Radiate (n_cells, k) sources to visible nodes plus anchors."""
+        return np.concatenate([self.engine._apply_steering(w), self._anchor_rows @ w], axis=0)
 
     def _powers(self, rises: np.ndarray, duties: np.ndarray, h: int) -> np.ndarray:
-        """(n_visible + n_anchors, batch) power samples for stacked schedules."""
-        batch = rises.shape[0]
-        n = self.geometry.n_cells
-        if self._scalars is not None:
-            coef = harmonic_scalar_coefficients(rises, duties, h, *self._scalars)
-            coef = coef.reshape(batch, n).T
-            a = self._project(coef * self._phases[:, None])
-            return (self._gain2 * self._pol2)[:, None] * np.abs(a) ** 2
-        m2 = self.incidence.polarization_matrix
-        jones = np.asarray(self.incidence.jones)
-        cols = []
-        for b in range(batch):
-            sched = PulseSchedule(period_s=self.period_s, rise=rises[b], duty=duties[b])
-            tens = harmonic_tensors(self.states, sched, h).reshape(n, 2, 2)
-            cols.append(self._phases[:, None] * np.einsum("ij,njk,k->ni", m2, tens, jones))
-        w = np.concatenate(cols, axis=1)  # (n, 2*batch)
-        a = self._project(w).reshape(-1, batch, 2)
-        return self._gain2[:, None] * np.sum(np.abs(a) ** 2, axis=2)
+        """(n_visible + n_anchors, batch) power samples for stacked schedules,
+        without the schedule-independent h = 0 part self._carrier_floor."""
+        coef = pulse_fourier_coefficients(rises, duties, h).reshape(rises.shape[0], -1).T * self._d_norm
+        if h == 0:
+            coef += self._beta
+        f = self._project(coef * self._drive[:, None])
+        return f.real**2 + f.imag**2
 
     def phi_batch(self, rises: np.ndarray, duties: np.ndarray) -> np.ndarray:
         """Costs of a stack of schedules given as (batch, rows, cols) arrays."""
-        total = 0.0
-        w = self._weights[:, None]
+        total = np.zeros(rises.shape[0])
         for h in (0, 1):
             p = self._powers(rises, duties, h)
-            total = total + (w * ramp(p - self._upper[h][:, None])).sum(axis=0)
-            total = total + (w * ramp(self._lower[h][:, None] - p)).sum(axis=0)
+            idx, floor, w = self._floors[h]
+            if idx.size:
+                total += w @ ramp(floor[:, None] - p[idx])
+            p -= self._upper[h][:, None]
+            total += self._weights @ np.maximum(p, 0.0, out=p)
         return total
 
     def phi(self, schedule: PulseSchedule) -> float:
@@ -125,11 +127,6 @@ class CostEvaluator:
         if schedule.shape != (self.geometry.rows, self.geometry.cols):
             raise ValueError("schedule shape does not match the geometry")
         return float(self.phi_batch(schedule.rise[None], schedule.duty[None])[0])
-
-
-def cost_function(schedule: PulseSchedule, evaluator: CostEvaluator) -> float:
-    """Mask-violation cost of one schedule (convenience wrapper)."""
-    return evaluator.phi(schedule)
 
 
 @dataclass(frozen=True)
@@ -271,16 +268,15 @@ def minimize(objective, dim: int, config: PsoConfig,
         history (monotone non-increasing, entry 0 is the initial swarm), the
         number of update iterations performed, and why the loop stopped.
 
-    Random draws happen in a fixed sequential order (two per particle per
-    iteration), so results depend only on the seed, never on evaluation
-    parallelism.
+    Random draws happen in a fixed sequential order (two vectors per particle
+    per iteration, drawn as one (swarm, 2, dim) block), so results depend only
+    on the seed, never on evaluation parallelism.
     """
     if dim < 1:
         raise ValueError("empty search space")
     if wrap_mask is None:
         wrap_mask = np.zeros(dim, dtype=bool)
     wrap_mask = np.asarray(wrap_mask, dtype=bool)
-    reflect_mask = ~wrap_mask
     rng = np.random.default_rng(config.seed)
     c = config.swarm_size
 
@@ -303,32 +299,21 @@ def minimize(objective, dim: int, config: PsoConfig,
     it = 0
 
     for it in range(1, config.iterations + 1):
-        for i in range(c):
-            r1 = rng.random(dim)
-            r2 = rng.random(dim)
-            dp = pbest[i] - x[i]
-            dg = gbest - x[i]
-            if wrap_mask.any():
-                dp[wrap_mask] = (dp[wrap_mask] + 0.5) % 1.0 - 0.5
-                dg[wrap_mask] = (dg[wrap_mask] + 0.5) % 1.0 - 0.5
-            vel[i] = (config.inertia * vel[i]
-                      + config.cognitive * r1 * dp
-                      + config.social * r2 * dg)
+        r = rng.random((c, 2, dim))
+        dp = np.where(wrap_mask, (pbest - x + 0.5) % 1.0 - 0.5, pbest - x)
+        dg = np.where(wrap_mask, (gbest - x + 0.5) % 1.0 - 0.5, gbest - x)
+        vel = (config.inertia * vel
+               + config.cognitive * r[:, 0] * dp
+               + config.social * r[:, 1] * dg)
         np.clip(vel, -clamp, clamp, out=vel)
         x = x + vel
-        if wrap_mask.any():
-            x[:, wrap_mask] %= 1.0
-        if reflect_mask.any():
-            xr = x[:, reflect_mask]
-            vr = vel[:, reflect_mask]
-            low = xr < 0.0
-            xr[low] = -xr[low]
-            vr[low] = -vr[low]
-            high = xr > 1.0
-            xr[high] = 2.0 - xr[high]
-            vr[high] = -vr[high]
-            x[:, reflect_mask] = xr
-            vel[:, reflect_mask] = vr
+        # wrapped coordinates land in [0, 1], so only duties meet the walls
+        x = np.where(wrap_mask, x % 1.0, x)
+        low = x < 0.0
+        x = np.where(low, -x, x)
+        high = x > 1.0
+        x = np.where(high, 2.0 - x, x)
+        vel = np.where(low ^ high, -vel, vel)
 
         f = _checked_costs(objective, x)
         improved = f < pbest_f
@@ -377,9 +362,11 @@ def conjugate_guess(evaluator: CostEvaluator, codec: ModeCodec) -> np.ndarray:
     optimal but off-target beams.
     """
     geom = evaluator.geometry
-    beam_u, beam_v = evaluator.masks.beam_uv
-    ref = beam_reference(geom, evaluator.incidence, beam_u, beam_v,
-                         scalar_states=evaluator.states.scalar_pair())
+    ref = evaluator.masks.beam_ref
+    if ref is None:
+        beam_u, beam_v = evaluator.masks.beam_uv
+        ref = beam_reference(geom, evaluator.incidence, beam_u, beam_v,
+                             scalar_states=evaluator.states.scalar_pair())
     duty = ref.duty.ravel()
     flip = (geom.cell_xy_m[:, 0] < 0.0).astype(float)
     # first-harmonic coefficient is exp(-j*pi*(2*rise + duty)) * sin(pi*duty)/pi

@@ -84,6 +84,31 @@ def test_schedule_csv_read_errors(tmp_path):
         read_schedule_csv(short)
 
 
+# 1-based cell indices outside the header's rows x cols; p=0 once wrapped to
+# the last row and left a row of uninitialised memory
+BAD_CELLS = [((0, 1), (2, 1)), ((1, 1), (3, 1)), ((1, 0), (2, 1)), ((1, 1), (2, 2))]
+
+
+@pytest.mark.parametrize("cells", BAD_CELLS, ids=["p=0", "p>rows", "q=0", "q>cols"])
+def test_schedule_csv_rejects_cells_outside_the_surface(tmp_path, cells):
+    path = tmp_path / "cells.csv"
+    body = "".join(f"{p},{q},0.25,0.5\n" for p, q in cells)
+    path.write_text("# rows: 2\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n" + body)
+    with pytest.raises(ValueError, match="outside"):
+        read_schedule_csv(path)
+
+
+def test_cli_evaluate_rejects_cells_outside_the_surface(tmp_path, cli_config, capsys, rng):
+    good = tmp_path / "good.csv"
+    write_schedule_csv(good, random_schedule(rng, 6, 6))
+    for label, replace in (("p=0", ("\n1,1,", "\n0,1,")), ("p>rows", ("\n6,6,", "\n7,6,"))):
+        bad = tmp_path / f"bad-{label}.csv"
+        bad.write_text(good.read_text().replace(*replace))
+        assert main(["evaluate", "--config", cli_config, "--out", str(tmp_path / "x"),
+                     "--schedule", str(bad)]) == 2
+        assert "outside" in capsys.readouterr().err
+
+
 def test_convergence_csv(tmp_path):
     path = tmp_path / "conv.csv"
     write_convergence_csv(path, [3.5, 2.0, 2.0, 0.125])

@@ -20,33 +20,37 @@ from tmems.fields import (
     ratio_from_powers,
 )
 from tmems.geometry import EmsGeometry
+from tmems.masks import MaskSet
 from tmems.modulation import (
     PulseSchedule,
     ReflectionStates,
     apply_delta_constraint,
     harmonic_tensors,
 )
+from tmems.synthesis import CostEvaluator
 
 from conftest import random_schedule
 
 
-def brute_force_pattern(geometry, schedule, states, incidence, grid, h):
-    """Direct sum over cells and directions, no precomputed tables."""
-    out = np.zeros((grid.u.size, grid.v.size, 2), dtype=complex)
+def direct_sum(geometry, schedule, states, incidence, u, v, h):
+    """Per-cell loop over the radiation sum toward directions (u[i], v[i]),
+    with the unfactorised steering phase e^{j k0 (u x + v y)}: (n, 2)."""
     exc = incident_cell_excitation(incidence, geometry)
     tens = harmonic_tensors(states, schedule, h).reshape(-1, 2, 2)
     m2 = incidence.polarization_matrix
     xy = geometry.cell_xy_m
-    pref = 1j * geometry.k0 / (4.0 * np.pi)
-    for iu, u in enumerate(grid.u):
-        for iv, v in enumerate(grid.v):
-            if u * u + v * v > 1.0:
-                continue
-            acc = np.zeros(2, dtype=complex)
-            for n in range(geometry.n_cells):
-                steer = np.exp(1j * geometry.k0 * (u * xy[n, 0] + v * xy[n, 1]))
-                acc = acc + (m2 @ (tens[n] @ exc[n])) * steer
-            out[iu, iv] = pref * cell_factor(geometry, u, v) * acc
+    acc = np.zeros((u.size, 2), dtype=complex)
+    for n in range(geometry.n_cells):
+        steer = np.exp(1j * geometry.k0 * (u * xy[n, 0] + v * xy[n, 1]))
+        acc += steer[:, None] * (m2 @ (tens[n] @ exc[n]))[None, :]
+    return (1j * geometry.k0 / (4.0 * np.pi) * cell_factor(geometry, u, v))[:, None] * acc
+
+
+def brute_force_pattern(geometry, schedule, states, incidence, grid, h):
+    """Direct sum toward every visible grid node, no precomputed tables."""
+    out = np.zeros((grid.u.size, grid.v.size, 2), dtype=complex)
+    iu, iv = np.nonzero(grid.visible)
+    out[iu, iv] = direct_sum(geometry, schedule, states, incidence, grid.u[iu], grid.v[iv], h)
     return out
 
 
@@ -169,6 +173,14 @@ def test_polarization_matrix_obliquity():
     assert np.allclose(m40, ob * np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-14)
 
 
+def test_geometry_rejects_non_finite_inputs():
+    for bad in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="f0_hz"):
+            EmsGeometry(rows=2, cols=2, f0_hz=bad)
+        with pytest.raises(ValueError, match="cell_size_wl"):
+            EmsGeometry(rows=2, cols=2, cell_size_wl=bad)
+
+
 def test_incidence_validation():
     with pytest.raises(ValueError, match="theta"):
         PlaneWaveIncidence(theta_deg=90.0)
@@ -254,13 +266,41 @@ def test_field_samples_match_pattern_nodes(geom4, ideal, rng):
     assert np.allclose(got, pat.field[iu, iv], rtol=1e-13)
 
 
-def test_streaming_engine_matches_cached(geom4, ideal, rng):
-    sched = random_schedule(rng, 4, 4)
-    inc = PlaneWaveIncidence(theta_deg=25.0)
-    grid = DirectionGrid.uniform(121)  # enough visible nodes to span >1 block
-    cached = FieldEngine(geom4, grid, cache_steering=True).pattern(sched, ideal, inc, 0)
-    streamed = FieldEngine(geom4, grid, cache_steering=False).pattern(sched, ideal, inc, 0)
-    assert np.abs(cached.field - streamed.field).max() <= 1e-13 * np.abs(cached.field).max()
+TENSOR_STATES = ReflectionStates(
+    gamma_on=np.array([[0.7 + 0.1j, 0.05j], [0.02, -0.6 + 0.2j]]),
+    gamma_off=np.array([[-0.8, 0.0], [0.1j, 0.75]]))
+
+
+def test_separable_kernel_matches_direct_sum(rng):
+    # a non-square aperture on a non-square grid: swapped u/v axes or
+    # row/column factors cannot cancel out
+    geometry = EmsGeometry(rows=4, cols=6)
+    grid = DirectionGrid(u=np.linspace(-1.0, 1.0, 33), v=np.linspace(-1.0, 1.0, 21))
+    inc = PlaneWaveIncidence(theta_deg=25.0, phi_deg=40.0, jones=(0.6 + 0.0j, 0.8j))
+    sched = random_schedule(rng, 4, 6)
+    iu, iv = np.nonzero(grid.visible)
+    u, v = grid.u[iu], grid.v[iv]
+    anchors = np.array([[0.31, -0.17], [-0.52, 0.44], [0.05, 0.9]])
+    nu, nv = grid.shape
+    masks = MaskSet(grid=grid, lower=np.zeros((2, nu, nv)), upper=np.full((2, nu, nv), np.inf),
+                    reference=1.0, beam_uv=(0.0, 0.0), null_uv=(0.0, 0.0), anchor_uv=anchors,
+                    anchor_lower=np.zeros((2, 3)), anchor_upper=np.full((2, 3), np.inf))
+    engine = FieldEngine(geometry, grid)
+    for states in (ReflectionStates.ideal(), TENSOR_STATES):
+        ev = CostEvaluator(geometry, grid, states, inc, masks, sched.period_s)
+        for h in (0, 1):
+            want = direct_sum(geometry, sched, states, inc, u, v, h)
+            got = engine.pattern(sched, states, inc, h).field[iu, iv]
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            got = engine.field_at(u, v, sched, states, inc, h)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            want = np.concatenate([want, direct_sum(geometry, sched, states, inc,
+                                                    anchors[:, 0], anchors[:, 1], h)])
+            p_want = np.sum(np.abs(want) ** 2, axis=1)
+            p_got = ev._powers(sched.rise[None], sched.duty[None], h)[:, 0]
+            if h == 0:
+                p_got += ev._carrier_floor
+            assert np.all(np.abs(p_got - p_want) <= 1e-12 * p_want)
 
 
 def test_delta_constrained_null_line_at_broadside(ideal, rng):

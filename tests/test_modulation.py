@@ -108,6 +108,11 @@ def test_coefficient_input_validation():
         pulse_fourier_coefficients(-0.1, 0.5, 1)
     with pytest.raises(ValueError, match="duty"):
         pulse_fourier_coefficients(0.0, 1.1, 1)
+    # NaN fails every comparison, so it must not slip through the range test
+    with pytest.raises(ValueError, match="rise"):
+        pulse_fourier_coefficients(np.array([0.2, np.nan]), 0.5, 1)
+    with pytest.raises(ValueError, match="duty"):
+        pulse_fourier_coefficients(0.2, np.array([np.nan, 0.5]), 0)
 
 
 def test_harmonic_reflection_tensor_ideal():
@@ -166,6 +171,15 @@ def test_pulse_schedule_validation(rng):
         PulseSchedule(period_s=1e-6, rise=np.full((2, 2), 1.0), duty=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="duty"):
         PulseSchedule(period_s=1e-6, rise=np.zeros((2, 2)), duty=np.full((2, 2), 1.5))
+    nan_cell = np.zeros((2, 2))
+    nan_cell[1, 0] = np.nan
+    with pytest.raises(ValueError, match="rise"):
+        PulseSchedule(period_s=1e-6, rise=nan_cell, duty=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="duty"):
+        PulseSchedule(period_s=1e-6, rise=np.zeros((2, 2)), duty=nan_cell)
+    for period in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="period"):
+            PulseSchedule(period_s=period, rise=np.zeros((2, 2)), duty=np.zeros((2, 2)))
     sched = PulseSchedule(period_s=1e-6, rise=rng.random((2, 3)), duty=rng.random((2, 3)))
     assert sched.shape == (2, 3)
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from tmems.modulation import (
     apply_delta_constraint,
     mirror_rise,
 )
+from tmems import synthesis
 from tmems.synthesis import (
     CostEvaluator,
     ModeCodec,
@@ -137,6 +138,85 @@ def test_pso_deterministic():
     assert np.array_equal(a.best_x, b.best_x)
     assert a.best_value == b.best_value
     assert np.array_equal(a.history, b.history)
+
+
+def _minimize_per_particle(objective, dim, config, wrap_mask, init=None):
+    """The earlier minimize, updating one particle at a time with two
+    rng.random(dim) draws each; kept as the reference for the array update."""
+    wrap_mask = np.asarray(wrap_mask, dtype=bool)
+    reflect_mask = ~wrap_mask
+    rng = np.random.default_rng(config.seed)
+    c = config.swarm_size
+    x = rng.random((c, dim))
+    if init is not None:
+        x[0] = np.where(wrap_mask, np.mod(init, 1.0), np.clip(init, 0.0, 1.0))
+    vel = np.zeros((c, dim))
+    f = objective(x)
+    pbest, pbest_f = x.copy(), f.copy()
+    ig = int(np.argmin(pbest_f))
+    gbest, gbest_f = pbest[ig].copy(), float(pbest_f[ig])
+    history = [gbest_f]
+    clamp = config.velocity_clamp
+    for it in range(1, config.iterations + 1):
+        for i in range(c):
+            r1 = rng.random(dim)
+            r2 = rng.random(dim)
+            dp = pbest[i] - x[i]
+            dg = gbest - x[i]
+            if wrap_mask.any():
+                dp[wrap_mask] = (dp[wrap_mask] + 0.5) % 1.0 - 0.5
+                dg[wrap_mask] = (dg[wrap_mask] + 0.5) % 1.0 - 0.5
+            vel[i] = (config.inertia * vel[i]
+                      + config.cognitive * r1 * dp
+                      + config.social * r2 * dg)
+        np.clip(vel, -clamp, clamp, out=vel)
+        x = x + vel
+        if wrap_mask.any():
+            x[:, wrap_mask] %= 1.0
+        if reflect_mask.any():
+            xr = x[:, reflect_mask]
+            vr = vel[:, reflect_mask]
+            low = xr < 0.0
+            xr[low] = -xr[low]
+            vr[low] = -vr[low]
+            high = xr > 1.0
+            xr[high] = 2.0 - xr[high]
+            vr[high] = -vr[high]
+            x[:, reflect_mask] = xr
+            vel[:, reflect_mask] = vr
+        f = objective(x)
+        improved = f < pbest_f
+        pbest[improved] = x[improved]
+        pbest_f[improved] = f[improved]
+        ig = int(np.argmin(pbest_f))
+        if pbest_f[ig] < gbest_f:
+            gbest, gbest_f = pbest[ig].copy(), float(pbest_f[ig])
+        history.append(gbest_f)
+        w = config.stagnation_window
+        if w > 0 and it >= w:
+            prev = history[-w - 1]
+            if prev - gbest_f <= config.stagnation_rtol * max(abs(prev), 1e-300):
+                break
+    return gbest, np.asarray(history)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_pso_array_update_matches_per_particle_loop(seed):
+    dim = 10
+    wrap = np.arange(dim) < dim // 2
+    target = np.linspace(0.05, 0.95, dim)
+
+    def objective(x):
+        dx = x - target
+        return (np.sum(1.0 - np.cos(2.0 * np.pi * dx[:, wrap]), axis=1)
+                + np.sum(dx[:, ~wrap] ** 2, axis=1))
+
+    cfg = PsoConfig(swarm_size=7, iterations=120, seed=seed, stagnation_window=40)
+    init = np.full(dim, 0.3) if seed % 2 else None
+    res = minimize(objective, dim, cfg, wrap_mask=wrap, init=init)
+    best_x, history = _minimize_per_particle(objective, dim, cfg, wrap, init=init)
+    assert np.array_equal(res.best_x, best_x)
+    assert np.array_equal(res.history, history)
 
 
 def test_pso_history_monotone_and_initial_entry():
@@ -324,6 +404,19 @@ def test_best_of_seeds_picks_minimum():
     assert tied.seed == 4
     with pytest.raises(ValueError, match="at least one seed"):
         best_of_seeds(ev, ControlMode.DELTA, base, [])
+
+
+def test_conjugate_guess_reuses_the_masks_reference(monkeypatch):
+    ev = steered_evaluator()
+    assert ev.masks.beam_ref is not None
+    codec = ModeCodec(mode=ControlMode.DELTA, rows=4, cols=4)
+    want = conjugate_guess(ev, codec)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("beam reference rebuilt")
+
+    monkeypatch.setattr(synthesis, "beam_reference", fail)
+    assert np.array_equal(conjugate_guess(ev, codec), want)
 
 
 def test_duty_driven_to_one_by_power_floor():
