@@ -34,25 +34,25 @@ def write_pattern_csv(path, pattern: HarmonicPattern, reference: float) -> None:
     grid = pattern.grid
     power = pattern.power
     db = power_db(power, reference, floor_db=DB_FLOOR)
-    vis = grid.visible
     lines = [
         f"# harmonic: {pattern.harmonic}",
         f"# omega_rad_s: {format_float(pattern.omega_rad_s)}",
         f"# reference_power: {format_float(reference)}",
         f"# db_floor: {format_float(DB_FLOOR)}",
-        "u,v,visible,power_linear,power_db",
+        "u,v,visible,power_linear,power_db\n",
     ]
-    for iu in range(grid.u.size):
-        su = format_float(grid.u[iu])
-        for iv in range(grid.v.size):
-            lines.append(",".join((
-                su,
-                format_float(grid.v[iv]),
-                "1" if vis[iu, iv] else "0",
-                format_float(power[iu, iv]),
-                format_float(db[iu, iv]),
-            )))
-    _write_text(path, "\n".join(lines) + "\n")
+    # Each axis value is formatted once and a row's power pairs in one %
+    # call; rows are streamed so the file never sits in memory whole.
+    sv = [format_float(x) for x in grid.v]
+    pairs_fmt = "%.17g,%.17g\n" * grid.v.size
+    pairs = np.stack((power, db), axis=-1).reshape(grid.u.size, -1)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
+        for u, flags, row in zip(grid.u, grid.visible.tolist(), pairs):
+            su = format_float(u)
+            heads = [f"{su},{v},{'1' if f else '0'}," for v, f in zip(sv, flags)]
+            cells = (pairs_fmt % tuple(row.tolist())).splitlines(keepends=True)
+            fh.write("".join(map(str.__add__, heads, cells)))
 
 
 def write_schedule_csv(path, schedule: PulseSchedule) -> None:

@@ -51,8 +51,10 @@ class PlaneWaveIncidence:
     def __post_init__(self):
         if not (0.0 <= self.theta_deg < 90.0):
             raise ValueError("incidence theta_deg must lie in [0, 90)")
-        if not (self.amplitude_v_m > 0.0):
-            raise ValueError("incidence amplitude_v_m must be positive")
+        if not np.isfinite(self.phi_deg):
+            raise ValueError("incidence phi_deg must be finite")
+        if not (0.0 < self.amplitude_v_m < np.inf):
+            raise ValueError("incidence amplitude_v_m must be positive and finite")
         j = np.asarray(self.jones, dtype=complex)
         if j.shape != (2,):
             raise ValueError("jones must have exactly 2 components (TE, TM)")
@@ -116,18 +118,6 @@ class PlaneWaveIncidence:
         m = np.column_stack(cols)
         m.setflags(write=False)
         return m
-
-
-def incident_cell_excitation(incidence: PlaneWaveIncidence, geometry: EmsGeometry) -> np.ndarray:
-    """Incident Jones vector sampled at every cell barycenter.
-
-    Returns:
-        Complex array (n_cells, 2): amplitude * jones * e^{+j k0 (u_s x + v_s y)}
-        per cell, cells ordered row-major in (p, q).
-    """
-    phase = incident_phase_factors(incidence, geometry)
-    jones = np.asarray(incidence.jones)
-    return incidence.amplitude_v_m * phase[:, None] * jones[None, :]
 
 
 def incident_phase_factors(incidence: PlaneWaveIncidence, geometry: EmsGeometry) -> np.ndarray:
@@ -229,11 +219,6 @@ class HarmonicPattern:
         return np.abs(self.field[..., 0]) ** 2 + np.abs(self.field[..., 1]) ** 2
 
 
-def power_pattern(pattern: HarmonicPattern) -> np.ndarray:
-    """Total radiated power density samples of a pattern, shape (nu, nv)."""
-    return pattern.power
-
-
 def power_db(power, reference: float, floor_db: float = -400.0):
     """Decibels of power relative to a positive reference, floored.
 
@@ -297,14 +282,13 @@ class FieldEngine:
         self.grid = grid
         if grid is None:
             return
-        vis = grid.visible
-        self.vis_iu, self.vis_iv = np.nonzero(vis)
-        self._vis_flat = np.flatnonzero(vis)
+        self._hidden = ~grid.visible
+        self._n_visible = int(np.count_nonzero(grid.visible))
         self._a_u, self._a_v = steering_factors(geometry, grid.u, grid.v)
 
     @property
     def n_visible(self) -> int:
-        return self._vis_flat.size
+        return self._n_visible
 
     def _cell_weights(self, schedule: PulseSchedule, states: ReflectionStates,
                       incidence: PlaneWaveIncidence, h: int) -> np.ndarray:
@@ -316,26 +300,30 @@ class FieldEngine:
             src += b
         return g[:, None] * src
 
-    def _apply_steering(self, weights: np.ndarray) -> np.ndarray:
-        """Radiate (n_cells, k) cell sources toward every visible direction: (n_visible, k).
+    def _apply_steering(self, weights: np.ndarray, rows_out: Optional[np.ndarray] = None,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Radiate (n_cells, k) cell sources toward every grid node: (nu, nv, k).
 
         Per column F = A_u W A_v^T: one small matmul per row of cells, then
-        one matmul over the rows.
+        one matmul over the rows. Invisible nodes are computed like the rest
+        and left for the caller to mask. rows_out (rows, nv, k) and out
+        (nu, nv * k), complex and C-contiguous, receive the two products when
+        given, so a caller that keeps them allocates nothing here.
         """
         rows, cols = self.geometry.rows, self.geometry.cols
-        t = np.matmul(self._a_v, weights.reshape(rows, cols, -1))  # (rows, nv, k)
-        f = self._a_u @ t.reshape(rows, -1)  # (nu, nv * k)
-        return np.take(f.reshape(-1, weights.shape[1]), self._vis_flat, axis=0)
+        k = weights.shape[1]
+        t = np.matmul(self._a_v, weights.reshape(rows, cols, k), out=rows_out)
+        f = np.matmul(self._a_u, t.reshape(rows, -1), out=out)
+        return f.reshape(self._a_u.shape[0], -1, k)
 
     def pattern(self, schedule: PulseSchedule, states: ReflectionStates,
                 incidence: PlaneWaveIncidence, h: int) -> HarmonicPattern:
         """Far-field pattern of harmonic h over the engine's grid."""
         w = self._cell_weights(schedule, states, incidence, h)
-        nu, nv = self.grid.shape
-        out = np.zeros((nu, nv, 2), dtype=complex)
-        out[self.vis_iu, self.vis_iv, :] = self._apply_steering(w)
+        field = self._apply_steering(w)
+        field[self._hidden] = 0.0
         omega = self.geometry.omega0 + h * 2.0 * np.pi / schedule.period_s
-        return HarmonicPattern(harmonic=h, omega_rad_s=omega, grid=self.grid, field=out)
+        return HarmonicPattern(harmonic=h, omega_rad_s=omega, grid=self.grid, field=field)
 
     def field_at(self, u, v, schedule: PulseSchedule, states: ReflectionStates,
                  incidence: PlaneWaveIncidence, h: int) -> np.ndarray:

@@ -84,12 +84,13 @@ class Scenario:
     synth_grid_n: int = 64
 
     def __post_init__(self):
-        if not (self.period_s > 0.0):
-            raise ValueError("period must be positive")
+        if not (0.0 < self.period_s < np.inf):
+            raise ValueError("period must be positive and finite")
         if not (-90.0 < self.theta_refl_deg < 90.0):
             raise ValueError("reflection angle must lie in (-90, 90) degrees")
         if not (0.0 <= self.theta_inc_deg < 90.0):
             raise ValueError("incidence angle must lie in [0, 90) degrees")
+        self.incidence()  # rejects a non-finite phi, amplitude or a bad Jones vector
         if self.synth_grid_n < 2:
             raise ValueError("synthesis grid needs at least 2 nodes per axis")
         if self.mode in (ControlMode.DELTA, ControlMode.COLWISE_DELTA):

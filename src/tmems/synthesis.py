@@ -7,7 +7,8 @@ the grid-integrated one-sided violation of the power masks at harmonics 0
 and 1.
 """
 
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,13 +38,39 @@ def ramp(x):
     return np.maximum(np.asarray(x, dtype=float), 0.0)
 
 
+class _Workspace:
+    """One thread's phi_batch buffers for one batch size: the two steering
+    products and two real power buffers (grid nodes, then anchors)."""
+
+    def __init__(self, engine: FieldEngine, n_anchors: int, batch: int):
+        rows = engine.geometry.rows
+        nu, nv = engine.grid.shape
+        n = nu * nv
+        self.batch = batch
+        self.rows_out = np.empty((rows, nv, batch), dtype=complex)
+        self.field = np.empty((nu, nv * batch), dtype=complex)
+        self.power = np.empty((n + n_anchors, batch))
+        self.grid_power = self.power[:n]
+        self.anchor_power = self.power[n:]
+        self.imag_power = np.empty((n, batch))
+
+
 class CostEvaluator:
     """Precomputed mask-violation cost Phi for one scenario on one grid.
 
     Phi = sum over harmonics h in {0, 1} and visible grid nodes of
     w * ramp(P_h - upper_h) + w * ramp(lower_h - P_h), with w the grid-cell
-    weight. Phi is 0 exactly when every bound is met. Instances are immutable
-    after construction and safe to share across threads.
+    weight, plus the same terms at the masks' exact-direction anchors. Phi is
+    0 exactly when every bound is met.
+
+    The cost runs on the whole nu x nv grid with no gather: invisible nodes
+    carry weight 0, an upper bound of +inf and no lower bound, so they add
+    exactly 0. The bounds and weights are never mutated after construction.
+    Thread safety comes from per-thread workspaces: phi_batch writes only
+    into buffers private to the calling thread (one set per thread, rebuilt
+    when the batch size changes), so one instance may be shared across
+    threads, and once warm a call allocates little more than its schedules'
+    Fourier coefficients.
     """
 
     def __init__(self, geometry: EmsGeometry, grid: DirectionGrid, states: ReflectionStates,
@@ -60,7 +87,7 @@ class CostEvaluator:
         self.masks = masks
         self.period_s = float(period_s)
         self.engine = FieldEngine(geometry, grid)
-        iu, iv = self.engine.vis_iu, self.engine.vis_iv
+        self._local = threading.local()
         anchors = masks.anchor_uv
         self._anchor_rows = steering_rows(geometry, anchors[:, 0], anchors[:, 1])
         # an anchor is a hard point requirement, so by default it weighs as
@@ -71,8 +98,10 @@ class CostEvaluator:
         if anchor_weight < 0.0:
             raise ValueError("anchor weight must be non-negative")
         self.anchor_weight = float(anchor_weight)
+        # rows of every per-node array: the nu * nv grid row-major, then anchors
+        vis = grid.visible.ravel()
         self._weights = np.concatenate([
-            np.full(iu.size, grid.cell_weight),
+            np.where(vis, grid.cell_weight, 0.0),
             np.full(anchors.shape[0], self.anchor_weight),
         ])
         # A cell radiates g * (delta_h0 * b + u^h * d) with d = a - b (see
@@ -87,34 +116,48 @@ class CostEvaluator:
         e = d / self._d_norm if self._d_norm > 0.0 else np.array([1.0 + 0j, 0j])
         self._beta = complex(np.vdot(e, b))
         self._drive = incident_phase_factors(incidence, geometry) * incidence.amplitude_v_m
-        s0 = self._project(self._drive[:, None])[:, 0]
+        s0 = np.concatenate([self.engine._apply_steering(self._drive[:, None]).ravel(),
+                             self._anchor_rows @ self._drive])
         self._carrier_floor = abs(e[0] * b[1] - e[1] * b[0]) ** 2 * (s0.real**2 + s0.imag**2)
-        lower = np.concatenate([masks.lower[:, iu, iv], masks.anchor_lower], axis=1)
-        self._upper = np.concatenate([masks.upper[:, iu, iv], masks.anchor_upper], axis=1)
+        n = vis.size
+        lower = np.concatenate([np.where(vis, masks.lower.reshape(2, n), 0.0),
+                                masks.anchor_lower], axis=1)
+        self._upper = np.concatenate([np.where(vis, masks.upper.reshape(2, n), np.inf),
+                                      masks.anchor_upper], axis=1)
         # lower bounds are active on a few lobe and anchor nodes only
         active = [np.flatnonzero(lower[h] > 0.0) for h in (0, 1)]
         lower[0] -= self._carrier_floor
         self._upper[0] -= self._carrier_floor
         self._floors = [(idx, lower[h][idx], self._weights[idx]) for h, idx in enumerate(active)]
 
-    def _project(self, w: np.ndarray) -> np.ndarray:
-        """Radiate (n_cells, k) sources to visible nodes plus anchors."""
-        return np.concatenate([self.engine._apply_steering(w), self._anchor_rows @ w], axis=0)
+    def _workspace(self, batch: int) -> _Workspace:
+        ws = getattr(self._local, "ws", None)
+        if ws is None or ws.batch != batch:
+            ws = self._local.ws = _Workspace(self.engine, self._anchor_rows.shape[0], batch)
+        return ws
 
-    def _powers(self, rises: np.ndarray, duties: np.ndarray, h: int) -> np.ndarray:
-        """(n_visible + n_anchors, batch) power samples for stacked schedules,
-        without the schedule-independent h = 0 part self._carrier_floor."""
+    def _powers(self, rises: np.ndarray, duties: np.ndarray, h: int, ws: _Workspace) -> np.ndarray:
+        """Power samples of stacked schedules at every grid node, then every
+        anchor, written into ws.power (n_nodes + n_anchors, batch), without
+        the schedule-independent h = 0 part self._carrier_floor."""
         coef = pulse_fourier_coefficients(rises, duties, h).reshape(rises.shape[0], -1).T * self._d_norm
         if h == 0:
             coef += self._beta
-        f = self._project(coef * self._drive[:, None])
-        return f.real**2 + f.imag**2
+        w = coef * self._drive[:, None]
+        f = self.engine._apply_steering(w, ws.rows_out, ws.field).reshape(ws.grid_power.shape)
+        np.multiply(f.real, f.real, out=ws.grid_power)
+        np.multiply(f.imag, f.imag, out=ws.imag_power)
+        np.add(ws.grid_power, ws.imag_power, out=ws.grid_power)
+        fa = self._anchor_rows @ w
+        np.add(fa.real**2, fa.imag**2, out=ws.anchor_power)
+        return ws.power
 
     def phi_batch(self, rises: np.ndarray, duties: np.ndarray) -> np.ndarray:
         """Costs of a stack of schedules given as (batch, rows, cols) arrays."""
+        ws = self._workspace(rises.shape[0])
         total = np.zeros(rises.shape[0])
         for h in (0, 1):
-            p = self._powers(rises, duties, h)
+            p = self._powers(rises, duties, h, ws)
             idx, floor, w = self._floors[h]
             if idx.size:
                 total += w @ ramp(floor[:, None] - p[idx])
@@ -223,8 +266,12 @@ class PsoConfig:
     def __post_init__(self):
         if self.swarm_size < 1 or self.iterations < 0:
             raise ValueError("swarm_size must be >= 1 and iterations >= 0")
-        if not (0.0 < self.velocity_clamp):
-            raise ValueError("velocity_clamp must be positive")
+        # written so that NaN fails every range test
+        for name in ("inertia", "cognitive", "social", "stagnation_rtol"):
+            if not (0.0 <= getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not (0.0 < self.velocity_clamp < np.inf):
+            raise ValueError("velocity_clamp must be positive and finite")
 
 
 @dataclass
@@ -389,22 +436,3 @@ def pso_optimize(evaluator: CostEvaluator, mode: ControlMode, config: PsoConfig)
     return SynthesisResult(schedule=schedule, phi=res.best_value, history=res.history,
                            iterations=res.iterations, stop_reason=res.stop_reason,
                            seed=config.seed)
-
-
-def best_of_seeds(evaluator: CostEvaluator, mode: ControlMode, base: PsoConfig,
-                  seeds) -> SynthesisResult:
-    """Run one synthesis per seed and keep the lowest-cost design.
-
-    Ties resolve to the earliest seed in the list, which keeps repeated runs
-    deterministic.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    best = None
-    for s in seeds:
-        cfg = replace(base, seed=int(s))
-        res = pso_optimize(evaluator, mode, cfg)
-        if best is None or res.phi < best.phi:
-            best = res
-    return best

@@ -7,6 +7,7 @@ import pytest
 
 from tmems.cli import main
 from tmems.export import (
+    DB_FLOOR,
     format_float,
     read_schedule_csv,
     write_convergence_csv,
@@ -15,7 +16,7 @@ from tmems.export import (
     write_schedule_csv,
     write_sweep_csv,
 )
-from tmems.fields import DirectionGrid, PlaneWaveIncidence, harmonic_far_field
+from tmems.fields import DirectionGrid, PlaneWaveIncidence, harmonic_far_field, power_db
 from tmems.geometry import EmsGeometry
 from tmems.isac import SweepSample
 from tmems.modulation import ReflectionStates
@@ -56,6 +57,49 @@ def test_pattern_csv(tmp_path, rng):
     path2 = tmp_path / "pattern2.csv"
     write_pattern_csv(path2, pat, 1.0)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def per_value_pattern_csv(path, pattern, reference):
+    """The original writer, one format_float call per value: the reference
+    for the file format."""
+    grid = pattern.grid
+    power = pattern.power
+    db = power_db(power, reference, floor_db=DB_FLOOR)
+    vis = grid.visible
+    lines = [
+        f"# harmonic: {pattern.harmonic}",
+        f"# omega_rad_s: {format_float(pattern.omega_rad_s)}",
+        f"# reference_power: {format_float(reference)}",
+        f"# db_floor: {format_float(DB_FLOOR)}",
+        "u,v,visible,power_linear,power_db",
+    ]
+    for iu in range(grid.u.size):
+        su = format_float(grid.u[iu])
+        for iv in range(grid.v.size):
+            lines.append(",".join((
+                su,
+                format_float(grid.v[iv]),
+                "1" if vis[iu, iv] else "0",
+                format_float(power[iu, iv]),
+                format_float(db[iu, iv]),
+            )))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_pattern_csv_matches_per_value_writer(tmp_path, rng):
+    # a non-square grid, so a swapped u/v loop would change the bytes;
+    # invisible nodes give exact zeros at the dB floor
+    geom = EmsGeometry(rows=4, cols=6)
+    grid = DirectionGrid(u=np.linspace(-1.0, 1.0, 23), v=np.linspace(-0.9, 1.0, 17))
+    sched = random_schedule(rng, 4, 6)
+    inc = PlaneWaveIncidence(theta_deg=30.0, phi_deg=10.0)
+    for h, reference in ((0, 1.0), (1, 3.7e-5)):
+        pat = harmonic_far_field(geom, sched, ReflectionStates.ideal(), inc, grid, h)
+        fast, slow = tmp_path / f"fast{h}.csv", tmp_path / f"slow{h}.csv"
+        write_pattern_csv(fast, pat, reference)
+        per_value_pattern_csv(slow, pat, reference)
+        assert fast.read_bytes() == slow.read_bytes()
 
 
 def test_schedule_csv_round_trip(tmp_path, rng):

@@ -12,11 +12,9 @@ from tmems.fields import (
     cell_factor,
     field_samples,
     harmonic_far_field,
-    incident_cell_excitation,
     incident_phase_factors,
     monopulse_ratio,
     power_db,
-    power_pattern,
     ratio_from_powers,
 )
 from tmems.geometry import EmsGeometry
@@ -35,7 +33,8 @@ from conftest import random_schedule
 def direct_sum(geometry, schedule, states, incidence, u, v, h):
     """Per-cell loop over the radiation sum toward directions (u[i], v[i]),
     with the unfactorised steering phase e^{j k0 (u x + v y)}: (n, 2)."""
-    exc = incident_cell_excitation(incidence, geometry)
+    exc = (incidence.amplitude_v_m * incident_phase_factors(incidence, geometry)[:, None]
+           * np.asarray(incidence.jones)[None, :])
     tens = harmonic_tensors(states, schedule, h).reshape(-1, 2, 2)
     m2 = incidence.polarization_matrix
     xy = geometry.cell_xy_m
@@ -138,8 +137,10 @@ def test_amplitude_linearity(geom4, ideal, rng):
     sched = random_schedule(rng, 4, 4)
     inc1 = PlaneWaveIncidence(theta_deg=40.0, amplitude_v_m=1.0)
     inc2 = PlaneWaveIncidence(theta_deg=40.0, amplitude_v_m=2.0)
-    assert np.allclose(incident_cell_excitation(inc2, geom4),
-                       2.0 * incident_cell_excitation(inc1, geom4), rtol=1e-15)
+    for h in (0, 1):
+        e1 = field_samples(geom4, sched, ideal, inc1, 0.2, 0.1, h)
+        e2 = field_samples(geom4, sched, ideal, inc2, 0.2, 0.1, h)
+        assert np.allclose(e2, 2.0 * e1, rtol=1e-15)
     grid = DirectionGrid.uniform(21)
     engine = FieldEngine(geom4, grid)
     for h in (0, 1):
@@ -188,6 +189,12 @@ def test_incidence_validation():
         PlaneWaveIncidence(theta_deg=10.0, amplitude_v_m=0.0)
     with pytest.raises(ValueError, match="unit norm"):
         PlaneWaveIncidence(theta_deg=10.0, jones=(1.0, 1.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="phi_deg"):
+            PlaneWaveIncidence(theta_deg=10.0, phi_deg=bad)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="amplitude"):
+            PlaneWaveIncidence(theta_deg=10.0, amplitude_v_m=bad)
 
 
 def test_direction_grid():
@@ -209,8 +216,7 @@ def test_power_helpers(geom4, ideal, rng):
     sched = random_schedule(rng, 4, 4)
     pat = harmonic_far_field(geom4, sched, ideal, PlaneWaveIncidence(theta_deg=20.0),
                              DirectionGrid.uniform(11), 0)
-    power = power_pattern(pat)
-    assert np.array_equal(power, pat.power)
+    assert np.array_equal(pat.power, np.sum(np.abs(pat.field) ** 2, axis=-1))
     assert power_db(1.0, 1.0) == 0.0
     assert power_db(0.1, 1.0) == pytest.approx(-10.0)
     assert power_db(0.0, 1.0) == -400.0  # floored
@@ -288,6 +294,7 @@ def test_separable_kernel_matches_direct_sum(rng):
     engine = FieldEngine(geometry, grid)
     for states in (ReflectionStates.ideal(), TENSOR_STATES):
         ev = CostEvaluator(geometry, grid, states, inc, masks, sched.period_s)
+        ws = ev._workspace(1)
         for h in (0, 1):
             want = direct_sum(geometry, sched, states, inc, u, v, h)
             got = engine.pattern(sched, states, inc, h).field[iu, iv]
@@ -297,9 +304,12 @@ def test_separable_kernel_matches_direct_sum(rng):
             want = np.concatenate([want, direct_sum(geometry, sched, states, inc,
                                                     anchors[:, 0], anchors[:, 1], h)])
             p_want = np.sum(np.abs(want) ** 2, axis=1)
-            p_got = ev._powers(sched.rise[None], sched.duty[None], h)[:, 0]
+            # the cost's rows are the full grid, row-major, then the anchors
+            p_all = ev._powers(sched.rise[None], sched.duty[None], h, ws)[:, 0].copy()
             if h == 0:
-                p_got += ev._carrier_floor
+                p_all += ev._carrier_floor
+            assert p_all.shape == (nu * nv + anchors.shape[0],)
+            p_got = np.concatenate([p_all[:nu * nv][grid.visible.ravel()], p_all[nu * nv:]])
             assert np.all(np.abs(p_got - p_want) <= 1e-12 * p_want)
 
 

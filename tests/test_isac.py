@@ -23,7 +23,8 @@ from tmems.modulation import (
     PulseSchedule,
     ReflectionStates,
 )
-from tmems.synthesis import PsoConfig, pso_optimize
+from tmems import isac
+from tmems.synthesis import PsoConfig, SynthesisResult, pso_optimize
 
 from conftest import random_schedule
 
@@ -44,8 +45,13 @@ def test_derive_seed_properties():
 
 
 def test_scenario_validation(fast_scenario):
-    with pytest.raises(ValueError, match="period"):
-        fast_scenario(period_s=0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="period"):
+            fast_scenario(period_s=bad)
+    with pytest.raises(ValueError, match="phi_deg"):
+        fast_scenario(phi_inc_deg=np.nan)
+    with pytest.raises(ValueError, match="amplitude"):
+        fast_scenario(amplitude_v_m=np.inf)
     with pytest.raises(ValueError, match="reflection angle"):
         fast_scenario(theta_refl_deg=90.0)
     with pytest.raises(ValueError, match="incidence angle"):
@@ -115,10 +121,27 @@ def test_design_for_angle_best_of_repeats(fast_scenario):
         cfg = replace(sc.pso, seed=derive_seed(master, 40.0, rep))
         singles.append(pso_optimize(ev, sc.mode, cfg))
     best = design_for_angle(sc, 40.0, master, repeats=2)
-    assert best.phi == min(s.phi for s in singles)
-    assert best.seed in {s.seed for s in singles}
+    winner = min(singles, key=lambda s: s.phi)
+    assert best.phi == winner.phi
+    assert best.seed == winner.seed
+    assert np.array_equal(best.history, winner.history)
     with pytest.raises(ValueError, match="repeats"):
         design_for_angle(sc, 40.0, master, repeats=0)
+
+
+def test_design_for_angle_ties_keep_earliest_repeat(fast_scenario, monkeypatch):
+    sc = fast_scenario(iterations=2)
+    calls = []
+
+    def fake_optimize(evaluator, mode, config):
+        calls.append(config.seed)
+        return SynthesisResult(schedule=None, phi=0.5, history=np.array([0.5]),
+                               iterations=0, stop_reason="zero_cost", seed=config.seed)
+
+    monkeypatch.setattr(isac, "pso_optimize", fake_optimize)
+    best = design_for_angle(sc, 40.0, 5, repeats=3)
+    assert calls == [derive_seed(5, 40.0, rep) for rep in range(3)]
+    assert best.seed == calls[0]
 
 
 def test_matched_sweep_user(fast_scenario):

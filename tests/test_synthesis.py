@@ -1,8 +1,14 @@
 """Mask-violation cost, mode codecs, and the seeded particle-swarm search."""
 
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from tmems.config import load_config
 from tmems.fields import DirectionGrid, PlaneWaveIncidence, harmonic_far_field
 from tmems.geometry import EmsGeometry
 from tmems.masks import MaskParams, MaskSet, build_masks, reference_power
@@ -19,7 +25,6 @@ from tmems.synthesis import (
     CostEvaluator,
     ModeCodec,
     PsoConfig,
-    best_of_seeds,
     conjugate_guess,
     minimize,
     pso_optimize,
@@ -118,6 +123,56 @@ def test_anchor_weight_default():
                         PlaneWaveIncidence(theta_deg=0.0), free_masks(grid), 1e-6,
                         anchor_weight=5.0)
     assert ev5.anchor_weight == 5.0
+
+
+def beam_pair_evaluator():
+    """The flagship scenario's evaluator: 10x10 skin on the 64-grid."""
+    ev = load_config(None).scenario().evaluator()
+    assert ev.grid.shape == (64, 64)
+    return ev
+
+
+def test_warm_phi_batch_allocates_little():
+    ev = beam_pair_evaluator()
+    rises, duties = np.random.default_rng(0).random((2, 20, 10, 10))
+    want = ev.phi_batch(rises, duties)  # warm-up builds this thread's buffers
+    tracemalloc.start()
+    try:
+        got = ev.phi_batch(rises, duties)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (64 x 64 x 20) complex temporary alone would be 1.3 MB
+    assert peak < 256 * 1024
+    assert np.array_equal(got, want)
+
+
+def test_shared_evaluator_is_thread_safe():
+    ev = beam_pair_evaluator()
+    rng = np.random.default_rng(1)
+    # more threads than cores, each switching batch sizes: at times two score
+    # the same size at once, at times sizes that need different buffers
+    sizes = [(20, 7, 20, 1), (7, 20, 1, 20), (1, 20, 7, 7)]
+    jobs = [[rng.random((2, n, 10, 10)) for n in row] for row in sizes]
+    want = [[ev.phi_batch(r, d) for r, d in job] for job in jobs]
+    barrier = threading.Barrier(len(jobs), timeout=60)
+
+    def run(job):
+        barrier.wait()
+        return [[ev.phi_batch(r, d) for r, d in job] for _ in range(6)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(run, job) for job in jobs]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for rounds, expected in zip(got, want):
+        for costs in rounds:
+            for c, w in zip(costs, expected):
+                assert np.array_equal(c, w)
 
 
 def sphere(x):
@@ -300,6 +355,13 @@ def test_pso_config_validation():
         PsoConfig(iterations=-1)
     with pytest.raises(ValueError):
         PsoConfig(velocity_clamp=0.0)
+    for name in ("inertia", "cognitive", "social", "stagnation_rtol"):
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match=name):
+                PsoConfig(**{name: bad})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="velocity_clamp"):
+            PsoConfig(velocity_clamp=bad)
     with pytest.raises(ValueError, match="empty"):
         minimize(sphere, 0, PsoConfig())
 
@@ -387,23 +449,6 @@ def test_conjugate_guess_is_deterministic_and_in_range():
     assert np.array_equal(g1, g2)
     assert g1.shape == (codec.dim,)
     assert np.all((g1 >= 0.0) & (g1 <= 1.0))
-
-
-def test_best_of_seeds_picks_minimum():
-    ev = steered_evaluator()
-    base = PsoConfig(swarm_size=6, iterations=8, seed=0, stagnation_window=0)
-    singles = {s: pso_optimize(ev, ControlMode.DELTA,
-                               PsoConfig(swarm_size=6, iterations=8, seed=s,
-                                         stagnation_window=0))
-               for s in (3, 4, 5)}
-    best = best_of_seeds(ev, ControlMode.DELTA, base, [3, 4, 5])
-    assert best.phi == min(r.phi for r in singles.values())
-    assert best.seed == min(singles, key=lambda s: (singles[s].phi, s))
-    # ties resolve to the earliest seed
-    tied = best_of_seeds(ev, ControlMode.DELTA, base, [4, 4])
-    assert tied.seed == 4
-    with pytest.raises(ValueError, match="at least one seed"):
-        best_of_seeds(ev, ControlMode.DELTA, base, [])
 
 
 def test_conjugate_guess_reuses_the_masks_reference(monkeypatch):
