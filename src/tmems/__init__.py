@@ -23,7 +23,6 @@ from .fields import (
     cell_factor,
     field_samples,
     harmonic_far_field,
-    monopulse_ratio,
     power_db,
     ratio_from_powers,
 )
@@ -47,11 +46,8 @@ from .modulation import (
     ControlMode,
     PulseSchedule,
     ReflectionStates,
-    apply_delta_constraint,
     check_delta_applicable,
     complement_fourier_coefficients,
-    expand_columnwise,
-    harmonic_reflection_tensor,
     harmonic_scalar_coefficients,
     harmonic_tensors,
     mirror_rise,
@@ -98,7 +94,6 @@ __all__ = [
     "Scenario",
     "SweepSample",
     "SynthesisResult",
-    "apply_delta_constraint",
     "build_codebook",
     "build_masks",
     "cell_factor",
@@ -108,10 +103,8 @@ __all__ = [
     "default_config",
     "derive_seed",
     "design_for_angle",
-    "expand_columnwise",
     "field_samples",
     "harmonic_far_field",
-    "harmonic_reflection_tensor",
     "harmonic_scalar_coefficients",
     "harmonic_tensors",
     "load_config",
@@ -120,7 +113,6 @@ __all__ = [
     "measure_bs_ratio",
     "minimize",
     "mirror_rise",
-    "monopulse_ratio",
     "parse_config",
     "power_db",
     "pso_optimize",

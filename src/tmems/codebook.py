@@ -59,9 +59,7 @@ def scenario_digest(payload: dict) -> bytes:
 
 
 def pairs_per_record(mode: ControlMode, rows: int, cols: int) -> int:
-    if mode in (ControlMode.COLWISE, ControlMode.COLWISE_DELTA):
-        return rows
-    return rows * cols
+    return rows if mode.columnwise else rows * cols
 
 
 @dataclass(frozen=True)
@@ -81,12 +79,9 @@ class CodebookEntry:
         p, q = geometry.rows, geometry.cols
         if self.rise.size != pairs_per_record(mode, p, q):
             raise CodebookError("entry size does not match the geometry and mode")
-        if mode in (ControlMode.COLWISE, ControlMode.COLWISE_DELTA):
-            rise = np.repeat(self.rise[:, None], q, axis=1)
-            duty = np.repeat(self.duty[:, None], q, axis=1)
-        else:
-            rise = self.rise.reshape(p, q)
-            duty = self.duty.reshape(p, q)
+        # one column per row in column-wise modes, every cell otherwise
+        rise = np.broadcast_to(self.rise.reshape(p, -1), (p, q))
+        duty = np.broadcast_to(self.duty.reshape(p, -1), (p, q))
         return PulseSchedule(period_s=period_s, rise=rise, duty=duty)
 
 
@@ -119,15 +114,13 @@ def _angle_mdeg(angle_deg: float) -> int:
 def entry_from_schedule(angle_deg: float, phi: float, schedule: PulseSchedule,
                         mode: ControlMode) -> CodebookEntry:
     """Compress a schedule to its mode-native pair list."""
-    if mode in (ControlMode.COLWISE, ControlMode.COLWISE_DELTA):
-        rise = schedule.rise[:, 0].copy()
-        duty = schedule.duty[:, 0].copy()
-        if not (np.array_equal(schedule.rise, np.repeat(rise[:, None], schedule.shape[1], axis=1))
-                and np.array_equal(schedule.duty, np.repeat(duty[:, None], schedule.shape[1], axis=1))):
+    rise, duty = schedule.rise, schedule.duty
+    if mode.columnwise:
+        rise, duty = rise[:, :1], duty[:, :1]
+        if not (np.all(schedule.rise == rise) and np.all(schedule.duty == duty)):
             raise ValueError("schedule is not column-wise; refusing lossy storage")
-    else:
-        rise = schedule.rise.reshape(-1).copy()
-        duty = schedule.duty.reshape(-1).copy()
+    rise = rise.flatten()
+    duty = duty.flatten()
     rise.setflags(write=False)
     duty.setflags(write=False)
     return CodebookEntry(angle_mdeg=_angle_mdeg(angle_deg), phi=float(phi),
@@ -174,6 +167,9 @@ def read_codebook(path, expected_digest: Optional[bytes] = None) -> Codebook:
     mode = _CODE_MODES[mode_code]
     if rows < 1 or cols < 1:
         raise CodebookError("header declares an empty surface")
+    # written so that NaN fails the range test
+    if not (0.0 < period_s < np.inf and 0.0 < f0_hz < np.inf):
+        raise CodebookError("header holds an invalid period or carrier frequency")
     if expected_digest is not None and digest != expected_digest:
         raise CodebookError(
             "scenario digest mismatch; the codebook was built for different parameters")
@@ -193,7 +189,7 @@ def read_codebook(path, expected_digest: Optional[bytes] = None) -> Codebook:
         off += 16 * n_pairs
         pairs = pairs.reshape(n_pairs, 2).astype(float)
         rise, duty = pairs[:, 0].copy(), pairs[:, 1].copy()
-        if np.any(rise < 0.0) or np.any(rise >= 1.0) or np.any(duty < 0.0) or np.any(duty > 1.0):
+        if not (np.all((rise >= 0.0) & (rise < 1.0)) and np.all((duty >= 0.0) & (duty <= 1.0))):
             raise CodebookError("record holds out-of-range rise or duty values")
         if not (np.isfinite(phi) and phi >= 0.0):
             raise CodebookError("record holds an invalid cost value")

@@ -96,9 +96,14 @@ def read_schedule_csv(path) -> PulseSchedule:
             if line.startswith("p,"):
                 continue
             p_s, q_s, rise_s, duty_s = line.split(",")
-            entries[(int(p_s) - 1, int(q_s) - 1)] = (float(rise_s), float(duty_s))
+            cell = (int(p_s) - 1, int(q_s) - 1)
+            if cell in entries:
+                raise ValueError(f"{path}: cell ({cell[0] + 1}, {cell[1] + 1}) is listed twice")
+            entries[cell] = (float(rise_s), float(duty_s))
     if rows is None or cols is None or period_s is None:
         raise ValueError(f"{path} is missing rows/cols/period_s headers")
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path} declares an empty surface ({rows} x {cols})")
     for i, j in entries:
         if not (0 <= i < rows and 0 <= j < cols):
             raise ValueError(f"{path}: cell ({i + 1}, {j + 1}) lies outside p in 1..{rows}, q in 1..{cols}")

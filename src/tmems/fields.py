@@ -71,13 +71,6 @@ class PlaneWaveIncidence:
         d.setflags(write=False)
         return d
 
-    @cached_property
-    def wave_unit_vector(self) -> np.ndarray:
-        """Unit propagation vector of the incoming wave (toward the aperture)."""
-        k = -self.source_direction
-        k.setflags(write=False)
-        return k
-
     @property
     def u(self) -> float:
         return float(self.source_direction[0])
@@ -372,25 +365,3 @@ def ratio_from_powers(p_sigma: float, p_delta: float) -> MonopulseRatio:
         p_delta=float(p_delta),
         floored=bool(floored),
     )
-
-
-def monopulse_ratio(pattern_sigma: HarmonicPattern, pattern_delta: HarmonicPattern,
-                    u: float, v: float) -> MonopulseRatio:
-    """Ratio of carrier to first-harmonic power at the grid node nearest (u, v).
-
-    Both patterns must share one grid; the requested direction must lie inside
-    the visible disc and within half a grid cell of a visible node.
-    """
-    grid = pattern_sigma.grid
-    if grid is not pattern_delta.grid and (
-        not np.array_equal(grid.u, pattern_delta.grid.u) or not np.array_equal(grid.v, pattern_delta.grid.v)
-    ):
-        raise ValueError("patterns sampled on different grids")
-    if u**2 + v**2 > 1.0:
-        raise ValueError("direction outside the visible disc")
-    iu, iv = grid.nearest_index(u, v)
-    if abs(grid.u[iu] - u) > 0.5 * grid.du + 1e-12 or abs(grid.v[iv] - v) > 0.5 * grid.dv + 1e-12:
-        raise ValueError("direction outside the sampled grid")
-    if not grid.visible[iu, iv]:
-        raise ValueError("nearest grid node is not visible")
-    return ratio_from_powers(pattern_sigma.power[iu, iv], pattern_delta.power[iu, iv])

@@ -54,10 +54,6 @@ class EmsGeometry:
         return self.cell_edge_m**2
 
     @property
-    def aperture_area_m2(self) -> float:
-        return self.rows * self.cols * self.cell_area_m2
-
-    @property
     def n_cells(self) -> int:
         return self.rows * self.cols
 

@@ -93,7 +93,7 @@ class Scenario:
         self.incidence()  # rejects a non-finite phi, amplitude or a bad Jones vector
         if self.synth_grid_n < 2:
             raise ValueError("synthesis grid needs at least 2 nodes per axis")
-        if self.mode in (ControlMode.DELTA, ControlMode.COLWISE_DELTA):
+        if self.mode.mirrored:
             check_delta_applicable(self.geometry.rows)
 
     @property
@@ -101,10 +101,6 @@ class Scenario:
         # Signed: negative reflection angles land on the far side of the normal
         # from the illuminating terminal.
         return sin(radians(self.theta_refl_deg))
-
-    @property
-    def columnwise(self) -> bool:
-        return self.mode in (ControlMode.COLWISE, ControlMode.COLWISE_DELTA)
 
     @property
     def reference(self) -> float:
@@ -120,20 +116,17 @@ class Scenario:
 
     def mask_params(self) -> MaskParams:
         return MaskParams(beam_u=self.bs_u, beam_v=0.0, null_u=self.bs_u, null_v=0.0,
-                          full_v=self.columnwise, **asdict(self.mask))
+                          full_v=self.mode.columnwise, **asdict(self.mask))
 
     def synth_grid(self) -> DirectionGrid:
         return DirectionGrid.uniform(self.synth_grid_n)
 
-    def evaluator(self, design_theta_deg: Optional[float] = None,
-                  grid: Optional[DirectionGrid] = None) -> CostEvaluator:
+    def evaluator(self, design_theta_deg: Optional[float] = None) -> CostEvaluator:
         """Cost evaluator with masks steered for the given assumed incidence."""
-        grid = grid if grid is not None else self.synth_grid()
         incidence = self.incidence(design_theta_deg)
-        masks = build_masks(grid, self.geometry, self.mask_params(), self.reference,
+        masks = build_masks(self.synth_grid(), self.geometry, self.mask_params(), self.reference,
                             incidence=incidence, scalar_states=self.states.scalar_pair())
-        return CostEvaluator(self.geometry, grid, self.states, incidence,
-                             masks, self.period_s)
+        return CostEvaluator(self.geometry, self.states, incidence, masks, self.period_s)
 
     def digest_payload(self) -> dict:
         """Everything that pins down a design, except the assumed user angle."""

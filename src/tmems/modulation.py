@@ -20,12 +20,26 @@ class ConstraintError(ValueError):
 
 
 class ControlMode(str, Enum):
-    """How many independent pulse generators drive the skin."""
+    """How many independent pulse generators drive the skin.
 
-    FULL = "full"
-    DELTA = "delta"
-    COLWISE = "colwise"
-    COLWISE_DELTA = "colwise-delta"
+    A mode is two independent rules. Mirrored modes pair row p with row
+    P-p+1: same duty, rise half a period later, so the pair's first
+    harmonics cancel wherever the "sum" beam peaks. Column-wise modes drive
+    every cell of a row from one pulse generator.
+    """
+
+    # value, mirrored, columnwise
+    FULL = "full", False, False
+    DELTA = "delta", True, False
+    COLWISE = "colwise", False, True
+    COLWISE_DELTA = "colwise-delta", True, True
+
+    def __new__(cls, value: str, mirrored: bool, columnwise: bool):
+        mode = str.__new__(cls, value)
+        mode._value_ = value
+        mode.mirrored = mirrored
+        mode.columnwise = columnwise
+        return mode
 
 
 def pulse_fourier_coefficients(rise, duty, h: int):
@@ -143,15 +157,6 @@ class PulseSchedule:
         return np.asarray(pulse_fourier_coefficients(self.rise, self.duty, h))
 
 
-def harmonic_reflection_tensor(states: ReflectionStates, rise: float, duty: float, h: int) -> np.ndarray:
-    """Effective 2x2 reflection tensor of one cell at harmonic h.
-
-    Gamma^h = Gamma_on * u^h + Gamma_off * (delta_{h0} - u^h).
-    """
-    u = pulse_fourier_coefficients(rise, duty, h)
-    return states.gamma_on * u + states.gamma_off * complement_fourier_coefficients(u, h)
-
-
 def harmonic_tensors(states: ReflectionStates, schedule: PulseSchedule, h: int) -> np.ndarray:
     """Per-cell harmonic reflection tensors, shape (rows, cols, 2, 2)."""
     u = schedule.fourier_coefficients(h)
@@ -178,53 +183,6 @@ def mirror_rise(rise):
     return np.mod(np.asarray(rise, dtype=float) + 0.5, 1.0)
 
 
-def apply_delta_constraint(period_s: float, half_rise, half_duty) -> PulseSchedule:
-    """Build a full schedule whose mirrored rows run half a period out of phase.
-
-    Args:
-        period_s: modulation period in seconds.
-        half_rise: rise for rows 1..P/2, shape (P/2, cols).
-        half_duty: duty for the same rows, same shape.
-
-    Returns:
-        PulseSchedule of shape (P, cols) where row P-p+1 copies row p's duty
-        and shifts its rise by 0.5 (mod 1). At the first harmonic this makes
-        the mirrored cell's coefficient the exact negation of the base cell's,
-        so the radiated first-harmonic field has a null wherever the total
-        per-row phase is mirror-symmetric.
-    """
-    half_rise = np.asarray(half_rise, dtype=float)
-    half_duty = np.asarray(half_duty, dtype=float)
-    if half_rise.ndim != 2 or half_rise.shape != half_duty.shape:
-        raise ConstraintError("half-schedule arrays must be 2-D and equal-shaped")
-    rise = np.concatenate([half_rise, mirror_rise(half_rise)[::-1]], axis=0)
-    duty = np.concatenate([half_duty, half_duty[::-1]], axis=0)
-    return PulseSchedule(period_s=period_s, rise=rise, duty=duty)
-
-
 def check_delta_applicable(rows: int):
     if rows % 2 != 0:
         raise ConstraintError(f"mirror pairing needs an even row count, got {rows}")
-
-
-def expand_columnwise(col_rise, col_duty, cols: int):
-    """Tile per-row pulse parameters across all columns.
-
-    Args:
-        col_rise: shape (rows,) rise shared by every cell of the row.
-        col_duty: shape (rows,) duty shared likewise.
-        cols: number of columns to tile over.
-
-    Returns:
-        (rise, duty) arrays of shape (rows, cols).
-    """
-    col_rise = np.asarray(col_rise, dtype=float)
-    col_duty = np.asarray(col_duty, dtype=float)
-    if col_rise.ndim != 1 or col_rise.shape != col_duty.shape:
-        raise ValueError("column-wise parameters must be 1-D and equal-shaped")
-    if cols < 1:
-        raise ValueError("cols must be >= 1")
-    return (
-        np.repeat(col_rise[:, None], cols, axis=1),
-        np.repeat(col_duty[:, None], cols, axis=1),
-    )

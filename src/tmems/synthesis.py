@@ -9,12 +9,12 @@ and 1.
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .fields import (
-    DirectionGrid,
     FieldEngine,
     PlaneWaveIncidence,
     incident_phase_factors,
@@ -56,7 +56,7 @@ class _Workspace:
 
 
 class CostEvaluator:
-    """Precomputed mask-violation cost Phi for one scenario on one grid.
+    """Precomputed mask-violation cost Phi for one scenario on the masks' grid.
 
     Phi = sum over harmonics h in {0, 1} and visible grid nodes of
     w * ramp(P_h - upper_h) + w * ramp(lower_h - P_h), with w the grid-cell
@@ -73,15 +73,10 @@ class CostEvaluator:
     Fourier coefficients.
     """
 
-    def __init__(self, geometry: EmsGeometry, grid: DirectionGrid, states: ReflectionStates,
-                 incidence: PlaneWaveIncidence, masks: MaskSet, period_s: float,
-                 anchor_weight: Optional[float] = None):
-        if masks.grid is not grid and (
-            not np.array_equal(masks.grid.u, grid.u) or not np.array_equal(masks.grid.v, grid.v)
-        ):
-            raise ValueError("masks were built on a different grid")
+    def __init__(self, geometry: EmsGeometry, states: ReflectionStates,
+                 incidence: PlaneWaveIncidence, masks: MaskSet, period_s: float):
         self.geometry = geometry
-        self.grid = grid
+        self.grid = grid = masks.grid
         self.states = states
         self.incidence = incidence
         self.masks = masks
@@ -90,14 +85,10 @@ class CostEvaluator:
         self._local = threading.local()
         anchors = masks.anchor_uv
         self._anchor_rows = steering_rows(geometry, anchors[:, 0], anchors[:, 1])
-        # an anchor is a hard point requirement, so by default it weighs as
-        # much as a main-lobe box worth of grid nodes, not a single cell
-        if anchor_weight is None:
-            fn = 1.0 / (geometry.rows * geometry.cell_size_wl)
-            anchor_weight = (4.0 * fn) * (4.0 * fn)
-        if anchor_weight < 0.0:
-            raise ValueError("anchor weight must be non-negative")
-        self.anchor_weight = float(anchor_weight)
+        # an anchor is a hard point requirement, so it weighs as much as a
+        # main-lobe box worth of grid nodes, not a single cell
+        fn = 1.0 / (geometry.rows * geometry.cell_size_wl)
+        self.anchor_weight = (4.0 * fn) * (4.0 * fn)
         # rows of every per-node array: the nu * nv grid row-major, then anchors
         vis = grid.visible.ravel()
         self._weights = np.concatenate([
@@ -174,27 +165,34 @@ class CostEvaluator:
 
 @dataclass(frozen=True)
 class ModeCodec:
-    """Bijection between a search vector in [0,1]^dim and a full schedule."""
+    """Bijection between a search vector in [0,1]^dim and a full schedule.
+
+    The vector holds the rises, then the duties, of a control block: the
+    first half of the rows when the mode is mirrored, the first column when
+    it is column-wise. Decoding mirrors the rows, then tiles the columns;
+    encoding keeps the block and drops the derived cells.
+    """
 
     mode: ControlMode
     rows: int
     cols: int
 
-    @property
-    def dim(self) -> int:
-        p, q = self.rows, self.cols
-        return {
-            ControlMode.FULL: 2 * p * q,
-            ControlMode.DELTA: p * q,
-            ControlMode.COLWISE: 2 * p,
-            ControlMode.COLWISE_DELTA: p,
-        }[self.mode]
-
     def __post_init__(self):
-        if self.mode in (ControlMode.DELTA, ControlMode.COLWISE_DELTA):
-            check_delta_applicable(self.rows)
-        if self.dim < 1:
+        if self.rows < 1 or self.cols < 1:
             raise ValueError("empty search space")
+        if self.mode.mirrored:
+            check_delta_applicable(self.rows)
+
+    @cached_property
+    def control_shape(self) -> tuple:
+        """(rows, cols) of the cells the search vector sets directly."""
+        return (self.rows // 2 if self.mode.mirrored else self.rows,
+                1 if self.mode.columnwise else self.cols)
+
+    @cached_property
+    def dim(self) -> int:
+        p, q = self.control_shape
+        return 2 * p * q
 
     @property
     def wrap_mask(self) -> np.ndarray:
@@ -211,44 +209,29 @@ class ModeCodec:
             x = x[None, :]
         if x.shape[1] != self.dim:
             raise ValueError(f"expected vectors of length {self.dim}, got {x.shape[1]}")
-        b = x.shape[0]
-        p, q = self.rows, self.cols
+        shape = (x.shape[0],) + self.control_shape
         half = self.dim // 2
-        rise_raw, duty_raw = x[:, :half], x[:, half:]
-        if self.mode is ControlMode.FULL:
-            return rise_raw.reshape(b, p, q), duty_raw.reshape(b, p, q)
-        if self.mode is ControlMode.DELTA:
-            rh = rise_raw.reshape(b, p // 2, q)
-            dh = duty_raw.reshape(b, p // 2, q)
-            rise = np.concatenate([rh, mirror_rise(rh)[:, ::-1, :]], axis=1)
-            duty = np.concatenate([dh, dh[:, ::-1, :]], axis=1)
-            return rise, duty
-        if self.mode is ControlMode.COLWISE:
-            return (np.repeat(rise_raw[:, :, None], q, axis=2),
-                    np.repeat(duty_raw[:, :, None], q, axis=2))
-        rh = np.concatenate([rise_raw, mirror_rise(rise_raw)[:, ::-1]], axis=1)
-        dh = np.concatenate([duty_raw, duty_raw[:, ::-1]], axis=1)
-        return np.repeat(rh[:, :, None], q, axis=2), np.repeat(dh[:, :, None], q, axis=2)
+        rise, duty = x[:, :half].reshape(shape), x[:, half:].reshape(shape)
+        if self.mode.mirrored:
+            rise = np.concatenate([rise, mirror_rise(rise)[:, ::-1]], axis=1)
+            duty = np.concatenate([duty, duty[:, ::-1]], axis=1)
+        if self.mode.columnwise:
+            rise = np.repeat(rise, self.cols, axis=2)
+            duty = np.repeat(duty, self.cols, axis=2)
+        return rise, duty
 
     def decode(self, x: np.ndarray, period_s: float) -> PulseSchedule:
         rise, duty = self.decode_batch(np.asarray(x))
         return PulseSchedule(period_s=period_s, rise=rise[0], duty=duty[0])
 
     def encode(self, rise: np.ndarray, duty: np.ndarray) -> np.ndarray:
-        """Full (rows, cols) arrays -> search vector; keeps the slice the
-        mode actually controls and drops the derived cells."""
+        """Full (rows, cols) arrays -> search vector of the control block."""
         rise = np.asarray(rise, dtype=float)
         duty = np.asarray(duty, dtype=float)
         if rise.shape != (self.rows, self.cols) or duty.shape != rise.shape:
             raise ValueError("rise/duty shape does not match the codec")
-        p = self.rows
-        if self.mode is ControlMode.FULL:
-            return np.concatenate([rise.ravel(), duty.ravel()])
-        if self.mode is ControlMode.DELTA:
-            return np.concatenate([rise[: p // 2].ravel(), duty[: p // 2].ravel()])
-        if self.mode is ControlMode.COLWISE:
-            return np.concatenate([rise[:, 0], duty[:, 0]])
-        return np.concatenate([rise[: p // 2, 0], duty[: p // 2, 0]])
+        p, q = self.control_shape
+        return np.concatenate([rise[:p, :q].ravel(), duty[:p, :q].ravel()])
 
 
 @dataclass(frozen=True)

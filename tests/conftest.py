@@ -1,12 +1,32 @@
 """Shared fixtures: seeded RNG, small geometries, and a fast scenario factory."""
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from tmems.geometry import EmsGeometry
 from tmems.isac import Scenario
 from tmems.modulation import ControlMode, PulseSchedule, ReflectionStates
 from tmems.synthesis import PsoConfig
+
+# Property tests stay deterministic and leave nothing in the checkout: a
+# fixed example sequence, no example database, no per-example time limit.
+settings.register_profile("tier1", database=None, deadline=None, derandomize=True,
+                          max_examples=25)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants it mines from the source, at test
+    collection, under its home directory; that defaults to .hypothesis/ in
+    the working directory, so point it at a temporary one instead."""
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 @pytest.fixture

@@ -16,11 +16,11 @@ from tmems import (
     ControlMode,
     DirectionGrid,
     EmsGeometry,
+    ModeCodec,
     PlaneWaveIncidence,
     PulseSchedule,
     ReflectionStates,
     Scenario,
-    apply_delta_constraint,
     build_codebook,
     build_masks,
     cell_factor,
@@ -150,8 +150,9 @@ def test_criterion_03_structural_invariants(capsys):
     states = ReflectionStates.ideal()
     grid = DirectionGrid.uniform(65)
 
-    # mirrored halves: first-harmonic tensors of paired rows must cancel
-    sched = apply_delta_constraint(1e-6, rng.random((5, 10)), rng.random((5, 10)))
+    # mirrored halves: first-harmonic tensors of paired rows must cancel;
+    # the 100 draws are the half-rises, then the half-duties
+    sched = ModeCodec(ControlMode.DELTA, 10, 10).decode(rng.random(100), 1e-6)
     tens = harmonic_tensors(states, sched, 1)
     anti = float(np.max(np.abs(tens + tens[::-1])))
 

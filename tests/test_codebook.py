@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from tmems.cli import main
 from tmems.codebook import (
     Codebook,
     CodebookError,
@@ -110,6 +111,21 @@ def test_read_rejects_corrupt_files(tmp_path, book_bytes):
     # bump the first record's angle past the second record's
     reject(tmp_path, patched(blob, HEADER_SIZE, "<i", 99999), "not sorted")
     reject(tmp_path, patched(blob, HEADER_SIZE, "<i", 10000), "not sorted")
+    # NaN fails every comparison, so a NaN-blind range test let it through
+    for offset in (HEADER_SIZE + RECORD_HEAD_SIZE, HEADER_SIZE + RECORD_HEAD_SIZE + 8):
+        reject(tmp_path, patched(blob, offset, "<d", float("nan")), "out-of-range rise or duty")
+    for offset in (28, 36):  # period_s, f0_hz
+        for value in (float("nan"), float("inf"), 0.0, -1.0):
+            reject(tmp_path, patched(blob, offset, "<d", value),
+                   "invalid period or carrier frequency")
+
+
+def test_cli_export_reports_a_bad_header(tmp_path, book_bytes, capsys):
+    # tmems export used to fail later, in PulseSchedule, with its message
+    (tmp_path / "bad.tmcb").write_bytes(patched(book_bytes, 28, "<d", -1e-6))
+    assert main(["export", "--codebook", str(tmp_path / "bad.tmcb"),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "invalid period or carrier frequency" in capsys.readouterr().err
 
 
 def test_write_rejects_inconsistent_books(tmp_path, rng):

@@ -158,7 +158,7 @@ def test_scenario_wiring():
         "evaluation": {"grid_n": 41, "noise_power": 1e-9},
     })
     sc = cfg.scenario()
-    assert sc.mode is ControlMode.COLWISE_DELTA and sc.columnwise
+    assert sc.mode is ControlMode.COLWISE_DELTA and sc.mode.columnwise
     assert sc.period_s == 2e-6
     assert sc.theta_inc_deg == 30.0 and sc.phi_inc_deg == 5.0
     assert sc.theta_refl_deg == -20.0

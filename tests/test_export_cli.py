@@ -116,6 +116,13 @@ def test_schedule_csv_round_trip(tmp_path, rng):
     assert len(lines) == 4 + 12
 
 
+BAD_SCHEDULES = {
+    "twice": "# rows: 2\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n"
+             "1,1,0.25,0.5\n2,1,0.25,0.5\n1,1,0.75,0.5\n",
+    "empty": "# rows: 0\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n",
+}
+
+
 def test_schedule_csv_read_errors(tmp_path):
     missing = tmp_path / "missing.csv"
     missing.write_text("# rows: 2\n# cols: 2\np,q,rise,duty\n1,1,0.0,0.5\n")
@@ -126,6 +133,22 @@ def test_schedule_csv_read_errors(tmp_path):
                      "1,1,0.0,0.5\n1,2,0.1,0.5\n2,1,0.2,0.5\n")
     with pytest.raises(ValueError, match="holds 3 cells, expected 4"):
         read_schedule_csv(short)
+    # the second (1, 1) row used to overwrite the first silently, and zero
+    # rows used to load as an empty schedule
+    for name, message in (("twice", r"cell \(1, 1\) is listed twice"), ("empty", "empty surface")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(BAD_SCHEDULES[name])
+        with pytest.raises(ValueError, match=message):
+            read_schedule_csv(path)
+
+
+def test_cli_evaluate_reports_schedule_read_errors(tmp_path, cli_config, capsys):
+    for name, message in (("twice", "listed twice"), ("empty", "empty surface")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(BAD_SCHEDULES[name])
+        assert main(["evaluate", "--config", cli_config, "--out", str(tmp_path / "x"),
+                     "--schedule", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 # 1-based cell indices outside the header's rows x cols; p=0 once wrapped to

@@ -7,25 +7,18 @@ import pytest
 from tmems.fields import (
     DirectionGrid,
     FieldEngine,
-    HarmonicPattern,
     PlaneWaveIncidence,
     cell_factor,
     field_samples,
     harmonic_far_field,
     incident_phase_factors,
-    monopulse_ratio,
     power_db,
     ratio_from_powers,
 )
 from tmems.geometry import EmsGeometry
 from tmems.masks import MaskSet
-from tmems.modulation import (
-    PulseSchedule,
-    ReflectionStates,
-    apply_delta_constraint,
-    harmonic_tensors,
-)
-from tmems.synthesis import CostEvaluator
+from tmems.modulation import ControlMode, PulseSchedule, ReflectionStates, harmonic_tensors
+from tmems.synthesis import CostEvaluator, ModeCodec
 
 from conftest import random_schedule
 
@@ -224,30 +217,12 @@ def test_power_helpers(geom4, ideal, rng):
         power_db(1.0, 0.0)
 
 
-def test_monopulse_ratio():
-    grid = DirectionGrid.uniform(21)
-    f0 = np.zeros((21, 21, 2), dtype=complex)
-    f1 = np.zeros((21, 21, 2), dtype=complex)
-    iu, iv = grid.nearest_index(0.2, 0.0)
-    f0[iu, iv, 0] = 2.0  # |E|^2 = 4
-    f1[iu, iv, 1] = np.sqrt(2.0)
-    p0 = HarmonicPattern(harmonic=0, omega_rad_s=1.0, grid=grid, field=f0)
-    p1 = HarmonicPattern(harmonic=1, omega_rad_s=2.0, grid=grid, field=f1)
-    r = monopulse_ratio(p0, p1, 0.2, 0.0)
-    assert r.xi == pytest.approx(2.0)
+def test_ratio_from_powers():
+    r = ratio_from_powers(4.0, 2.0)
+    assert r.xi == 2.0 and (r.p_sigma, r.p_delta) == (4.0, 2.0)
     assert not r.floored
-
     r0 = ratio_from_powers(4.0, 0.0)
     assert r0.floored and r0.xi == pytest.approx(4.0 / 1e-30)
-
-    other = HarmonicPattern(harmonic=1, omega_rad_s=2.0, grid=DirectionGrid.uniform(11),
-                            field=np.zeros((11, 11, 2), dtype=complex))
-    with pytest.raises(ValueError, match="grids"):
-        monopulse_ratio(p0, other, 0.2, 0.0)
-    with pytest.raises(ValueError, match="visible disc"):
-        monopulse_ratio(p0, p1, 0.9, 0.9)
-    with pytest.raises(ValueError, match="not visible"):
-        monopulse_ratio(p0, p1, 0.97, 0.24)  # inside the disc, nearest node outside
 
 
 def test_field_at_checks_visibility(geom4, ideal, rng):
@@ -293,7 +268,7 @@ def test_separable_kernel_matches_direct_sum(rng):
                     anchor_lower=np.zeros((2, 3)), anchor_upper=np.full((2, 3), np.inf))
     engine = FieldEngine(geometry, grid)
     for states in (ReflectionStates.ideal(), TENSOR_STATES):
-        ev = CostEvaluator(geometry, grid, states, inc, masks, sched.period_s)
+        ev = CostEvaluator(geometry, states, inc, masks, sched.period_s)
         ws = ev._workspace(1)
         for h in (0, 1):
             want = direct_sum(geometry, sched, states, inc, u, v, h)
@@ -315,7 +290,7 @@ def test_separable_kernel_matches_direct_sum(rng):
 
 def test_delta_constrained_null_line_at_broadside(ideal, rng):
     # mirrored rows cancel the first harmonic on the whole u=0 cut
-    sched = apply_delta_constraint(1e-6, rng.random((3, 4)), rng.random((3, 4)))
+    sched = ModeCodec(mode=ControlMode.DELTA, rows=6, cols=4).decode(rng.random(24), 1e-6)
     geometry = EmsGeometry(rows=6, cols=4)
     grid = DirectionGrid.uniform(41)
     pat = FieldEngine(geometry, grid).pattern(sched, ideal, PlaneWaveIncidence(theta_deg=0.0), 1)

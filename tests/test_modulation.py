@@ -1,5 +1,6 @@
 """Pulse Fourier algebra against an independent quadrature oracle plus the
-structural schedule constraints (mirror pairing, column-wise tiling)."""
+two structural rules of the control modes (mirror pairing, column-wise
+tiling), exercised through the mode decoder."""
 
 import numpy as np
 import pytest
@@ -9,16 +10,14 @@ from tmems.modulation import (
     ControlMode,
     PulseSchedule,
     ReflectionStates,
-    apply_delta_constraint,
     check_delta_applicable,
     complement_fourier_coefficients,
-    expand_columnwise,
-    harmonic_reflection_tensor,
     harmonic_scalar_coefficients,
     harmonic_tensors,
     mirror_rise,
     pulse_fourier_coefficients,
 )
+from tmems.synthesis import ModeCodec
 
 
 def quadrature_coefficient(rise, duty, h, n=10_000):
@@ -115,12 +114,18 @@ def test_coefficient_input_validation():
         pulse_fourier_coefficients(0.2, np.array([np.nan, 0.5]), 0)
 
 
+def one_cell_tensor(states, rise, duty, h):
+    """Harmonic reflection tensor of a single cell, shape (2, 2)."""
+    sched = PulseSchedule(period_s=1e-6, rise=[[rise]], duty=[[duty]])
+    return harmonic_tensors(states, sched, h)[0, 0]
+
+
 def test_harmonic_reflection_tensor_ideal():
     states = ReflectionStates.ideal()
     eye = np.eye(2)
-    assert np.allclose(harmonic_reflection_tensor(states, 0.0, 0.5, 0), 0.0 * eye, atol=1e-15)
-    assert np.allclose(harmonic_reflection_tensor(states, 0.0, 1.0, 0), eye, atol=1e-15)
-    got = harmonic_reflection_tensor(states, 0.0, 0.5, 1)
+    assert np.allclose(one_cell_tensor(states, 0.0, 0.5, 0), 0.0 * eye, atol=1e-15)
+    assert np.allclose(one_cell_tensor(states, 0.0, 1.0, 0), eye, atol=1e-15)
+    got = one_cell_tensor(states, 0.0, 0.5, 1)
     assert np.allclose(got, (-2j / np.pi) * eye, atol=1e-15)
 
 
@@ -142,7 +147,7 @@ def test_scalar_coefficients_match_tensor_diagonal(rng):
     for h in (0, 1, 2):
         scal = harmonic_scalar_coefficients(rise, duty, h, 1.0 + 0j, -1.0 + 0j)
         for i in (0, 4, 9):
-            tens = harmonic_reflection_tensor(ReflectionStates.ideal(), rise[i], duty[i], h)
+            tens = one_cell_tensor(ReflectionStates.ideal(), rise[i], duty[i], h)
             assert abs(tens[0, 0] - scal[i]) < 1e-15
             assert tens[0, 1] == 0.0
 
@@ -186,8 +191,12 @@ def test_pulse_schedule_validation(rng):
         sched.rise[0, 0] = 0.5  # frozen arrays
 
 
+def decode(mode, rows, cols, x):
+    return ModeCodec(mode=mode, rows=rows, cols=cols).decode(np.asarray(x, dtype=float), 1e-6)
+
+
 def test_delta_constraint_example():
-    sched = apply_delta_constraint(1e-6, [[0.1]], [[0.3]])
+    sched = decode(ControlMode.DELTA, 2, 1, [0.1, 0.3])
     assert sched.shape == (2, 1)
     assert sched.rise[0, 0] == pytest.approx(0.1)
     assert sched.rise[1, 0] == pytest.approx(0.6)
@@ -197,8 +206,7 @@ def test_delta_constraint_example():
 
 
 def test_delta_constraint_mirror_antisymmetry(rng):
-    half = rng.random((3, 4)), rng.random((3, 4))
-    sched = apply_delta_constraint(1e-6, *half)
+    sched = decode(ControlMode.DELTA, 6, 4, rng.random(24))
     p = sched.shape[0]
     g1 = harmonic_tensors(ReflectionStates.ideal(), sched, 1)
     g0 = harmonic_tensors(ReflectionStates.ideal(), sched, 0)
@@ -208,8 +216,10 @@ def test_delta_constraint_mirror_antisymmetry(rng):
 
 
 def test_delta_constraint_errors():
-    with pytest.raises(ConstraintError):
-        apply_delta_constraint(1e-6, np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="expected vectors of length 24"):
+        decode(ControlMode.DELTA, 6, 4, np.zeros(12))
+    with pytest.raises(ConstraintError, match="even row count"):
+        ModeCodec(mode=ControlMode.COLWISE_DELTA, rows=5, cols=4)
     with pytest.raises(ConstraintError, match="even"):
         check_delta_applicable(5)
     check_delta_applicable(4)
@@ -220,33 +230,34 @@ def test_mirror_rise_wraps():
 
 
 def test_expand_columnwise():
-    rise, duty = expand_columnwise([0.1, 0.2], [0.5, 0.6], 3)
-    assert rise.shape == duty.shape == (2, 3)
-    assert np.array_equal(rise, [[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]])
-    assert np.array_equal(duty, [[0.5, 0.5, 0.5], [0.6, 0.6, 0.6]])
-    rise1, duty1 = expand_columnwise([0.3], [0.7], 1)
-    assert rise1.shape == (1, 1) and rise1[0, 0] == 0.3 and duty1[0, 0] == 0.7
+    sched = decode(ControlMode.COLWISE, 2, 3, [0.1, 0.2, 0.5, 0.6])
+    assert np.array_equal(sched.rise, [[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]])
+    assert np.array_equal(sched.duty, [[0.5, 0.5, 0.5], [0.6, 0.6, 0.6]])
+    one = decode(ControlMode.COLWISE, 1, 1, [0.3, 0.7])
+    assert one.shape == (1, 1) and one.rise[0, 0] == 0.3 and one.duty[0, 0] == 0.7
 
 
 def test_expand_columnwise_then_delta(rng):
-    # composing the two structural constraints keeps both properties
-    col_rise, col_duty = rng.random(2), rng.random(2)
-    rise, duty = expand_columnwise(col_rise, col_duty, 4)
-    sched = apply_delta_constraint(1e-6, rise, duty)
+    # composing the two structural rules keeps both properties
+    sched = decode(ControlMode.COLWISE_DELTA, 4, 4, rng.random(4))
     assert sched.shape == (4, 4)
     assert np.all(sched.rise == sched.rise[:, :1])  # still column-wise
+    assert np.all(sched.duty == sched.duty[:, :1])
     u1 = sched.fourier_coefficients(1)
     assert np.abs(u1[::-1] + u1).max() < 1e-14
 
 
 def test_expand_columnwise_errors():
-    with pytest.raises(ValueError, match="1-D"):
-        expand_columnwise(np.zeros((2, 2)), np.zeros((2, 2)), 2)
-    with pytest.raises(ValueError, match="cols"):
-        expand_columnwise([0.1], [0.5], 0)
+    with pytest.raises(ValueError, match="expected vectors of length 4"):
+        decode(ControlMode.COLWISE, 2, 3, np.zeros(12))
+    for rows, cols in ((2, 0), (0, 2)):
+        with pytest.raises(ValueError, match="empty"):
+            ModeCodec(mode=ControlMode.COLWISE, rows=rows, cols=cols)
 
 
 def test_control_mode_values():
     assert ControlMode("full") is ControlMode.FULL
     assert ControlMode("colwise-delta") is ControlMode.COLWISE_DELTA
     assert {m.value for m in ControlMode} == {"full", "delta", "colwise", "colwise-delta"}
+    assert [m.name for m in ControlMode if m.mirrored] == ["DELTA", "COLWISE_DELTA"]
+    assert [m.name for m in ControlMode if m.columnwise] == ["COLWISE", "COLWISE_DELTA"]

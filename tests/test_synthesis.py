@@ -17,7 +17,6 @@ from tmems.modulation import (
     ControlMode,
     PulseSchedule,
     ReflectionStates,
-    apply_delta_constraint,
     mirror_rise,
 )
 from tmems import synthesis
@@ -50,12 +49,11 @@ def free_masks(grid):
                    anchor_upper=np.zeros((2, 0)))
 
 
-def small_evaluator(masks=None, grid=None, geom=None):
-    geom = geom if geom is not None else EmsGeometry(rows=4, cols=4)
-    grid = grid if grid is not None else DirectionGrid.uniform(21)
+def small_evaluator():
+    geom = EmsGeometry(rows=4, cols=4)
     inc = PlaneWaveIncidence(theta_deg=0.0)
-    return CostEvaluator(geom, grid, ReflectionStates.ideal(), inc,
-                         masks if masks is not None else free_masks(grid), 1e-6)
+    return CostEvaluator(geom, ReflectionStates.ideal(), inc,
+                         free_masks(DirectionGrid.uniform(21)), 1e-6)
 
 
 def test_phi_single_violation_equals_weighted_overshoot(rng, ideal):
@@ -73,7 +71,7 @@ def test_phi_single_violation_equals_weighted_overshoot(rng, ideal):
                     reference=1.0, beam_uv=(0.0, 0.0), null_uv=(0.0, 0.0),
                     anchor_uv=np.zeros((0, 2)), anchor_lower=np.zeros((2, 0)),
                     anchor_upper=np.zeros((2, 0)))
-    ev = CostEvaluator(geom, grid, ideal, inc, masks, sched.period_s)
+    ev = CostEvaluator(geom, ideal, inc, masks, sched.period_s)
     # one node, one harmonic: phi = cell_weight * ramp(P - upper) = 0.01 * 2
     assert grid.cell_weight == pytest.approx(0.01)
     assert ev.phi(sched) == pytest.approx(0.02, rel=1e-9)
@@ -93,36 +91,21 @@ def test_phi_zero_when_strictly_inside(rng, ideal):
                     reference=1.0, beam_uv=(0.0, 0.0), null_uv=(0.0, 0.0),
                     anchor_uv=np.zeros((0, 2)), anchor_lower=np.zeros((2, 0)),
                     anchor_upper=np.zeros((2, 0)))
-    ev = CostEvaluator(geom, grid, ideal, inc, masks, sched.period_s)
+    ev = CostEvaluator(geom, ideal, inc, masks, sched.period_s)
     assert ev.phi(sched) == 0.0
 
 
-def test_evaluator_grid_mismatch_and_shape_checks(rng, ideal):
-    geom = EmsGeometry(rows=4, cols=4)
-    grid_a = DirectionGrid.uniform(21)
-    grid_b = DirectionGrid.uniform(23)
-    inc = PlaneWaveIncidence(theta_deg=0.0)
-    with pytest.raises(ValueError, match="different grid"):
-        CostEvaluator(geom, grid_b, ideal, inc, free_masks(grid_a), 1e-6)
-    # equal-valued but distinct grid objects are accepted
-    ev = CostEvaluator(geom, DirectionGrid.uniform(21), ideal, inc,
-                       free_masks(grid_a), 1e-6)
+def test_evaluator_takes_the_masks_grid_and_checks_shape(rng):
+    ev = small_evaluator()
+    assert ev.grid is ev.masks.grid
     with pytest.raises(ValueError, match="schedule shape"):
         ev.phi(random_schedule(rng, 6, 6))
-    with pytest.raises(ValueError, match="anchor weight"):
-        CostEvaluator(geom, grid_a, ideal, inc, free_masks(grid_a), 1e-6,
-                      anchor_weight=-1.0)
 
 
 def test_anchor_weight_default():
     ev = small_evaluator()
     fn = 1.0 / (4 * 0.45)
     assert ev.anchor_weight == pytest.approx((4.0 * fn) ** 2)
-    grid = DirectionGrid.uniform(21)
-    ev5 = CostEvaluator(EmsGeometry(rows=4, cols=4), grid, ReflectionStates.ideal(),
-                        PlaneWaveIncidence(theta_deg=0.0), free_masks(grid), 1e-6,
-                        anchor_weight=5.0)
-    assert ev5.anchor_weight == 5.0
 
 
 def beam_pair_evaluator():
@@ -385,9 +368,9 @@ def test_mode_codec_delta_matches_constraint_helper(rng):
     sched = codec.decode(x, 1e-6)
     half_rise = x[: codec.dim // 2].reshape(3, 4)
     half_duty = x[codec.dim // 2 :].reshape(3, 4)
-    want = apply_delta_constraint(1e-6, half_rise, half_duty)
-    assert np.array_equal(sched.rise, want.rise)
-    assert np.array_equal(sched.duty, want.duty)
+    # reference: row P-p+1 copies row p's duty, its rise half a period later
+    assert np.array_equal(sched.rise, np.concatenate([half_rise, mirror_rise(half_rise)[::-1]]))
+    assert np.array_equal(sched.duty, np.concatenate([half_duty, half_duty[::-1]]))
 
 
 def test_mode_codec_colwise_ties_columns(rng):
@@ -424,7 +407,7 @@ def steered_evaluator():
     masks = build_masks(grid, geom, MaskParams(beam_u=beam_u),
                         reference_power(geom, 1.0), incidence=inc,
                         scalar_states=(1.0 + 0j, -1.0 + 0j))
-    return CostEvaluator(geom, grid, ReflectionStates.ideal(), inc, masks, 1e-6)
+    return CostEvaluator(geom, ReflectionStates.ideal(), inc, masks, 1e-6)
 
 
 def test_pso_optimize_respects_delta_structure():
@@ -480,7 +463,7 @@ def test_duty_driven_to_one_by_power_floor():
                     anchor_uv=np.array([[0.0, 0.0]]),
                     anchor_lower=np.array([[0.95 * pmax], [0.0]]),
                     anchor_upper=np.array([[np.inf], [np.inf]]))
-    ev = CostEvaluator(geom, grid, states, inc, masks, 1e-6)
+    ev = CostEvaluator(geom, states, inc, masks, 1e-6)
     res = pso_optimize(ev, ControlMode.FULL,
                        PsoConfig(swarm_size=12, iterations=60, seed=3,
                                  stagnation_window=0))
