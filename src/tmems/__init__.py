@@ -29,7 +29,6 @@ from .fields import (
 from .geometry import SPEED_OF_LIGHT, EmsGeometry
 from .isac import (
     LocalizationResult,
-    MaskLevels,
     Scenario,
     SweepSample,
     build_codebook,
@@ -80,7 +79,6 @@ __all__ = [
     "FieldEngine",
     "HarmonicPattern",
     "LocalizationResult",
-    "MaskLevels",
     "MaskParams",
     "MaskSet",
     "ModeCodec",

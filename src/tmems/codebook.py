@@ -15,8 +15,8 @@ Layout (little-endian throughout):
     44      32    scenario digest (SHA-256)
     76      ...   records, sorted by angle
 
-Each record is: steering angle in millidegrees (i32), pair count (u32),
-achieved cost (f64), then pair count x (rise f64, duty f64). Full-surface
+Each record is: steering angle in millidegrees (i32, 0 to 90000), pair count
+(u32), achieved cost (f64), then pair count x (rise f64, duty f64). Full-surface
 modes store rows x cols pairs in row-major order; column-wise modes store one
 pair per row. The digest binds the file to the exact scenario it was built
 for; a mismatch on load is an error, never a silent fallback.
@@ -46,6 +46,8 @@ _CODE_MODES = {v: k for k, v in _MODE_CODES.items()}
 
 _HEADER = struct.Struct("<8sHHHHIQdd32s")
 _RECORD_HEAD = struct.Struct("<iId")
+# candidate angles lie in [0, 90) degrees and round to millidegrees
+_MAX_ANGLE_MDEG = 90_000
 
 
 class CodebookError(ValueError):
@@ -127,23 +129,45 @@ def entry_from_schedule(angle_deg: float, phi: float, schedule: PulseSchedule,
                          rise=rise, duty=duty)
 
 
+def _check_values(period_s: float, f0_hz: float, entries) -> None:
+    """Value checks shared by the reader and the writer; every comparison is
+    written so that NaN fails it."""
+    if not (0.0 < period_s < np.inf and 0.0 < f0_hz < np.inf):
+        raise CodebookError("header holds an invalid period or carrier frequency")
+    for e in entries:
+        if not (0 <= e.angle_mdeg <= _MAX_ANGLE_MDEG):
+            raise CodebookError(f"record angle {e.angle_mdeg} mdeg lies outside "
+                                f"0..{_MAX_ANGLE_MDEG} mdeg")
+        if not (np.all((e.rise >= 0.0) & (e.rise < 1.0))
+                and np.all((e.duty >= 0.0) & (e.duty <= 1.0))):
+            raise CodebookError("record holds out-of-range rise or duty values")
+        if not (np.isfinite(e.phi) and e.phi >= 0.0):
+            raise CodebookError("record holds an invalid cost value")
+
+
 def write_codebook(path, book: Codebook) -> None:
+    """Write a book; refuses, before touching the file, anything the reader
+    would reject."""
     if len(book.digest) != 32:
         raise ValueError("digest must be 32 bytes")
     if book.mode not in _MODE_CODES:
         raise ValueError(f"unknown control mode {book.mode!r}")
+    if book.rows < 1 or book.cols < 1:
+        raise ValueError("empty surface")
     n_pairs = pairs_per_record(book.mode, book.rows, book.cols)
     entries = sorted(book.entries, key=lambda e: e.angle_mdeg)
     for a, b in zip(entries, entries[1:]):
         if a.angle_mdeg == b.angle_mdeg:
             raise ValueError(f"duplicate angle {a.angle_deg} deg")
+    for e in entries:
+        if e.rise.shape != (n_pairs,) or e.duty.shape != (n_pairs,):
+            raise ValueError("entry size does not match the header geometry")
+    _check_values(book.period_s, book.f0_hz, entries)
     blob = bytearray()
     blob += _HEADER.pack(MAGIC, FORMAT_VERSION, _MODE_CODES[book.mode],
                          book.rows, book.cols, len(entries), book.seed,
                          book.period_s, book.f0_hz, book.digest)
     for e in entries:
-        if e.rise.shape != (n_pairs,) or e.duty.shape != (n_pairs,):
-            raise ValueError("entry size does not match the header geometry")
         blob += _RECORD_HEAD.pack(e.angle_mdeg, n_pairs, e.phi)
         blob += np.column_stack([e.rise, e.duty]).astype("<f8").tobytes()
     with open(path, "wb") as fh:
@@ -167,9 +191,6 @@ def read_codebook(path, expected_digest: Optional[bytes] = None) -> Codebook:
     mode = _CODE_MODES[mode_code]
     if rows < 1 or cols < 1:
         raise CodebookError("header declares an empty surface")
-    # written so that NaN fails the range test
-    if not (0.0 < period_s < np.inf and 0.0 < f0_hz < np.inf):
-        raise CodebookError("header holds an invalid period or carrier frequency")
     if expected_digest is not None and digest != expected_digest:
         raise CodebookError(
             "scenario digest mismatch; the codebook was built for different parameters")
@@ -189,15 +210,12 @@ def read_codebook(path, expected_digest: Optional[bytes] = None) -> Codebook:
         off += 16 * n_pairs
         pairs = pairs.reshape(n_pairs, 2).astype(float)
         rise, duty = pairs[:, 0].copy(), pairs[:, 1].copy()
-        if not (np.all((rise >= 0.0) & (rise < 1.0)) and np.all((duty >= 0.0) & (duty <= 1.0))):
-            raise CodebookError("record holds out-of-range rise or duty values")
-        if not (np.isfinite(phi) and phi >= 0.0):
-            raise CodebookError("record holds an invalid cost value")
         if prev is not None and angle_mdeg <= prev:
             raise CodebookError("records are not sorted by strictly increasing angle")
         prev = angle_mdeg
         rise.setflags(write=False)
         duty.setflags(write=False)
         entries.append(CodebookEntry(angle_mdeg=angle_mdeg, phi=phi, rise=rise, duty=duty))
+    _check_values(period_s, f0_hz, entries)
     return Codebook(mode=mode, rows=rows, cols=cols, seed=seed, period_s=period_s,
                     f0_hz=f0_hz, digest=digest, entries=tuple(entries))

@@ -7,14 +7,15 @@ can embed exactly what was used.
 """
 
 import difflib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 import yaml
 
 from .geometry import EmsGeometry
-from .isac import MaskLevels, Scenario
+from .isac import Scenario
+from .masks import MaskParams
 from .modulation import ControlMode, ReflectionStates
 from .synthesis import PsoConfig
 
@@ -71,16 +72,18 @@ def _choice_field(choices):
     return parse
 
 
-def _angle_list_field(minimum, maximum):
+def _angle_list_field(minimum, maximum, closed_min=False):
+    span = (f"in [{minimum}, {maximum}) degrees" if closed_min
+            else f"strictly between {minimum} and {maximum} degrees")
+
     def parse(value, path):
         if not isinstance(value, (list, tuple)) or not value:
             raise ConfigError(f"'{path}' must be a non-empty list of angles")
         out = []
         for i, item in enumerate(value):
             v = _num(item, f"{path}[{i}]")
-            if not (minimum < v < maximum):
-                raise ConfigError(
-                    f"'{path}[{i}]' must lie strictly between {minimum} and {maximum} degrees")
+            if not (minimum <= v < maximum and (closed_min or v > minimum)):
+                raise ConfigError(f"'{path}[{i}]' must lie {span}")
             out.append(v)
         return out
     return parse
@@ -179,7 +182,8 @@ _SCHEMA = {
         "angles_deg": _angle_list_field(-90.0, 90.0),
     },
     "localization": {
-        "candidates_deg": _angle_list_field(-90.0, 90.0),
+        # every candidate is an assumed incidence angle
+        "candidates_deg": _angle_list_field(0.0, 90.0, closed_min=True),
         "repeats": _int_field(minimum=1),
     },
 }
@@ -187,6 +191,7 @@ _SCHEMA = {
 _IDENTITY = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 _NEG_IDENTITY = [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
 
+_PSO_DEFAULTS = asdict(PsoConfig())
 _DEFAULTS = {
     "surface": {"rows": 10, "cols": 10, "cell_size_wl": 0.45, "f0_hz": 5.5e9},
     "modulation": {"period_s": 1.0e-6, "mode": "delta"},
@@ -194,17 +199,8 @@ _DEFAULTS = {
     "incidence": {"theta_deg": 0.0, "phi_deg": 0.0, "amplitude_v_m": 1.0,
                   "polarization": "te"},
     "reflection": {"theta_deg": 0.0},
-    "masks": {"sidelobe_db": -10.0, "peak_floor_db": -3.0, "ripple_db": 3.0,
-              "null_depth_db": -40.0, "lobe_floor_db": -12.0,
-              "main_halfwidth_u": None, "main_halfwidth_v": None,
-              "lobe_offset_u": None, "lobe_halfwidth_u": None, "lobe_halfwidth_v": None,
-              "null_halfwidth_u": None, "null_halfwidth_v": None,
-              "shoulder_scale": 1.2, "shoulder_margin_db": 0.7,
-              "flank_scale": 0.5, "flank_margin_db": 0.2},
-    "synthesis": {"grid_n": 64, "swarm_size": 20, "iterations": 1000, "inertia": 0.4,
-                  "cognitive": 2.0, "social": 2.0, "seed": 1,
-                  "stagnation_window": 100, "stagnation_rtol": 1.0e-6,
-                  "velocity_clamp": 0.5},
+    "masks": asdict(MaskParams()),
+    "synthesis": {"grid_n": 64, **_PSO_DEFAULTS},
     "evaluation": {"grid_n": 201, "noise_power": 0.0},
     "sweep": {"angles_deg": [0.0]},
     "localization": {"candidates_deg": [0.0, 10.0, 20.0, 30.0, 40.0, 50.0], "repeats": 1},
@@ -273,15 +269,7 @@ class RunConfig:
     @property
     def pso(self) -> PsoConfig:
         s = self.resolved["synthesis"]
-        return PsoConfig(swarm_size=s["swarm_size"], iterations=s["iterations"],
-                         inertia=s["inertia"], cognitive=s["cognitive"], social=s["social"],
-                         seed=s["seed"], stagnation_window=s["stagnation_window"],
-                         stagnation_rtol=s["stagnation_rtol"],
-                         velocity_clamp=s["velocity_clamp"])
-
-    @property
-    def mask_levels(self) -> MaskLevels:
-        return MaskLevels(**self.resolved["masks"])
+        return PsoConfig(**{k: s[k] for k in _PSO_DEFAULTS})
 
     @property
     def seed(self) -> int:
@@ -319,7 +307,7 @@ class RunConfig:
             phi_inc_deg=inc["phi_deg"],
             amplitude_v_m=inc["amplitude_v_m"],
             jones=self.jones,
-            mask=self.mask_levels,
+            mask=MaskParams(**self.resolved["masks"]),
             pso=self.pso,
             synth_grid_n=self.resolved["synthesis"]["grid_n"],
         )

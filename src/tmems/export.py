@@ -148,9 +148,8 @@ def write_sweep_csv(path, samples, vary: str) -> None:
 
     for s in samples:
         lines.append(row("sample", s, s.iterations, s.stop_reason, s.source))
-    scored = [s for s in samples if s.source != "skipped"]
-    if scored:
-        best = min(scored, key=lambda s: (-s.xi, s.angle_deg))
+    if samples:
+        best = min(samples, key=lambda s: (-s.xi, s.angle_deg))
         total_iters = sum(s.iterations for s in samples)
         lines.append(row("summary", best, total_iters, "", "argmax_xi"))
     _write_text(path, "\n".join(lines) + "\n")

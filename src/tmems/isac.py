@@ -45,28 +45,6 @@ def derive_seed(master_seed: int, angle_deg: float, rep: int) -> int:
 
 
 @dataclass(frozen=True)
-class MaskLevels:
-    """Mask levels and optional width overrides (direction-cosine units)."""
-
-    sidelobe_db: float = -10.0
-    peak_floor_db: float = -3.0
-    ripple_db: float = 3.0
-    null_depth_db: float = -40.0
-    lobe_floor_db: float = -12.0
-    main_halfwidth_u: Optional[float] = None
-    main_halfwidth_v: Optional[float] = None
-    lobe_offset_u: Optional[float] = None
-    lobe_halfwidth_u: Optional[float] = None
-    lobe_halfwidth_v: Optional[float] = None
-    null_halfwidth_u: Optional[float] = None
-    null_halfwidth_v: Optional[float] = None
-    shoulder_scale: float = 1.2
-    shoulder_margin_db: float = 0.7
-    flank_scale: float = 0.5
-    flank_margin_db: float = 0.2
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Fixed link parameters for synthesis and sensing."""
 
@@ -79,7 +57,7 @@ class Scenario:
     phi_inc_deg: float = 0.0
     amplitude_v_m: float = 1.0
     jones: tuple = (1.0 + 0.0j, 0.0j)
-    mask: MaskLevels = field(default_factory=MaskLevels)
+    mask: MaskParams = field(default_factory=MaskParams)
     pso: PsoConfig = field(default_factory=PsoConfig)
     synth_grid_n: int = 64
 
@@ -114,18 +92,14 @@ class Scenario:
             jones=self.jones,
         )
 
-    def mask_params(self) -> MaskParams:
-        return MaskParams(beam_u=self.bs_u, beam_v=0.0, null_u=self.bs_u, null_v=0.0,
-                          full_v=self.mode.columnwise, **asdict(self.mask))
-
     def synth_grid(self) -> DirectionGrid:
         return DirectionGrid.uniform(self.synth_grid_n)
 
     def evaluator(self, design_theta_deg: Optional[float] = None) -> CostEvaluator:
         """Cost evaluator with masks steered for the given assumed incidence."""
         incidence = self.incidence(design_theta_deg)
-        masks = build_masks(self.synth_grid(), self.geometry, self.mask_params(), self.reference,
-                            incidence=incidence, scalar_states=self.states.scalar_pair())
+        masks = build_masks(self.synth_grid(), self.geometry, incidence, self.states, self.mask,
+                            self.bs_u, self.mode.columnwise)
         return CostEvaluator(self.geometry, self.states, incidence, masks, self.period_s)
 
     def digest_payload(self) -> dict:
@@ -214,19 +188,15 @@ class SweepSample:
     source: str
 
 
-def _sample(angle_deg, res: Optional[SynthesisResult], ratio: Optional[MonopulseRatio],
-            source: str) -> SweepSample:
-    if ratio is None:
-        return SweepSample(angle_deg=float(angle_deg), phi=float("nan"), xi=float("nan"),
-                           p_sigma=float("nan"), p_delta=float("nan"), floored=False,
-                           iterations=0, stop_reason="", source=source)
+def _sample(angle_deg, ratio: MonopulseRatio, phi: float,
+            res: Optional[SynthesisResult]) -> SweepSample:
+    """One probe; res is its design when synthesized, None when read from a codebook."""
     return SweepSample(
-        angle_deg=float(angle_deg),
-        phi=float(res.phi) if res is not None else float("nan"),
+        angle_deg=float(angle_deg), phi=float(phi),
         xi=ratio.xi, p_sigma=ratio.p_sigma, p_delta=ratio.p_delta, floored=ratio.floored,
         iterations=res.iterations if res is not None else 0,
         stop_reason=res.stop_reason if res is not None else "codebook",
-        source=source,
+        source="synthesized" if res is not None else "codebook",
     )
 
 
@@ -257,7 +227,7 @@ def matched_sweep(scenario: Scenario, vary: str, angles_deg: Sequence[float],
         res = design_for_angle(sc, sc.theta_inc_deg, master_seed, repeats,
                                key_angle_deg=angle)
         ratio = measure_bs_ratio(sc, res.schedule, noise_power=noise_power)
-        return _sample(angle, res, ratio, "synthesized")
+        return _sample(angle, ratio, res.phi, res)
 
     return _run_ordered(worker, list(angles_deg), jobs)
 
@@ -292,7 +262,7 @@ class LocalizationResult:
 
 def localize(scenario: Scenario, candidates_deg: Sequence[float], master_seed: int,
              repeats: int = 1, codebook: Optional[Codebook] = None, jobs: int = 1,
-             on_missing: str = "synthesize", noise_power: float = 0.0) -> LocalizationResult:
+             noise_power: float = 0.0) -> LocalizationResult:
     """Estimate the user angle by probing candidate designs at the base station.
 
     Each candidate's schedule (from the codebook when available, synthesized
@@ -301,8 +271,6 @@ def localize(scenario: Scenario, candidates_deg: Sequence[float], master_seed: i
     angle. A supplied codebook must carry the digest and master seed of this
     exact scenario; a stale one is rejected rather than silently rebuilt.
     """
-    if on_missing not in ("synthesize", "skip", "error"):
-        raise ValueError('on_missing must be "synthesize", "skip", or "error"')
     candidates = [float(a) for a in candidates_deg]
     if not candidates:
         raise ValueError("at least one candidate angle is required")
@@ -321,21 +289,14 @@ def localize(scenario: Scenario, candidates_deg: Sequence[float], master_seed: i
         if entry is not None:
             schedule = entry.schedule(scenario.geometry, scenario.mode, scenario.period_s)
             ratio = measure_bs_ratio(scenario, schedule, noise_power=noise_power)
-            sample = _sample(angle, None, ratio, "codebook")
-            return replace(sample, phi=entry.phi)
-        if on_missing == "skip":
-            return _sample(angle, None, None, "skipped")
-        if on_missing == "error":
-            raise ValueError(f"codebook has no entry for {angle} degrees")
+            return _sample(angle, ratio, entry.phi, None)
         res = design_for_angle(scenario, angle, master_seed, repeats)
         ratio = measure_bs_ratio(scenario, res.schedule, noise_power=noise_power)
-        return _sample(angle, res, ratio, "synthesized")
+        return _sample(angle, ratio, res.phi, res)
 
     samples = _run_ordered(worker, candidates, jobs)
 
-    scored = sorted((s for s in samples if s.source != "skipped"), key=lambda s: s.angle_deg)
-    if not scored:
-        raise ValueError("every candidate was skipped; nothing to estimate from")
+    scored = sorted(samples, key=lambda s: s.angle_deg)
     best = scored[0]
     for s in scored[1:]:
         if s.xi > best.xi:

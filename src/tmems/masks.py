@@ -4,14 +4,14 @@ The carrier (h=0) gets one main-lobe box with an upper ripple bound and a
 sidelobe ceiling everywhere else. The first harmonic (h=1) gets the same main
 region plus floors inside two flanking lobe boxes. All levels are decibels
 relative to the coherent reference power R0 of the fully phase-conjugated
-ideal aperture.
+ideal aperture. Beams are steered in the u direction (v = 0).
 
 Point requirements that must hold at exact directions, not just at grid
-nodes, are carried as anchors: the carrier power floor at the exact beam
-direction and the first-harmonic null depth at the exact null direction. A
-deep null over a finite box is unreachable for a plain zero-crossing pattern
-(one grid cell away from a perfect null the power is already within ~12 dB of
-the lobes), so the null is pinned at its exact direction instead; an optional
+nodes, are carried as anchors: the carrier power floor and the
+first-harmonic null depth, both at the exact beam direction. A deep null
+over a finite box is unreachable for a plain zero-crossing pattern (one grid
+cell away from a perfect null the power is already within ~12 dB of the
+lobes), so the null is pinned at its exact direction instead; an optional
 grid notch box can still be requested explicitly.
 """
 
@@ -22,6 +22,7 @@ import numpy as np
 
 from .fields import DirectionGrid, PlaneWaveIncidence, incident_phase_factors, steering_rows
 from .geometry import EmsGeometry
+from .modulation import ReflectionStates
 
 
 def reference_power(geometry: EmsGeometry, amplitude_v_m: float) -> float:
@@ -30,16 +31,6 @@ def reference_power(geometry: EmsGeometry, amplitude_v_m: float) -> float:
         raise ValueError("amplitude must be positive")
     k = geometry.k0 / (4.0 * np.pi)
     return (k * amplitude_v_m * geometry.n_cells * geometry.cell_area_m2) ** 2
-
-
-def uniform_shape_db(n: int, cell_size_wl: float, offset: float) -> float:
-    """Power falloff (dB, <= 0) of an n-element uniform line array at a
-    direction-cosine offset from its steering direction."""
-    psi = np.pi * cell_size_wl * float(offset)
-    if abs(psi) < 1e-12:
-        return 0.0
-    af = np.sin(n * psi) / (n * np.sin(psi))
-    return float(20.0 * np.log10(max(abs(af), 1e-30)))
 
 
 def half_power_halfwidth(n: int, cell_size_wl: float) -> float:
@@ -63,7 +54,6 @@ class BeamReference:
     """
 
     geometry: EmsGeometry
-    beam_uv: tuple
     steer_u: float
     duty: np.ndarray
     phase: np.ndarray
@@ -99,16 +89,16 @@ def _apex_u(p, us):
     return apex, float(p[i])
 
 
-def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence,
-                   beam_u: float, beam_v: float,
+def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence, beam_u: float,
                    scalar_states: Optional[tuple] = None) -> BeamReference:
-    """Build the steer-compensated conjugate carrier design for one scenario.
+    """Build the steer-compensated conjugate carrier design for a beam at
+    (beam_u, 0).
 
     scalar_states is the (on, off) reflection scalar pair; tensor states fall
     back to the ideal (+1, -1) pair, which only degrades the calibration,
     never the correctness of the masks built from it.
     """
-    if beam_u**2 + beam_v**2 > 1.0:
+    if beam_u**2 > 1.0:
         raise ValueError("beam direction outside the visible disc")
     gam_on, gam_off = scalar_states if scalar_states is not None else (1.0 + 0j, -1.0 + 0j)
     span = gam_on - gam_off
@@ -121,16 +111,16 @@ def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence,
     k0 = geometry.k0
 
     def make(steer_u: float):
-        phase = np.angle(g) + k0 * (steer_u * xy[:, 0] + beam_v * xy[:, 1])
+        phase = np.angle(g) + k0 * (steer_u * xy[:, 0])
         duty = np.clip(((np.cos(phase) - gam_off) / span).real, 0.0, 1.0)
         return phase, duty, (gam_off + span * duty) * g
 
     fn = 1.0 / (geometry.rows * geometry.cell_size_wl)
     us = beam_u + np.linspace(-0.6 * fn, 0.6 * fn, 241)
-    us = us[us * us + beam_v * beam_v < 1.0]
+    us = us[us * us < 1.0]
     if not us.size:
         raise ValueError("beam window has no visible directions")
-    line = steering_rows(geometry, us, np.full_like(us, beam_v))
+    line = steering_rows(geometry, us, np.zeros_like(us))
 
     def offset(steer_u: float):
         _, _, w = make(steer_u)
@@ -172,35 +162,31 @@ def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence,
             else:
                 sa, fa = sm, fm
     phase, duty, weights = make(best_s)
-    return BeamReference(geometry=geometry, beam_uv=(beam_u, beam_v), steer_u=best_s,
+    return BeamReference(geometry=geometry, steer_u=best_s,
                          duty=duty.reshape(geometry.rows, geometry.cols),
                          phase=phase, weights=weights, pol2=pol2)
 
 
 @dataclass(frozen=True)
 class MaskParams:
-    """Mask geometry and levels; None fields derive from the aperture size.
+    """Mask levels and optional width overrides; None widths derive from
+    the aperture size.
 
     Widths are in direction-cosine units. The natural scale is the standard
     beamwidth lambda/D of the uniform aperture, computed per axis. A None
     null halfwidth means the null is enforced only at its exact direction.
     """
 
-    beam_u: float
-    beam_v: float = 0.0
     sidelobe_db: float = -10.0
     peak_floor_db: float = -3.0
     ripple_db: float = 3.0
     null_depth_db: float = -40.0
-    null_u: Optional[float] = None
-    null_v: Optional[float] = None
+    lobe_floor_db: float = -12.0
     main_halfwidth_u: Optional[float] = None
     main_halfwidth_v: Optional[float] = None
-    full_v: bool = False
     lobe_offset_u: Optional[float] = None
     lobe_halfwidth_u: Optional[float] = None
     lobe_halfwidth_v: Optional[float] = None
-    lobe_floor_db: float = -12.0
     null_halfwidth_u: Optional[float] = None
     null_halfwidth_v: Optional[float] = None
     shoulder_scale: float = 1.2
@@ -214,23 +200,19 @@ class MaskSet:
     """Resolved lower/upper power bounds per harmonic over one grid.
 
     lower and upper have shape (2, nu, nv) for harmonics (0, 1); inactive
-    bounds are 0 (lower) and +inf (upper). reference is R0 in linear power.
-    anchor_uv lists exact directions with their own bounds in anchor_lower
-    and anchor_upper, both shaped (2, n_anchors). beam_ref is the reference
-    design the anchors were calibrated against, None for the isolated-lobe
-    model.
+    bounds are 0 (lower) and +inf (upper). anchor_uv lists exact directions
+    with their own bounds in anchor_lower and anchor_upper, both shaped
+    (2, n_anchors). beam_ref is the reference design the anchors were
+    calibrated against.
     """
 
     grid: DirectionGrid
     lower: np.ndarray
     upper: np.ndarray
-    reference: float
-    beam_uv: tuple
-    null_uv: tuple
     anchor_uv: np.ndarray
     anchor_lower: np.ndarray
     anchor_upper: np.ndarray
-    beam_ref: Optional[BeamReference] = None
+    beam_ref: BeamReference
 
     def __post_init__(self):
         for name in ("lower", "upper", "anchor_uv", "anchor_lower", "anchor_upper"):
@@ -254,24 +236,22 @@ def _box_nodes(grid: DirectionGrid, center_u, center_v, hw_u, hw_v, full_v: bool
     return sel
 
 
-def build_masks(grid: DirectionGrid, geometry: EmsGeometry, params: MaskParams,
-                r0: float, incidence: Optional[PlaneWaveIncidence] = None,
-                scalar_states: Optional[tuple] = None) -> MaskSet:
-    """Materialize mask arrays and anchors on a grid.
+def build_masks(grid: DirectionGrid, geometry: EmsGeometry, incidence: PlaneWaveIncidence,
+                states: ReflectionStates, params: MaskParams, beam_u: float,
+                full_v: bool = False) -> MaskSet:
+    """Materialize mask arrays and anchors on a grid for a beam at (beam_u, 0).
 
-    When the incidence is provided, the beam-shaping anchor levels are
-    calibrated against the steer-compensated conjugate reference design
-    (see BeamReference) and structurally forced mirror lobes get their own
-    ripple-bounded boxes; otherwise an isolated uniform-lobe falloff model
-    is used, which is adequate for specular or broadside beams only.
+    The carrier beam and the first-harmonic null share that direction. The
+    beam-shaping anchor levels are calibrated against the steer-compensated
+    conjugate reference design (see BeamReference), and structurally forced
+    mirror lobes get their own ripple-bounded boxes. full_v drops every
+    bound along v, for column-wise schedules that cannot steer in v.
 
     Raises ValueError for inconsistent parameters, e.g. a null that lands
     inside a required-lobe box or a lower bound above its upper bound.
     """
-    if not (r0 > 0.0):
-        raise ValueError("reference power must be positive")
-    if params.beam_u**2 + params.beam_v**2 > 1.0:
-        raise ValueError("beam direction outside the visible disc")
+    ref = beam_reference(geometry, incidence, beam_u, scalar_states=states.scalar_pair())
+    r0 = reference_power(geometry, incidence.amplitude_v_m)
 
     fn_u = 1.0 / (geometry.rows * geometry.cell_size_wl)
     fn_v = 1.0 / (geometry.cols * geometry.cell_size_wl)
@@ -280,14 +260,10 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, params: MaskParams,
     lobe_off = params.lobe_offset_u if params.lobe_offset_u is not None else 0.75 * fn_u
     lobe_hw_u = params.lobe_halfwidth_u if params.lobe_halfwidth_u is not None else 0.2 * fn_u
     lobe_hw_v = params.lobe_halfwidth_v if params.lobe_halfwidth_v is not None else 0.2 * fn_v
-    null_u = params.null_u if params.null_u is not None else params.beam_u
-    null_v = params.null_v if params.null_v is not None else params.beam_v
     for value, name in ((hw_u, "main_halfwidth_u"), (hw_v, "main_halfwidth_v"),
                         (lobe_hw_u, "lobe_halfwidth_u"), (lobe_hw_v, "lobe_halfwidth_v")):
         if not (value > 0.0):
             raise ValueError(f"{name} must be positive")
-    if null_u**2 + null_v**2 > 1.0:
-        raise ValueError("null direction outside the visible disc")
     if lobe_hw_u >= lobe_off:
         raise ValueError("lobe boxes overlap the null direction; shrink lobe_halfwidth_u")
 
@@ -302,13 +278,10 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, params: MaskParams,
     lower = np.zeros((2, nu, nv))
     upper = np.full((2, nu, nv), np.inf)
 
-    main = _box_nodes(grid, params.beam_u, params.beam_v, hw_u, hw_v, params.full_v)
-    upper[0][vis] = sidelobe
-    upper[0][main] = ripple
-
-    delta_main = _box_nodes(grid, null_u, null_v, hw_u, hw_v, params.full_v)
-    upper[1][vis] = sidelobe
-    upper[1][delta_main] = ripple
+    # both harmonics: a sidelobe ceiling, raised to the ripple bound in the main box
+    main = _box_nodes(grid, beam_u, 0.0, hw_u, hw_v, full_v)
+    upper[:, vis] = sidelobe
+    upper[:, main] = ripple
 
     # Mirror-lobe boxes. The carrier coefficient of an on/off pulse is real,
     # so the carrier pattern of any schedule is mirror-symmetric about the
@@ -320,21 +293,19 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, params: MaskParams,
     # same ripple allowance as the lobe it images instead of the sidelobe
     # ceiling. Mirroring acts along u only (the rows run along x); v-axis
     # aliases stay invisible for sub-wavelength cells.
-    if incidence is not None:
-        period = 1.0 / geometry.cell_size_wl
-        for h, c_u0, c_v0 in ((0, params.beam_u, params.beam_v), (1, null_u, null_v)):
-            w_c = c_u0 + incidence.u
-            for n in range(-2, 3):
-                for w_img in (w_c + n * period, -w_c + n * period):
-                    c_u = w_img - incidence.u
-                    if abs(c_u - c_u0) <= fn_u or abs(c_u) > 1.0 + hw_u:
-                        continue
-                    box = _box_nodes(grid, c_u, c_v0, hw_u, hw_v, params.full_v)
-                    upper[h][box] = np.maximum(upper[h][box], ripple)
+    period = 1.0 / geometry.cell_size_wl
+    w_c = beam_u + incidence.u
+    for n in range(-2, 3):
+        for w_img in (w_c + n * period, -w_c + n * period):
+            c_u = w_img - incidence.u
+            if abs(c_u - beam_u) <= fn_u or abs(c_u) > 1.0 + hw_u:
+                continue
+            box = _box_nodes(grid, c_u, 0.0, hw_u, hw_v, full_v)
+            upper[:, box] = np.maximum(upper[:, box], ripple)
 
     lobes = np.zeros(grid.shape, dtype=bool)
     for sign in (-1.0, 1.0):
-        lobes |= _box_nodes(grid, null_u + sign * lobe_off, null_v, lobe_hw_u, lobe_hw_v, False)
+        lobes |= _box_nodes(grid, beam_u + sign * lobe_off, 0.0, lobe_hw_u, lobe_hw_v, False)
 
     if params.null_halfwidth_u is not None or params.null_halfwidth_v is not None:
         null_hw_u = (params.null_halfwidth_u if params.null_halfwidth_u is not None
@@ -343,36 +314,32 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, params: MaskParams,
                      else params.null_halfwidth_u)
         if not (null_hw_u > 0.0 and null_hw_v > 0.0):
             raise ValueError("null halfwidths must be positive")
-        notch = _box_nodes(grid, null_u, null_v, null_hw_u, null_hw_v, False)
+        notch = _box_nodes(grid, beam_u, 0.0, null_hw_u, null_hw_v, False)
         if (lobes & notch).any():
             raise ValueError("null notch overlaps a required-lobe box")
         upper[1][notch] = np.minimum(upper[1][notch], null_depth)
 
     lower[1][lobes] = lobe_floor
 
-    # exact-direction requirements: carrier floor at the beam, h=1 ceiling at the null
-    anchor_uv = [[params.beam_u, params.beam_v], [null_u, null_v]]
+    # exact-direction requirements: carrier floor at the beam, h=1 ceiling at
+    # the null; two rows although both sit at the beam direction, since one
+    # row would reorder the cost's sums and move PSO runs at rounding level
+    anchor_uv = [[beam_u, 0.0], [beam_u, 0.0]]
     anchor_lower = [[peak_floor, 0.0], [0.0, 0.0]]
     anchor_upper = [[np.inf, np.inf], [np.inf, null_depth]]
 
     # beam-shaping anchors on both flanks of the main lobe: a tube of floors
-    # and caps around an achievable lobe shape. Caps alone or floors alone
-    # cannot pin the peak of a smooth lobe: a cap with margin m still admits
-    # an apex tilted by ~m/slope, and a floor still admits a taller bulge on
-    # the opposite side. A floor+cap pair on each flank holds the whole lobe,
-    # apex included, at the target direction. The tube center comes from the
-    # conjugate reference design when the incidence is known (the achievable
-    # lobe is not an isolated uniform beam once the mirror lobe interferes).
+    # and caps around the lobe of the conjugate reference design. Caps alone
+    # or floors alone cannot pin the peak of a smooth lobe: a cap with margin
+    # m still admits an apex tilted by ~m/slope, and a floor still admits a
+    # taller bulge on the opposite side. A floor+cap pair on each flank holds
+    # the whole lobe, apex included, at the target direction.
     if not (params.shoulder_scale > 0.0 and params.flank_scale > 0.0):
         raise ValueError("shoulder and flank scales must be positive")
     if params.shoulder_margin_db < 0.0 or params.flank_margin_db < 0.0:
         raise ValueError("shoulder and flank margins must be non-negative")
-    ref = None
-    if incidence is not None:
-        ref = beam_reference(geometry, incidence, params.beam_u, params.beam_v,
-                             scalar_states=scalar_states)
     beam_axes = [(geometry.rows, 1.0, 0.0)]
-    if not params.full_v:
+    if not full_v:
         beam_axes.append((geometry.cols, 0.0, 1.0))
     for n, eu, ev in beam_axes:
         hp = half_power_halfwidth(n, geometry.cell_size_wl)
@@ -380,16 +347,12 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, params: MaskParams,
                 (params.shoulder_scale, params.shoulder_margin_db, True),
                 (params.flank_scale, params.flank_margin_db, False)):
             d = scale * hp
-            shape_db = uniform_shape_db(n, geometry.cell_size_wl, d)
             for sign in (-1.0, 1.0):
-                su = params.beam_u + sign * d * eu
-                sv = params.beam_v + sign * d * ev
+                su = beam_u + sign * d * eu
+                sv = sign * d * ev
                 if su**2 + sv**2 > 1.0:
                     continue
-                if ref is not None:
-                    level = float(ref.power_at(su, sv)[0])
-                else:
-                    level = peak_floor * 10.0 ** (shape_db / 10.0)
+                level = float(ref.power_at(su, sv)[0])
                 lo = 0.0 if is_cap else level * 10.0 ** (-margin / 10.0)
                 up = level * 10.0 ** (margin / 10.0) if is_cap else np.inf
                 anchor_uv.append([su, sv])
@@ -402,7 +365,5 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, params: MaskParams,
 
     if np.any(lower > upper) or np.any(anchor_lower > anchor_upper):
         raise ValueError("mask lower bound exceeds upper bound")
-    return MaskSet(grid=grid, lower=lower, upper=upper, reference=r0,
-                   beam_uv=(params.beam_u, params.beam_v), null_uv=(null_u, null_v),
-                   anchor_uv=anchor_uv, anchor_lower=anchor_lower, anchor_upper=anchor_upper,
-                   beam_ref=ref)
+    return MaskSet(grid=grid, lower=lower, upper=upper, anchor_uv=anchor_uv,
+                   anchor_lower=anchor_lower, anchor_upper=anchor_upper, beam_ref=ref)

@@ -22,7 +22,7 @@ from .fields import (
     steering_rows,
 )
 from .geometry import EmsGeometry
-from .masks import MaskSet, beam_reference
+from .masks import MaskSet
 from .modulation import (
     ControlMode,
     PulseSchedule,
@@ -393,10 +393,6 @@ def conjugate_guess(evaluator: CostEvaluator, codec: ModeCodec) -> np.ndarray:
     """
     geom = evaluator.geometry
     ref = evaluator.masks.beam_ref
-    if ref is None:
-        beam_u, beam_v = evaluator.masks.beam_uv
-        ref = beam_reference(geom, evaluator.incidence, beam_u, beam_v,
-                             scalar_states=evaluator.states.scalar_pair())
     duty = ref.duty.ravel()
     flip = (geom.cell_xy_m[:, 0] < 0.0).astype(float)
     # first-harmonic coefficient is exp(-j*pi*(2*rise + duty)) * sin(pi*duty)/pi

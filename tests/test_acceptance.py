@@ -220,8 +220,7 @@ def test_criterion_04_beam_pair_quality(capsys):
     p_lobe = float(np.max(np.where(grid.visible, pat1.power, 0.0)))
     depth_db = 10.0 * np.log10(p_lobe / max(p_null, 1e-300))
 
-    masks = build_masks(grid, geom, sc.mask_params(), sc.reference,
-                        incidence=inc, scalar_states=states.scalar_pair())
+    masks = build_masks(grid, geom, inc, states, sc.mask, sc.bs_u, sc.mode.columnwise)
     side = sc.reference * 10.0 ** (sc.mask.sidelobe_db / 10.0)
     worst_rel = 0.0
     for hidx, pat in ((0, pat0), (1, pat1)):

@@ -8,6 +8,7 @@ import pytest
 from tmems.cli import main
 from tmems.codebook import (
     Codebook,
+    CodebookEntry,
     CodebookError,
     entry_from_schedule,
     pairs_per_record,
@@ -22,7 +23,7 @@ HEADER_SIZE = 76
 RECORD_HEAD_SIZE = 16
 
 
-def make_book(rng, mode=ControlMode.DELTA, rows=4, cols=3, angles=(-5.0, 10.0)):
+def make_book(rng, mode=ControlMode.DELTA, rows=4, cols=3, angles=(5.0, 10.0)):
     n = pairs_per_record(mode, rows, cols)
     entries = []
     for i, a in enumerate(angles):
@@ -50,7 +51,7 @@ def test_round_trip_bit_identical(tmp_path, rng):
     assert loaded.seed == book.seed
     assert loaded.period_s == book.period_s and loaded.f0_hz == book.f0_hz
     assert loaded.digest == book.digest
-    assert loaded.angles_deg() == [-5.0, 10.0]
+    assert loaded.angles_deg() == [5.0, 10.0]
     for got, want in zip(loaded.entries, sorted(book.entries, key=lambda e: e.angle_mdeg)):
         assert got.angle_mdeg == want.angle_mdeg
         assert got.phi == want.phi
@@ -109,8 +110,14 @@ def test_read_rejects_corrupt_files(tmp_path, book_bytes):
     reject(tmp_path, patched(blob, HEADER_SIZE + 8, "<d", -1.0), "invalid cost")
     reject(tmp_path, patched(blob, HEADER_SIZE + 8, "<d", float("nan")), "invalid cost")
     # bump the first record's angle past the second record's
-    reject(tmp_path, patched(blob, HEADER_SIZE, "<i", 99999), "not sorted")
+    reject(tmp_path, patched(blob, HEADER_SIZE, "<i", 20000), "not sorted")
     reject(tmp_path, patched(blob, HEADER_SIZE, "<i", 10000), "not sorted")
+    # angles a candidate cannot round to: below 0, above 90 deg, and bit 30
+    # of the last record's 10000 mdeg flipped (1073751.824 deg)
+    last = HEADER_SIZE + RECORD_HEAD_SIZE + 16 * 12
+    reject(tmp_path, patched(blob, HEADER_SIZE, "<i", -1), r"-1 mdeg lies outside 0\.\.90000")
+    reject(tmp_path, patched(blob, last, "<i", 90001), "lies outside")
+    reject(tmp_path, patched(blob, last, "<i", 10000 | 1 << 30), "1073751824 mdeg lies outside")
     # NaN fails every comparison, so a NaN-blind range test let it through
     for offset in (HEADER_SIZE + RECORD_HEAD_SIZE, HEADER_SIZE + RECORD_HEAD_SIZE + 8):
         reject(tmp_path, patched(blob, offset, "<d", float("nan")), "out-of-range rise or duty")
@@ -130,16 +137,42 @@ def test_cli_export_reports_a_bad_header(tmp_path, book_bytes, capsys):
 
 def test_write_rejects_inconsistent_books(tmp_path, rng):
     book = make_book(rng)
+    path = tmp_path / "x.tmcb"
     with pytest.raises(ValueError, match="32 bytes"):
-        write_codebook(tmp_path / "x.tmcb",
-                       Codebook(**{**book.__dict__, "digest": b"short"}))
+        write_codebook(path, Codebook(**{**book.__dict__, "digest": b"short"}))
     dup = Codebook(**{**book.__dict__, "entries": (book.entries[0], book.entries[0])})
     with pytest.raises(ValueError, match="duplicate angle"):
-        write_codebook(tmp_path / "x.tmcb", dup)
+        write_codebook(path, dup)
     small = make_book(rng, rows=2, cols=2)
     mixed = Codebook(**{**book.__dict__, "entries": small.entries})
     with pytest.raises(ValueError, match="entry size"):
-        write_codebook(tmp_path / "x.tmcb", mixed)
+        write_codebook(path, mixed)
+    # the writer refuses, leaving no file, every book the reader would reject
+    with pytest.raises(ValueError, match="empty surface"):
+        write_codebook(path, Codebook(**{**book.__dict__, "rows": 0, "entries": ()}))
+    assert not path.exists()
+    entry = book.entries[0]
+
+    def refused(message, **changes):
+        entries = (CodebookEntry(**{**entry.__dict__, **changes.pop("entry", {})}),)
+        bad = Codebook(**{**book.__dict__, "entries": entries, **changes})
+        with pytest.raises(CodebookError, match=message):
+            write_codebook(path, bad)
+        assert not path.exists()
+
+    nan = float("nan")
+    # all four defects at once, then each one alone
+    refused("invalid period", period_s=nan, f0_hz=-1.0,
+            entry={"rise": np.full(12, 1.5), "duty": np.full(12, nan)})
+    for value in (nan, float("inf"), 0.0, -1.0):
+        refused("invalid period or carrier frequency", period_s=value)
+        refused("invalid period or carrier frequency", f0_hz=value)
+    refused("out-of-range rise or duty", entry={"rise": np.full(12, 1.5)})
+    refused("out-of-range rise or duty", entry={"duty": np.full(12, nan)})
+    refused("invalid cost", entry={"phi": nan})
+    refused("invalid cost", entry={"phi": -1.0})
+    refused("lies outside", entry={"angle_mdeg": -5000})
+    refused("lies outside", entry={"angle_mdeg": 90001})
 
 
 def test_pairs_per_record():

@@ -11,7 +11,10 @@ from tmems.config import (
     load_config,
     parse_config,
 )
+from tmems.isac import codebook_digest
+from tmems.masks import MaskParams
 from tmems.modulation import ConstraintError, ControlMode
+from tmems.synthesis import PsoConfig
 
 
 def test_pure_defaults():
@@ -30,6 +33,15 @@ def test_pure_defaults():
     sc = cfg.scenario()
     assert sc.theta_inc_deg == 0.0 and sc.theta_refl_deg == 0.0
     assert sc.synth_grid_n == 64
+    # the resolved defaults are the dataclass defaults
+    assert sc.mask == MaskParams() and cfg.pso == PsoConfig()
+
+
+def test_default_codebook_digest_is_pinned():
+    # a renamed, added or re-defaulted mask or PSO field would silently make
+    # every existing codebook.bin stale
+    digest = codebook_digest(parse_config({}).scenario(), 1, 1)
+    assert digest.hex() == "bf10c4f8ae04b30f8029a9e80efd4727e5d4fd89d3dc913b27c068ad2093b79b"
 
 
 def test_partial_yaml_gets_defaults(tmp_path):
@@ -80,6 +92,13 @@ def test_angle_list_validation():
         parse_config({"localization": {"candidates_deg": [True]}})
     cfg = parse_config({"sweep": {"angles_deg": [-10, 0, 10]}})
     assert cfg.sweep_angles_deg == [-10.0, 0.0, 10.0]
+    # every candidate becomes an assumed incidence angle in [0, 90)
+    for bad, i in (([-10.0, 10.0], 0), ([10.0, 90.0], 1), ([0.0, -0.001], 1)):
+        with pytest.raises(ConfigError,
+                           match=rf"'localization.candidates_deg\[{i}\]' must lie in \[0.0, 90.0\)"):
+            parse_config({"localization": {"candidates_deg": bad}})
+    cfg = parse_config({"localization": {"candidates_deg": [0, 89.999]}})
+    assert cfg.candidates_deg == [0.0, 89.999]
 
 
 def test_gamma_entry_forms():
@@ -111,7 +130,7 @@ def test_delta_mode_needs_even_rows_at_parse_time():
 def test_explicit_null_means_default():
     cfg = parse_config({"synthesis": {"seed": None}, "masks": None})
     assert cfg.seed == 1
-    assert cfg.mask_levels.null_depth_db == -40.0
+    assert cfg.scenario().mask.null_depth_db == -40.0
 
 
 def test_structure_errors():

@@ -184,13 +184,10 @@ def test_convergence_csv(tmp_path):
 
 
 def test_sweep_csv_layout(tmp_path):
-    nan = float("nan")
     samples = [
         SweepSample(angle_deg=-10.0, phi=0.5, xi=2.0, p_sigma=4.0, p_delta=2.0,
                     floored=False, iterations=5, stop_reason="max_iterations",
                     source="synthesized"),
-        SweepSample(angle_deg=0.0, phi=nan, xi=nan, p_sigma=nan, p_delta=nan,
-                    floored=False, iterations=0, stop_reason="", source="skipped"),
         SweepSample(angle_deg=10.0, phi=0.25, xi=2.0, p_sigma=8.0, p_delta=4.0,
                     floored=True, iterations=7, stop_reason="stagnation",
                     source="codebook"),
@@ -201,10 +198,9 @@ def test_sweep_csv_layout(tmp_path):
         "# vary: bs",
         "kind,angle_deg,phi,xi,p_sigma,p_delta,floored,iterations,stop_reason,source",
         "sample,-10,0.5,2,4,2,0,5,max_iterations,synthesized",
-        "sample,0,nan,nan,nan,nan,0,0,,skipped",
         "sample,10,0.25,2,8,4,1,7,stagnation,codebook",
-        # xi tie between -10 and 10 resolves to the smaller angle; skipped
-        # samples never win; iterations column totals the whole run
+        # xi tie between -10 and 10 resolves to the smaller angle; the
+        # iterations column totals the whole run
         "summary,-10,0.5,2,4,2,0,12,,argmax_xi",
     ]) + "\n"
 

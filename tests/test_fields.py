@@ -16,7 +16,7 @@ from tmems.fields import (
     ratio_from_powers,
 )
 from tmems.geometry import EmsGeometry
-from tmems.masks import MaskSet
+from tmems.masks import MaskSet, beam_reference
 from tmems.modulation import ControlMode, PulseSchedule, ReflectionStates, harmonic_tensors
 from tmems.synthesis import CostEvaluator, ModeCodec
 
@@ -264,8 +264,9 @@ def test_separable_kernel_matches_direct_sum(rng):
     anchors = np.array([[0.31, -0.17], [-0.52, 0.44], [0.05, 0.9]])
     nu, nv = grid.shape
     masks = MaskSet(grid=grid, lower=np.zeros((2, nu, nv)), upper=np.full((2, nu, nv), np.inf),
-                    reference=1.0, beam_uv=(0.0, 0.0), null_uv=(0.0, 0.0), anchor_uv=anchors,
-                    anchor_lower=np.zeros((2, 3)), anchor_upper=np.full((2, 3), np.inf))
+                    anchor_uv=anchors, anchor_lower=np.zeros((2, 3)),
+                    anchor_upper=np.full((2, 3), np.inf),
+                    beam_ref=beam_reference(geometry, inc, 0.0))
     engine = FieldEngine(geometry, grid)
     for states in (ReflectionStates.ideal(), TENSOR_STATES):
         ev = CostEvaluator(geometry, states, inc, masks, sched.period_s)

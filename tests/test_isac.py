@@ -185,7 +185,7 @@ def test_localize_tie_breaks_to_smallest_angle(fast_scenario, rng):
     assert all(s.source == "codebook" and s.phi == 0.5 for s in res.samples)
 
 
-def test_localize_on_missing_policies(fast_scenario, rng):
+def test_localize_synthesizes_missing_codebook_entries(fast_scenario, rng):
     sc = fast_scenario(mode=ControlMode.COLWISE, iterations=8)
     master, repeats = 11, 1
     sched = colwise_schedule(rng, 6, 6, sc.period_s)
@@ -193,22 +193,12 @@ def test_localize_on_missing_policies(fast_scenario, rng):
                     f0_hz=sc.geometry.f0_hz,
                     digest=codebook_digest(sc, master, repeats),
                     entries=(entry_from_schedule(20.0, 0.1, sched, sc.mode),))
-    skipped = localize(sc, [10.0, 20.0], master, repeats=repeats, codebook=book,
-                       on_missing="skip")
-    assert skipped.samples[0].source == "skipped"
-    assert np.isnan(skipped.samples[0].xi)
-    assert skipped.estimate_deg == 20.0
-    with pytest.raises(ValueError, match="no entry for 10.0 degrees"):
-        localize(sc, [10.0, 20.0], master, repeats=repeats, codebook=book,
-                 on_missing="error")
-    synth = localize(sc, [10.0, 20.0], master, repeats=repeats, codebook=book,
-                     on_missing="synthesize")
+    synth = localize(sc, [10.0, 20.0], master, repeats=repeats, codebook=book)
     assert synth.samples[0].source == "synthesized"
     assert synth.samples[1].source == "codebook"
-    with pytest.raises(ValueError, match="on_missing"):
-        localize(sc, [10.0], master, codebook=book, on_missing="rebuild")
-    with pytest.raises(ValueError, match="every candidate was skipped"):
-        localize(sc, [5.0], master, repeats=repeats, codebook=book, on_missing="skip")
+    assert synth.samples[1].phi == 0.1 and synth.samples[1].stop_reason == "codebook"
+    cold = localize(sc, [10.0], master, repeats=repeats)
+    assert synth.samples[0] == cold.samples[0]
     with pytest.raises(ValueError, match="at least one candidate"):
         localize(sc, [], master)
 

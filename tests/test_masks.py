@@ -12,12 +12,19 @@ from tmems.masks import (
     build_masks,
     half_power_halfwidth,
     reference_power,
-    uniform_shape_db,
 )
+from tmems.modulation import ReflectionStates
 
 GEOM10 = EmsGeometry(rows=10, cols=10)
+INC0 = PlaneWaveIncidence(theta_deg=0.0)
 INC40 = PlaneWaveIncidence(theta_deg=40.0)
+IDEAL = ReflectionStates.ideal()
 IDEAL_PAIR = (1.0 + 0j, -1.0 + 0j)
+R0 = reference_power(GEOM10, 1.0)
+
+
+def masks_at(grid, beam_u, incidence=INC0, full_v=False, **levels):
+    return build_masks(grid, GEOM10, incidence, IDEAL, MaskParams(**levels), beam_u, full_v)
 
 
 def test_reference_power_formula():
@@ -28,85 +35,82 @@ def test_reference_power_formula():
         reference_power(geom, 0.0)
 
 
-def test_uniform_shape_db():
-    assert uniform_shape_db(10, 0.45, 0.0) == 0.0
-    off = 0.123
-    assert uniform_shape_db(10, 0.45, off) == uniform_shape_db(10, 0.45, -off)
-    # the half-power width constant is consistent with the shape model
+def test_half_power_halfwidth_matches_the_reference_beam():
+    # along v the broadside reference beam is a uniform line of 10 cells
+    ref = beam_reference(GEOM10, INC0, 0.0)
     hp = half_power_halfwidth(10, 0.45)
-    assert uniform_shape_db(10, 0.45, hp) == pytest.approx(-3.0, abs=0.05)
+    drop = ref.power_at(0.0, hp)[0] / ref.power_at(0.0, 0.0)[0]
+    assert ref.power_at(0.0, -hp)[0] == pytest.approx(ref.power_at(0.0, hp)[0], rel=1e-12)
+    assert 10.0 * np.log10(drop) == pytest.approx(-3.0, abs=0.05)
 
 
 def test_levels_and_boxes():
     grid = DirectionGrid.uniform(41)
-    params = MaskParams(beam_u=0.0, null_depth_db=-30.0)
-    masks = build_masks(grid, GEOM10, params, r0=1.0)
+    masks = masks_at(grid, 0.0, null_depth_db=-30.0)
     # sidelobe ceiling -10 dB at a far-out visible node
     iu, iv = grid.nearest_index(-0.8, 0.0)
-    assert masks.upper[0][iu, iv] == pytest.approx(0.1)
-    assert masks.upper[1][iu, iv] == pytest.approx(0.1)
+    assert masks.upper[0][iu, iv] == pytest.approx(0.1 * R0)
+    assert masks.upper[1][iu, iv] == pytest.approx(0.1 * R0)
     # ripple bound +3 dB inside the main box
     ju, jv = grid.nearest_index(0.0, 0.0)
-    assert masks.upper[0][ju, jv] == pytest.approx(10.0 ** 0.3)
+    assert masks.upper[0][ju, jv] == pytest.approx(10.0 ** 0.3 * R0)
     # invisible nodes carry inactive bounds
     assert np.isinf(masks.upper[0][0, 0]) and masks.lower[0][0, 0] == 0.0
     # exact-direction anchors: carrier floor at the beam, -30 dB cap at the null
-    assert masks.anchor_uv[0].tolist() == [0.0, 0.0]
+    assert masks.anchor_uv[:2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
     peak_floor = masks.anchor_lower[0][0]
-    assert peak_floor == pytest.approx(10.0 ** -0.3)
-    assert peak_floor == pytest.approx(0.5, rel=3e-3)
-    assert masks.anchor_upper[1][1] == pytest.approx(1e-3)
+    assert peak_floor == pytest.approx(10.0 ** -0.3 * R0)
+    assert peak_floor == pytest.approx(0.5 * R0, rel=3e-3)
+    assert masks.anchor_upper[1][1] == pytest.approx(1e-3 * R0)
     # grid-wide lower bounds live only in the flanking lobe boxes
     assert np.all(masks.lower[0] == 0.0)
     assert np.count_nonzero(masks.lower[1]) > 0
+    # R0 follows the incident amplitude
+    loud = masks_at(grid, 0.0, incidence=PlaneWaveIncidence(theta_deg=0.0, amplitude_v_m=2.0))
+    assert loud.upper[0][iu, iv] == pytest.approx(0.1 * reference_power(GEOM10, 2.0))
 
 
 def test_lobe_boxes_flank_the_null():
     grid = DirectionGrid.uniform(81)
-    params = MaskParams(beam_u=0.0, lobe_floor_db=-12.0)
-    masks = build_masks(grid, GEOM10, params, r0=1.0)
+    masks = masks_at(grid, 0.0, lobe_floor_db=-12.0)
     fn = 1.0 / (10 * 0.45)
-    floor = 10.0 ** -1.2
     for sign in (-1.0, 1.0):
         iu, iv = grid.nearest_index(sign * 0.75 * fn, 0.0)
-        assert masks.lower[1][iu, iv] == pytest.approx(floor)
+        assert masks.lower[1][iu, iv] == pytest.approx(10.0 ** -1.2 * R0)
     iu0, iv0 = grid.nearest_index(0.0, 0.0)
     assert masks.lower[1][iu0, iv0] == 0.0  # the null itself is never floored
 
 
 def test_anchor_tube_geometry():
     grid = DirectionGrid.uniform(41)
-    params = MaskParams(beam_u=0.0, shoulder_scale=1.2, shoulder_margin_db=0.7,
-                        flank_scale=0.5, flank_margin_db=0.2)
-    masks = build_masks(grid, GEOM10, params, r0=1.0)
+    masks = masks_at(grid, 0.0, shoulder_scale=1.2, shoulder_margin_db=0.7,
+                     flank_scale=0.5, flank_margin_db=0.2)
     # 2 point requirements + (shoulder caps + flank floors) x 2 signs x 2 axes
     assert masks.anchor_uv.shape == (10, 2)
     hp = half_power_halfwidth(10, 0.45)
-    peak_floor = 10.0 ** -0.3
-    # first shoulder anchor on the u axis: cap at the model level + margin
+    # first shoulder anchor on the u axis: cap at the reference level + margin
     su = masks.anchor_uv[2]
     assert abs(abs(su[0]) - 1.2 * hp) < 1e-12 and su[1] == 0.0
-    level = peak_floor * 10.0 ** (uniform_shape_db(10, 0.45, 1.2 * hp) / 10.0)
-    assert masks.anchor_upper[0][2] == pytest.approx(level * 10.0 ** 0.07)
+    level = float(masks.beam_ref.power_at(su[0], su[1])[0])
+    assert masks.anchor_upper[0][2] == pytest.approx(level * 10.0 ** 0.07, rel=1e-12)
     assert masks.anchor_lower[0][2] == 0.0
     # flanks carry floors instead
     fl = masks.anchor_uv[4]
     assert abs(abs(fl[0]) - 0.5 * hp) < 1e-12
-    flank_level = peak_floor * 10.0 ** (uniform_shape_db(10, 0.45, 0.5 * hp) / 10.0)
-    assert masks.anchor_lower[0][4] == pytest.approx(flank_level * 10.0 ** -0.02)
+    flank_level = float(masks.beam_ref.power_at(fl[0], fl[1])[0])
+    assert masks.anchor_lower[0][4] == pytest.approx(flank_level * 10.0 ** -0.02, rel=1e-12)
     assert np.isinf(masks.anchor_upper[0][4])
     # column-wise masks skip the v axis
-    colwise = build_masks(grid, GEOM10, MaskParams(beam_u=0.0, full_v=True), r0=1.0)
-    assert colwise.anchor_uv.shape == (6, 2)
+    assert masks_at(grid, 0.0, full_v=True).anchor_uv.shape == (6, 2)
 
 
 def test_calibrated_anchors_use_reference_levels():
     grid = DirectionGrid.uniform(41)
     beam_u = -np.sin(np.radians(20.0))
-    params = MaskParams(beam_u=beam_u)
-    masks = build_masks(grid, GEOM10, params, r0=reference_power(GEOM10, 1.0),
-                        incidence=INC40, scalar_states=IDEAL_PAIR)
-    ref = beam_reference(GEOM10, INC40, beam_u, 0.0, scalar_states=IDEAL_PAIR)
+    masks = masks_at(grid, beam_u, incidence=INC40)
+    ref = beam_reference(GEOM10, INC40, beam_u, scalar_states=IDEAL_PAIR)
+    assert masks.beam_ref.steer_u == ref.steer_u
+    assert np.array_equal(masks.beam_ref.duty, ref.duty)
     level = float(ref.power_at(masks.anchor_uv[2][0], masks.anchor_uv[2][1])[0])
     assert masks.anchor_upper[0][2] == pytest.approx(level * 10.0 ** 0.07, rel=1e-12)
 
@@ -114,22 +118,21 @@ def test_calibrated_anchors_use_reference_levels():
 def test_mirror_image_boxes():
     grid = DirectionGrid.uniform(201)
     beam_u = -np.sin(np.radians(20.0))
-    r0 = reference_power(GEOM10, 1.0)
-    sidelobe, ripple = r0 * 0.1, r0 * 10.0 ** 0.3
-    with_inc = build_masks(grid, GEOM10, MaskParams(beam_u=beam_u), r0,
-                           incidence=INC40, scalar_states=IDEAL_PAIR)
+    sidelobe, ripple = R0 * 0.1, R0 * 10.0 ** 0.3
+    masks = masks_at(grid, beam_u, incidence=INC40)
     # the beam at w = u + sin(40 deg) has a mirror at -w, i.e. u ~ -0.944
     mirror_u = -(beam_u + INC40.u) - INC40.u
     iu, iv = grid.nearest_index(mirror_u, 0.0)
-    assert with_inc.upper[0][iu, iv] == pytest.approx(ripple)
-    assert with_inc.upper[1][iu, iv] == pytest.approx(ripple)
-    without = build_masks(grid, GEOM10, MaskParams(beam_u=beam_u), r0)
-    assert without.upper[0][iu, iv] == pytest.approx(sidelobe)
+    assert masks.upper[0][iu, iv] == pytest.approx(ripple)
+    assert masks.upper[1][iu, iv] == pytest.approx(ripple)
+    # away from the beam and its mirror the sidelobe ceiling holds
+    iu, iv = grid.nearest_index(0.5, 0.0)
+    assert masks.upper[0][iu, iv] == pytest.approx(sidelobe)
 
 
 def test_beam_reference_lands_on_target():
     beam_u = -np.sin(np.radians(20.0))
-    ref = beam_reference(GEOM10, INC40, beam_u, 0.0, scalar_states=IDEAL_PAIR)
+    ref = beam_reference(GEOM10, INC40, beam_u, scalar_states=IDEAL_PAIR)
     assert np.all((ref.duty >= 0.0) & (ref.duty <= 1.0))
     # compensation moves the steer off the geometric target
     assert abs(ref.steer_u - beam_u) > 1e-3
@@ -139,63 +142,50 @@ def test_beam_reference_lands_on_target():
     apex = us[int(np.argmax(p))]
     assert abs(apex - beam_u) < 1e-3
     # and carries at least the default -3 dB floor relative to R0
-    r0 = reference_power(GEOM10, 1.0)
-    assert ref.power_at(beam_u, 0.0)[0] >= 0.5 * r0
+    assert ref.power_at(beam_u, 0.0)[0] >= 0.5 * R0
 
 
 def test_beam_reference_validation():
     with pytest.raises(ValueError, match="visible"):
-        beam_reference(GEOM10, INC40, 0.9, 0.5)
+        beam_reference(GEOM10, INC40, 1.5)
     with pytest.raises(ValueError, match="contrast"):
-        beam_reference(GEOM10, INC40, 0.0, 0.0, scalar_states=(0.5 + 0j, 0.5 + 0j))
+        beam_reference(GEOM10, INC40, 0.0, scalar_states=(0.5 + 0j, 0.5 + 0j))
 
 
 def test_box_never_empty_on_coarse_grid():
     grid = DirectionGrid.uniform(5)
-    masks = build_masks(grid, GEOM10, MaskParams(beam_u=0.3), r0=1.0)
+    masks = masks_at(grid, 0.3)
     # beam box is far smaller than the grid step; it snaps to the nearest node
-    assert np.count_nonzero(masks.upper[0] == 10.0 ** 0.3) >= 1
+    assert np.count_nonzero(masks.upper[0] == R0 * 10.0 ** 0.3) >= 1
 
 
 def test_mask_validation_errors():
     grid = DirectionGrid.uniform(41)
-    with pytest.raises(ValueError, match="reference"):
-        build_masks(grid, GEOM10, MaskParams(beam_u=0.0), r0=0.0)
     with pytest.raises(ValueError, match="beam direction"):
-        build_masks(grid, GEOM10, MaskParams(beam_u=0.9, beam_v=0.9), r0=1.0)
-    with pytest.raises(ValueError, match="null direction"):
-        build_masks(grid, GEOM10, MaskParams(beam_u=0.0, null_u=0.9, null_v=0.9), r0=1.0)
+        masks_at(grid, 1.5)
     with pytest.raises(ValueError, match="lobe"):
-        build_masks(grid, GEOM10,
-                    MaskParams(beam_u=0.0, lobe_offset_u=0.05, lobe_halfwidth_u=0.06),
-                    r0=1.0)
+        masks_at(grid, 0.0, lobe_offset_u=0.05, lobe_halfwidth_u=0.06)
     with pytest.raises(ValueError, match="notch overlaps"):
-        build_masks(grid, GEOM10,
-                    MaskParams(beam_u=0.0, null_halfwidth_u=0.4, null_halfwidth_v=0.4),
-                    r0=1.0)
+        masks_at(grid, 0.0, null_halfwidth_u=0.4, null_halfwidth_v=0.4)
     with pytest.raises(ValueError, match="margins"):
-        build_masks(grid, GEOM10, MaskParams(beam_u=0.0, shoulder_margin_db=-1.0), r0=1.0)
+        masks_at(grid, 0.0, shoulder_margin_db=-1.0)
     with pytest.raises(ValueError, match="main_halfwidth_u"):
-        build_masks(grid, GEOM10, MaskParams(beam_u=0.0, main_halfwidth_u=0.0), r0=1.0)
+        masks_at(grid, 0.0, main_halfwidth_u=0.0)
     # a lobe floor above the sidelobe ceiling is unsatisfiable once the lobe
     # boxes fall outside the main box
     with pytest.raises(ValueError, match="lower bound exceeds"):
-        build_masks(grid, GEOM10,
-                    MaskParams(beam_u=0.0, main_halfwidth_u=0.05, lobe_floor_db=-2.0),
-                    r0=1.0)
+        masks_at(grid, 0.0, main_halfwidth_u=0.05, lobe_floor_db=-2.0)
 
 
 def test_optional_notch_box():
     grid = DirectionGrid.uniform(81)
-    params = MaskParams(beam_u=0.0, null_halfwidth_u=0.02, null_halfwidth_v=0.02,
-                        null_depth_db=-40.0)
-    masks = build_masks(grid, GEOM10, params, r0=1.0)
+    masks = masks_at(grid, 0.0, null_halfwidth_u=0.02, null_halfwidth_v=0.02,
+                     null_depth_db=-40.0)
     iu, iv = grid.nearest_index(0.0, 0.0)
-    assert masks.upper[1][iu, iv] == pytest.approx(1e-4)
+    assert masks.upper[1][iu, iv] == pytest.approx(1e-4 * R0)
 
 
 def test_masks_are_frozen():
-    grid = DirectionGrid.uniform(21)
-    masks = build_masks(grid, GEOM10, MaskParams(beam_u=0.0), r0=1.0)
+    masks = masks_at(DirectionGrid.uniform(21), 0.0)
     with pytest.raises(ValueError):
         masks.upper[0][0, 0] = 1.0

@@ -82,7 +82,7 @@ def codebooks(draw, max_side=4, max_entries=4):
     mode = draw(MODES)
     rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     n = pairs_per_record(mode, rows, cols)
-    angles = draw(st.lists(st.integers(-89_999, 89_999), min_size=1, max_size=max_entries,
+    angles = draw(st.lists(st.integers(0, 90_000), min_size=1, max_size=max_entries,
                            unique=True))
     entries = []
     for a in angles:
@@ -119,10 +119,12 @@ def test_codebook_round_trip_is_bit_exact(tmp_path_factory, book):
 
 
 def assert_usable(book: Codebook):
-    """Every value finite and in range: the book exports as `tmems export` does."""
+    """Every value finite and in range: the book exports as `tmems export` does,
+    and every angle is one a candidate in [0, 90) degrees rounds to."""
     assert 0.0 < book.period_s < np.inf and 0.0 < book.f0_hz < np.inf
     geometry = EmsGeometry(rows=book.rows, cols=book.cols, f0_hz=book.f0_hz)
     for entry in book.entries:
+        assert 0 <= entry.angle_mdeg <= 90_000
         assert 0.0 <= entry.phi < np.inf
         entry.schedule(geometry, book.mode, book.period_s)
 

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from tmems.config import load_config
 from tmems.fields import DirectionGrid, PlaneWaveIncidence, harmonic_far_field
 from tmems.geometry import EmsGeometry
-from tmems.masks import MaskParams, MaskSet, build_masks, reference_power
+from tmems.masks import MaskParams, MaskSet, beam_reference, build_masks
 from tmems.modulation import (
     ConstraintError,
     ControlMode,
@@ -19,7 +20,6 @@ from tmems.modulation import (
     ReflectionStates,
     mirror_rise,
 )
-from tmems import synthesis
 from tmems.synthesis import (
     CostEvaluator,
     ModeCodec,
@@ -39,21 +39,20 @@ def test_ramp():
     np.testing.assert_array_equal(ramp(np.array([-1.0, 0.0, 4.0])), [0.0, 0.0, 4.0])
 
 
-def free_masks(grid):
-    """A mask set with no active bounds and no anchors."""
+def upper_only_masks(geom, inc, grid, upper):
+    """A mask set with upper bounds only and no anchors."""
     nu, nv = grid.shape
-    return MaskSet(grid=grid, lower=np.zeros((2, nu, nv)),
-                   upper=np.full((2, nu, nv), np.inf), reference=1.0,
-                   beam_uv=(0.0, 0.0), null_uv=(0.0, 0.0),
+    return MaskSet(grid=grid, lower=np.zeros((2, nu, nv)), upper=upper,
                    anchor_uv=np.zeros((0, 2)), anchor_lower=np.zeros((2, 0)),
-                   anchor_upper=np.zeros((2, 0)))
+                   anchor_upper=np.zeros((2, 0)), beam_ref=beam_reference(geom, inc, 0.0))
 
 
 def small_evaluator():
     geom = EmsGeometry(rows=4, cols=4)
     inc = PlaneWaveIncidence(theta_deg=0.0)
-    return CostEvaluator(geom, ReflectionStates.ideal(), inc,
-                         free_masks(DirectionGrid.uniform(21)), 1e-6)
+    grid = DirectionGrid.uniform(21)
+    masks = upper_only_masks(geom, inc, grid, np.full((2,) + grid.shape, np.inf))
+    return CostEvaluator(geom, ReflectionStates.ideal(), inc, masks, 1e-6)
 
 
 def test_phi_single_violation_equals_weighted_overshoot(rng, ideal):
@@ -67,11 +66,7 @@ def test_phi_single_violation_equals_weighted_overshoot(rng, ideal):
     nu, nv = grid.shape
     upper = np.full((2, nu, nv), np.inf)
     upper[0, iu, iv] = p0[iu, iv] - 2.0  # overshoot of exactly 2 in power
-    masks = MaskSet(grid=grid, lower=np.zeros((2, nu, nv)), upper=upper,
-                    reference=1.0, beam_uv=(0.0, 0.0), null_uv=(0.0, 0.0),
-                    anchor_uv=np.zeros((0, 2)), anchor_lower=np.zeros((2, 0)),
-                    anchor_upper=np.zeros((2, 0)))
-    ev = CostEvaluator(geom, ideal, inc, masks, sched.period_s)
+    ev = CostEvaluator(geom, ideal, inc, upper_only_masks(geom, inc, grid, upper), sched.period_s)
     # one node, one harmonic: phi = cell_weight * ramp(P - upper) = 0.01 * 2
     assert grid.cell_weight == pytest.approx(0.01)
     assert ev.phi(sched) == pytest.approx(0.02, rel=1e-9)
@@ -87,11 +82,7 @@ def test_phi_zero_when_strictly_inside(rng, ideal):
     for h in (0, 1):
         p = harmonic_far_field(geom, sched, ideal, inc, grid, h).power
         upper[h][grid.visible] = 2.0 * p[grid.visible] + 1.0
-    masks = MaskSet(grid=grid, lower=np.zeros((2, nu, nv)), upper=upper,
-                    reference=1.0, beam_uv=(0.0, 0.0), null_uv=(0.0, 0.0),
-                    anchor_uv=np.zeros((0, 2)), anchor_lower=np.zeros((2, 0)),
-                    anchor_upper=np.zeros((2, 0)))
-    ev = CostEvaluator(geom, ideal, inc, masks, sched.period_s)
+    ev = CostEvaluator(geom, ideal, inc, upper_only_masks(geom, inc, grid, upper), sched.period_s)
     assert ev.phi(sched) == 0.0
 
 
@@ -404,10 +395,9 @@ def steered_evaluator():
     grid = DirectionGrid.uniform(21)
     inc = PlaneWaveIncidence(theta_deg=40.0)
     beam_u = -np.sin(np.radians(20.0))
-    masks = build_masks(grid, geom, MaskParams(beam_u=beam_u),
-                        reference_power(geom, 1.0), incidence=inc,
-                        scalar_states=(1.0 + 0j, -1.0 + 0j))
-    return CostEvaluator(geom, ReflectionStates.ideal(), inc, masks, 1e-6)
+    states = ReflectionStates.ideal()
+    masks = build_masks(grid, geom, inc, states, MaskParams(), beam_u)
+    return CostEvaluator(geom, states, inc, masks, 1e-6)
 
 
 def test_pso_optimize_respects_delta_structure():
@@ -434,17 +424,17 @@ def test_conjugate_guess_is_deterministic_and_in_range():
     assert np.all((g1 >= 0.0) & (g1 <= 1.0))
 
 
-def test_conjugate_guess_reuses_the_masks_reference(monkeypatch):
+def test_conjugate_guess_reuses_the_masks_reference():
     ev = steered_evaluator()
-    assert ev.masks.beam_ref is not None
-    codec = ModeCodec(mode=ControlMode.DELTA, rows=4, cols=4)
-    want = conjugate_guess(ev, codec)
-
-    def fail(*args, **kwargs):
-        raise AssertionError("beam reference rebuilt")
-
-    monkeypatch.setattr(synthesis, "beam_reference", fail)
-    assert np.array_equal(conjugate_guess(ev, codec), want)
+    codec = ModeCodec(mode=ControlMode.FULL, rows=4, cols=4)
+    half = codec.dim // 2
+    assert np.array_equal(conjugate_guess(ev, codec)[half:], ev.masks.beam_ref.duty.ravel())
+    # the guess follows whatever reference the masks carry
+    other = beam_reference(ev.geometry, ev.incidence, 0.3)
+    masks = replace(ev.masks, beam_ref=other)
+    ev2 = CostEvaluator(ev.geometry, ev.states, ev.incidence, masks, ev.period_s)
+    assert np.array_equal(conjugate_guess(ev2, codec)[half:], other.duty.ravel())
+    assert not np.array_equal(other.duty, ev.masks.beam_ref.duty)
 
 
 def test_duty_driven_to_one_by_power_floor():
@@ -458,11 +448,11 @@ def test_duty_driven_to_one_by_power_floor():
     pmax = float(harmonic_far_field(geom, full, states, inc, grid, 0).power[5, 5])
     nu, nv = grid.shape
     masks = MaskSet(grid=grid, lower=np.zeros((2, nu, nv)),
-                    upper=np.full((2, nu, nv), np.inf), reference=pmax,
-                    beam_uv=(0.0, 0.0), null_uv=(0.0, 0.0),
+                    upper=np.full((2, nu, nv), np.inf),
                     anchor_uv=np.array([[0.0, 0.0]]),
                     anchor_lower=np.array([[0.95 * pmax], [0.0]]),
-                    anchor_upper=np.array([[np.inf], [np.inf]]))
+                    anchor_upper=np.array([[np.inf], [np.inf]]),
+                    beam_ref=beam_reference(geom, inc, 0.0, states.scalar_pair()))
     ev = CostEvaluator(geom, states, inc, masks, 1e-6)
     res = pso_optimize(ev, ControlMode.FULL,
                        PsoConfig(swarm_size=12, iterations=60, seed=3,
