@@ -46,7 +46,6 @@ from .modulation import (
     PulseSchedule,
     ReflectionStates,
     check_delta_applicable,
-    complement_fourier_coefficients,
     harmonic_scalar_coefficients,
     harmonic_tensors,
     mirror_rise,
@@ -97,7 +96,6 @@ __all__ = [
     "cell_factor",
     "check_delta_applicable",
     "codebook_digest",
-    "complement_fourier_coefficients",
     "default_config",
     "derive_seed",
     "design_for_angle",

@@ -112,10 +112,11 @@ def cmd_evaluate(args) -> int:
 def _cmd_sweep(args, vary: str) -> int:
     t0 = time.perf_counter()
     cfg = _load(args)
+    angles = cfg.user_angles_deg if vary == "user" else cfg.sweep_angles_deg
     scenario = cfg.scenario()
     out = _outdir(args)
     repeats = args.repeats if args.repeats is not None else cfg.repeats
-    samples = matched_sweep(scenario, vary, cfg.sweep_angles_deg, master_seed=cfg.seed,
+    samples = matched_sweep(scenario, vary, angles, master_seed=cfg.seed,
                             repeats=repeats, jobs=args.jobs, noise_power=cfg.noise_power)
     write_sweep_csv(out / "sweep.csv", samples, vary)
     best = max(samples, key=lambda s: s.xi)

@@ -48,6 +48,10 @@ _HEADER = struct.Struct("<8sHHHHIQdd32s")
 _RECORD_HEAD = struct.Struct("<iId")
 # candidate angles lie in [0, 90) degrees and round to millidegrees
 _MAX_ANGLE_MDEG = 90_000
+# largest values of the header's u16, u32 and u64 fields
+_U16_MAX = 2**16 - 1
+_U32_MAX = 2**32 - 1
+_U64_MAX = 2**64 - 1
 
 
 class CodebookError(ValueError):
@@ -129,9 +133,19 @@ def entry_from_schedule(angle_deg: float, phi: float, schedule: PulseSchedule,
                          rise=rise, duty=duty)
 
 
-def _check_values(period_s: float, f0_hz: float, entries) -> None:
-    """Value checks shared by the reader and the writer; every comparison is
-    written so that NaN fails it."""
+def _check_values(rows: int, cols: int, seed: int, period_s: float, f0_hz: float,
+                  entries) -> None:
+    """Value checks shared by the reader and the writer: everything the
+    header's fields must hold, then every record; each comparison is written
+    so that NaN fails it."""
+    if rows < 1 or cols < 1:
+        raise CodebookError("header declares an empty surface")
+    if rows > _U16_MAX or cols > _U16_MAX:
+        raise CodebookError(f"surface of {rows} x {cols} cells exceeds {_U16_MAX} rows or cols")
+    if len(entries) > _U32_MAX:
+        raise CodebookError(f"{len(entries)} records exceed the limit of {_U32_MAX}")
+    if not (0 <= seed <= _U64_MAX):
+        raise CodebookError(f"seed {seed} lies outside 0..2**64-1")
     if not (0.0 < period_s < np.inf and 0.0 < f0_hz < np.inf):
         raise CodebookError("header holds an invalid period or carrier frequency")
     for e in entries:
@@ -152,8 +166,6 @@ def write_codebook(path, book: Codebook) -> None:
         raise ValueError("digest must be 32 bytes")
     if book.mode not in _MODE_CODES:
         raise ValueError(f"unknown control mode {book.mode!r}")
-    if book.rows < 1 or book.cols < 1:
-        raise ValueError("empty surface")
     n_pairs = pairs_per_record(book.mode, book.rows, book.cols)
     entries = sorted(book.entries, key=lambda e: e.angle_mdeg)
     for a, b in zip(entries, entries[1:]):
@@ -162,7 +174,7 @@ def write_codebook(path, book: Codebook) -> None:
     for e in entries:
         if e.rise.shape != (n_pairs,) or e.duty.shape != (n_pairs,):
             raise ValueError("entry size does not match the header geometry")
-    _check_values(book.period_s, book.f0_hz, entries)
+    _check_values(book.rows, book.cols, book.seed, book.period_s, book.f0_hz, entries)
     blob = bytearray()
     blob += _HEADER.pack(MAGIC, FORMAT_VERSION, _MODE_CODES[book.mode],
                          book.rows, book.cols, len(entries), book.seed,
@@ -189,6 +201,8 @@ def read_codebook(path, expected_digest: Optional[bytes] = None) -> Codebook:
     if mode_code not in _CODE_MODES:
         raise CodebookError(f"unknown control-mode code {mode_code}")
     mode = _CODE_MODES[mode_code]
+    # the record size depends on the surface, so this one check cannot wait
+    # for _check_values
     if rows < 1 or cols < 1:
         raise CodebookError("header declares an empty surface")
     if expected_digest is not None and digest != expected_digest:
@@ -216,6 +230,6 @@ def read_codebook(path, expected_digest: Optional[bytes] = None) -> Codebook:
         rise.setflags(write=False)
         duty.setflags(write=False)
         entries.append(CodebookEntry(angle_mdeg=angle_mdeg, phi=phi, rise=rise, duty=duty))
-    _check_values(period_s, f0_hz, entries)
+    _check_values(rows, cols, seed, period_s, f0_hz, entries)
     return Codebook(mode=mode, rows=rows, cols=cols, seed=seed, period_s=period_s,
                     f0_hz=f0_hz, digest=digest, entries=tuple(entries))

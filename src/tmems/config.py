@@ -53,12 +53,14 @@ def _float_field(minimum=None, exclusive=False, maximum=None, max_exclusive=Fals
     return parse
 
 
-def _int_field(minimum=None):
+def _int_field(minimum=None, maximum=None):
     def parse(value, path):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"'{path}' must be an integer")
         if minimum is not None and value < minimum:
             raise ConfigError(f"'{path}' must be >= {minimum}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"'{path}' must be <= {maximum}")
         return value
     return parse
 
@@ -87,6 +89,10 @@ def _angle_list_field(minimum, maximum, closed_min=False):
             out.append(v)
         return out
     return parse
+
+
+# angles used as an assumed incidence angle
+_incidence_angles = _angle_list_field(0.0, 90.0, closed_min=True)
 
 
 def _gamma_field(value, path):
@@ -169,7 +175,8 @@ _SCHEMA = {
         "inertia": _float_field(minimum=0.0),
         "cognitive": _float_field(minimum=0.0),
         "social": _float_field(minimum=0.0),
-        "seed": _int_field(minimum=0),
+        # the codebook header stores the seed as a u64
+        "seed": _int_field(minimum=0, maximum=2**64 - 1),
         "stagnation_window": _int_field(minimum=0),
         "stagnation_rtol": _float_field(minimum=0.0),
         "velocity_clamp": _float_field(minimum=0.0, exclusive=True),
@@ -182,8 +189,7 @@ _SCHEMA = {
         "angles_deg": _angle_list_field(-90.0, 90.0),
     },
     "localization": {
-        # every candidate is an assumed incidence angle
-        "candidates_deg": _angle_list_field(0.0, 90.0, closed_min=True),
+        "candidates_deg": _incidence_angles,
         "repeats": _int_field(minimum=1),
     },
 }
@@ -288,6 +294,12 @@ class RunConfig:
         return list(self.resolved["sweep"]["angles_deg"])
 
     @property
+    def user_angles_deg(self) -> list:
+        """sweep.angles_deg read as incidence angles, as sweep-user uses
+        them; sweep-bs takes the signed range the schema allows."""
+        return _incidence_angles(self.sweep_angles_deg, "sweep.angles_deg")
+
+    @property
     def candidates_deg(self) -> list:
         return list(self.resolved["localization"]["candidates_deg"])
 
@@ -343,8 +355,6 @@ def apply_overrides(cfg: RunConfig, seed: Optional[int] = None,
     """Command-line overrides, reflected in the resolved mapping."""
     raw = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.resolved.items()}
     if seed is not None:
-        if seed < 0:
-            raise ConfigError("'synthesis.seed' must be >= 0")
         raw["synthesis"]["seed"] = int(seed)
     if eval_grid_n is not None:
         if eval_grid_n < 2:

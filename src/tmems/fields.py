@@ -26,8 +26,6 @@ import numpy as np
 from .geometry import EmsGeometry
 from .modulation import PulseSchedule, ReflectionStates
 
-FREE_SPACE_IMPEDANCE = 376.730313668
-
 # Ratio floor in squared-field units: keeps the monopulse ratio finite when a
 # schedule radiates no first harmonic at all.
 XI_FLOOR = 1e-30

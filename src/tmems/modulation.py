@@ -75,13 +75,6 @@ def pulse_fourier_coefficients(rise, duty, h: int):
     return u[()] if u.ndim == 0 else u
 
 
-def complement_fourier_coefficients(u_h, h: int):
-    """Coefficient of the complementary (off) indicator: delta_{h0} - u^h."""
-    u_h = np.asarray(u_h)
-    out = (1.0 if h == 0 else 0.0) - u_h
-    return out[()] if out.ndim == 0 else out
-
-
 @dataclass(frozen=True, eq=False)
 class ReflectionStates:
     """On/off reflection tensors in the (TE, TM) basis, each 2x2 complex.
@@ -158,9 +151,13 @@ class PulseSchedule:
 
 
 def harmonic_tensors(states: ReflectionStates, schedule: PulseSchedule, h: int) -> np.ndarray:
-    """Per-cell harmonic reflection tensors, shape (rows, cols, 2, 2)."""
+    """Per-cell harmonic reflection tensors, shape (rows, cols, 2, 2).
+
+    The off state holds for the complementary indicator, whose coefficient
+    is delta_{h0} - u^h.
+    """
     u = schedule.fourier_coefficients(h)
-    uc = np.asarray(complement_fourier_coefficients(u, h))
+    uc = (1.0 if h == 0 else 0.0) - u
     return (
         u[..., None, None] * states.gamma_on[None, None, :, :]
         + uc[..., None, None] * states.gamma_off[None, None, :, :]
@@ -175,7 +172,7 @@ def harmonic_scalar_coefficients(rise, duty, h: int, gamma_on: complex, gamma_of
     input broadcast shape. For the ideal +/-I pair it is 2*u^h - delta_{h0}.
     """
     u = np.asarray(pulse_fourier_coefficients(rise, duty, h))
-    return gamma_on * u + gamma_off * np.asarray(complement_fourier_coefficients(u, h))
+    return gamma_on * u + gamma_off * ((1.0 if h == 0 else 0.0) - u)
 
 
 def mirror_rise(rise):

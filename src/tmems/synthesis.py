@@ -19,6 +19,7 @@ from .fields import (
     PlaneWaveIncidence,
     incident_phase_factors,
     state_sources,
+    steering_factors,
     steering_rows,
 )
 from .geometry import EmsGeometry
@@ -63,12 +64,29 @@ class CostEvaluator:
     weight, plus the same terms at the masks' exact-direction anchors. Phi is
     0 exactly when every bound is met.
 
-    The cost runs on the whole nu x nv grid with no gather: invisible nodes
-    carry weight 0, an upper bound of +inf and no lower bound, so they add
-    exactly 0. The bounds and weights are never mutated after construction.
-    Thread safety comes from per-thread workspaces: phi_batch writes only
-    into buffers private to the calling thread (one set per thread, rebuilt
-    when the batch size changes), so one instance may be shared across
+    phi_batch takes one of two routes to the same Phi:
+
+    * The grid route radiates every schedule onto the whole nu x nv grid
+      with no gather: invisible nodes carry weight 0, an upper bound of +inf
+      and no lower bound, so they add exactly 0.
+    * The column route serves schedules whose every row has one pulse (all
+      columns equal, as the column-wise modes decode), on masks that give
+      every u-row of the grid one upper bound over its visible v, for both
+      harmonics (build_masks with full_v and no null notch). The drive then
+      factorises as g = g_x (x) g_y, so P_h(u, v) = A_h(u) B(v) and the
+      violations of a u-row are a sum over the v whose B exceeds U_h(u) /
+      A_h(u): one binary search in B, sorted once, and two tabulated suffix
+      sums. It agrees with the grid route to rounding.
+
+    phi_batch picks the column route when the masks allow it (checked here,
+    not assumed) and the batch is column-constant; lower bounds and anchors
+    are scored by the same code on either route.
+
+    The bounds, weights and tables are never mutated after construction.
+    Thread safety comes from per-thread workspaces: the grid route writes
+    only into buffers private to the calling thread (one set per thread,
+    rebuilt when the batch size changes), and the column route allocates
+    only small per-call arrays, so one instance may be shared across
     threads, and once warm a call allocates little more than its schedules'
     Fourier coefficients.
     """
@@ -106,10 +124,11 @@ class CostEvaluator:
         self._d_norm = float(np.linalg.norm(d))
         e = d / self._d_norm if self._d_norm > 0.0 else np.array([1.0 + 0j, 0j])
         self._beta = complex(np.vdot(e, b))
+        beta_perp2 = abs(e[0] * b[1] - e[1] * b[0]) ** 2
         self._drive = incident_phase_factors(incidence, geometry) * incidence.amplitude_v_m
         s0 = np.concatenate([self.engine._apply_steering(self._drive[:, None]).ravel(),
                              self._anchor_rows @ self._drive])
-        self._carrier_floor = abs(e[0] * b[1] - e[1] * b[0]) ** 2 * (s0.real**2 + s0.imag**2)
+        self._carrier_floor = beta_perp2 * (s0.real**2 + s0.imag**2)
         n = vis.size
         lower = np.concatenate([np.where(vis, masks.lower.reshape(2, n), 0.0),
                                 masks.anchor_lower], axis=1)
@@ -120,6 +139,8 @@ class CostEvaluator:
         lower[0] -= self._carrier_floor
         self._upper[0] -= self._carrier_floor
         self._floors = [(idx, lower[h][idx], self._weights[idx]) for h, idx in enumerate(active)]
+        ceiling = _row_ceilings(masks)
+        self._columns = None if ceiling is None else _ColumnTables(self, ceiling, beta_perp2)
 
     def _workspace(self, batch: int) -> _Workspace:
         ws = getattr(self._local, "ws", None)
@@ -143,15 +164,28 @@ class CostEvaluator:
         np.add(fa.real**2, fa.imag**2, out=ws.anchor_power)
         return ws.power
 
+    def _floor_cost(self, h: int, p: np.ndarray) -> np.ndarray:
+        """Weighted shortfall below the lower bounds of harmonic h, given the
+        powers (n_floors, batch) at its floor points self._floors[h]."""
+        _, floor, w = self._floors[h]
+        return w @ ramp(floor[:, None] - p)
+
     def phi_batch(self, rises: np.ndarray, duties: np.ndarray) -> np.ndarray:
         """Costs of a stack of schedules given as (batch, rows, cols) arrays."""
+        if (self._columns is not None and np.all(rises == rises[..., :1])
+                and np.all(duties == duties[..., :1])):
+            return self._columns.phi(self, rises[..., 0], duties[..., 0])
+        return self._phi_grid(rises, duties)
+
+    def _phi_grid(self, rises: np.ndarray, duties: np.ndarray) -> np.ndarray:
+        """The grid route of phi_batch, valid for any schedules."""
         ws = self._workspace(rises.shape[0])
         total = np.zeros(rises.shape[0])
         for h in (0, 1):
             p = self._powers(rises, duties, h, ws)
-            idx, floor, w = self._floors[h]
+            idx = self._floors[h][0]
             if idx.size:
-                total += w @ ramp(floor[:, None] - p[idx])
+                total += self._floor_cost(h, p[idx])
             p -= self._upper[h][:, None]
             total += self._weights @ np.maximum(p, 0.0, out=p)
         return total
@@ -161,6 +195,103 @@ class CostEvaluator:
         if schedule.shape != (self.geometry.rows, self.geometry.cols):
             raise ValueError("schedule shape does not match the geometry")
         return float(self.phi_batch(schedule.rise[None], schedule.duty[None])[0])
+
+
+def _row_ceilings(masks: MaskSet) -> Optional[np.ndarray]:
+    """(2, nu) upper bound of every u-row of the grid, or None when some
+    u-row has more than one upper bound over its visible v (a null notch
+    box, say). Rows without a visible node read the bound at v[0]."""
+    vis = masks.grid.visible
+    ceiling = masks.upper[:, np.arange(vis.shape[0]), np.argmax(vis, axis=1)]
+    if np.any(vis & (masks.upper != ceiling[:, :, None])):
+        return None
+    return ceiling
+
+
+class _ColumnTables:
+    """Tables of CostEvaluator's column route (see its docstring).
+
+    With every row of cells on one pulse, harmonic h radiates
+    (A_u (c_h * g_x))(u) * (A_v g_y)(v), c_h the per-row source coefficient
+    and g = g_x (x) g_y the drive, so its power is a(u) B(v). rows_g holds
+    A_u g_x for the grid's u, then for the anchors' u; b_anchor holds B at
+    the anchors' v. The grid's violations of a u-row at h are
+    A * (w B summed over {B > U / A}) - U * (w summed over that set), with
+    A = a, plus the beta_perp carrier term at h = 0, and U the row's one
+    upper bound: b_sorted is the grid's B ascending, and sum_wb[h] and
+    sum_w[h] hold per-u suffix sums over that order, flattened, and 0 on
+    rows without a visible node or a finite bound.
+    """
+
+    def __init__(self, ev: "CostEvaluator", ceiling: np.ndarray, beta_perp2: float):
+        grid, geometry, incidence = ev.grid, ev.geometry, ev.incidence
+        nu, nv = grid.shape
+        self.nu = nu
+        active = grid.visible.any(axis=1) & np.isfinite(ceiling)
+        self.ceiling = np.where(active, ceiling, 0.0)[:, :, None]
+        k0 = geometry.k0
+        g_x = np.exp(1j * k0 * incidence.u * geometry.row_x_m) * incidence.amplitude_v_m
+        g_y = np.exp(1j * k0 * incidence.v * geometry.col_y_m)
+        anchors = ev.masks.anchor_uv
+        a_u, a_v = steering_factors(geometry, anchors[:, 0], anchors[:, 1])
+        self.rows_g = np.concatenate([ev.engine._a_u, a_u]) * g_x
+        s = ev.engine._a_v @ g_y
+        b_grid = s.real**2 + s.imag**2
+        s = a_v @ g_y
+        self.b_anchor = (s.real**2 + s.imag**2)[:, None]
+        f = ev.engine._a_u @ g_x
+        self.carrier = beta_perp2 * (f.real**2 + f.imag**2)[:, None]
+        order = np.argsort(b_grid, kind="stable")
+        self.b_sorted = b_grid[order]
+        w = ev._weights[:nu * nv].reshape(nu, nv)[:, order] * active[:, :, None]
+
+        def suffix_sums(x):
+            out = np.zeros((2, nu, nv + 1))
+            out[:, :, :nv] = np.cumsum(x[:, :, ::-1], axis=2)[:, :, ::-1]
+            return out.reshape(2, -1)
+
+        self.sum_w = suffix_sums(w)
+        self.sum_wb = suffix_sums(w * self.b_sorted)
+        self.row_start = np.arange(nu)[:, None] * (nv + 1)
+        # the floor points' powers are a[row] * factor
+        self.floor_rows, self.floor_factors = [], []
+        for idx, _, _ in ev._floors:
+            node = idx < nu * nv
+            anchor = np.where(node, 0, idx - nu * nv)
+            self.floor_rows.append(np.where(node, idx // nv, nu + anchor))
+            factor = np.where(node, b_grid[idx % nv], self.b_anchor[anchor, 0])
+            self.floor_factors.append(factor[:, None])
+        self.anchor_upper = ev._upper[:, nu * nv:, None]
+        self.anchor_weights = ev._weights[nu * nv:]
+
+    def phi(self, ev: "CostEvaluator", rises: np.ndarray, duties: np.ndarray) -> np.ndarray:
+        """Costs of per-row pulses given as (batch, rows) arrays."""
+        nu = self.nu
+        total = np.zeros(rises.shape[0])
+        for h in (0, 1):
+            coef = pulse_fourier_coefficients(rises, duties, h).T * ev._d_norm
+            if h == 0:
+                coef += ev._beta
+            f = self.rows_g @ coef
+            a = f.real**2 + f.imag**2
+            rows = self.floor_rows[h]
+            if rows.size:
+                total += ev._floor_cost(h, a[rows] * self.floor_factors[h])
+            p = a[nu:] * self.b_anchor
+            p -= self.anchor_upper[h]
+            total += self.anchor_weights @ np.maximum(p, 0.0, out=p)
+            amp = a[:nu]
+            if h == 0:
+                amp += self.carrier
+            ceiling = self.ceiling[h]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k = np.searchsorted(self.b_sorted, ceiling / amp, side="right")
+            k += self.row_start
+            over = amp * self.sum_wb[h].take(k)
+            over -= ceiling * self.sum_w[h].take(k)
+            # a row's exact sum is >= 0; clip the rounding below it
+            total += np.maximum(over, 0.0, out=over).sum(axis=0)
+        return total
 
 
 @dataclass(frozen=True)

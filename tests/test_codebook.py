@@ -10,6 +10,7 @@ from tmems.codebook import (
     Codebook,
     CodebookEntry,
     CodebookError,
+    _check_values,
     entry_from_schedule,
     pairs_per_record,
     read_codebook,
@@ -173,6 +174,23 @@ def test_write_rejects_inconsistent_books(tmp_path, rng):
     refused("invalid cost", entry={"phi": -1.0})
     refused("lies outside", entry={"angle_mdeg": -5000})
     refused("lies outside", entry={"angle_mdeg": 90001})
+    # header fields the format cannot hold: a CodebookError, not struct.error
+    for changes in ({"rows": 70000, "entries": ()}, {"cols": 2**16, "entries": ()}):
+        with pytest.raises(CodebookError, match="exceeds 65535 rows or cols"):
+            write_codebook(path, Codebook(**{**book.__dict__, **changes}))
+    for seed in (2**64, -1):
+        with pytest.raises(CodebookError, match=f"seed {seed} lies outside 0..2\\*\\*64-1"):
+            write_codebook(path, Codebook(**{**book.__dict__, "seed": seed}))
+    assert not path.exists()
+
+    class Huge(tuple):
+        def __len__(self):
+            return 2**32
+
+    with pytest.raises(CodebookError, match="records exceed the limit of 4294967295"):
+        _check_values(4, 3, 0, 1e-6, 5.5e9, Huge())
+    write_codebook(path, Codebook(**{**book.__dict__, "seed": 2**64 - 1}))
+    assert read_codebook(path).seed == 2**64 - 1
 
 
 def test_pairs_per_record():

@@ -75,6 +75,8 @@ def test_errors_name_the_dotted_key():
         parse_config({"reflection": {"theta_deg": -90}})
     with pytest.raises(ConfigError, match=r"'modulation.mode' must be one of"):
         parse_config({"modulation": {"mode": "diag"}})
+    with pytest.raises(ConfigError, match=r"'synthesis.seed' must be <= 18446744073709551615"):
+        parse_config({"synthesis": {"seed": 2**64}})
     with pytest.raises(ConfigError, match=r"'synthesis.inertia' must be finite"):
         parse_config({"synthesis": {"inertia": float("nan")}})
     with pytest.raises(ConfigError, match=r"'masks.ripple_db' must be >= 0"):
@@ -92,6 +94,10 @@ def test_angle_list_validation():
         parse_config({"localization": {"candidates_deg": [True]}})
     cfg = parse_config({"sweep": {"angles_deg": [-10, 0, 10]}})
     assert cfg.sweep_angles_deg == [-10.0, 0.0, 10.0]
+    # sweep-user reads the same list as incidence angles in [0, 90)
+    with pytest.raises(ConfigError, match=r"'sweep.angles_deg\[0\]' must lie in \[0.0, 90.0\)"):
+        cfg.user_angles_deg
+    assert parse_config({"sweep": {"angles_deg": [0, 89.5]}}).user_angles_deg == [0.0, 89.5]
     # every candidate becomes an assumed incidence angle in [0, 90)
     for bad, i in (([-10.0, 10.0], 0), ([10.0, 90.0], 1), ([0.0, -0.001], 1)):
         with pytest.raises(ConfigError,
@@ -157,8 +163,12 @@ def test_apply_overrides():
     assert cfg.seed == 1 and cfg.mode is ControlMode.DELTA
     assert out.resolved["surface"] == cfg.resolved["surface"]
     assert apply_overrides(cfg).resolved == cfg.resolved
-    with pytest.raises(ConfigError, match="'synthesis.seed'"):
+    with pytest.raises(ConfigError, match="'synthesis.seed' must be >= 0"):
         apply_overrides(cfg, seed=-1)
+    # the codebook header stores the seed as a u64
+    with pytest.raises(ConfigError, match="'synthesis.seed' must be <= 18446744073709551615"):
+        apply_overrides(cfg, seed=2**64)
+    assert apply_overrides(cfg, seed=2**64 - 1).seed == 2**64 - 1
     with pytest.raises(ConfigError, match="'evaluation.grid_n'"):
         apply_overrides(cfg, eval_grid_n=1)
     with pytest.raises(ConfigError, match="'modulation.mode'"):

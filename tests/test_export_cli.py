@@ -318,6 +318,18 @@ def test_cli_sweeps(tmp_path, cli_config, capsys):
     assert capsys.readouterr().out.count("best at") == 2
 
 
+def test_cli_sweep_user_rejects_negative_angles(tmp_path, cli_config, capsys):
+    # sweep-bs takes signed reflection angles; sweep-user reads the same list
+    # as incidence angles and refuses a negative one before any work
+    path = tmp_path / "signed.yaml"
+    path.write_text(CLI_CONFIG.replace("angles_deg: [0, 20]", "angles_deg: [20, -10]"))
+    out = tmp_path / "sweep_user"
+    assert main(["sweep-user", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'sweep.angles_deg[1]' must lie in [0.0, 90.0)")
+    assert not out.exists()
+
+
 def test_cli_localize_and_export(tmp_path, cli_config):
     cold, warm1, warm2, packed = (tmp_path / n for n in ("lc", "lw1", "lw2", "ex"))
     book = tmp_path / "designs.tmcb"
@@ -357,6 +369,9 @@ def test_cli_error_paths(tmp_path, cli_config, capsys, rng):
     assert main(["sweep-bs", "--config", cli_config, "--out", str(tmp_path / "x"),
                  "--repeats", "0"]) == 2
     assert "--repeats" in capsys.readouterr().err
+    assert main(["synthesize", "--config", cli_config, "--out", str(tmp_path / "x"),
+                 "--seed", str(2**64)]) == 2
+    assert "'synthesis.seed' must be <= 18446744073709551615" in capsys.readouterr().err
     # schedule shape contradicts the configured surface
     sched_path = tmp_path / "wrong.csv"
     write_schedule_csv(sched_path, random_schedule(rng, 4, 4))

@@ -11,7 +11,6 @@ from tmems.modulation import (
     PulseSchedule,
     ReflectionStates,
     check_delta_applicable,
-    complement_fourier_coefficients,
     harmonic_scalar_coefficients,
     harmonic_tensors,
     mirror_rise,
@@ -60,11 +59,18 @@ def test_half_period_shift_negates_first_harmonic(rng):
 
 
 def test_complement_coefficients():
-    assert complement_fourier_coefficients(0.5, 0) == 0.5
-    assert complement_fourier_coefficients(-1j / np.pi, 1) == 1j / np.pi
-    assert complement_fourier_coefficients(1.0, 0) == 0.0
-    arr = complement_fourier_coefficients(np.array([0.25, 0.5]), 0)
-    assert np.array_equal(arr, [0.75, 0.5])
+    # with the on state 0 and the off state I, the tensor is the off
+    # indicator's coefficient delta_h0 - u^h times I
+    states = ReflectionStates(gamma_on=np.zeros((2, 2)), gamma_off=np.eye(2))
+    assert one_cell_tensor(states, 0.0, 0.5, 0)[0, 0] == 0.5
+    assert one_cell_tensor(states, 0.0, 1.0, 0)[0, 0] == 0.0
+    # u^1 of a half-period pulse at rise 0 is -j/pi
+    assert abs(one_cell_tensor(states, 0.0, 0.5, 1)[0, 0] - 1j / np.pi) < 1e-16
+    sched = PulseSchedule(period_s=1e-6, rise=np.zeros((1, 2)), duty=np.array([[0.25, 0.5]]))
+    assert np.array_equal(harmonic_tensors(states, sched, 0)[0, :, 0, 0], [0.75, 0.5])
+    u = sched.fourier_coefficients(1)
+    assert np.array_equal(harmonic_tensors(states, sched, 1)[..., 0, 0], -u)
+    assert np.all(harmonic_tensors(states, sched, 1)[..., 0, 1] == 0.0)
 
 
 def test_parseval(rng):
@@ -138,7 +144,7 @@ def test_harmonic_tensor_general_states(rng):
     for h in (0, 1, 3):
         u = sched.fourier_coefficients(h)
         want = (u[..., None, None] * states.gamma_on
-                + np.asarray(complement_fourier_coefficients(u, h))[..., None, None] * states.gamma_off)
+                + ((1.0 if h == 0 else 0.0) - u)[..., None, None] * states.gamma_off)
         assert np.allclose(harmonic_tensors(states, sched, h), want, atol=1e-15)
 
 

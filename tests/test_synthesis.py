@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tmems.config import load_config
+from tmems.config import load_config, parse_config
 from tmems.fields import DirectionGrid, PlaneWaveIncidence, harmonic_far_field
 from tmems.geometry import EmsGeometry
 from tmems.masks import MaskParams, MaskSet, beam_reference, build_masks
@@ -106,47 +106,112 @@ def beam_pair_evaluator():
     return ev
 
 
+def columnwise_evaluator():
+    """The localization scenario's evaluator: 10x10 colwise-delta on the
+    64-grid, whose column-wise masks enable the column route."""
+    cfg = parse_config({"modulation": {"mode": "colwise-delta"},
+                        "incidence": {"theta_deg": 40.0}})
+    ev = cfg.scenario().evaluator()
+    assert ev._columns is not None
+    return ev
+
+
+def column_constant(rng, shape):
+    """Random (rises, duties) of the given (batch, rows, cols) with every
+    row on one pulse."""
+    batch, rows, cols = shape
+    return np.repeat(rng.random((2, batch, rows, 1)), cols, axis=3)
+
+
 def test_warm_phi_batch_allocates_little():
-    ev = beam_pair_evaluator()
-    rises, duties = np.random.default_rng(0).random((2, 20, 10, 10))
-    want = ev.phi_batch(rises, duties)  # warm-up builds this thread's buffers
-    tracemalloc.start()
-    try:
-        got = ev.phi_batch(rises, duties)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one (64 x 64 x 20) complex temporary alone would be 1.3 MB
-    assert peak < 256 * 1024
-    assert np.array_equal(got, want)
+    rng = np.random.default_rng(0)
+    for ev, (rises, duties) in ((beam_pair_evaluator(), rng.random((2, 20, 10, 10))),
+                                (columnwise_evaluator(), column_constant(rng, (20, 10, 10)))):
+        want = ev.phi_batch(rises, duties)  # warm-up builds this thread's buffers
+        tracemalloc.start()
+        try:
+            got = ev.phi_batch(rises, duties)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (64 x 64 x 20) complex temporary alone would be 1.3 MB
+        assert peak < 256 * 1024
+        assert np.array_equal(got, want)
 
 
 def test_shared_evaluator_is_thread_safe():
-    ev = beam_pair_evaluator()
     rng = np.random.default_rng(1)
     # more threads than cores, each switching batch sizes: at times two score
     # the same size at once, at times sizes that need different buffers
     sizes = [(20, 7, 20, 1), (7, 20, 1, 20), (1, 20, 7, 7)]
-    jobs = [[rng.random((2, n, 10, 10)) for n in row] for row in sizes]
-    want = [[ev.phi_batch(r, d) for r, d in job] for job in jobs]
-    barrier = threading.Barrier(len(jobs), timeout=60)
+    for ev, draw in ((beam_pair_evaluator(), lambda n: rng.random((2, n, 10, 10))),
+                     (columnwise_evaluator(), lambda n: column_constant(rng, (n, 10, 10)))):
+        jobs = [[draw(n) for n in row] for row in sizes]
+        want = [[ev.phi_batch(r, d) for r, d in job] for job in jobs]
+        barrier = threading.Barrier(len(jobs), timeout=60)
 
-    def run(job):
-        barrier.wait()
-        return [[ev.phi_batch(r, d) for r, d in job] for _ in range(6)]
+        def run(job):
+            barrier.wait()
+            return [[ev.phi_batch(r, d) for r, d in job] for _ in range(6)]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            futures = [pool.submit(run, job) for job in jobs]
-            got = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for rounds, expected in zip(got, want):
-        for costs in rounds:
-            for c, w in zip(costs, expected):
-                assert np.array_equal(c, w)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(run, job) for job in jobs]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for rounds, expected in zip(got, want):
+            for costs in rounds:
+                for c, w in zip(costs, expected):
+                    assert np.array_equal(c, w)
+
+
+TENSOR_STATES = ReflectionStates(
+    gamma_on=np.array([[0.7 + 0.1j, 0.05j], [0.02, -0.6 + 0.2j]]),
+    gamma_off=np.array([[-0.8, 0.0], [0.1j, 0.75]]))
+
+
+@pytest.mark.parametrize("mode", [ControlMode.COLWISE, ControlMode.COLWISE_DELTA])
+def test_column_route_matches_grid_route(fast_scenario, mode):
+    rng = np.random.default_rng(5)
+    cases = [dict(theta_inc_deg=t) for t in (0.0, 20.0, 40.0)]
+    cases.append(dict(theta_inc_deg=30.0, phi_inc_deg=25.0, amplitude_v_m=3.5,
+                      jones=(0.6 + 0.0j, 0.8j)))
+    for i, case in enumerate(cases):
+        # a non-square skin: swapped row and column factors cannot cancel out
+        sc = fast_scenario(mode=mode, rows=6, cols=4, **case)
+        if i == len(cases) - 1:
+            sc = replace(sc, states=TENSOR_STATES)
+        ev = sc.evaluator()
+        assert ev._columns is not None
+        codec = ModeCodec(mode=mode, rows=6, cols=4)
+        for batch in (1, 7, 20):
+            rises, duties = codec.decode_batch(rng.random((batch, codec.dim)))
+            got = ev.phi_batch(rises, duties)
+            want = ev._phi_grid(rises, duties)
+            assert np.all(want > 0.0)
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+        # an all-off skin radiates no first harmonic: every A(u) is exactly 0
+        static = np.zeros((1, 6, 4)), np.zeros((1, 6, 4))
+        assert ev.phi_batch(*static) == pytest.approx(ev._phi_grid(*static), rel=1e-12)
+
+
+def test_column_route_falls_back_to_the_grid_route(fast_scenario):
+    rng = np.random.default_rng(6)
+    sc = fast_scenario(mode=ControlMode.COLWISE_DELTA, rows=6, cols=4)
+    rises, duties = rng.random((2, 5, 6, 4))
+    # a batch with one pulse per cell on a column-wise evaluator
+    ev = sc.evaluator()
+    assert ev._columns is not None
+    assert np.array_equal(ev.phi_batch(rises, duties), ev._phi_grid(rises, duties))
+    # a null notch gives some u-rows two ceilings, so no column tables exist
+    notched = replace(sc, mask=MaskParams(null_halfwidth_u=0.05, null_halfwidth_v=0.05))
+    ev = notched.evaluator()
+    assert ev._columns is None
+    rises, duties = column_constant(rng, (5, 6, 4))
+    assert np.array_equal(ev.phi_batch(rises, duties), ev._phi_grid(rises, duties))
 
 
 def sphere(x):
