@@ -292,20 +292,23 @@ class FieldEngine:
         return g[:, None] * src
 
     def _apply_steering(self, weights: np.ndarray, rows_out: Optional[np.ndarray] = None,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Radiate (n_cells, k) cell sources toward every grid node: (nu, nv, k).
+                        out: Optional[np.ndarray] = None, factors: Optional[tuple] = None) -> np.ndarray:
+        """Radiate (p * q, k) sources toward every grid node: (nu, nv, k).
 
-        Per column F = A_u W A_v^T: one small matmul per row of cells, then
-        one matmul over the rows. Invisible nodes are computed like the rest
-        and left for the caller to mask. rows_out (rows, nv, k) and out
-        (nu, nv * k), complex and C-contiguous, receive the two products when
-        given, so a caller that keeps them allocates nothing here.
+        Per column F = A_u W A_v^T, W the (p, q) sources: one small matmul
+        per row of W, then one matmul over the rows. factors (A_u (nu, p),
+        A_v (nv, q)) default to the engine's, with p, q the rows and columns
+        of cells; a caller may pass factors with more folded in. Invisible
+        nodes are computed like the rest and left for the caller to mask.
+        rows_out (p, nv, k) and out (nu, nv * k), complex and C-contiguous,
+        receive the two products when given, so a caller that keeps them
+        allocates nothing here.
         """
-        rows, cols = self.geometry.rows, self.geometry.cols
-        k = weights.shape[1]
-        t = np.matmul(self._a_v, weights.reshape(rows, cols, k), out=rows_out)
-        f = np.matmul(self._a_u, t.reshape(rows, -1), out=out)
-        return f.reshape(self._a_u.shape[0], -1, k)
+        a_u, a_v = (self._a_u, self._a_v) if factors is None else factors
+        p, k = a_u.shape[1], weights.shape[1]
+        t = np.matmul(a_v, weights.reshape(p, a_v.shape[1], k), out=rows_out)
+        f = np.matmul(a_u, t.reshape(p, -1), out=out)
+        return f.reshape(a_u.shape[0], -1, k)
 
     def pattern(self, schedule: PulseSchedule, states: ReflectionStates,
                 incidence: PlaneWaveIncidence, h: int) -> HarmonicPattern:

@@ -53,10 +53,11 @@ def pulse_fourier_coefficients(rise, duty, h: int):
     Returns:
         Complex coefficient(s) u^h, same shape as the broadcast inputs.
         u^0 equals the duty; for h != 0,
-        u^h = (e^{-j2*pi*h*(c+tau)} - e^{-j2*pi*h*c}) / (-j*2*pi*h).
+        u^h = (e^{-j2*pi*h*(c+tau)} - e^{-j2*pi*h*c}) / (-j*2*pi*h)
+            = e^{-j*pi*h*(2c+tau)} * sin(pi*h*tau) / (pi*h),
+        evaluated in the second form: one exponential and one sine.
         Duty 0 or 1 short-circuits to an exact 0 for h != 0: a permanently
-        on/off cell has no sidebands and the generic expression would leave
-        transcendental rounding residue.
+        on/off cell has no sidebands, and sin(pi*h) leaves rounding residue.
     """
     rise = np.asarray(rise, dtype=float)
     duty = np.asarray(duty, dtype=float)
@@ -68,10 +69,10 @@ def pulse_fourier_coefficients(rise, duty, h: int):
     if h == 0:
         out = duty.astype(complex)
         return out[()] if out.ndim == 0 else out
-    static = (duty == 0.0) | (duty == 1.0)
-    w = -2j * np.pi * h
-    u = (np.exp(w * (rise + duty)) - np.exp(w * rise)) / w
-    u = np.where(static, 0.0 + 0.0j, u)
+    x = np.pi * h
+    amp = np.where(duty == 1.0, 0.0, np.sin(x * duty) / x)
+    u = np.exp(-1j * x * (2.0 * rise + duty))
+    u *= amp
     return u[()] if u.ndim == 0 else u
 
 

@@ -17,10 +17,8 @@ import numpy as np
 from .fields import (
     FieldEngine,
     PlaneWaveIncidence,
-    incident_phase_factors,
     state_sources,
     steering_factors,
-    steering_rows,
 )
 from .geometry import EmsGeometry
 from .masks import MaskSet
@@ -56,6 +54,41 @@ class _Workspace:
         self.imag_power = np.empty((n, batch))
 
 
+class _Fold:
+    """Steering factors of one control mode with its two rules folded in.
+
+    The drive factorises as g = g_x (x) g_y, so with a full schedule's
+    coefficients U (rows, cols) harmonic h radiates A_u diag(g_x) U
+    diag(g_y) A_v^T. The mode writes U = R_h C T^T from its control block C
+    (p, q): R_h stacks the identity over (-1)^h times the flipped identity
+    when the mode is mirrored (a rise half a period later multiplies u^h by
+    (-1)^h) and is the identity otherwise; T is a column of ones when the
+    mode is column-wise and the identity otherwise. So the field is
+    L_h C R^T with L_h = A_u diag(g_x) R_h (n, p) and R = A_v diag(g_y) T
+    (n, q), and an anchor's row is the outer product of its rows of L_h and
+    R.
+
+    left[h] holds L_h for the grid's u, then the anchors' u; grid[h] is
+    (L_h, R) on the grid, and anchor_rows[h] (n_anchors, p * q) the anchors'
+    rows, cells of the block row-major.
+    """
+
+    def __init__(self, mode: ControlMode, rows_g: np.ndarray, cols_g: np.ndarray, nu: int, nv: int):
+        self.mode = mode
+        half = rows_g.shape[1] // 2
+        right = cols_g.sum(axis=1, keepdims=True) if mode.columnwise else cols_g
+        if mode.mirrored:
+            flipped = rows_g[:, ::-1][:, :half]
+            self.left = (rows_g[:, :half] + flipped, rows_g[:, :half] - flipped)
+        else:
+            self.left = (rows_g, rows_g)
+        self.shape = (self.left[0].shape[1], right.shape[1])
+        self.grid = tuple((left[:nu], right[:nv]) for left in self.left)
+        n_cells = self.shape[0] * self.shape[1]
+        self.anchor_rows = tuple(
+            (left[nu:, :, None] * right[nv:, None, :]).reshape(-1, n_cells) for left in self.left)
+
+
 class CostEvaluator:
     """Precomputed mask-violation cost Phi for one scenario on the masks' grid.
 
@@ -64,30 +97,32 @@ class CostEvaluator:
     weight, plus the same terms at the masks' exact-direction anchors. Phi is
     0 exactly when every bound is met.
 
-    phi_batch takes one of two routes to the same Phi:
+    phi_batch scores the control blocks of a mode (ModeCodec.control_shape):
+    the mode's two rules are folded into the separable steering factors
+    once, here, for every mode the geometry admits (see _Fold), so no call
+    decodes a schedule, and a mirrored mode radiates half the rows. The
+    mode chooses one of two routes to the same Phi:
 
-    * The grid route radiates every schedule onto the whole nu x nv grid
-      with no gather: invisible nodes carry weight 0, an upper bound of +inf
-      and no lower bound, so they add exactly 0.
-    * The column route serves schedules whose every row has one pulse (all
-      columns equal, as the column-wise modes decode), on masks that give
-      every u-row of the grid one upper bound over its visible v, for both
-      harmonics (build_masks with full_v and no null notch). The drive then
-      factorises as g = g_x (x) g_y, so P_h(u, v) = A_h(u) B(v) and the
-      violations of a u-row are a sum over the v whose B exceeds U_h(u) /
-      A_h(u): one binary search in B, sorted once, and two tabulated suffix
-      sums. It agrees with the grid route to rounding.
+    * The grid route radiates the block onto the whole nu x nv grid with no
+      gather: invisible nodes carry weight 0, an upper bound of +inf and no
+      lower bound, so they add exactly 0.
+    * The column route serves the column-wise modes, whose every row has
+      one pulse, on masks that give every u-row of the grid one upper bound
+      over its visible v, for both harmonics (build_masks with full_v and no
+      null notch; checked here, not assumed). Harmonic h then radiates
+      P_h(u, v) = A_h(u) B(v), and the violations of a u-row are a sum over
+      the v whose B exceeds U_h(u) / A_h(u): one binary search in B, sorted
+      once, and two tabulated suffix sums. It agrees with the grid route to
+      rounding.
 
-    phi_batch picks the column route when the masks allow it (checked here,
-    not assumed) and the batch is column-constant; lower bounds and anchors
-    are scored by the same code on either route.
+    Lower bounds and anchors are scored by the same code on either route.
 
     The bounds, weights and tables are never mutated after construction.
     Thread safety comes from per-thread workspaces: the grid route writes
     only into buffers private to the calling thread (one set per thread,
     rebuilt when the batch size changes), and the column route allocates
     only small per-call arrays, so one instance may be shared across
-    threads, and once warm a call allocates little more than its schedules'
+    threads, and once warm a call allocates little more than its blocks'
     Fourier coefficients.
     """
 
@@ -102,7 +137,7 @@ class CostEvaluator:
         self.engine = FieldEngine(geometry, grid)
         self._local = threading.local()
         anchors = masks.anchor_uv
-        self._anchor_rows = steering_rows(geometry, anchors[:, 0], anchors[:, 1])
+        self._n_anchors = anchors.shape[0]
         # an anchor is a hard point requirement, so it weighs as much as a
         # main-lobe box worth of grid nodes, not a single cell
         fn = 1.0 / (geometry.rows * geometry.cell_size_wl)
@@ -125,9 +160,20 @@ class CostEvaluator:
         e = d / self._d_norm if self._d_norm > 0.0 else np.array([1.0 + 0j, 0j])
         self._beta = complex(np.vdot(e, b))
         beta_perp2 = abs(e[0] * b[1] - e[1] * b[0]) ** 2
-        self._drive = incident_phase_factors(incidence, geometry) * incidence.amplitude_v_m
-        s0 = np.concatenate([self.engine._apply_steering(self._drive[:, None]).ravel(),
-                             self._anchor_rows @ self._drive])
+        # the separable factors with the drive g = g_x (x) g_y folded in:
+        # rows for the grid's u (v), then the anchors' u (v)
+        nu, nv = grid.shape
+        a_u, a_v = steering_factors(geometry, anchors[:, 0], anchors[:, 1])
+        k0 = geometry.k0
+        g_x = np.exp(1j * k0 * incidence.u * geometry.row_x_m) * incidence.amplitude_v_m
+        g_y = np.exp(1j * k0 * incidence.v * geometry.col_y_m)
+        rows_g = np.concatenate([self.engine._a_u, a_u]) * g_x
+        cols_g = np.concatenate([self.engine._a_v, a_v]) * g_y
+        self._folds = {mode: _Fold(mode, rows_g, cols_g, nu, nv) for mode in ControlMode
+                       if not (mode.mirrored and geometry.rows % 2)}
+        # K(g) = (A_u g_x) (x) (A_v g_y) on the grid, their product at anchors
+        f_x, f_y = rows_g.sum(axis=1), cols_g.sum(axis=1)
+        s0 = np.concatenate([np.outer(f_x[:nu], f_y[:nv]).ravel(), f_x[nu:] * f_y[nv:]])
         self._carrier_floor = beta_perp2 * (s0.real**2 + s0.imag**2)
         n = vis.size
         lower = np.concatenate([np.where(vis, masks.lower.reshape(2, n), 0.0),
@@ -140,27 +186,36 @@ class CostEvaluator:
         self._upper[0] -= self._carrier_floor
         self._floors = [(idx, lower[h][idx], self._weights[idx]) for h, idx in enumerate(active)]
         ceiling = _row_ceilings(masks)
-        self._columns = None if ceiling is None else _ColumnTables(self, ceiling, beta_perp2)
+        self._columns = (None if ceiling is None
+                         else _ColumnTables(self, ceiling, f_x, f_y, beta_perp2))
 
     def _workspace(self, batch: int) -> _Workspace:
         ws = getattr(self._local, "ws", None)
         if ws is None or ws.batch != batch:
-            ws = self._local.ws = _Workspace(self.engine, self._anchor_rows.shape[0], batch)
+            ws = self._local.ws = _Workspace(self.engine, self._n_anchors, batch)
         return ws
 
-    def _powers(self, rises: np.ndarray, duties: np.ndarray, h: int, ws: _Workspace) -> np.ndarray:
-        """Power samples of stacked schedules at every grid node, then every
-        anchor, written into ws.power (n_nodes + n_anchors, batch), without
-        the schedule-independent h = 0 part self._carrier_floor."""
+    def _coefficients(self, rises: np.ndarray, duties: np.ndarray, h: int) -> np.ndarray:
+        """Source coefficients |d| u^h + delta_h0 beta of stacked blocks,
+        (cells of a block, batch)."""
         coef = pulse_fourier_coefficients(rises, duties, h).reshape(rises.shape[0], -1).T * self._d_norm
         if h == 0:
             coef += self._beta
-        w = coef * self._drive[:, None]
-        f = self.engine._apply_steering(w, ws.rows_out, ws.field).reshape(ws.grid_power.shape)
+        return coef
+
+    def _powers(self, rises: np.ndarray, duties: np.ndarray, h: int, fold: _Fold,
+                ws: _Workspace) -> np.ndarray:
+        """Power samples of stacked blocks at every grid node, then every
+        anchor, written into ws.power (n_nodes + n_anchors, batch), without
+        the schedule-independent h = 0 part self._carrier_floor."""
+        coef = self._coefficients(rises, duties, h)
+        factors = fold.grid[h]
+        f = self.engine._apply_steering(coef, ws.rows_out[:fold.shape[0]], ws.field,
+                                        factors).reshape(ws.grid_power.shape)
         np.multiply(f.real, f.real, out=ws.grid_power)
         np.multiply(f.imag, f.imag, out=ws.imag_power)
         np.add(ws.grid_power, ws.imag_power, out=ws.grid_power)
-        fa = self._anchor_rows @ w
+        fa = fold.anchor_rows[h] @ coef
         np.add(fa.real**2, fa.imag**2, out=ws.anchor_power)
         return ws.power
 
@@ -170,19 +225,29 @@ class CostEvaluator:
         _, floor, w = self._floors[h]
         return w @ ramp(floor[:, None] - p)
 
-    def phi_batch(self, rises: np.ndarray, duties: np.ndarray) -> np.ndarray:
-        """Costs of a stack of schedules given as (batch, rows, cols) arrays."""
-        if (self._columns is not None and np.all(rises == rises[..., :1])
-                and np.all(duties == duties[..., :1])):
-            return self._columns.phi(self, rises[..., 0], duties[..., 0])
-        return self._phi_grid(rises, duties)
+    def phi_batch(self, rises: np.ndarray, duties: np.ndarray,
+                  mode: ControlMode = ControlMode.FULL) -> np.ndarray:
+        """Costs of a stack of the mode's control blocks, given as rises and
+        duties of shape (batch,) + ModeCodec.control_shape; under FULL a
+        block is the whole (rows, cols) schedule."""
+        fold = self._folds.get(mode)
+        if fold is None:
+            if isinstance(mode, ControlMode):  # a mirrored mode on odd rows
+                check_delta_applicable(self.geometry.rows)
+            raise ValueError(f"unknown control mode {mode!r}")
+        if rises.shape[1:] != fold.shape or duties.shape != rises.shape:
+            raise ValueError(f"expected {fold.mode.value} blocks of shape (batch, {fold.shape[0]}, "
+                             f"{fold.shape[1]}), got {rises.shape} and {duties.shape}")
+        if fold.mode.columnwise and self._columns is not None:
+            return self._columns.phi(self, rises, duties, fold)
+        return self._phi_grid(rises, duties, fold)
 
-    def _phi_grid(self, rises: np.ndarray, duties: np.ndarray) -> np.ndarray:
-        """The grid route of phi_batch, valid for any schedules."""
+    def _phi_grid(self, rises: np.ndarray, duties: np.ndarray, fold: _Fold) -> np.ndarray:
+        """The grid route of phi_batch, valid for any mode."""
         ws = self._workspace(rises.shape[0])
         total = np.zeros(rises.shape[0])
         for h in (0, 1):
-            p = self._powers(rises, duties, h, ws)
+            p = self._powers(rises, duties, h, fold, ws)
             idx = self._floors[h][0]
             if idx.size:
                 total += self._floor_cost(h, p[idx])
@@ -191,7 +256,7 @@ class CostEvaluator:
         return total
 
     def phi(self, schedule: PulseSchedule) -> float:
-        """Cost of a single schedule."""
+        """Cost of a single full schedule."""
         if schedule.shape != (self.geometry.rows, self.geometry.cols):
             raise ValueError("schedule shape does not match the geometry")
         return float(self.phi_batch(schedule.rise[None], schedule.duty[None])[0])
@@ -212,35 +277,27 @@ class _ColumnTables:
     """Tables of CostEvaluator's column route (see its docstring).
 
     With every row of cells on one pulse, harmonic h radiates
-    (A_u (c_h * g_x))(u) * (A_v g_y)(v), c_h the per-row source coefficient
-    and g = g_x (x) g_y the drive, so its power is a(u) B(v). rows_g holds
-    A_u g_x for the grid's u, then for the anchors' u; b_anchor holds B at
-    the anchors' v. The grid's violations of a u-row at h are
-    A * (w B summed over {B > U / A}) - U * (w summed over that set), with
-    A = a, plus the beta_perp carrier term at h = 0, and U the row's one
-    upper bound: b_sorted is the grid's B ascending, and sum_wb[h] and
-    sum_w[h] hold per-u suffix sums over that order, flattened, and 0 on
-    rows without a visible node or a finite bound.
+    (L_h c_h)(u) * (A_v g_y)(v), c_h the control rows' source coefficients
+    and L_h the mode's row factor (see _Fold), so its power is a(u) B(v).
+    f_x = A_u g_x and f_y = A_v g_y hold the grid's u (v), then the
+    anchors'; b_anchor holds B at the anchors' v. The grid's violations of
+    a u-row at h are A * (w B summed over {B > U / A}) - U * (w summed over
+    that set), with A = a, plus the beta_perp carrier term at h = 0, and U
+    the row's one upper bound: b_sorted is the grid's B ascending, and
+    sum_wb[h] and sum_w[h] hold per-u suffix sums over that order,
+    flattened, and 0 on rows without a visible node or a finite bound.
     """
 
-    def __init__(self, ev: "CostEvaluator", ceiling: np.ndarray, beta_perp2: float):
-        grid, geometry, incidence = ev.grid, ev.geometry, ev.incidence
-        nu, nv = grid.shape
+    def __init__(self, ev: "CostEvaluator", ceiling: np.ndarray, f_x: np.ndarray,
+                 f_y: np.ndarray, beta_perp2: float):
+        nu, nv = ev.grid.shape
         self.nu = nu
-        active = grid.visible.any(axis=1) & np.isfinite(ceiling)
+        active = ev.grid.visible.any(axis=1) & np.isfinite(ceiling)
         self.ceiling = np.where(active, ceiling, 0.0)[:, :, None]
-        k0 = geometry.k0
-        g_x = np.exp(1j * k0 * incidence.u * geometry.row_x_m) * incidence.amplitude_v_m
-        g_y = np.exp(1j * k0 * incidence.v * geometry.col_y_m)
-        anchors = ev.masks.anchor_uv
-        a_u, a_v = steering_factors(geometry, anchors[:, 0], anchors[:, 1])
-        self.rows_g = np.concatenate([ev.engine._a_u, a_u]) * g_x
-        s = ev.engine._a_v @ g_y
-        b_grid = s.real**2 + s.imag**2
-        s = a_v @ g_y
-        self.b_anchor = (s.real**2 + s.imag**2)[:, None]
-        f = ev.engine._a_u @ g_x
-        self.carrier = beta_perp2 * (f.real**2 + f.imag**2)[:, None]
+        b = f_y.real**2 + f_y.imag**2
+        b_grid = b[:nv]
+        self.b_anchor = b[nv:, None]
+        self.carrier = beta_perp2 * (f_x[:nu].real**2 + f_x[:nu].imag**2)[:, None]
         order = np.argsort(b_grid, kind="stable")
         self.b_sorted = b_grid[order]
         w = ev._weights[:nu * nv].reshape(nu, nv)[:, order] * active[:, :, None]
@@ -264,15 +321,13 @@ class _ColumnTables:
         self.anchor_upper = ev._upper[:, nu * nv:, None]
         self.anchor_weights = ev._weights[nu * nv:]
 
-    def phi(self, ev: "CostEvaluator", rises: np.ndarray, duties: np.ndarray) -> np.ndarray:
-        """Costs of per-row pulses given as (batch, rows) arrays."""
+    def phi(self, ev: "CostEvaluator", rises: np.ndarray, duties: np.ndarray,
+            fold: _Fold) -> np.ndarray:
+        """Costs of a column-wise mode's blocks, (batch, p, 1) arrays."""
         nu = self.nu
         total = np.zeros(rises.shape[0])
         for h in (0, 1):
-            coef = pulse_fourier_coefficients(rises, duties, h).T * ev._d_norm
-            if h == 0:
-                coef += ev._beta
-            f = self.rows_g @ coef
+            f = fold.left[h] @ ev._coefficients(rises, duties, h)
             a = f.real**2 + f.imag**2
             rows = self.floor_rows[h]
             if rows.size:
@@ -300,8 +355,10 @@ class ModeCodec:
 
     The vector holds the rises, then the duties, of a control block: the
     first half of the rows when the mode is mirrored, the first column when
-    it is column-wise. Decoding mirrors the rows, then tiles the columns;
-    encoding keeps the block and drops the derived cells.
+    it is column-wise. blocks splits vectors into blocks, which is what the
+    cost scores (CostEvaluator.phi_batch applies the mode's rules itself).
+    Decoding, for writing schedules, mirrors the rows, then tiles the
+    columns; encoding keeps the block and drops the derived cells.
     """
 
     mode: ControlMode
@@ -333,8 +390,9 @@ class ModeCodec:
         m[:half] = True
         return m
 
-    def decode_batch(self, x: np.ndarray):
-        """(batch, dim) vectors -> (rises, duties), each (batch, rows, cols)."""
+    def blocks(self, x: np.ndarray):
+        """(batch, dim) vectors -> (rises, duties) of the control block,
+        each (batch,) + control_shape."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
@@ -342,7 +400,11 @@ class ModeCodec:
             raise ValueError(f"expected vectors of length {self.dim}, got {x.shape[1]}")
         shape = (x.shape[0],) + self.control_shape
         half = self.dim // 2
-        rise, duty = x[:, :half].reshape(shape), x[:, half:].reshape(shape)
+        return x[:, :half].reshape(shape), x[:, half:].reshape(shape)
+
+    def decode_batch(self, x: np.ndarray):
+        """(batch, dim) vectors -> (rises, duties), each (batch, rows, cols)."""
+        rise, duty = self.blocks(x)
         if self.mode.mirrored:
             rise = np.concatenate([rise, mirror_rise(rise)[:, ::-1]], axis=1)
             duty = np.concatenate([duty, duty[:, ::-1]], axis=1)
@@ -397,6 +459,18 @@ class PsoResult:
     stop_reason: str
 
 
+def _wrap_unit(x: np.ndarray, where=True) -> np.ndarray:
+    """x mod 1 into [0, 1), in place on the entries where `where` holds.
+
+    np.mod rounds a negative x within half an ulp of 0 up to exactly 1.0
+    (np.mod(-5.551115123125783e-17, 1.0) == 1.0), which is no valid rise;
+    that result maps to 0.0, the point it stands for on the torus.
+    """
+    np.mod(x, 1.0, out=x, where=where)
+    np.copyto(x, 0.0, where=(x == 1.0) & where)
+    return x
+
+
 def _checked_costs(objective, x: np.ndarray) -> np.ndarray:
     f = np.asarray(objective(x), dtype=float)
     if f.shape != (x.shape[0],):
@@ -446,7 +520,9 @@ def minimize(objective, dim: int, config: PsoConfig,
         init = np.asarray(init, dtype=float)
         if init.shape != (dim,):
             raise ValueError(f"init must have shape ({dim},)")
-        x[0] = np.where(wrap_mask, np.mod(init, 1.0), np.clip(init, 0.0, 1.0))
+        x[0] = init
+        _wrap_unit(x[0], wrap_mask)
+        np.clip(x[0], 0.0, 1.0, out=x[0], where=~wrap_mask)
     vel = np.zeros((c, dim))
     f = _checked_costs(objective, x)
     pbest = x.copy()
@@ -461,20 +537,23 @@ def minimize(objective, dim: int, config: PsoConfig,
 
     for it in range(1, config.iterations + 1):
         r = rng.random((c, 2, dim))
-        dp = np.where(wrap_mask, (pbest - x + 0.5) % 1.0 - 0.5, pbest - x)
-        dg = np.where(wrap_mask, (gbest - x + 0.5) % 1.0 - 0.5, gbest - x)
+        dp = pbest - x
+        dg = gbest - x
+        for d in (dp, dg):  # the shorter way round on periodic coordinates
+            np.add(d, 0.5, out=d, where=wrap_mask)
+            np.mod(d, 1.0, out=d, where=wrap_mask)
+            np.subtract(d, 0.5, out=d, where=wrap_mask)
         vel = (config.inertia * vel
                + config.cognitive * r[:, 0] * dp
                + config.social * r[:, 1] * dg)
         np.clip(vel, -clamp, clamp, out=vel)
-        x = x + vel
-        # wrapped coordinates land in [0, 1], so only duties meet the walls
-        x = np.where(wrap_mask, x % 1.0, x)
+        x = _wrap_unit(x + vel, wrap_mask)
+        # wrapped coordinates land in [0, 1), so only duties meet the walls
         low = x < 0.0
-        x = np.where(low, -x, x)
+        np.negative(x, out=x, where=low)
         high = x > 1.0
-        x = np.where(high, 2.0 - x, x)
-        vel = np.where(low ^ high, -vel, vel)
+        np.subtract(2.0, x, out=x, where=high)
+        np.negative(vel, out=vel, where=low ^ high)
 
         f = _checked_costs(objective, x)
         improved = f < pbest_f
@@ -537,8 +616,8 @@ def pso_optimize(evaluator: CostEvaluator, mode: ControlMode, config: PsoConfig)
     codec = ModeCodec(mode=mode, rows=evaluator.geometry.rows, cols=evaluator.geometry.cols)
 
     def objective(x):
-        rises, duties = codec.decode_batch(x)
-        return evaluator.phi_batch(rises, duties)
+        rises, duties = codec.blocks(x)
+        return evaluator.phi_batch(rises, duties, codec.mode)
 
     res = minimize(objective, codec.dim, config, wrap_mask=codec.wrap_mask,
                    init=conjugate_guess(evaluator, codec))

@@ -271,6 +271,7 @@ def test_separable_kernel_matches_direct_sum(rng):
     for states in (ReflectionStates.ideal(), TENSOR_STATES):
         ev = CostEvaluator(geometry, states, inc, masks, sched.period_s)
         ws = ev._workspace(1)
+        full = ev._folds[ControlMode.FULL]
         for h in (0, 1):
             want = direct_sum(geometry, sched, states, inc, u, v, h)
             got = engine.pattern(sched, states, inc, h).field[iu, iv]
@@ -281,7 +282,7 @@ def test_separable_kernel_matches_direct_sum(rng):
                                                     anchors[:, 0], anchors[:, 1], h)])
             p_want = np.sum(np.abs(want) ** 2, axis=1)
             # the cost's rows are the full grid, row-major, then the anchors
-            p_all = ev._powers(sched.rise[None], sched.duty[None], h, ws)[:, 0].copy()
+            p_all = ev._powers(sched.rise[None], sched.duty[None], h, full, ws)[:, 0].copy()
             if h == 0:
                 p_all += ev._carrier_floor
             assert p_all.shape == (nu * nv + anchors.shape[0],)
@@ -299,3 +300,10 @@ def test_delta_constrained_null_line_at_broadside(ideal, rng):
     peak = np.abs(pat.field).max()
     assert peak > 0.0
     assert np.abs(pat.field[mid]).max() <= 1e-13 * peak
+    # the cost's folded h = 1 row factor is exactly 0 there
+    masks = MaskSet(grid=grid, lower=np.zeros((2,) + grid.shape),
+                    upper=np.full((2,) + grid.shape, np.inf), anchor_uv=np.zeros((0, 2)),
+                    anchor_lower=np.zeros((2, 0)), anchor_upper=np.zeros((2, 0)),
+                    beam_ref=beam_reference(geometry, PlaneWaveIncidence(theta_deg=0.0), 0.0))
+    ev = CostEvaluator(geometry, ideal, PlaneWaveIncidence(theta_deg=0.0), masks, 1e-6)
+    assert np.all(ev._folds[ControlMode.DELTA].left[1][mid] == 0.0)

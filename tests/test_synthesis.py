@@ -24,6 +24,7 @@ from tmems.synthesis import (
     CostEvaluator,
     ModeCodec,
     PsoConfig,
+    _wrap_unit,
     conjugate_guess,
     minimize,
     pso_optimize,
@@ -116,21 +117,17 @@ def columnwise_evaluator():
     return ev
 
 
-def column_constant(rng, shape):
-    """Random (rises, duties) of the given (batch, rows, cols) with every
-    row on one pulse."""
-    batch, rows, cols = shape
-    return np.repeat(rng.random((2, batch, rows, 1)), cols, axis=3)
-
-
 def test_warm_phi_batch_allocates_little():
     rng = np.random.default_rng(0)
-    for ev, (rises, duties) in ((beam_pair_evaluator(), rng.random((2, 20, 10, 10))),
-                                (columnwise_evaluator(), column_constant(rng, (20, 10, 10)))):
-        want = ev.phi_batch(rises, duties)  # warm-up builds this thread's buffers
+    cases = ((beam_pair_evaluator(), ControlMode.DELTA, (20, 5, 10)),
+             (beam_pair_evaluator(), ControlMode.FULL, (20, 10, 10)),
+             (columnwise_evaluator(), ControlMode.COLWISE_DELTA, (20, 5, 1)))
+    for ev, mode, shape in cases:
+        rises, duties = rng.random((2,) + shape)
+        want = ev.phi_batch(rises, duties, mode)  # warm-up builds this thread's buffers
         tracemalloc.start()
         try:
-            got = ev.phi_batch(rises, duties)
+            got = ev.phi_batch(rises, duties, mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -144,15 +141,24 @@ def test_shared_evaluator_is_thread_safe():
     # more threads than cores, each switching batch sizes: at times two score
     # the same size at once, at times sizes that need different buffers
     sizes = [(20, 7, 20, 1), (7, 20, 1, 20), (1, 20, 7, 7)]
-    for ev, draw in ((beam_pair_evaluator(), lambda n: rng.random((2, n, 10, 10))),
-                     (columnwise_evaluator(), lambda n: column_constant(rng, (n, 10, 10)))):
-        jobs = [[draw(n) for n in row] for row in sizes]
-        want = [[ev.phi_batch(r, d) for r, d in job] for job in jobs]
+
+    def delta_or_full(n, i):
+        # delta and full blocks of one evaluator share a thread's buffers
+        mode = (ControlMode.DELTA, ControlMode.FULL)[i % 2]
+        return (*rng.random((2, n, 5 if mode.mirrored else 10, 10)), mode)
+
+    def colwise_delta(n, i):
+        return (*rng.random((2, n, 5, 1)), ControlMode.COLWISE_DELTA)
+
+    for ev, draw in ((beam_pair_evaluator(), delta_or_full),
+                     (columnwise_evaluator(), colwise_delta)):
+        jobs = [[draw(n, i) for i, n in enumerate(row)] for row in sizes]
+        want = [[ev.phi_batch(*call) for call in job] for job in jobs]
         barrier = threading.Barrier(len(jobs), timeout=60)
 
         def run(job):
             barrier.wait()
-            return [[ev.phi_batch(r, d) for r, d in job] for _ in range(6)]
+            return [[ev.phi_batch(*call) for call in job] for _ in range(6)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -173,45 +179,111 @@ TENSOR_STATES = ReflectionStates(
     gamma_off=np.array([[-0.8, 0.0], [0.1j, 0.75]]))
 
 
-@pytest.mark.parametrize("mode", [ControlMode.COLWISE, ControlMode.COLWISE_DELTA])
-def test_column_route_matches_grid_route(fast_scenario, mode):
-    rng = np.random.default_rng(5)
+def with_static_cells(duties):
+    """The duties with a few cells, and the last schedule whole, exactly 0
+    and exactly 1: cells without sidebands."""
+    duties = duties.copy()
+    flat = duties.reshape(duties.shape[0], -1)
+    flat[:, 0] = 0.0
+    flat[:, -1] = 1.0
+    duties[-1] = 1.0
+    if duties.shape[0] > 1:
+        duties[-2] = 0.0
+    return duties
+
+
+def fold_cases(fast_scenario, mode):
+    """Evaluators of a non-square skin (swapped row and column factors
+    cannot cancel out) under several incidences, the last one oblique in phi
+    with tensor states."""
     cases = [dict(theta_inc_deg=t) for t in (0.0, 20.0, 40.0)]
     cases.append(dict(theta_inc_deg=30.0, phi_inc_deg=25.0, amplitude_v_m=3.5,
                       jones=(0.6 + 0.0j, 0.8j)))
     for i, case in enumerate(cases):
-        # a non-square skin: swapped row and column factors cannot cancel out
         sc = fast_scenario(mode=mode, rows=6, cols=4, **case)
         if i == len(cases) - 1:
             sc = replace(sc, states=TENSOR_STATES)
-        ev = sc.evaluator()
-        assert ev._columns is not None
-        codec = ModeCodec(mode=mode, rows=6, cols=4)
+        yield sc.evaluator()
+
+
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_folded_block_cost_matches_the_decoded_schedule(fast_scenario, mode):
+    # phi_batch applies the mode's rules inside the steering factors; the
+    # reference decodes every cell and scores the full schedule
+    rng = np.random.default_rng(5)
+    codec = ModeCodec(mode=mode, rows=6, cols=4)
+    for ev in fold_cases(fast_scenario, mode):
+        # column-wise modes take the column route here
+        assert ev._columns is not None or not mode.columnwise
         for batch in (1, 7, 20):
-            rises, duties = codec.decode_batch(rng.random((batch, codec.dim)))
-            got = ev.phi_batch(rises, duties)
-            want = ev._phi_grid(rises, duties)
+            x = rng.random((batch, codec.dim))
+            rises, duties = codec.blocks(x)
+            got = ev.phi_batch(rises, duties, mode)
+            want = ev.phi_batch(*codec.decode_batch(x))
+            assert np.all(want > 0.0)
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+            duties = with_static_cells(duties)
+            got = ev.phi_batch(rises, duties, mode)
+            x = np.concatenate([rises.reshape(batch, -1), duties.reshape(batch, -1)], axis=1)
+            want = ev.phi_batch(*codec.decode_batch(x))
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_phi_batch_checks_the_block():
+    ev = columnwise_evaluator()
+    rises = np.zeros((3, 5, 1))
+    with pytest.raises(ValueError, match=r"colwise-delta blocks of shape \(batch, 5, 1\)"):
+        ev.phi_batch(rises, np.zeros((3, 5, 2)), ControlMode.COLWISE_DELTA)
+    with pytest.raises(ValueError, match=r"full blocks of shape \(batch, 10, 10\)"):
+        ev.phi_batch(rises, rises)
+    with pytest.raises(ValueError, match="unknown control mode"):
+        ev.phi_batch(rises, rises, "sideways")
+    ev = small_evaluator()
+    odd = CostEvaluator(EmsGeometry(rows=3, cols=4), ev.states, ev.incidence, ev.masks, 1e-6)
+    with pytest.raises(ConstraintError, match="even row count"):
+        odd.phi_batch(np.zeros((1, 1, 4)), np.zeros((1, 1, 4)), ControlMode.DELTA)
+
+
+@pytest.mark.parametrize("mode", [ControlMode.COLWISE, ControlMode.COLWISE_DELTA])
+def test_column_route_matches_grid_route(fast_scenario, mode):
+    rng = np.random.default_rng(5)
+    codec = ModeCodec(mode=mode, rows=6, cols=4)
+    for ev in fold_cases(fast_scenario, mode):
+        assert ev._columns is not None
+        fold = ev._folds[mode]
+        for batch in (1, 7, 20):
+            rises, duties = codec.blocks(rng.random((batch, codec.dim)))
+            got = ev.phi_batch(rises, duties, mode)
+            want = ev._phi_grid(rises, duties, fold)
             assert np.all(want > 0.0)
             assert np.all(np.abs(got - want) <= 1e-12 * want)
         # an all-off skin radiates no first harmonic: every A(u) is exactly 0
-        static = np.zeros((1, 6, 4)), np.zeros((1, 6, 4))
-        assert ev.phi_batch(*static) == pytest.approx(ev._phi_grid(*static), rel=1e-12)
+        static = np.zeros((2, 1) + codec.control_shape)
+        assert ev.phi_batch(*static, mode) == pytest.approx(ev._phi_grid(*static, fold),
+                                                            rel=1e-12)
 
 
 def test_column_route_falls_back_to_the_grid_route(fast_scenario):
     rng = np.random.default_rng(6)
-    sc = fast_scenario(mode=ControlMode.COLWISE_DELTA, rows=6, cols=4)
+    mode = ControlMode.COLWISE_DELTA
+    sc = fast_scenario(mode=mode, rows=6, cols=4)
+    codec = ModeCodec(mode=mode, rows=6, cols=4)
     rises, duties = rng.random((2, 5, 6, 4))
-    # a batch with one pulse per cell on a column-wise evaluator
+    # full schedules on a column-wise evaluator take the grid route
     ev = sc.evaluator()
     assert ev._columns is not None
-    assert np.array_equal(ev.phi_batch(rises, duties), ev._phi_grid(rises, duties))
+    full = ev._folds[ControlMode.FULL]
+    assert np.array_equal(ev.phi_batch(rises, duties), ev._phi_grid(rises, duties, full))
     # a null notch gives some u-rows two ceilings, so no column tables exist
     notched = replace(sc, mask=MaskParams(null_halfwidth_u=0.05, null_halfwidth_v=0.05))
     ev = notched.evaluator()
     assert ev._columns is None
-    rises, duties = column_constant(rng, (5, 6, 4))
-    assert np.array_equal(ev.phi_batch(rises, duties), ev._phi_grid(rises, duties))
+    x = rng.random((5, codec.dim))
+    rises, duties = codec.blocks(x)
+    got = ev.phi_batch(rises, duties, mode)
+    assert np.array_equal(got, ev._phi_grid(rises, duties, ev._folds[mode]))
+    want = ev.phi_batch(*codec.decode_batch(x))
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 def sphere(x):
@@ -244,6 +316,7 @@ def _minimize_per_particle(objective, dim, config, wrap_mask, init=None):
     x = rng.random((c, dim))
     if init is not None:
         x[0] = np.where(wrap_mask, np.mod(init, 1.0), np.clip(init, 0.0, 1.0))
+        x[0][wrap_mask & (x[0] == 1.0)] = 0.0
     vel = np.zeros((c, dim))
     f = objective(x)
     pbest, pbest_f = x.copy(), f.copy()
@@ -266,7 +339,10 @@ def _minimize_per_particle(objective, dim, config, wrap_mask, init=None):
         np.clip(vel, -clamp, clamp, out=vel)
         x = x + vel
         if wrap_mask.any():
-            x[:, wrap_mask] %= 1.0
+            xw = x[:, wrap_mask] % 1.0
+            # np.mod takes a negative x within half an ulp of 0 to 1.0
+            xw[xw == 1.0] = 0.0
+            x[:, wrap_mask] = xw
         if reflect_mask.any():
             xr = x[:, reflect_mask]
             vr = vel[:, reflect_mask]
@@ -311,6 +387,46 @@ def test_pso_array_update_matches_per_particle_loop(seed):
     best_x, history = _minimize_per_particle(objective, dim, cfg, wrap, init=init)
     assert np.array_equal(res.best_x, best_x)
     assert np.array_equal(res.history, history)
+
+
+def test_torus_wrap_stays_below_one():
+    # a rise of 0.3 moved by -nextafter(0.3, 1) lands half an ulp below 0,
+    # where np.mod gives exactly 1.0, a rise the cost rejects
+    x = np.array([[0.3 - np.nextafter(0.3, 1.0), 0.3 - np.nextafter(0.3, 1.0)]])
+    assert np.mod(x[0, 0], 1.0) == 1.0
+    assert np.array_equal(_wrap_unit(x, np.array([True, False])), [[0.0, x[0, 1]]])
+    assert np.array_equal(_wrap_unit(np.array([1.25, -0.25, 0.0])), [0.25, 0.75, 0.0])
+    # the same edge value as the start of a periodic coordinate
+    seen = []
+
+    def record(x):
+        seen.append(x.copy())
+        return np.zeros(x.shape[0]) + 1.0
+
+    cfg = PsoConfig(swarm_size=3, iterations=2, seed=1, stagnation_window=0)
+    minimize(record, 2, cfg, wrap_mask=np.array([True, False]),
+             init=np.array([0.3 - np.nextafter(0.3, 1.0), 0.5]))
+    assert seen[0][0, 0] == 0.0
+    assert all(np.all((x[:, 0] >= 0.0) & (x[:, 0] < 1.0)) for x in seen)
+
+
+def test_pso_optimize_scores_each_swarm_in_one_call(monkeypatch):
+    # the benchmark counts cost evaluations from phi_batch's first array
+    calls = []
+    score = CostEvaluator.phi_batch
+
+    def counted(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return score(self, *args, **kwargs)
+
+    monkeypatch.setattr(CostEvaluator, "phi_batch", counted)
+    ev = steered_evaluator()
+    cfg = PsoConfig(swarm_size=6, iterations=8, seed=3, stagnation_window=0)
+    res = pso_optimize(ev, ControlMode.DELTA, cfg)
+    assert len(calls) == res.iterations + 1
+    for args, kwargs in calls:
+        assert args[0].shape == (6, 2, 4) and args[1].shape == (6, 2, 4)
+        assert (args[2:] or (kwargs["mode"],)) == (ControlMode.DELTA,)
 
 
 def test_pso_history_monotone_and_initial_entry():
