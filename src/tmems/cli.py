@@ -63,7 +63,7 @@ def cmd_synthesize(args) -> int:
     cfg = _load(args)
     scenario = cfg.scenario()
     out = _outdir(args)
-    res = pso_optimize(scenario.evaluator(), scenario.mode, scenario.pso)
+    [res] = pso_optimize(scenario.evaluator(), scenario.mode, scenario.pso)
     ratio = measure_bs_ratio(scenario, res.schedule, noise_power=cfg.noise_power)
     write_schedule_csv(out / "schedule.csv", res.schedule)
     write_convergence_csv(out / "convergence.csv", res.history)

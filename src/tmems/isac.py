@@ -159,20 +159,18 @@ def design_for_angle(scenario: Scenario, theta_hat_deg: float, master_seed: int,
     """Synthesize for an assumed user angle; keep the lowest-cost repeat.
 
     Repeat seeds derive from (master_seed, key angle, repeat index), so every
-    design is reproducible in isolation and the winner never depends on how
-    the repeats were scheduled. Cost ties keep the earliest repeat.
+    design is reproducible in isolation. The repeats run as one swarm each
+    in a single PSO loop, each on its own seed, and end as separate runs
+    would (see synthesis.pso_optimize for the rounding caveat). Cost ties
+    keep the earliest repeat.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     ev = scenario.evaluator(design_theta_deg=theta_hat_deg)
     key = theta_hat_deg if key_angle_deg is None else key_angle_deg
-    best = None
-    for rep in range(repeats):
-        seed = derive_seed(master_seed, key, rep)
-        res = pso_optimize(ev, scenario.mode, replace(scenario.pso, seed=seed))
-        if best is None or res.phi < best.phi:
-            best = res
-    return best
+    seeds = [derive_seed(master_seed, key, rep) for rep in range(repeats)]
+    # min keeps the first of equal costs
+    return min(pso_optimize(ev, scenario.mode, scenario.pso, seeds), key=lambda res: res.phi)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ and 1.
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,26 +32,40 @@ from .modulation import (
 )
 
 
+# the grid route's largest batch per pass (CostEvaluator._phi_grid)
+GRID_SLICE = 20
+
+
 def ramp(x):
     """One-sided penalty: max(x, 0), elementwise."""
     return np.maximum(np.asarray(x, dtype=float), 0.0)
 
 
 class _Workspace:
-    """One thread's phi_batch buffers for one batch size: the two steering
-    products and two real power buffers (grid nodes, then anchors)."""
+    """One thread's phi_batch buffers for batches of up to `capacity`
+    particles: the two steering products and two real power buffers (grid
+    nodes, then anchors). views(batch) shapes the leading part of each
+    buffer for one batch, so every view is C-contiguous."""
 
-    def __init__(self, engine: FieldEngine, n_anchors: int, batch: int):
-        rows = engine.geometry.rows
-        nu, nv = engine.grid.shape
+    def __init__(self, engine: FieldEngine, n_anchors: int, capacity: int):
+        self.nu, self.nv = engine.grid.shape
+        self.n_anchors = n_anchors
+        self.capacity = capacity
+        n = self.nu * self.nv
+        self._rows_out = np.empty(engine.geometry.rows * self.nv * capacity, dtype=complex)
+        self._field = np.empty(n * capacity, dtype=complex)
+        self._power = np.empty((n + n_anchors) * capacity)
+        self._imag_power = np.empty(n * capacity)
+
+    def views(self, p: int, batch: int):
+        """(rows_out (p, nv, batch), field (nu, nv * batch), power
+        (n_nodes + n_anchors, batch), imag_power (n_nodes, batch))."""
+        nu, nv = self.nu, self.nv
         n = nu * nv
-        self.batch = batch
-        self.rows_out = np.empty((rows, nv, batch), dtype=complex)
-        self.field = np.empty((nu, nv * batch), dtype=complex)
-        self.power = np.empty((n + n_anchors, batch))
-        self.grid_power = self.power[:n]
-        self.anchor_power = self.power[n:]
-        self.imag_power = np.empty((n, batch))
+        return (self._rows_out[:p * nv * batch].reshape(p, nv, batch),
+                self._field[:n * batch].reshape(nu, nv * batch),
+                self._power[:(n + self.n_anchors) * batch].reshape(-1, batch),
+                self._imag_power[:n * batch].reshape(n, batch))
 
 
 class _Fold:
@@ -120,7 +134,7 @@ class CostEvaluator:
     The bounds, weights and tables are never mutated after construction.
     Thread safety comes from per-thread workspaces: the grid route writes
     only into buffers private to the calling thread (one set per thread,
-    rebuilt when the batch size changes), and the column route allocates
+    sized for the largest slice it has scored), and the column route allocates
     only small per-call arrays, so one instance may be shared across
     threads, and once warm a call allocates little more than its blocks'
     Fourier coefficients.
@@ -191,33 +205,34 @@ class CostEvaluator:
 
     def _workspace(self, batch: int) -> _Workspace:
         ws = getattr(self._local, "ws", None)
-        if ws is None or ws.batch != batch:
+        if ws is None or ws.capacity < batch:
             ws = self._local.ws = _Workspace(self.engine, self._n_anchors, batch)
         return ws
 
-    def _coefficients(self, rises: np.ndarray, duties: np.ndarray, h: int) -> np.ndarray:
-        """Source coefficients |d| u^h + delta_h0 beta of stacked blocks,
-        (cells of a block, batch)."""
-        coef = pulse_fourier_coefficients(rises, duties, h).reshape(rises.shape[0], -1).T * self._d_norm
-        if h == 0:
-            coef += self._beta
-        return coef
+    def _coefficients(self, rises: np.ndarray, duties: np.ndarray) -> tuple:
+        """Source coefficients |d| u^h + delta_h0 beta of stacked blocks for
+        h = 0 and 1, each (cells of a block, batch). The h = 1 coefficients
+        check the blocks' ranges; u^0 is the duty itself."""
+        batch = rises.shape[0]
+        u1 = pulse_fourier_coefficients(rises, duties, 1).reshape(batch, -1).T * self._d_norm
+        u0 = duties.reshape(batch, -1).T * self._d_norm + self._beta
+        return u0, u1
 
-    def _powers(self, rises: np.ndarray, duties: np.ndarray, h: int, fold: _Fold,
-                ws: _Workspace) -> np.ndarray:
-        """Power samples of stacked blocks at every grid node, then every
-        anchor, written into ws.power (n_nodes + n_anchors, batch), without
-        the schedule-independent h = 0 part self._carrier_floor."""
-        coef = self._coefficients(rises, duties, h)
-        factors = fold.grid[h]
-        f = self.engine._apply_steering(coef, ws.rows_out[:fold.shape[0]], ws.field,
-                                        factors).reshape(ws.grid_power.shape)
-        np.multiply(f.real, f.real, out=ws.grid_power)
-        np.multiply(f.imag, f.imag, out=ws.imag_power)
-        np.add(ws.grid_power, ws.imag_power, out=ws.grid_power)
+    def _powers(self, coef: np.ndarray, h: int, fold: _Fold, ws: _Workspace) -> np.ndarray:
+        """Power samples of the sources coef (cells of a block, batch) at
+        every grid node, then every anchor, written into ws's power buffer
+        (n_nodes + n_anchors, batch), without the schedule-independent h = 0
+        part self._carrier_floor."""
+        n = self.grid.visible.size
+        rows_out, field, power, imag_power = ws.views(fold.shape[0], coef.shape[1])
+        grid_power = power[:n]
+        f = self.engine._apply_steering(coef, rows_out, field, fold.grid[h]).reshape(grid_power.shape)
+        np.multiply(f.real, f.real, out=grid_power)
+        np.multiply(f.imag, f.imag, out=imag_power)
+        np.add(grid_power, imag_power, out=grid_power)
         fa = fold.anchor_rows[h] @ coef
-        np.add(fa.real**2, fa.imag**2, out=ws.anchor_power)
-        return ws.power
+        np.add(fa.real**2, fa.imag**2, out=power[n:])
+        return power
 
     def _floor_cost(self, h: int, p: np.ndarray) -> np.ndarray:
         """Weighted shortfall below the lower bounds of harmonic h, given the
@@ -243,16 +258,23 @@ class CostEvaluator:
         return self._phi_grid(rises, duties, fold)
 
     def _phi_grid(self, rises: np.ndarray, duties: np.ndarray, fold: _Fold) -> np.ndarray:
-        """The grid route of phi_batch, valid for any mode."""
-        ws = self._workspace(rises.shape[0])
-        total = np.zeros(rises.shape[0])
-        for h in (0, 1):
-            p = self._powers(rises, duties, h, fold, ws)
-            idx = self._floors[h][0]
-            if idx.size:
-                total += self._floor_cost(h, p[idx])
-            p -= self._upper[h][:, None]
-            total += self._weights @ np.maximum(p, 0.0, out=p)
+        """The grid route of phi_batch, valid for any mode. It scores the
+        batch in slices of at most GRID_SLICE blocks: per block, a larger
+        slice is no faster and needs larger buffers."""
+        coefs = self._coefficients(rises, duties)
+        batch = rises.shape[0]
+        ws = self._workspace(min(batch, GRID_SLICE))
+        total = np.zeros(batch)
+        for start in range(0, batch, GRID_SLICE):
+            part = slice(start, start + GRID_SLICE)
+            out = total[part]
+            for h in (0, 1):
+                p = self._powers(coefs[h][:, part], h, fold, ws)
+                idx = self._floors[h][0]
+                if idx.size:
+                    out += self._floor_cost(h, p[idx])
+                p -= self._upper[h][:, None]
+                out += self._weights @ np.maximum(p, 0.0, out=p)
         return total
 
     def phi(self, schedule: PulseSchedule) -> float:
@@ -326,8 +348,8 @@ class _ColumnTables:
         """Costs of a column-wise mode's blocks, (batch, p, 1) arrays."""
         nu = self.nu
         total = np.zeros(rises.shape[0])
-        for h in (0, 1):
-            f = fold.left[h] @ ev._coefficients(rises, duties, h)
+        for h, coef in enumerate(ev._coefficients(rises, duties)):
+            f = fold.left[h] @ coef
             a = f.real**2 + f.imag**2
             rows = self.floor_rows[h]
             if rows.size:
@@ -507,45 +529,78 @@ def minimize(objective, dim: int, config: PsoConfig,
     per iteration, drawn as one (swarm, 2, dim) block), so results depend only
     on the seed, never on evaluation parallelism.
     """
+    return minimize_swarms(objective, dim, config, (config.seed,), wrap_mask, init)[0]
+
+
+def minimize_swarms(objective, dim: int, config: PsoConfig, seeds: Sequence[int],
+                    wrap_mask: Optional[np.ndarray] = None,
+                    init: Optional[np.ndarray] = None) -> list:
+    """minimize for several seeds at once: one independent swarm per seed,
+    advanced in lockstep. config.seed is not used.
+
+    Every swarm draws from its own default_rng(seed), in the order minimize
+    draws, keeps its own best, history and stop rule and starts from the same
+    init. Each iteration calls the objective once, on the positions of the
+    swarms still running stacked swarm by swarm ((running * swarm, dim)); a
+    swarm that has stopped is neither scored nor drawn for again. So the
+    returned PsoResults, one per seed in order, equal separate minimize runs
+    whenever the objective scores a particle independently of its batch.
+    """
     if dim < 1:
         raise ValueError("empty search space")
+    if len(seeds) < 1:
+        raise ValueError("at least one seed is required")
     if wrap_mask is None:
         wrap_mask = np.zeros(dim, dtype=bool)
     wrap_mask = np.asarray(wrap_mask, dtype=bool)
-    rng = np.random.default_rng(config.seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     c = config.swarm_size
 
-    x = rng.random((c, dim))
+    # state arrays carry a leading swarm axis over the running swarms only
+    x = np.empty((len(rngs), c, dim))
+    for rng, xs in zip(rngs, x):
+        rng.random(out=xs)
     if init is not None:
         init = np.asarray(init, dtype=float)
         if init.shape != (dim,):
             raise ValueError(f"init must have shape ({dim},)")
-        x[0] = init
-        _wrap_unit(x[0], wrap_mask)
-        np.clip(x[0], 0.0, 1.0, out=x[0], where=~wrap_mask)
-    vel = np.zeros((c, dim))
-    f = _checked_costs(objective, x)
+        start = _wrap_unit(init.copy(), wrap_mask)
+        np.clip(start, 0.0, 1.0, out=start, where=~wrap_mask)
+        x[:, 0] = start
+    vel = np.zeros_like(x)
+    f = _checked_costs(objective, x.reshape(-1, dim)).reshape(x.shape[:2])
     pbest = x.copy()
     pbest_f = f.copy()
-    ig = int(np.argmin(pbest_f))  # ties resolve to the lowest index
-    gbest = pbest[ig].copy()
-    gbest_f = float(pbest_f[ig])
-    history = [gbest_f]
-    stop_reason = "max_iterations"
+    swarms = np.arange(len(rngs))
+    ig = np.argmin(pbest_f, axis=1)  # ties resolve to the lowest index
+    gbest = pbest[swarms, ig]
+    # a history's last entry is its swarm's best cost
+    histories = [[value] for value in pbest_f[swarms, ig].tolist()]
+    running = list(range(len(rngs)))  # seed index of each state row
+    results = [None] * len(rngs)
+    r = np.empty((len(rngs), c, 2, dim))
     clamp = config.velocity_clamp
+    w = config.stagnation_window
     it = 0
 
+    def finish(row: int, stop_reason: str):
+        k = running[row]
+        results[k] = PsoResult(best_x=gbest[row].copy(), best_value=histories[k][-1],
+                               history=np.asarray(histories[k]), iterations=it,
+                               stop_reason=stop_reason)
+
     for it in range(1, config.iterations + 1):
-        r = rng.random((c, 2, dim))
+        for k, out in zip(running, r):
+            rngs[k].random(out=out)
         dp = pbest - x
-        dg = gbest - x
+        dg = gbest[:, None] - x
         for d in (dp, dg):  # the shorter way round on periodic coordinates
             np.add(d, 0.5, out=d, where=wrap_mask)
             np.mod(d, 1.0, out=d, where=wrap_mask)
             np.subtract(d, 0.5, out=d, where=wrap_mask)
         vel = (config.inertia * vel
-               + config.cognitive * r[:, 0] * dp
-               + config.social * r[:, 1] * dg)
+               + config.cognitive * r[:, :, 0] * dp
+               + config.social * r[:, :, 1] * dg)
         np.clip(vel, -clamp, clamp, out=vel)
         x = _wrap_unit(x + vel, wrap_mask)
         # wrapped coordinates land in [0, 1), so only duties meet the walls
@@ -555,28 +610,38 @@ def minimize(objective, dim: int, config: PsoConfig,
         np.subtract(2.0, x, out=x, where=high)
         np.negative(vel, out=vel, where=low ^ high)
 
-        f = _checked_costs(objective, x)
+        f = _checked_costs(objective, x.reshape(-1, dim)).reshape(x.shape[:2])
         improved = f < pbest_f
         pbest[improved] = x[improved]
         pbest_f[improved] = f[improved]
-        ig = int(np.argmin(pbest_f))
-        if pbest_f[ig] < gbest_f:
-            gbest = pbest[ig].copy()
-            gbest_f = float(pbest_f[ig])
-        history.append(gbest_f)
 
-        if gbest_f == 0.0:
-            stop_reason = "zero_cost"
-            break
-        w = config.stagnation_window
-        if w > 0 and it >= w:
-            prev = history[-w - 1]
-            if prev - gbest_f <= config.stagnation_rtol * max(abs(prev), 1e-300):
-                stop_reason = "stagnation"
+        keep = []
+        for row, i in enumerate(np.argmin(pbest_f, axis=1).tolist()):
+            history = histories[running[row]]
+            value = history[-1]
+            best = float(pbest_f[row, i])
+            if best < value:
+                gbest[row] = pbest[row, i]
+                value = best
+            history.append(value)
+            if value == 0.0:
+                finish(row, "zero_cost")
+            elif w > 0 and it >= w and (
+                    history[-w - 1] - value
+                    <= config.stagnation_rtol * max(abs(history[-w - 1]), 1e-300)):
+                finish(row, "stagnation")
+            else:
+                keep.append(row)
+        if len(keep) < len(running):
+            if not keep:
                 break
-
-    return PsoResult(best_x=gbest, best_value=gbest_f,
-                     history=np.asarray(history), iterations=it, stop_reason=stop_reason)
+            # drop the stopped swarms; a copy once per stop, not per iteration
+            x, vel, pbest, pbest_f, gbest, r = (a[keep] for a in (x, vel, pbest, pbest_f, gbest, r))
+            running = [running[row] for row in keep]
+    else:  # no break: the swarms still running used every iteration
+        for row in range(len(running)):
+            finish(row, "max_iterations")
+    return results
 
 
 @dataclass
@@ -611,17 +676,30 @@ def conjugate_guess(evaluator: CostEvaluator, codec: ModeCodec) -> np.ndarray:
     return codec.encode(rise.reshape(shape), duty.reshape(shape))
 
 
-def pso_optimize(evaluator: CostEvaluator, mode: ControlMode, config: PsoConfig) -> SynthesisResult:
-    """Search the mode's schedule space for the lowest mask-violation cost."""
+def pso_optimize(evaluator: CostEvaluator, mode: ControlMode, config: PsoConfig,
+                 seeds: Optional[Sequence[int]] = None) -> list:
+    """Search the mode's schedule space for the lowest mask-violation cost,
+    once per seed (config.seed alone by default), all seeds' swarms in one
+    loop (minimize_swarms); one SynthesisResult per seed, in order.
+
+    Each iteration scores the running swarms in one phi_batch call. Its BLAS
+    products round a particle's cost the same at any batch position when
+    the swarm size is a multiple of 4 (measured with OpenBLAS 0.3.31 on an
+    AVX-512 x86-64 CPU; the default swarm is 20), and every result then
+    equals the run of its seed alone bit for bit. With other swarm sizes a
+    cost can differ from that run's by rounding, which can steer the swarm
+    elsewhere.
+    """
     codec = ModeCodec(mode=mode, rows=evaluator.geometry.rows, cols=evaluator.geometry.cols)
+    seeds = (config.seed,) if seeds is None else tuple(seeds)
 
     def objective(x):
         rises, duties = codec.blocks(x)
         return evaluator.phi_batch(rises, duties, codec.mode)
 
-    res = minimize(objective, codec.dim, config, wrap_mask=codec.wrap_mask,
-                   init=conjugate_guess(evaluator, codec))
-    schedule = codec.decode(res.best_x, evaluator.period_s)
-    return SynthesisResult(schedule=schedule, phi=res.best_value, history=res.history,
-                           iterations=res.iterations, stop_reason=res.stop_reason,
-                           seed=config.seed)
+    runs = minimize_swarms(objective, codec.dim, config, seeds, wrap_mask=codec.wrap_mask,
+                           init=conjugate_guess(evaluator, codec))
+    return [SynthesisResult(schedule=codec.decode(res.best_x, evaluator.period_s),
+                            phi=res.best_value, history=res.history,
+                            iterations=res.iterations, stop_reason=res.stop_reason, seed=seed)
+            for seed, res in zip(seeds, runs)]

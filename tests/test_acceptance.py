@@ -195,7 +195,7 @@ def test_criterion_04_beam_pair_quality(capsys):
     for rep in range(3):
         seed = derive_seed(MASTER_SEED, sc.theta_refl_deg, rep)
         t0 = time.perf_counter()
-        res = pso_optimize(ev, sc.mode, replace(sc.pso, seed=seed))
+        [res] = pso_optimize(ev, sc.mode, replace(sc.pso, seed=seed))
         seed_times.append(time.perf_counter() - t0)
         if best is None or res.phi < best.phi:
             best = res

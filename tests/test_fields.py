@@ -282,7 +282,8 @@ def test_separable_kernel_matches_direct_sum(rng):
                                                     anchors[:, 0], anchors[:, 1], h)])
             p_want = np.sum(np.abs(want) ** 2, axis=1)
             # the cost's rows are the full grid, row-major, then the anchors
-            p_all = ev._powers(sched.rise[None], sched.duty[None], h, full, ws)[:, 0].copy()
+            coef = ev._coefficients(sched.rise[None], sched.duty[None])[h]
+            p_all = ev._powers(coef, h, full, ws)[:, 0].copy()
             if h == 0:
                 p_all += ev._carrier_floor
             assert p_all.shape == (nu * nv + anchors.shape[0],)

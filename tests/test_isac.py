@@ -24,7 +24,7 @@ from tmems.modulation import (
     ReflectionStates,
 )
 from tmems import isac
-from tmems.synthesis import PsoConfig, SynthesisResult, pso_optimize
+from tmems.synthesis import CostEvaluator, PsoConfig, SynthesisResult, pso_optimize
 
 from conftest import random_schedule
 
@@ -119,7 +119,8 @@ def test_design_for_angle_best_of_repeats(fast_scenario):
     for rep in range(2):
         ev = sc.evaluator(design_theta_deg=40.0)
         cfg = replace(sc.pso, seed=derive_seed(master, 40.0, rep))
-        singles.append(pso_optimize(ev, sc.mode, cfg))
+        [single] = pso_optimize(ev, sc.mode, cfg)
+        singles.append(single)
     best = design_for_angle(sc, 40.0, master, repeats=2)
     winner = min(singles, key=lambda s: s.phi)
     assert best.phi == winner.phi
@@ -133,15 +134,49 @@ def test_design_for_angle_ties_keep_earliest_repeat(fast_scenario, monkeypatch):
     sc = fast_scenario(iterations=2)
     calls = []
 
-    def fake_optimize(evaluator, mode, config):
-        calls.append(config.seed)
-        return SynthesisResult(schedule=None, phi=0.5, history=np.array([0.5]),
-                               iterations=0, stop_reason="zero_cost", seed=config.seed)
+    def fake_optimize(evaluator, mode, config, seeds):
+        calls.append(list(seeds))
+        return [SynthesisResult(schedule=None, phi=0.5, history=np.array([0.5]),
+                                iterations=0, stop_reason="zero_cost", seed=seed)
+                for seed in seeds]
 
     monkeypatch.setattr(isac, "pso_optimize", fake_optimize)
     best = design_for_angle(sc, 40.0, 5, repeats=3)
-    assert calls == [derive_seed(5, 40.0, rep) for rep in range(3)]
-    assert best.seed == calls[0]
+    assert calls == [[derive_seed(5, 40.0, rep) for rep in range(3)]]
+    assert best.seed == calls[0][0]
+
+
+def test_design_runs_its_repeats_in_one_loop(fast_scenario, monkeypatch):
+    # a swarm stops when its best cost has moved less than half in 4
+    # iterations, so the three repeats stop at different iterations
+    sc = fast_scenario(iterations=40)
+    sc = replace(sc, pso=replace(sc.pso, stagnation_window=4, stagnation_rtol=0.5))
+    batches = []
+    score = CostEvaluator.phi_batch
+
+    def counted(self, rises, *args, **kwargs):
+        batches.append(rises.shape[0])
+        return score(self, rises, *args, **kwargs)
+
+    results = []
+    optimize = isac.pso_optimize
+
+    def recorded(*args, **kwargs):
+        results.extend(optimize(*args, **kwargs))
+        return results
+
+    monkeypatch.setattr(CostEvaluator, "phi_batch", counted)
+    monkeypatch.setattr(isac, "pso_optimize", recorded)
+    best = design_for_angle(sc, 40.0, 3, repeats=3)
+    iterations = [res.iterations for res in results]
+    assert len(set(iterations)) == 3
+    assert best in results
+    # one cost call per iteration, on the swarms still running
+    swarm = sc.pso.swarm_size
+    assert len(batches) == max(iterations) + 1
+    assert batches == [swarm * sum(it >= i for it in iterations)
+                       for i in range(max(iterations) + 1)]
+    assert sum(batches) == sum((it + 1) * swarm for it in iterations)
 
 
 def test_matched_sweep_user(fast_scenario):

@@ -19,14 +19,18 @@ from tmems.modulation import (
     PulseSchedule,
     ReflectionStates,
     mirror_rise,
+    pulse_fourier_coefficients,
 )
+from tmems import synthesis
 from tmems.synthesis import (
     CostEvaluator,
     ModeCodec,
     PsoConfig,
     _wrap_unit,
     conjugate_guess,
+    GRID_SLICE,
     minimize,
+    minimize_swarms,
     pso_optimize,
     ramp,
 )
@@ -244,6 +248,39 @@ def test_phi_batch_checks_the_block():
         odd.phi_batch(np.zeros((1, 1, 4)), np.zeros((1, 1, 4)), ControlMode.DELTA)
 
 
+def test_phi_batch_checks_the_block_values(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return pulse_fourier_coefficients(*args)
+
+    # one range check per call: the h = 1 coefficients check, u^0 is the duty
+    monkeypatch.setattr(synthesis, "pulse_fourier_coefficients", counted)
+    for ev, mode, shape in ((beam_pair_evaluator(), ControlMode.DELTA, (45, 5, 10)),
+                            (columnwise_evaluator(), ControlMode.COLWISE_DELTA, (45, 5, 1))):
+        calls.clear()
+        ev.phi_batch(np.full(shape, 0.25), np.full(shape, 0.5), mode)
+        assert calls == [1]
+        for which, bad, match in (("rise", np.nan, "rise"), ("rise", 1.0, "rise"),
+                                  ("rise", -0.1, "rise"), ("duty", np.nan, "duty"),
+                                  ("duty", 1.5, "duty"), ("duty", -0.1, "duty")):
+            blocks = {"rise": np.full(shape, 0.25), "duty": np.full(shape, 0.5)}
+            blocks[which][2, 1, 0] = bad
+            with pytest.raises(ValueError, match=match):
+                ev.phi_batch(blocks["rise"], blocks["duty"], mode)
+
+
+def test_grid_route_scores_in_slices():
+    ev = beam_pair_evaluator()
+    fold = ev._folds[ControlMode.DELTA]
+    rises, duties = np.random.default_rng(4).random((2, 45, 5, 10))
+    got = ev._phi_grid(rises, duties, fold)
+    assert ev._local.ws.capacity == GRID_SLICE == 20
+    want = [ev._phi_grid(rises[s:s + 20], duties[s:s + 20], fold) for s in (0, 20, 40)]
+    assert np.array_equal(got, np.concatenate(want))
+
+
 @pytest.mark.parametrize("mode", [ControlMode.COLWISE, ControlMode.COLWISE_DELTA])
 def test_column_route_matches_grid_route(fast_scenario, mode):
     rng = np.random.default_rng(5)
@@ -422,11 +459,54 @@ def test_pso_optimize_scores_each_swarm_in_one_call(monkeypatch):
     monkeypatch.setattr(CostEvaluator, "phi_batch", counted)
     ev = steered_evaluator()
     cfg = PsoConfig(swarm_size=6, iterations=8, seed=3, stagnation_window=0)
-    res = pso_optimize(ev, ControlMode.DELTA, cfg)
+    [res] = pso_optimize(ev, ControlMode.DELTA, cfg)
     assert len(calls) == res.iterations + 1
     for args, kwargs in calls:
         assert args[0].shape == (6, 2, 4) and args[1].shape == (6, 2, 4)
         assert (args[2:] or (kwargs["mode"],)) == (ControlMode.DELTA,)
+
+
+def test_minimize_swarms_equal_separate_runs():
+    def objective(x):
+        # zero inside a small ball, quantized outside it, so that swarms
+        # reach zero, stall or run out of iterations at different times
+        d = np.sum((2.0 * x - 1.0) ** 2, axis=1)
+        return np.where(d < 0.02, 0.0, np.ceil(d * 20.0) / 20.0)
+
+    dim = 4
+    wrap = np.arange(dim) < 2
+    cfg = PsoConfig(swarm_size=6, iterations=12, stagnation_window=8)
+    seeds = (1, 2, 6)
+    runs = minimize_swarms(objective, dim, cfg, seeds, wrap_mask=wrap)
+    assert [(r.iterations, r.stop_reason) for r in runs] == [
+        (7, "zero_cost"), (12, "max_iterations"), (11, "stagnation")]
+    for init in (None, np.full(dim, 0.9)):
+        runs = minimize_swarms(objective, dim, cfg, seeds, wrap_mask=wrap, init=init)
+        for seed, got in zip(seeds, runs):
+            want = minimize(objective, dim, replace(cfg, seed=seed), wrap_mask=wrap, init=init)
+            assert np.array_equal(got.best_x, want.best_x)
+            assert got.best_value == want.best_value
+            assert np.array_equal(got.history, want.history)
+            assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
+    with pytest.raises(ValueError, match="seed"):
+        minimize_swarms(objective, dim, cfg, ())
+
+
+def test_minimize_swarms_scores_running_swarms_in_one_call():
+    batches = []
+
+    def record(x):
+        batches.append(x.shape[0])
+        return np.ones(x.shape[0])
+
+    # every swarm stalls at once after 5 iterations; zero iterations run none
+    minimize_swarms(record, 3, PsoConfig(swarm_size=4, iterations=50, stagnation_window=5),
+                    (1, 2, 3))
+    assert batches == [12] * 6
+    batches.clear()
+    runs = minimize_swarms(record, 3, PsoConfig(swarm_size=4, iterations=0), (1, 2))
+    assert batches == [8]
+    assert [(r.iterations, r.stop_reason) for r in runs] == [(0, "max_iterations")] * 2
 
 
 def test_pso_history_monotone_and_initial_entry():
@@ -584,7 +664,7 @@ def steered_evaluator():
 def test_pso_optimize_respects_delta_structure():
     ev = steered_evaluator()
     cfg = PsoConfig(swarm_size=6, iterations=8, seed=3, stagnation_window=0)
-    res = pso_optimize(ev, ControlMode.DELTA, cfg)
+    [res] = pso_optimize(ev, ControlMode.DELTA, cfg)
     sched = res.schedule
     assert np.array_equal(sched.duty, sched.duty[::-1])
     assert np.array_equal(sched.rise[2:], mirror_rise(sched.rise[:2])[::-1])
@@ -635,8 +715,8 @@ def test_duty_driven_to_one_by_power_floor():
                     anchor_upper=np.array([[np.inf], [np.inf]]),
                     beam_ref=beam_reference(geom, inc, 0.0, states.scalar_pair()))
     ev = CostEvaluator(geom, states, inc, masks, 1e-6)
-    res = pso_optimize(ev, ControlMode.FULL,
-                       PsoConfig(swarm_size=12, iterations=60, seed=3,
-                                 stagnation_window=0))
+    [res] = pso_optimize(ev, ControlMode.FULL,
+                         PsoConfig(swarm_size=12, iterations=60, seed=3,
+                                   stagnation_window=0))
     assert res.phi == 0.0
     assert res.schedule.duty[0, 0] >= 0.97
