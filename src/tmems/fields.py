@@ -284,6 +284,8 @@ class FieldEngine:
     def _cell_weights(self, schedule: PulseSchedule, states: ReflectionStates,
                       incidence: PlaneWaveIncidence, h: int) -> np.ndarray:
         """Per-cell tangential source vectors (n_cells, 2) for harmonic h."""
+        if schedule.shape != (self.geometry.rows, self.geometry.cols):
+            raise ValueError("schedule shape does not match the geometry")
         a, b = state_sources(states, incidence)
         g = incident_phase_factors(incidence, self.geometry) * incidence.amplitude_v_m
         src = schedule.fourier_coefficients(h).reshape(-1, 1) * (a - b)
@@ -336,16 +338,12 @@ class FieldEngine:
 def harmonic_far_field(geometry: EmsGeometry, schedule: PulseSchedule, states: ReflectionStates,
                        incidence: PlaneWaveIncidence, grid: DirectionGrid, h: int) -> HarmonicPattern:
     """One-shot pattern computation."""
-    if schedule.shape != (geometry.rows, geometry.cols):
-        raise ValueError("schedule shape does not match the geometry")
     return FieldEngine(geometry, grid).pattern(schedule, states, incidence, h)
 
 
 def field_samples(geometry: EmsGeometry, schedule: PulseSchedule, states: ReflectionStates,
                   incidence: PlaneWaveIncidence, u, v, h: int) -> np.ndarray:
     """Exact-direction field samples without building a grid."""
-    if schedule.shape != (geometry.rows, geometry.cols):
-        raise ValueError("schedule shape does not match the geometry")
     return FieldEngine(geometry).field_at(u, v, schedule, states, incidence, h)
 
 

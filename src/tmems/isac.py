@@ -142,8 +142,8 @@ def measure_bs_ratio(scenario: Scenario, schedule: PulseSchedule,
     exact base station direction; noise_power, if given, is added to both
     powers as a common receiver floor.
     """
-    if noise_power < 0.0:
-        raise ValueError("noise power must be non-negative")
+    if not (0.0 <= noise_power < np.inf):  # NaN fails this test too
+        raise ValueError("noise power must be finite and non-negative")
     inc = incidence if incidence is not None else scenario.incidence()
     u, v = scenario.bs_u, 0.0
     e0 = field_samples(scenario.geometry, schedule, scenario.states, inc, u, v, h=0)

@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import DirectionGrid, PlaneWaveIncidence, incident_phase_factors, steering_rows
+from .fields import (DirectionGrid, PlaneWaveIncidence, incident_phase_factors, steering_factors,
+                     steering_rows)
 from .geometry import EmsGeometry
 from .modulation import ReflectionStates
 
@@ -70,25 +71,6 @@ class BeamReference:
         return self.pol2 * (f.real**2 + f.imag**2)
 
 
-def _apex_u(p, us):
-    """Apex (direction cosine, power) of a carrier lobe sampled as powers p
-    on the uniform line us.
-
-    Returns None when the maximum sits on the window edge, i.e. the lobe has
-    left the window and the sample is not a lobe apex at all.
-    """
-    i = int(np.argmax(p))
-    if i == 0 or i == us.size - 1:
-        return None
-    # parabolic refinement through the three samples around the maximum
-    d1 = p[i + 1] - p[i - 1]
-    d2 = p[i + 1] - 2.0 * p[i] + p[i - 1]
-    apex = float(us[i])
-    if d2 < 0.0:
-        apex = float(us[i] - 0.5 * d1 / d2 * (us[1] - us[0]))
-    return apex, float(p[i])
-
-
 def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence, beam_u: float,
                    scalar_states: Optional[tuple] = None) -> BeamReference:
     """Build the steer-compensated conjugate carrier design for a beam at
@@ -107,62 +89,60 @@ def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence, beam_u:
     g = incident_phase_factors(incidence, geometry) * incidence.amplitude_v_m
     jones = np.asarray(incidence.jones)
     pol2 = float(np.sum(np.abs(incidence.polarization_matrix @ jones) ** 2))
-    xy = geometry.cell_xy_m
-    k0 = geometry.k0
+    phase0, x = np.angle(g)[:, None], geometry.cell_xy_m[:, :1]
 
-    def make(steer_u: float):
-        phase = np.angle(g) + k0 * (steer_u * xy[:, 0])
+    def make(steers: np.ndarray):
+        """Phases, duties and weights of the designs, each (n_cells, n_steers)."""
+        phase = phase0 + geometry.k0 * (x * steers)
         duty = np.clip(((np.cos(phase) - gam_off) / span).real, 0.0, 1.0)
-        return phase, duty, (gam_off + span * duty) * g
+        return phase, duty, (gam_off + span * duty) * g[:, None]
 
     fn = 1.0 / (geometry.rows * geometry.cell_size_wl)
-    us = beam_u + np.linspace(-0.6 * fn, 0.6 * fn, 241)
+    us, step = np.linspace(beam_u - 0.6 * fn, beam_u + 0.6 * fn, 241, retstep=True)
     us = us[us * us < 1.0]
     if not us.size:
         raise ValueError("beam window has no visible directions")
-    line = steering_rows(geometry, us, np.zeros_like(us))
+    a_u, a_v = steering_factors(geometry, us, np.zeros(1))
 
-    def offset(steer_u: float):
-        _, _, w = make(steer_u)
-        f = line @ w
-        res = _apex_u(pol2 * (f.real**2 + f.imag**2), us)
-        return None if res is None else (res[0] - beam_u, res[1])
+    def scan(steers: np.ndarray):
+        """Apex offsets from beam_u and apex powers of the steers' lobes, each
+        apex refined by a parabola through the three samples around the
+        maximum; both NaN where the maximum sits on the window edge."""
+        # separable line: sum each row's cells at v = 0, then radiate the rows
+        f = a_u @ (a_v[0] @ make(steers)[2].reshape(geometry.rows, geometry.cols, -1))
+        p = pol2 * (f.real**2 + f.imag**2)
+        i, k = np.argmax(p, axis=0), np.arange(steers.size)
+        lo, mid, hi = p[i - 1, k], p[i, k], p[(i + 1) % us.size, k]
+        inside = (i > 0) & (i < us.size - 1)
+        # the first maximum of an interior sample has lo < mid >= hi: d2 < 0
+        d2 = np.where(inside, hi - 2.0 * mid + lo, -1.0)
+        return np.where(inside, (us[i] - 0.5 * (hi - lo) / d2 * step - beam_u, mid), np.nan)
 
-    # the apex offset moves smoothly and monotonically with the steer inside
-    # one lobe width: scan for a sign change, then bisect it down. Steers
-    # whose lobe has collapsed (a beam merging destructively with its mirror
-    # loses its power long before the apex reading goes stale) are dropped
-    # before picking the best candidate.
-    scan = beam_u + np.linspace(-0.5, 0.5, 21) * fn
-    triples = [(s, r[0], r[1]) for s, r in ((s, offset(s)) for s in scan) if r is not None]
-    if not triples:
+    # The apex offset moves smoothly and monotonically with the steer inside
+    # one lobe width: scan for a sign change, then zoom in on it with its ends,
+    # two even steps and the secant root (few points: numpy holds the
+    # interpreter lock through ops of up to 500 elements). Lobes below half the
+    # tallest have collapsed (a beam merging with its mirror) and are dropped.
+    s = beam_u + np.linspace(-0.5, 0.5, 21) * fn
+    f, pk = scan(s)
+    if np.isnan(f).all():
         raise ValueError("conjugate reference lobe not found near the beam direction")
-    peak_floor = 0.5 * max(t[2] for t in triples)
-    pairs = [(s, f) for s, f, pk in triples if pk >= peak_floor]
-    best_s, best_f = min(pairs, key=lambda sf: abs(sf[1]))
-    bracket = None
-    for (sa, fa), (sb, fb) in zip(pairs, pairs[1:]):
-        if fa == 0.0 or fa * fb < 0.0:
-            bracket = (sa, fa, sb, fb)
+    floor, kept = 0.5 * np.nanmax(pk), []
+    for _ in range(12):
+        kept.append([a[pk >= floor] for a in (s, f, pk)])
+        s, f, pk = kept[-1]
+        cross = np.flatnonzero(f[:-1] * f[1:] < 0.0)
+        if not cross.size or np.abs(f).min() < 1e-7:
             break
-    if bracket is not None:
-        sa, fa, sb, fb = bracket
-        for _ in range(24):
-            sm = 0.5 * (sa + sb)
-            res = offset(sm)
-            if res is None:
-                break
-            fm = res[0]
-            if abs(fm) < abs(best_f):
-                best_s, best_f = sm, fm
-            if abs(fm) < 1e-6:
-                break
-            if fa * fm <= 0.0:
-                sb, fb = sm, fm
-            else:
-                sa, fa = sm, fm
-    phase, duty, weights = make(best_s)
-    return BeamReference(geometry=geometry, steer_u=best_s,
+        (sa, sb), (fa, fb) = s[cross[0]:cross[0] + 2], f[cross[0]:cross[0] + 2]
+        s = np.sort(np.append(np.linspace(sa, sb, 4), sa - fa * (sb - sa) / (fb - fa)))
+        f, pk = scan(s)
+    steers, offsets, peaks = map(np.concatenate, zip(*kept))
+    # on target first, then the taller lobe, then the steer nearer beam_u: a
+    # mirror-symmetric scan, where every offset reads 0, keeps the centred lobe
+    best = np.lexsort((np.abs(steers - beam_u), -peaks, np.abs(offsets)))[0]
+    phase, duty, weights = (a[:, 0] for a in make(steers[best:best + 1]))
+    return BeamReference(geometry=geometry, steer_u=float(steers[best]),
                          duty=duty.reshape(geometry.rows, geometry.cols),
                          phase=phase, weights=weights, pol2=pol2)
 

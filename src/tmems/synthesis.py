@@ -462,8 +462,8 @@ class PsoConfig:
     velocity_clamp: float = 0.5
 
     def __post_init__(self):
-        if self.swarm_size < 1 or self.iterations < 0:
-            raise ValueError("swarm_size must be >= 1 and iterations >= 0")
+        if self.swarm_size < 1 or self.iterations < 0 or self.stagnation_window < 0:
+            raise ValueError("swarm_size must be >= 1, iterations and stagnation_window >= 0")
         # written so that NaN fails every range test
         for name in ("inertia", "cognitive", "social", "stagnation_rtol"):
             if not (0.0 <= getattr(self, name) < np.inf):

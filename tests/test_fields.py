@@ -235,6 +235,13 @@ def test_field_at_checks_visibility(geom4, ideal, rng):
     with pytest.raises(ValueError, match="shape"):
         harmonic_far_field(geom4, random_schedule(rng, 3, 3), ideal, inc,
                            DirectionGrid.uniform(5), 0)
+    # the engine itself rejects a schedule whose cell count alone agrees
+    engine = FieldEngine(EmsGeometry(rows=10, cols=10), DirectionGrid.uniform(5))
+    wrong = random_schedule(rng, 5, 20)
+    with pytest.raises(ValueError, match="shape"):
+        engine.pattern(wrong, ideal, inc, 1)
+    with pytest.raises(ValueError, match="shape"):
+        engine.field_at(0.0, 0.0, wrong, ideal, inc, 0)
 
 
 def test_field_samples_match_pattern_nodes(geom4, ideal, rng):

@@ -98,8 +98,9 @@ def test_noise_power_floors_the_ratio(fast_scenario, rng):
     rn = measure_bs_ratio(sc, sched, noise_power=n)
     assert rn.xi == pytest.approx((r0.p_sigma + n) / (r0.p_delta + n), rel=1e-12)
     assert not rn.floored
-    with pytest.raises(ValueError, match="noise"):
-        measure_bs_ratio(sc, sched, noise_power=-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise"):
+            measure_bs_ratio(sc, sched, noise_power=bad)
 
 
 def test_measure_accepts_explicit_incidence(fast_scenario, rng):

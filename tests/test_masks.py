@@ -4,6 +4,7 @@ steer-compensated carrier reference used to calibrate them."""
 import numpy as np
 import pytest
 
+from tmems.config import parse_config
 from tmems.fields import DirectionGrid, PlaneWaveIncidence
 from tmems.geometry import EmsGeometry
 from tmems.masks import (
@@ -131,18 +132,31 @@ def test_mirror_image_boxes():
 
 
 def test_beam_reference_lands_on_target():
-    beam_u = -np.sin(np.radians(20.0))
-    ref = beam_reference(GEOM10, INC40, beam_u, scalar_states=IDEAL_PAIR)
-    assert np.all((ref.duty >= 0.0) & (ref.duty <= 1.0))
-    # compensation moves the steer off the geometric target
-    assert abs(ref.steer_u - beam_u) > 1e-3
-    # the apex of the resulting carrier lobe sits on the requested direction
-    us = beam_u + np.linspace(-0.02, 0.02, 801)
-    p = ref.power_at(us, np.zeros_like(us))
-    apex = us[int(np.argmax(p))]
-    assert abs(apex - beam_u) < 1e-3
-    # and carries at least the default -3 dB floor relative to R0
-    assert ref.power_at(beam_u, 0.0)[0] >= 0.5 * R0
+    cases = [(40.0, -np.sin(np.radians(20.0)))]  # the beam-pair scenario
+    cases += [(theta, 0.0) for theta in (20.0, 30.0, 40.0, 50.0)]  # localization candidates
+    for theta_deg, beam_u in cases:
+        ref = beam_reference(GEOM10, PlaneWaveIncidence(theta_deg=theta_deg), beam_u,
+                             scalar_states=IDEAL_PAIR)
+        assert np.all((ref.duty >= 0.0) & (ref.duty <= 1.0))
+        if beam_u != 0.0:
+            # compensation moves the steer off the geometric target
+            assert abs(ref.steer_u - beam_u) > 1e-3
+        # the apex of the resulting carrier lobe sits on the requested direction
+        us = beam_u + np.linspace(-0.02, 0.02, 801)
+        p = ref.power_at(us, np.zeros_like(us))
+        apex = us[int(np.argmax(p))]
+        assert abs(apex - beam_u) < 1e-3, theta_deg
+        # and carries at least the default -3 dB floor relative to R0
+        assert ref.power_at(beam_u, 0.0)[0] >= 0.5 * R0
+
+
+def test_default_scenario_reference_is_centred():
+    # normal incidence and a broadside beam: every steer's lobe is mirror
+    # symmetric about u = 0, so the tie goes to the tallest, centred lobe
+    ref = parse_config({}).scenario().evaluator().masks.beam_ref
+    assert ref.steer_u == 0.0
+    assert np.all(ref.duty == 1.0)
+    assert ref.power_at(0.0, 0.0)[0] > 0.71  # an off-centre steer peaks at 0.702
 
 
 def test_beam_reference_validation():
@@ -150,6 +164,8 @@ def test_beam_reference_validation():
         beam_reference(GEOM10, INC40, 1.5)
     with pytest.raises(ValueError, match="contrast"):
         beam_reference(GEOM10, INC40, 0.0, scalar_states=(0.5 + 0j, 0.5 + 0j))
+    with pytest.raises(ValueError, match="lobe not found"):
+        beam_reference(GEOM10, PlaneWaveIncidence(theta_deg=50.0), np.sin(np.radians(20.0)))
 
 
 def test_box_never_empty_on_coarse_grid():

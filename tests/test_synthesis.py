@@ -590,6 +590,8 @@ def test_pso_config_validation():
         PsoConfig(iterations=-1)
     with pytest.raises(ValueError):
         PsoConfig(velocity_clamp=0.0)
+    with pytest.raises(ValueError, match="stagnation_window"):
+        PsoConfig(stagnation_window=-3)
     for name in ("inertia", "cognitive", "social", "stagnation_rtol"):
         for bad in (np.nan, np.inf, -1.0):
             with pytest.raises(ValueError, match=name):
