@@ -63,7 +63,7 @@ def cmd_synthesize(args) -> int:
     cfg = _load(args)
     scenario = cfg.scenario()
     out = _outdir(args)
-    [res] = pso_optimize(scenario.evaluator(), scenario.mode, scenario.pso)
+    [[res]] = pso_optimize([scenario.evaluator()], scenario.mode, scenario.pso)
     ratio = measure_bs_ratio(scenario, res.schedule, noise_power=cfg.noise_power)
     write_schedule_csv(out / "schedule.csv", res.schedule)
     write_convergence_csv(out / "convergence.csv", res.history)
@@ -117,7 +117,7 @@ def _cmd_sweep(args, vary: str) -> int:
     out = _outdir(args)
     repeats = args.repeats if args.repeats is not None else cfg.repeats
     samples = matched_sweep(scenario, vary, angles, master_seed=cfg.seed,
-                            repeats=repeats, jobs=args.jobs, noise_power=cfg.noise_power)
+                            repeats=repeats, noise_power=cfg.noise_power)
     write_sweep_csv(out / "sweep.csv", samples, vary)
     best = max(samples, key=lambda s: s.xi)
     write_json(out / "summary.json", {
@@ -155,12 +155,11 @@ def cmd_localize(args) -> int:
             book = read_codebook(book_path,
                                  expected_digest=codebook_digest(scenario, cfg.seed, repeats))
         else:
-            book = build_codebook(scenario, candidates, cfg.seed, repeats=repeats,
-                                  jobs=args.jobs)
+            book = build_codebook(scenario, candidates, cfg.seed, repeats=repeats)
             write_codebook(book_path, book)
             built = True
     res = localize(scenario, candidates, cfg.seed, repeats=repeats, codebook=book,
-                   jobs=args.jobs, noise_power=cfg.noise_power)
+                   noise_power=cfg.noise_power)
     write_sweep_csv(out / "localization.csv", res.samples, "candidate")
     write_json(out / "summary.json", {
         "command": "localize",
@@ -222,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (created if missing)")
     common.add_argument("--seed", type=int, default=None,
                         help="override synthesis.seed")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads across independent designs")
+    common.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="accepted for compatibility (N >= 1); all designs of a "
+                             "command share one PSO loop, so N has no effect")
     common.add_argument("--grid", type=int, default=None, metavar="N",
                         help="override evaluation.grid_n")
     common.add_argument("--mode", choices=MODE_NAMES, default=None,
@@ -276,6 +276,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, CodebookError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

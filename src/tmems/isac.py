@@ -16,7 +16,6 @@ lands inside the visible region (see masks.build_masks).
 """
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from math import radians, sin
 from typing import Optional, Sequence
@@ -153,24 +152,36 @@ def measure_bs_ratio(scenario: Scenario, schedule: PulseSchedule,
     return ratio_from_powers(p_sigma, p_delta)
 
 
-def design_for_angle(scenario: Scenario, theta_hat_deg: float, master_seed: int,
-                     repeats: int = 1,
-                     key_angle_deg: Optional[float] = None) -> SynthesisResult:
-    """Synthesize for an assumed user angle; keep the lowest-cost repeat.
+# the scenario field each sweep moves
+_SWEPT = {"user": "theta_inc_deg", "bs": "theta_refl_deg"}
 
-    Repeat seeds derive from (master_seed, key angle, repeat index), so every
-    design is reproducible in isolation. The repeats run as one swarm each
-    in a single PSO loop, each on its own seed, and end as separate runs
-    would (see synthesis.pso_optimize for the rounding caveat). Cost ties
-    keep the earliest repeat.
+
+def _moved(scenario: Scenario, vary: str, angle_deg: float) -> Scenario:
+    return replace(scenario, **{_SWEPT[vary]: float(angle_deg)})
+
+
+def design_for_angle(scenario: Scenario, angles_deg: Sequence[float], master_seed: int,
+                     repeats: int = 1, vary: str = "user") -> list:
+    """Synthesize one design per angle; keep each design's lowest-cost repeat.
+
+    Design k assumes the scenario with the user (vary="user") or the base
+    station (vary="bs") at angles_deg[k]. Repeat seeds derive from
+    (master_seed, angle, repeat index), so every design is reproducible in
+    isolation. All repeats of all designs run as one swarm each in a single
+    PSO loop, each on its own seed, and end as the design run alone would
+    (see synthesis.pso_optimize for the rounding caveat). Cost ties keep the
+    earliest repeat. No angle gives [].
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    ev = scenario.evaluator(design_theta_deg=theta_hat_deg)
-    key = theta_hat_deg if key_angle_deg is None else key_angle_deg
-    seeds = [derive_seed(master_seed, key, rep) for rep in range(repeats)]
+    if vary not in _SWEPT:
+        raise ValueError('vary must be "bs" or "user"')
+    angles = [float(a) for a in angles_deg]
+    evaluators = [_moved(scenario, vary, a).evaluator() for a in angles]
+    seeds = [[derive_seed(master_seed, a, rep) for rep in range(repeats)] for a in angles]
+    runs = pso_optimize(evaluators, scenario.mode, scenario.pso, seeds)
     # min keeps the first of equal costs
-    return min(pso_optimize(ev, scenario.mode, scenario.pso, seeds), key=lambda res: res.phi)
+    return [min(reps, key=lambda res: res.phi) for reps in runs]
 
 
 @dataclass(frozen=True)
@@ -198,55 +209,38 @@ def _sample(angle_deg, ratio: MonopulseRatio, phi: float,
     )
 
 
-def _run_ordered(worker, items, jobs: int) -> list:
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, items))
-    return [worker(x) for x in items]
-
-
 def matched_sweep(scenario: Scenario, vary: str, angles_deg: Sequence[float],
-                  master_seed: int, repeats: int = 1, jobs: int = 1,
-                  noise_power: float = 0.0) -> list:
+                  master_seed: int, repeats: int = 1, noise_power: float = 0.0) -> list:
     """Synthesize and measure with matched design and truth at each angle.
 
     vary="bs" sweeps the base station's reflection angle; vary="user" sweeps
-    the (known) user incidence angle. Each sample gets its own design, and xi
-    is measured under the same scenario the design assumed.
+    the (known) user incidence angle. Each sample gets its own design (all
+    designs share one PSO loop, see design_for_angle), and xi is measured
+    under the same scenario the design assumed.
     """
-    if vary not in ("bs", "user"):
-        raise ValueError('vary must be "bs" or "user"')
-
-    def worker(angle):
-        if vary == "bs":
-            sc = replace(scenario, theta_refl_deg=float(angle))
-        else:
-            sc = replace(scenario, theta_inc_deg=float(angle))
-        res = design_for_angle(sc, sc.theta_inc_deg, master_seed, repeats,
-                               key_angle_deg=angle)
-        ratio = measure_bs_ratio(sc, res.schedule, noise_power=noise_power)
-        return _sample(angle, ratio, res.phi, res)
-
-    return _run_ordered(worker, list(angles_deg), jobs)
+    angles = [float(a) for a in angles_deg]
+    designs = design_for_angle(scenario, angles, master_seed, repeats, vary)
+    samples = []
+    for angle, res in zip(angles, designs):
+        ratio = measure_bs_ratio(_moved(scenario, vary, angle), res.schedule,
+                                 noise_power=noise_power)
+        samples.append(_sample(angle, ratio, res.phi, res))
+    return samples
 
 
 def build_codebook(scenario: Scenario, candidates_deg: Sequence[float], master_seed: int,
-                   repeats: int = 1, jobs: int = 1) -> Codebook:
+                   repeats: int = 1) -> Codebook:
     """Pre-synthesize one schedule per candidate user angle."""
     candidates = sorted(float(a) for a in candidates_deg)
     if len(set(int(round(a * 1000)) for a in candidates)) != len(candidates):
         raise ValueError("candidate angles collide at millidegree resolution")
-
-    def worker(angle):
-        res = design_for_angle(scenario, angle, master_seed, repeats)
-        return entry_from_schedule(angle, res.phi, res.schedule, scenario.mode)
-
-    entries = _run_ordered(worker, candidates, jobs)
+    designs = design_for_angle(scenario, candidates, master_seed, repeats)
     g = scenario.geometry
     return Codebook(mode=scenario.mode, rows=g.rows, cols=g.cols, seed=int(master_seed),
                     period_s=scenario.period_s, f0_hz=g.f0_hz,
                     digest=codebook_digest(scenario, master_seed, repeats),
-                    entries=tuple(entries))
+                    entries=tuple(entry_from_schedule(angle, res.phi, res.schedule, scenario.mode)
+                                  for angle, res in zip(candidates, designs)))
 
 
 @dataclass(frozen=True)
@@ -259,7 +253,7 @@ class LocalizationResult:
 
 
 def localize(scenario: Scenario, candidates_deg: Sequence[float], master_seed: int,
-             repeats: int = 1, codebook: Optional[Codebook] = None, jobs: int = 1,
+             repeats: int = 1, codebook: Optional[Codebook] = None,
              noise_power: float = 0.0) -> LocalizationResult:
     """Estimate the user angle by probing candidate designs at the base station.
 
@@ -282,17 +276,20 @@ def localize(scenario: Scenario, candidates_deg: Sequence[float], master_seed: i
         if codebook.digest != expected:
             raise ValueError("codebook scenario digest mismatch; rebuild it")
 
-    def worker(angle):
-        entry = codebook.entry_for(angle) if codebook is not None else None
+    entries = [codebook.entry_for(a) if codebook is not None else None for a in candidates]
+    designs = iter(design_for_angle(
+        scenario, [a for a, entry in zip(candidates, entries) if entry is None],
+        master_seed, repeats))
+    samples = []
+    for angle, entry in zip(candidates, entries):
         if entry is not None:
             schedule = entry.schedule(scenario.geometry, scenario.mode, scenario.period_s)
-            ratio = measure_bs_ratio(scenario, schedule, noise_power=noise_power)
-            return _sample(angle, ratio, entry.phi, None)
-        res = design_for_angle(scenario, angle, master_seed, repeats)
-        ratio = measure_bs_ratio(scenario, res.schedule, noise_power=noise_power)
-        return _sample(angle, ratio, res.phi, res)
-
-    samples = _run_ordered(worker, candidates, jobs)
+            res, phi = None, entry.phi
+        else:
+            res = next(designs)
+            schedule, phi = res.schedule, res.phi
+        ratio = measure_bs_ratio(scenario, schedule, noise_power=noise_power)
+        samples.append(_sample(angle, ratio, phi, res))
 
     scored = sorted(samples, key=lambda s: s.angle_deg)
     best = scored[0]

@@ -8,6 +8,7 @@ and 1.
 """
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -481,15 +482,16 @@ class PsoResult:
     stop_reason: str
 
 
-def _wrap_unit(x: np.ndarray, where=True) -> np.ndarray:
-    """x mod 1 into [0, 1), in place on the entries where `where` holds.
+def _wrap_unit(x: np.ndarray) -> np.ndarray:
+    """x mod 1 into [0, 1), in place.
 
-    np.mod rounds a negative x within half an ulp of 0 up to exactly 1.0
-    (np.mod(-5.551115123125783e-17, 1.0) == 1.0), which is no valid rise;
-    that result maps to 0.0, the point it stands for on the torus.
+    x - floor(x) is the correctly rounded x mod 1, as np.mod(x, 1.0) is, so
+    the two agree bit for bit. A negative x within half an ulp of 0 rounds up
+    to exactly 1.0 (np.mod(-5.551115123125783e-17, 1.0) == 1.0), which is no
+    valid rise; that result maps to 0.0, the point it stands for on the torus.
     """
-    np.mod(x, 1.0, out=x, where=where)
-    np.copyto(x, 0.0, where=(x == 1.0) & where)
+    x -= np.floor(x)
+    np.copyto(x, 0.0, where=x == 1.0)
     return x
 
 
@@ -516,7 +518,8 @@ def minimize(objective, dim: int, config: PsoConfig,
         config: swarm hyperparameters; the velocity clamp is a fraction of the
             unit coordinate range.
         wrap_mask: True marks periodic coordinates (wrap mod 1, shortest-path
-            attraction); False marks reflecting coordinates.
+            attraction); False marks reflecting coordinates. The periodic
+            coordinates must come first.
         init: optional deterministic start placed on particle 0 (the rest of
             the swarm stays random); does not consume any random draws.
 
@@ -529,46 +532,76 @@ def minimize(objective, dim: int, config: PsoConfig,
     per iteration, drawn as one (swarm, 2, dim) block), so results depend only
     on the seed, never on evaluation parallelism.
     """
-    return minimize_swarms(objective, dim, config, (config.seed,), wrap_mask, init)[0]
-
-
-def minimize_swarms(objective, dim: int, config: PsoConfig, seeds: Sequence[int],
-                    wrap_mask: Optional[np.ndarray] = None,
-                    init: Optional[np.ndarray] = None) -> list:
-    """minimize for several seeds at once: one independent swarm per seed,
-    advanced in lockstep. config.seed is not used.
-
-    Every swarm draws from its own default_rng(seed), in the order minimize
-    draws, keeps its own best, history and stop rule and starts from the same
-    init. Each iteration calls the objective once, on the positions of the
-    swarms still running stacked swarm by swarm ((running * swarm, dim)); a
-    swarm that has stopped is neither scored nor drawn for again. So the
-    returned PsoResults, one per seed in order, equal separate minimize runs
-    whenever the objective scores a particle independently of its batch.
-    """
-    if dim < 1:
-        raise ValueError("empty search space")
-    if len(seeds) < 1:
-        raise ValueError("at least one seed is required")
-    if wrap_mask is None:
-        wrap_mask = np.zeros(dim, dtype=bool)
-    wrap_mask = np.asarray(wrap_mask, dtype=bool)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    c = config.swarm_size
-
-    # state arrays carry a leading swarm axis over the running swarms only
-    x = np.empty((len(rngs), c, dim))
-    for rng, xs in zip(rngs, x):
-        rng.random(out=xs)
     if init is not None:
         init = np.asarray(init, dtype=float)
         if init.shape != (dim,):
             raise ValueError(f"init must have shape ({dim},)")
-        start = _wrap_unit(init.copy(), wrap_mask)
-        np.clip(start, 0.0, 1.0, out=start, where=~wrap_mask)
-        x[:, 0] = start
+        init = init[None]
+    [[res]] = minimize_swarms((objective,), dim, config, ((config.seed,),), wrap_mask, init)
+    return res
+
+
+def minimize_swarms(objectives: Sequence, dim: int, config: PsoConfig,
+                    seeds: Sequence[Sequence[int]],
+                    wrap_mask: Optional[np.ndarray] = None,
+                    init: Optional[np.ndarray] = None) -> list:
+    """minimize for several designs, each with several seeds, at once: one
+    independent swarm per (design, seed), all advanced in lockstep.
+    config.seed is not used.
+
+    Design d is scored by objectives[d] and runs one swarm per seed in
+    seeds[d]; init, when given, holds one start row per design, shared by
+    that design's swarms. Every swarm draws from its own default_rng(seed),
+    in the order minimize draws, and keeps its own best, history and stop
+    rule. Each iteration calls each design's objective once, on the
+    positions of that design's swarms still running, stacked swarm by swarm
+    ((running * swarm, dim)); a swarm that has stopped is neither scored nor
+    drawn for again, and a design with no running swarm is not called. So
+    the returned lists, one per design holding one PsoResult per seed in
+    order, equal separate minimize runs whenever an objective scores a
+    particle independently of its batch. No design gives [].
+    """
+    if dim < 1:
+        raise ValueError("empty search space")
+    if len(seeds) != len(objectives):
+        raise ValueError("one seed list per objective is required")
+    if any(len(s) < 1 for s in seeds):
+        raise ValueError("every design needs at least one seed")
+    if not objectives:
+        return []
+    wrap = np.zeros(dim, dtype=bool) if wrap_mask is None else np.asarray(wrap_mask, dtype=bool)
+    n_wrap = int(wrap.sum())
+    if wrap.shape != (dim,) or wrap[n_wrap:].any():
+        raise ValueError("periodic coordinates must come first in wrap_mask")
+    owner = [(d, i) for d, s in enumerate(seeds) for i in range(len(s))]  # of each swarm
+    rngs = [np.random.default_rng(seed) for s in seeds for seed in s]
+    c = config.swarm_size
+
+    # state arrays carry a leading swarm axis over the running swarms only,
+    # the swarms of a design adjacent and in seed order
+    x = np.empty((len(rngs), c, dim))
+    for rng, xs in zip(rngs, x):
+        rng.random(out=xs)
+    if init is not None:
+        start = np.array(init, dtype=float)
+        if start.shape != (len(objectives), dim):
+            raise ValueError(f"init must have shape ({len(objectives)}, {dim})")
+        _wrap_unit(start[:, :n_wrap])
+        np.clip(start[:, n_wrap:], 0.0, 1.0, out=start[:, n_wrap:])
+        x[:, 0] = start[[d for d, _ in owner]]
+    running = list(range(len(rngs)))  # swarm index of each state row
+
+    def costs(x):
+        f = np.empty(x.shape[:2])
+        lo = 0
+        for d, n in Counter(owner[k][0] for k in running).items():
+            part = x[lo:lo + n].reshape(-1, dim)
+            f[lo:lo + n] = _checked_costs(objectives[d], part).reshape(n, c)
+            lo += n
+        return f
+
     vel = np.zeros_like(x)
-    f = _checked_costs(objective, x.reshape(-1, dim)).reshape(x.shape[:2])
+    f = costs(x)
     pbest = x.copy()
     pbest_f = f.copy()
     swarms = np.arange(len(rngs))
@@ -576,41 +609,50 @@ def minimize_swarms(objective, dim: int, config: PsoConfig, seeds: Sequence[int]
     gbest = pbest[swarms, ig]
     # a history's last entry is its swarm's best cost
     histories = [[value] for value in pbest_f[swarms, ig].tolist()]
-    running = list(range(len(rngs)))  # seed index of each state row
-    results = [None] * len(rngs)
+    results = [[None] * len(s) for s in seeds]
     r = np.empty((len(rngs), c, 2, dim))
+    dp = np.empty_like(x)
+    dg = np.empty_like(x)
     clamp = config.velocity_clamp
     w = config.stagnation_window
     it = 0
 
     def finish(row: int, stop_reason: str):
         k = running[row]
-        results[k] = PsoResult(best_x=gbest[row].copy(), best_value=histories[k][-1],
-                               history=np.asarray(histories[k]), iterations=it,
-                               stop_reason=stop_reason)
+        d, i = owner[k]
+        results[d][i] = PsoResult(
+            best_x=gbest[row].copy(), best_value=histories[k][-1],
+            history=np.asarray(histories[k]), iterations=it, stop_reason=stop_reason)
 
     for it in range(1, config.iterations + 1):
         for k, out in zip(running, r):
             rngs[k].random(out=out)
-        dp = pbest - x
-        dg = gbest[:, None] - x
-        for d in (dp, dg):  # the shorter way round on periodic coordinates
-            np.add(d, 0.5, out=d, where=wrap_mask)
-            np.mod(d, 1.0, out=d, where=wrap_mask)
-            np.subtract(d, 0.5, out=d, where=wrap_mask)
-        vel = (config.inertia * vel
-               + config.cognitive * r[:, :, 0] * dp
-               + config.social * r[:, :, 1] * dg)
+        np.subtract(pbest, x, out=dp)
+        np.subtract(gbest[:, None], x, out=dg)
+        for t in (dp[..., :n_wrap], dg[..., :n_wrap]):  # the shorter way round
+            t += 0.5
+            t -= np.floor(t)
+            t -= 0.5
+        # inertia * vel + cognitive * r0 * dp + social * r1 * dg in place, in
+        # the expression's order of operations, so bit for bit the same
+        vel *= config.inertia
+        for pull, coef, delta in ((r[:, :, 0], config.cognitive, dp),
+                                  (r[:, :, 1], config.social, dg)):
+            pull *= coef
+            pull *= delta
+            vel += pull
         np.clip(vel, -clamp, clamp, out=vel)
-        x = _wrap_unit(x + vel, wrap_mask)
-        # wrapped coordinates land in [0, 1), so only duties meet the walls
-        low = x < 0.0
-        np.negative(x, out=x, where=low)
-        high = x > 1.0
-        np.subtract(2.0, x, out=x, where=high)
-        np.negative(vel, out=vel, where=low ^ high)
+        x += vel
+        _wrap_unit(x[..., :n_wrap])
+        # the duties reflect off the walls at 0 and 1
+        xd, vd = x[..., n_wrap:], vel[..., n_wrap:]
+        low = xd < 0.0
+        np.negative(xd, out=xd, where=low)
+        high = xd > 1.0
+        np.subtract(2.0, xd, out=xd, where=high)
+        np.negative(vd, out=vd, where=low ^ high)
 
-        f = _checked_costs(objective, x.reshape(-1, dim)).reshape(x.shape[:2])
+        f = costs(x)
         improved = f < pbest_f
         pbest[improved] = x[improved]
         pbest_f[improved] = f[improved]
@@ -637,6 +679,7 @@ def minimize_swarms(objective, dim: int, config: PsoConfig, seeds: Sequence[int]
                 break
             # drop the stopped swarms; a copy once per stop, not per iteration
             x, vel, pbest, pbest_f, gbest, r = (a[keep] for a in (x, vel, pbest, pbest_f, gbest, r))
+            dp, dg = dp[:len(keep)], dg[:len(keep)]
             running = [running[row] for row in keep]
     else:  # no break: the swarms still running used every iteration
         for row in range(len(running)):
@@ -676,30 +719,37 @@ def conjugate_guess(evaluator: CostEvaluator, codec: ModeCodec) -> np.ndarray:
     return codec.encode(rise.reshape(shape), duty.reshape(shape))
 
 
-def pso_optimize(evaluator: CostEvaluator, mode: ControlMode, config: PsoConfig,
-                 seeds: Optional[Sequence[int]] = None) -> list:
-    """Search the mode's schedule space for the lowest mask-violation cost,
-    once per seed (config.seed alone by default), all seeds' swarms in one
-    loop (minimize_swarms); one SynthesisResult per seed, in order.
+def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config: PsoConfig,
+                 seeds: Optional[Sequence[Sequence[int]]] = None) -> list:
+    """Search the mode's schedule space for the lowest mask-violation cost
+    of each evaluator, once per seed of that evaluator (seeds[i]; config.seed
+    alone by default), every swarm of every evaluator in one loop
+    (minimize_swarms); one list of SynthesisResults per evaluator, one per
+    seed in order. The evaluators share the geometry's size.
 
-    Each iteration scores the running swarms in one phi_batch call. Its BLAS
-    products round a particle's cost the same at any batch position when
-    the swarm size is a multiple of 4 (measured with OpenBLAS 0.3.31 on an
-    AVX-512 x86-64 CPU; the default swarm is 20), and every result then
-    equals the run of its seed alone bit for bit. With other swarm sizes a
-    cost can differ from that run's by rounding, which can steer the swarm
-    elsewhere.
+    Each iteration scores each evaluator's running swarms in one phi_batch
+    call. Its BLAS products round a particle's cost the same at any batch
+    position when the swarm size is a multiple of 4 (measured with OpenBLAS
+    0.3.31 on an AVX-512 x86-64 CPU; the default swarm is 20), and every
+    result then equals the run of its evaluator and seed alone bit for bit.
+    With other swarm sizes a cost can differ from that run's by rounding,
+    which can steer the swarm elsewhere.
     """
-    codec = ModeCodec(mode=mode, rows=evaluator.geometry.rows, cols=evaluator.geometry.cols)
-    seeds = (config.seed,) if seeds is None else tuple(seeds)
+    if not evaluators:
+        return []
+    geometry = evaluators[0].geometry
+    codec = ModeCodec(mode=mode, rows=geometry.rows, cols=geometry.cols)
+    if seeds is None:
+        seeds = [(config.seed,)] * len(evaluators)
 
-    def objective(x):
-        rises, duties = codec.blocks(x)
-        return evaluator.phi_batch(rises, duties, codec.mode)
+    def objective(ev):
+        return lambda x: ev.phi_batch(*codec.blocks(x), codec.mode)
 
-    runs = minimize_swarms(objective, codec.dim, config, seeds, wrap_mask=codec.wrap_mask,
-                           init=conjugate_guess(evaluator, codec))
-    return [SynthesisResult(schedule=codec.decode(res.best_x, evaluator.period_s),
-                            phi=res.best_value, history=res.history,
-                            iterations=res.iterations, stop_reason=res.stop_reason, seed=seed)
-            for seed, res in zip(seeds, runs)]
+    runs = minimize_swarms([objective(ev) for ev in evaluators], codec.dim, config, seeds,
+                           wrap_mask=codec.wrap_mask,
+                           init=np.array([conjugate_guess(ev, codec) for ev in evaluators]))
+    return [[SynthesisResult(schedule=codec.decode(res.best_x, ev.period_s), phi=res.best_value,
+                             history=res.history, iterations=res.iterations,
+                             stop_reason=res.stop_reason, seed=seed)
+             for seed, res in zip(ev_seeds, ev_runs)]
+            for ev, ev_seeds, ev_runs in zip(evaluators, seeds, runs)]

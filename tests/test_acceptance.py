@@ -195,7 +195,7 @@ def test_criterion_04_beam_pair_quality(capsys):
     for rep in range(3):
         seed = derive_seed(MASTER_SEED, sc.theta_refl_deg, rep)
         t0 = time.perf_counter()
-        [res] = pso_optimize(ev, sc.mode, replace(sc.pso, seed=seed))
+        [[res]] = pso_optimize([ev], sc.mode, replace(sc.pso, seed=seed))
         seed_times.append(time.perf_counter() - t0)
         if best is None or res.phi < best.phi:
             best = res
@@ -344,7 +344,7 @@ def test_criterion_09_aperture_scaling(capsys):
                        mode=ControlMode.COLWISE_DELTA,
                        theta_inc_deg=30.0, theta_refl_deg=0.0)
         t0 = time.perf_counter()
-        res = design_for_angle(sc, sc.theta_inc_deg, MASTER_SEED, repeats=3)
+        [res] = design_for_angle(sc, [sc.theta_inc_deg], MASTER_SEED, repeats=3)
         elapsed = time.perf_counter() - t0
         if rows == 24:
             t24 = elapsed

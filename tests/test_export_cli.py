@@ -16,7 +16,13 @@ from tmems.export import (
     write_schedule_csv,
     write_sweep_csv,
 )
-from tmems.fields import DirectionGrid, PlaneWaveIncidence, harmonic_far_field, power_db
+from tmems.fields import (
+    DirectionGrid,
+    FieldEngine,
+    PlaneWaveIncidence,
+    harmonic_far_field,
+    power_db,
+)
 from tmems.geometry import EmsGeometry
 from tmems.isac import SweepSample
 from tmems.modulation import ReflectionStates
@@ -355,6 +361,36 @@ def test_cli_localize_and_export(tmp_path, cli_config):
     for e in meta["entries"]:
         sched = read_schedule_csv(packed / e["file"])
         assert sched.shape == (6, 6)
+
+
+def test_cli_jobs_has_no_effect(tmp_path, cli_config):
+    # every design of a command runs in one PSO loop, so --jobs is accepted
+    # and changes nothing
+    outs = []
+    for jobs in ("1", "3"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["localize", "--config", cli_config, "--out", str(out),
+                     "--codebook", str(out / "codebook.bin"), "--jobs", jobs]) == 0
+        assert json.loads((out / "summary.json").read_text())["codebook"]["built"] is True
+        outs.append(out)
+    for name in ("codebook.bin", "localization.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_cli_reports_out_of_memory(tmp_path, cli_config, capsys, monkeypatch):
+    # an evaluation grid too large to allocate ends in an error line, not a
+    # traceback; the failing allocation is simulated, so nothing large is
+    # allocated
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 TiB for an array")
+
+    monkeypatch.setattr(FieldEngine, "pattern", too_large)
+    sched_path = tmp_path / "s.csv"
+    write_schedule_csv(sched_path, random_schedule(np.random.default_rng(0), 6, 6))
+    assert main(["evaluate", "--config", cli_config, "--out", str(tmp_path / "x"),
+                 "--schedule", str(sched_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 74.5 TiB for an array\n"
 
 
 def test_cli_error_paths(tmp_path, cli_config, capsys, rng):

@@ -120,64 +120,88 @@ def test_design_for_angle_best_of_repeats(fast_scenario):
     for rep in range(2):
         ev = sc.evaluator(design_theta_deg=40.0)
         cfg = replace(sc.pso, seed=derive_seed(master, 40.0, rep))
-        [single] = pso_optimize(ev, sc.mode, cfg)
+        [[single]] = pso_optimize([ev], sc.mode, cfg)
         singles.append(single)
-    best = design_for_angle(sc, 40.0, master, repeats=2)
+    [best] = design_for_angle(sc, [40.0], master, repeats=2)
     winner = min(singles, key=lambda s: s.phi)
     assert best.phi == winner.phi
     assert best.seed == winner.seed
     assert np.array_equal(best.history, winner.history)
+    assert design_for_angle(sc, [], master, repeats=2) == []
     with pytest.raises(ValueError, match="repeats"):
-        design_for_angle(sc, 40.0, master, repeats=0)
+        design_for_angle(sc, [40.0], master, repeats=0)
+    with pytest.raises(ValueError, match="vary must be"):
+        design_for_angle(sc, [40.0], master, vary="angle")
 
 
 def test_design_for_angle_ties_keep_earliest_repeat(fast_scenario, monkeypatch):
     sc = fast_scenario(iterations=2)
     calls = []
 
-    def fake_optimize(evaluator, mode, config, seeds):
-        calls.append(list(seeds))
-        return [SynthesisResult(schedule=None, phi=0.5, history=np.array([0.5]),
-                                iterations=0, stop_reason="zero_cost", seed=seed)
-                for seed in seeds]
+    def fake_optimize(evaluators, mode, config, seeds):
+        calls.append([list(s) for s in seeds])
+        return [[SynthesisResult(schedule=None, phi=0.5, history=np.array([0.5]),
+                                 iterations=0, stop_reason="zero_cost", seed=seed)
+                 for seed in s] for s in seeds]
 
     monkeypatch.setattr(isac, "pso_optimize", fake_optimize)
-    best = design_for_angle(sc, 40.0, 5, repeats=3)
-    assert calls == [[derive_seed(5, 40.0, rep) for rep in range(3)]]
-    assert best.seed == calls[0][0]
+    best = design_for_angle(sc, [40.0, 20.0], 5, repeats=3)
+    assert calls == [[[derive_seed(5, a, rep) for rep in range(3)] for a in (40.0, 20.0)]]
+    assert [b.seed for b in best] == [calls[0][0][0], calls[0][1][0]]
 
 
 def test_design_runs_its_repeats_in_one_loop(fast_scenario, monkeypatch):
     # a swarm stops when its best cost has moved less than half in 4
-    # iterations, so the three repeats stop at different iterations
+    # iterations, so the repeats stop at different iterations
     sc = fast_scenario(iterations=40)
     sc = replace(sc, pso=replace(sc.pso, stagnation_window=4, stagnation_rtol=0.5))
-    batches = []
+    calls = []
     score = CostEvaluator.phi_batch
 
     def counted(self, rises, *args, **kwargs):
-        batches.append(rises.shape[0])
+        calls.append((self, rises.shape[0]))
         return score(self, rises, *args, **kwargs)
 
-    results = []
+    runs = []
     optimize = isac.pso_optimize
 
-    def recorded(*args, **kwargs):
-        results.extend(optimize(*args, **kwargs))
-        return results
+    def recorded(evaluators, *args, **kwargs):
+        runs.append((evaluators, optimize(evaluators, *args, **kwargs)))
+        return runs[-1][1]
 
     monkeypatch.setattr(CostEvaluator, "phi_batch", counted)
     monkeypatch.setattr(isac, "pso_optimize", recorded)
-    best = design_for_angle(sc, 40.0, 3, repeats=3)
-    iterations = [res.iterations for res in results]
-    assert len(set(iterations)) == 3
-    assert best in results
-    # one cost call per iteration, on the swarms still running
     swarm = sc.pso.swarm_size
-    assert len(batches) == max(iterations) + 1
-    assert batches == [swarm * sum(it >= i for it in iterations)
-                       for i in range(max(iterations) + 1)]
-    assert sum(batches) == sum((it + 1) * swarm for it in iterations)
+
+    def check_one_loop():
+        [(evaluators, results)] = runs
+        iterations = [[res.iterations for res in reps] for reps in results]
+        # per iteration, one cost call per design with a running swarm, in
+        # design order, on that design's running swarms
+        want = [(ev, swarm * sum(it >= i for it in its))
+                for i in range(max(map(max, iterations)) + 1)
+                for ev, its in zip(evaluators, iterations) if max(its) >= i]
+        assert [n for _, n in calls] == [n for _, n in want]
+        assert all(got is ev for (got, _), (ev, _) in zip(calls, want))
+        for ev, its in zip(evaluators, iterations):
+            assert sum(n for e, n in calls if e is ev) == sum((it + 1) * swarm for it in its)
+        calls.clear()
+        runs.clear()
+        return results, iterations
+
+    [best] = design_for_angle(sc, [40.0], 3, repeats=3)
+    [alone], [its_alone] = check_one_loop()
+    assert best is min(alone, key=lambda res: res.phi)
+    assert len(set(its_alone)) == 3
+    book = build_codebook(sc, [40.0, 20.0], 3, repeats=3)
+    results, iterations = check_one_loop()
+    # the codebook sorts its candidates; the 40 deg design ends as it did alone
+    # while the 20 deg design stops first
+    assert [e.angle_deg for e in book.entries] == [20.0, 40.0]
+    assert [e.phi for e in book.entries] == [min(r.phi for r in reps) for reps in results]
+    assert ([(res.phi, res.seed, res.iterations) for res in results[1]]
+            == [(res.phi, res.seed, res.iterations) for res in alone])
+    assert max(iterations[0]) < max(iterations[1])
 
 
 def test_matched_sweep_user(fast_scenario):
@@ -193,11 +217,16 @@ def test_matched_sweep_user(fast_scenario):
         matched_sweep(sc, "angle", [0.0], master_seed=5)
 
 
-def test_matched_sweep_bs_and_parallel_determinism(fast_scenario):
+def test_matched_sweep_bs_samples_equal_designs_run_alone(fast_scenario):
     sc = fast_scenario(iterations=10)
-    serial = matched_sweep(sc, "bs", [-10.0, 0.0, 10.0], master_seed=5, jobs=1)
-    threaded = matched_sweep(sc, "bs", [-10.0, 0.0, 10.0], master_seed=5, jobs=2)
-    assert serial == threaded
+    angles = [-10.0, 0.0, 10.0]
+    samples = matched_sweep(sc, "bs", angles, master_seed=5, repeats=2)
+    for angle, got in zip(angles, samples):
+        moved = replace(sc, theta_refl_deg=angle)
+        [alone] = design_for_angle(sc, [angle], 5, repeats=2, vary="bs")
+        ratio = measure_bs_ratio(moved, alone.schedule)
+        assert got == isac._sample(angle, ratio, alone.phi, alone)
+    assert matched_sweep(sc, "bs", [], master_seed=5) == []
 
 
 def colwise_schedule(rng, rows, cols, period_s):

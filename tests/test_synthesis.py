@@ -426,13 +426,39 @@ def test_pso_array_update_matches_per_particle_loop(seed):
     assert np.array_equal(res.history, history)
 
 
+def test_pso_update_rounds_as_the_per_particle_loop():
+    # with coefficients that are not powers of 2, (c * r) * d and c * (r * d)
+    # round differently; the in-place update keeps the reference's order
+    dim = 6
+    wrap = np.arange(dim) < 3
+    cfg = PsoConfig(swarm_size=8, iterations=80, seed=4, stagnation_window=0,
+                    inertia=0.7, cognitive=1.7, social=1.3, velocity_clamp=0.3)
+
+    def objective(x):
+        return np.sum(np.abs(x - np.linspace(0.1, 0.9, dim)), axis=1)
+
+    res = minimize(objective, dim, cfg, wrap_mask=wrap)
+    best_x, history = _minimize_per_particle(objective, dim, cfg, wrap)
+    assert np.array_equal(res.best_x, best_x)
+    assert np.array_equal(res.history, history)
+
+
 def test_torus_wrap_stays_below_one():
     # a rise of 0.3 moved by -nextafter(0.3, 1) lands half an ulp below 0,
     # where np.mod gives exactly 1.0, a rise the cost rejects
     x = np.array([[0.3 - np.nextafter(0.3, 1.0), 0.3 - np.nextafter(0.3, 1.0)]])
     assert np.mod(x[0, 0], 1.0) == 1.0
-    assert np.array_equal(_wrap_unit(x, np.array([True, False])), [[0.0, x[0, 1]]])
+    _wrap_unit(x[:, :1])
+    assert np.array_equal(x, [[0.0, 0.3 - np.nextafter(0.3, 1.0)]])
     assert np.array_equal(_wrap_unit(np.array([1.25, -0.25, 0.0])), [0.25, 0.75, 0.0])
+    # x - floor(x) is np.mod(x, 1.0) bit for bit, signed zeros included, on
+    # the edges of the range an update reaches, [-0.5, 1.5)
+    tiny = np.nextafter(0.0, 1.0)
+    edges = np.array([-0.5, -tiny, -0.0, 0.0, np.nextafter(1.0, 0.0), 1.0,
+                      np.nextafter(1.5, 0.0), x[0, 1]])
+    mod = np.mod(edges, 1.0)
+    assert (edges - np.floor(edges)).tobytes() == mod.tobytes()
+    assert _wrap_unit(edges.copy()).tobytes() == np.where(mod == 1.0, 0.0, mod).tobytes()
     # the same edge value as the start of a periodic coordinate
     seen = []
 
@@ -445,6 +471,8 @@ def test_torus_wrap_stays_below_one():
              init=np.array([0.3 - np.nextafter(0.3, 1.0), 0.5]))
     assert seen[0][0, 0] == 0.0
     assert all(np.all((x[:, 0] >= 0.0) & (x[:, 0] < 1.0)) for x in seen)
+    with pytest.raises(ValueError, match="periodic coordinates must come first"):
+        minimize(record, 2, cfg, wrap_mask=np.array([False, True]))
 
 
 def test_pso_optimize_scores_each_swarm_in_one_call(monkeypatch):
@@ -459,7 +487,7 @@ def test_pso_optimize_scores_each_swarm_in_one_call(monkeypatch):
     monkeypatch.setattr(CostEvaluator, "phi_batch", counted)
     ev = steered_evaluator()
     cfg = PsoConfig(swarm_size=6, iterations=8, seed=3, stagnation_window=0)
-    [res] = pso_optimize(ev, ControlMode.DELTA, cfg)
+    [[res]] = pso_optimize([ev], ControlMode.DELTA, cfg)
     assert len(calls) == res.iterations + 1
     for args, kwargs in calls:
         assert args[0].shape == (6, 2, 4) and args[1].shape == (6, 2, 4)
@@ -473,40 +501,58 @@ def test_minimize_swarms_equal_separate_runs():
         d = np.sum((2.0 * x - 1.0) ** 2, axis=1)
         return np.where(d < 0.02, 0.0, np.ceil(d * 20.0) / 20.0)
 
+    def shifted(x):
+        return np.sum(np.abs(x - 0.3), axis=1)
+
     dim = 4
     wrap = np.arange(dim) < 2
     cfg = PsoConfig(swarm_size=6, iterations=12, stagnation_window=8)
-    seeds = (1, 2, 6)
-    runs = minimize_swarms(objective, dim, cfg, seeds, wrap_mask=wrap)
+    objectives = (objective, shifted)
+    seeds = ((1, 2, 6), (4, 5))
+    [runs, _] = minimize_swarms(objectives, dim, cfg, seeds, wrap_mask=wrap)
     assert [(r.iterations, r.stop_reason) for r in runs] == [
         (7, "zero_cost"), (12, "max_iterations"), (11, "stagnation")]
-    for init in (None, np.full(dim, 0.9)):
-        runs = minimize_swarms(objective, dim, cfg, seeds, wrap_mask=wrap, init=init)
-        for seed, got in zip(seeds, runs):
-            want = minimize(objective, dim, replace(cfg, seed=seed), wrap_mask=wrap, init=init)
-            assert np.array_equal(got.best_x, want.best_x)
-            assert got.best_value == want.best_value
-            assert np.array_equal(got.history, want.history)
-            assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
+    for init in (None, np.array([np.full(dim, 0.9), [1.7, -0.2, 1.3, 0.4]])):
+        runs = minimize_swarms(objectives, dim, cfg, seeds, wrap_mask=wrap, init=init)
+        for d, (f, design_seeds) in enumerate(zip(objectives, seeds)):
+            for seed, got in zip(design_seeds, runs[d]):
+                want = minimize(f, dim, replace(cfg, seed=seed), wrap_mask=wrap,
+                                init=None if init is None else init[d])
+                assert np.array_equal(got.best_x, want.best_x)
+                assert got.best_value == want.best_value
+                assert np.array_equal(got.history, want.history)
+                assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
+    assert minimize_swarms([], dim, cfg, []) == []
     with pytest.raises(ValueError, match="seed"):
-        minimize_swarms(objective, dim, cfg, ())
+        minimize_swarms([objective], dim, cfg, [()])
+    with pytest.raises(ValueError, match="seed list per objective"):
+        minimize_swarms(objectives, dim, cfg, [(1,)])
+    with pytest.raises(ValueError, match=r"init must have shape \(2, 4\)"):
+        minimize_swarms(objectives, dim, cfg, seeds, init=np.zeros(dim))
 
 
 def test_minimize_swarms_scores_running_swarms_in_one_call():
     batches = []
 
-    def record(x):
-        batches.append(x.shape[0])
-        return np.ones(x.shape[0])
+    def recorder(name):
+        def record(x):
+            batches.append((name, x.shape[0]))
+            return np.ones(x.shape[0])
+        return record
 
     # every swarm stalls at once after 5 iterations; zero iterations run none
-    minimize_swarms(record, 3, PsoConfig(swarm_size=4, iterations=50, stagnation_window=5),
-                    (1, 2, 3))
-    assert batches == [12] * 6
+    minimize_swarms([recorder("a")], 3,
+                    PsoConfig(swarm_size=4, iterations=50, stagnation_window=5), [(1, 2, 3)])
+    assert batches == [("a", 12)] * 6
     batches.clear()
-    runs = minimize_swarms(record, 3, PsoConfig(swarm_size=4, iterations=0), (1, 2))
-    assert batches == [8]
-    assert [(r.iterations, r.stop_reason) for r in runs] == [(0, "max_iterations")] * 2
+    # one call per design and iteration, each on that design's swarms
+    minimize_swarms([recorder("a"), recorder("b")], 3,
+                    PsoConfig(swarm_size=4, iterations=50, stagnation_window=5), [(1, 2), (3,)])
+    assert batches == [("a", 8), ("b", 4)] * 6
+    batches.clear()
+    runs = minimize_swarms([recorder("a")], 3, PsoConfig(swarm_size=4, iterations=0), [(1, 2)])
+    assert batches == [("a", 8)]
+    assert [(r.iterations, r.stop_reason) for r in runs[0]] == [(0, "max_iterations")] * 2
 
 
 def test_pso_history_monotone_and_initial_entry():
@@ -666,7 +712,7 @@ def steered_evaluator():
 def test_pso_optimize_respects_delta_structure():
     ev = steered_evaluator()
     cfg = PsoConfig(swarm_size=6, iterations=8, seed=3, stagnation_window=0)
-    [res] = pso_optimize(ev, ControlMode.DELTA, cfg)
+    [[res]] = pso_optimize([ev], ControlMode.DELTA, cfg)
     sched = res.schedule
     assert np.array_equal(sched.duty, sched.duty[::-1])
     assert np.array_equal(sched.rise[2:], mirror_rise(sched.rise[:2])[::-1])
@@ -717,8 +763,8 @@ def test_duty_driven_to_one_by_power_floor():
                     anchor_upper=np.array([[np.inf], [np.inf]]),
                     beam_ref=beam_reference(geom, inc, 0.0, states.scalar_pair()))
     ev = CostEvaluator(geom, states, inc, masks, 1e-6)
-    [res] = pso_optimize(ev, ControlMode.FULL,
-                         PsoConfig(swarm_size=12, iterations=60, seed=3,
-                                   stagnation_window=0))
+    [[res]] = pso_optimize([ev], ControlMode.FULL,
+                           PsoConfig(swarm_size=12, iterations=60, seed=3,
+                                     stagnation_window=0))
     assert res.phi == 0.0
     assert res.schedule.duty[0, 0] >= 0.97
