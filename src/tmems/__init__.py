@@ -21,8 +21,6 @@ from .fields import (
     MonopulseRatio,
     PlaneWaveIncidence,
     cell_factor,
-    field_samples,
-    harmonic_far_field,
     power_db,
     ratio_from_powers,
 )
@@ -99,8 +97,6 @@ __all__ = [
     "default_config",
     "derive_seed",
     "design_for_angle",
-    "field_samples",
-    "harmonic_far_field",
     "harmonic_scalar_coefficients",
     "harmonic_tensors",
     "load_config",

@@ -293,24 +293,16 @@ class FieldEngine:
             src += b
         return g[:, None] * src
 
-    def _apply_steering(self, weights: np.ndarray, rows_out: Optional[np.ndarray] = None,
-                        out: Optional[np.ndarray] = None, factors: Optional[tuple] = None) -> np.ndarray:
-        """Radiate (p * q, k) sources toward every grid node: (nu, nv, k).
+    def _apply_steering(self, weights: np.ndarray) -> np.ndarray:
+        """Radiate (n_cells, k) sources toward every grid node: (nu, nv, k).
 
-        Per column F = A_u W A_v^T, W the (p, q) sources: one small matmul
-        per row of W, then one matmul over the rows. factors (A_u (nu, p),
-        A_v (nv, q)) default to the engine's, with p, q the rows and columns
-        of cells; a caller may pass factors with more folded in. Invisible
-        nodes are computed like the rest and left for the caller to mask.
-        rows_out (p, nv, k) and out (nu, nv * k), complex and C-contiguous,
-        receive the two products when given, so a caller that keeps them
-        allocates nothing here.
+        Per column F = A_u W A_v^T, W the (rows, cols) sources: one small
+        matmul per row of W, then one matmul over the rows. Invisible nodes
+        are computed like the rest and left for the caller to mask.
         """
-        a_u, a_v = (self._a_u, self._a_v) if factors is None else factors
-        p, k = a_u.shape[1], weights.shape[1]
-        t = np.matmul(a_v, weights.reshape(p, a_v.shape[1], k), out=rows_out)
-        f = np.matmul(a_u, t.reshape(p, -1), out=out)
-        return f.reshape(a_u.shape[0], -1, k)
+        rows, k = self.geometry.rows, weights.shape[1]
+        t = np.matmul(self._a_v, weights.reshape(rows, self.geometry.cols, k))
+        return (self._a_u @ t.reshape(rows, -1)).reshape(self._a_u.shape[0], -1, k)
 
     def pattern(self, schedule: PulseSchedule, states: ReflectionStates,
                 incidence: PlaneWaveIncidence, h: int) -> HarmonicPattern:
@@ -333,18 +325,6 @@ class FieldEngine:
             raise ValueError("direction outside the visible disc")
         w = self._cell_weights(schedule, states, incidence, h)
         return steering_rows(self.geometry, u, v) @ w
-
-
-def harmonic_far_field(geometry: EmsGeometry, schedule: PulseSchedule, states: ReflectionStates,
-                       incidence: PlaneWaveIncidence, grid: DirectionGrid, h: int) -> HarmonicPattern:
-    """One-shot pattern computation."""
-    return FieldEngine(geometry, grid).pattern(schedule, states, incidence, h)
-
-
-def field_samples(geometry: EmsGeometry, schedule: PulseSchedule, states: ReflectionStates,
-                  incidence: PlaneWaveIncidence, u, v, h: int) -> np.ndarray:
-    """Exact-direction field samples without building a grid."""
-    return FieldEngine(geometry).field_at(u, v, schedule, states, incidence, h)
 
 
 @dataclass(frozen=True)

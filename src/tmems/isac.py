@@ -25,9 +25,9 @@ import numpy as np
 from .codebook import Codebook, entry_from_schedule, scenario_digest
 from .fields import (
     DirectionGrid,
+    FieldEngine,
     MonopulseRatio,
     PlaneWaveIncidence,
-    field_samples,
     ratio_from_powers,
 )
 from .geometry import EmsGeometry
@@ -145,8 +145,9 @@ def measure_bs_ratio(scenario: Scenario, schedule: PulseSchedule,
         raise ValueError("noise power must be finite and non-negative")
     inc = incidence if incidence is not None else scenario.incidence()
     u, v = scenario.bs_u, 0.0
-    e0 = field_samples(scenario.geometry, schedule, scenario.states, inc, u, v, h=0)
-    e1 = field_samples(scenario.geometry, schedule, scenario.states, inc, u, v, h=1)
+    engine = FieldEngine(scenario.geometry)
+    e0 = engine.field_at(u, v, schedule, scenario.states, inc, h=0)
+    e1 = engine.field_at(u, v, schedule, scenario.states, inc, h=1)
     p_sigma = float(np.sum(np.abs(e0) ** 2)) + noise_power
     p_delta = float(np.sum(np.abs(e1) ** 2)) + noise_power
     return ratio_from_powers(p_sigma, p_delta)

@@ -108,7 +108,8 @@ class ReflectionStates:
         """(on, off) scalars when both tensors are multiples of the identity.
 
         Returns None when either state has off-diagonal terms or unequal
-        diagonals; callers then fall back to full tensor algebra.
+        diagonals; masks.beam_reference then calibrates on the ideal
+        (+1, -1) pair instead.
         """
         out = []
         for t in (self.gamma_on, self.gamma_off):

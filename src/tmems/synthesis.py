@@ -7,6 +7,7 @@ the grid-integrated one-sided violation of the power masks at harmonics 0
 and 1.
 """
 
+import math
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -15,12 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import (
-    FieldEngine,
-    PlaneWaveIncidence,
-    state_sources,
-    steering_factors,
-)
+from .fields import PlaneWaveIncidence, state_sources, steering_factors
 from .geometry import EmsGeometry
 from .masks import MaskSet
 from .modulation import (
@@ -33,8 +29,10 @@ from .modulation import (
 )
 
 
-# the grid route's largest batch per pass (CostEvaluator._phi_grid)
-GRID_SLICE = 20
+# A (u-row, particle) pair is radiated only when its power bound, raised by
+# this relative slack against the bound's own rounding, exceeds the row's
+# lowest ceiling (CostEvaluator).
+BOUND_SLACK = 1e-9
 
 
 def ramp(x):
@@ -42,31 +40,32 @@ def ramp(x):
     return np.maximum(np.asarray(x, dtype=float), 0.0)
 
 
-class _Workspace:
-    """One thread's phi_batch buffers for batches of up to `capacity`
-    particles: the two steering products and two real power buffers (grid
-    nodes, then anchors). views(batch) shapes the leading part of each
-    buffer for one batch, so every view is C-contiguous."""
+class _Workspace(threading.local):
+    """The calling thread's phi_batch buffers, shared by every evaluator:
+    flat arrays, one per name, that only grow. view(name, shape, dtype)
+    shapes the leading part of one, so every view is C-contiguous; a name
+    is taken again only once its last view is spent."""
 
-    def __init__(self, engine: FieldEngine, n_anchors: int, capacity: int):
-        self.nu, self.nv = engine.grid.shape
-        self.n_anchors = n_anchors
-        self.capacity = capacity
-        n = self.nu * self.nv
-        self._rows_out = np.empty(engine.geometry.rows * self.nv * capacity, dtype=complex)
-        self._field = np.empty(n * capacity, dtype=complex)
-        self._power = np.empty((n + n_anchors) * capacity)
-        self._imag_power = np.empty(n * capacity)
+    def view(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        n = math.prod(shape)
+        buf = getattr(self, name, None)
+        if buf is None or buf.size < n:
+            buf = np.empty(n, dtype=dtype)
+            setattr(self, name, buf)
+        return buf[:n].reshape(shape)
 
-    def views(self, p: int, batch: int):
-        """(rows_out (p, nv, batch), field (nu, nv * batch), power
-        (n_nodes + n_anchors, batch), imag_power (n_nodes, batch))."""
-        nu, nv = self.nu, self.nv
-        n = nu * nv
-        return (self._rows_out[:p * nv * batch].reshape(p, nv, batch),
-                self._field[:n * batch].reshape(nu, nv * batch),
-                self._power[:(n + self.n_anchors) * batch].reshape(-1, batch),
-                self._imag_power[:n * batch].reshape(n, batch))
+
+_WORKSPACE = _Workspace()
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into out, every row rounded as in any product of two rows or
+    more: BLAS takes another path for a lone row (OpenBLAS forwards it to
+    gemv), so a lone row is multiplied as a pair."""
+    if a.shape[0] == 1:
+        out[:] = (np.concatenate([a, a]) @ b)[:1]
+        return out
+    return np.matmul(a, b, out=out)
 
 
 class _Fold:
@@ -74,34 +73,41 @@ class _Fold:
 
     The drive factorises as g = g_x (x) g_y, so with a full schedule's
     coefficients U (rows, cols) harmonic h radiates A_u diag(g_x) U
-    diag(g_y) A_v^T. The mode writes U = R_h C T^T from its control block C
+    diag(g_y) A_v^T. The mode writes U = R_h C E^T from its control block C
     (p, q): R_h stacks the identity over (-1)^h times the flipped identity
     when the mode is mirrored (a rise half a period later multiplies u^h by
-    (-1)^h) and is the identity otherwise; T is a column of ones when the
+    (-1)^h) and is the identity otherwise; E is a column of ones when the
     mode is column-wise and the identity otherwise. So the field is
-    L_h C R^T with L_h = A_u diag(g_x) R_h (n, p) and R = A_v diag(g_y) T
-    (n, q), and an anchor's row is the outer product of its rows of L_h and
-    R.
+    L_h C R^T with L_h = A_u diag(g_x) R_h (n, p) and R = A_v diag(g_y) E
+    (n, q), and a node's row is the outer product of its rows of L_h and R.
 
-    left[h] holds L_h for the grid's u, then the anchors' u; grid[h] is
-    (L_h, R) on the grid, and anchor_rows[h] (n_anchors, p * q) the anchors'
-    rows, cells of the block row-major.
+    left_t[h] is L_h^T on the grid's u (p, nu) and right_t R^T on the grid's
+    v (q, nv); r_max (q,) holds the largest |R| of each column there, and
+    r_shape (nv,) is (|R| / max |R|)^2 of the first column, for q = 1.
+    points[h] (p * q, n_points) holds the rows of harmonic h's point nodes
+    as columns, cells of the block row-major; points gives each node by its
+    (u, v) rows of rows_g and cols_g.
     """
 
-    def __init__(self, mode: ControlMode, rows_g: np.ndarray, cols_g: np.ndarray, nu: int, nv: int):
+    def __init__(self, mode: ControlMode, rows_g: np.ndarray, cols_g: np.ndarray,
+                 nu: int, nv: int, points: tuple):
         self.mode = mode
         half = rows_g.shape[1] // 2
         right = cols_g.sum(axis=1, keepdims=True) if mode.columnwise else cols_g
         if mode.mirrored:
             flipped = rows_g[:, ::-1][:, :half]
-            self.left = (rows_g[:, :half] + flipped, rows_g[:, :half] - flipped)
+            left = (rows_g[:, :half] + flipped, rows_g[:, :half] - flipped)
         else:
-            self.left = (rows_g, rows_g)
-        self.shape = (self.left[0].shape[1], right.shape[1])
-        self.grid = tuple((left[:nu], right[:nv]) for left in self.left)
+            left = (rows_g, rows_g)
+        self.shape = (left[0].shape[1], right.shape[1])
+        self.left_t = tuple(np.ascontiguousarray(x[:nu].T) for x in left)
+        self.right_t = np.ascontiguousarray(right[:nv].T)
+        self.r_max = np.abs(right[:nv]).max(axis=0)
+        self.r_shape = (np.abs(right[:nv, 0]) / self.r_max[0])**2
         n_cells = self.shape[0] * self.shape[1]
-        self.anchor_rows = tuple(
-            (left[nu:, :, None] * right[nv:, None, :]).reshape(-1, n_cells) for left in self.left)
+        self.points = tuple(np.ascontiguousarray(
+            (x[iu, :, None] * right[iv, None, :]).reshape(-1, n_cells).T)
+            for x, (iu, iv) in zip(left, points))
 
 
 class CostEvaluator:
@@ -115,30 +121,25 @@ class CostEvaluator:
     phi_batch scores the control blocks of a mode (ModeCodec.control_shape):
     the mode's two rules are folded into the separable steering factors
     once, here, for every mode the geometry admits (see _Fold), so no call
-    decodes a schedule, and a mirrored mode radiates half the rows. The
-    mode chooses one of two routes to the same Phi:
+    decodes a schedule, and a mirrored mode radiates half the rows. One
+    route serves every mode and mask. On the grid, harmonic h of a block C
+    radiates F = T R^T with T = L_h C (nu, q), so every node of u-row u has
+    |F(u, v)|^2 <= (sum_q |T[u, q]| max_v |R[v, q]|)^2. A (u-row, block)
+    pair whose bound, raised by BOUND_SLACK against its rounding, lies at or
+    below the row's lowest ceiling adds exactly 0 to the ceiling terms, so
+    only the other pairs are radiated, all in one product. The point nodes
+    (each harmonic's grid nodes with a lower bound, then every anchor) are
+    radiated for every block and scored against both of their bounds.
 
-    * The grid route radiates the block onto the whole nu x nv grid with no
-      gather: invisible nodes carry weight 0, an upper bound of +inf and no
-      lower bound, so they add exactly 0.
-    * The column route serves the column-wise modes, whose every row has
-      one pulse, on masks that give every u-row of the grid one upper bound
-      over its visible v, for both harmonics (build_masks with full_v and no
-      null notch; checked here, not assumed). Harmonic h then radiates
-      P_h(u, v) = A_h(u) B(v), and the violations of a u-row are a sum over
-      the v whose B exceeds U_h(u) / A_h(u): one binary search in B, sorted
-      once, and two tabulated suffix sums. It agrees with the grid route to
-      rounding.
+    A block's cost is rounded the same at any position in a batch of any
+    size: each product that spans blocks holds them in its rows, and a lone
+    row is multiplied as a pair (_matmul_rows).
 
-    Lower bounds and anchors are scored by the same code on either route.
-
-    The bounds, weights and tables are never mutated after construction.
-    Thread safety comes from per-thread workspaces: the grid route writes
-    only into buffers private to the calling thread (one set per thread,
-    sized for the largest slice it has scored), and the column route allocates
-    only small per-call arrays, so one instance may be shared across
-    threads, and once warm a call allocates little more than its blocks'
-    Fourier coefficients.
+    The bounds, weights and factors are never mutated after construction,
+    and a call writes only into buffers private to the calling thread (one
+    set per thread, shared by every evaluator, grown to the largest call it
+    has scored), so one instance may be shared across threads, and once warm
+    a call allocates little more than its blocks' Fourier coefficients.
     """
 
     def __init__(self, geometry: EmsGeometry, states: ReflectionStates,
@@ -149,20 +150,12 @@ class CostEvaluator:
         self.incidence = incidence
         self.masks = masks
         self.period_s = float(period_s)
-        self.engine = FieldEngine(geometry, grid)
-        self._local = threading.local()
         anchors = masks.anchor_uv
-        self._n_anchors = anchors.shape[0]
+        n_anchors = anchors.shape[0]
         # an anchor is a hard point requirement, so it weighs as much as a
         # main-lobe box worth of grid nodes, not a single cell
         fn = 1.0 / (geometry.rows * geometry.cell_size_wl)
         self.anchor_weight = (4.0 * fn) * (4.0 * fn)
-        # rows of every per-node array: the nu * nv grid row-major, then anchors
-        vis = grid.visible.ravel()
-        self._weights = np.concatenate([
-            np.where(vis, grid.cell_weight, 0.0),
-            np.full(anchors.shape[0], self.anchor_weight),
-        ])
         # A cell radiates g * (delta_h0 * b + u^h * d) with d = a - b (see
         # fields.state_sources) and g its incident drive. Split b into
         # beta * d / |d| plus a part beta_perp orthogonal to d: then
@@ -178,68 +171,49 @@ class CostEvaluator:
         # the separable factors with the drive g = g_x (x) g_y folded in:
         # rows for the grid's u (v), then the anchors' u (v)
         nu, nv = grid.shape
-        a_u, a_v = steering_factors(geometry, anchors[:, 0], anchors[:, 1])
+        a_u, a_v = steering_factors(geometry, np.concatenate([grid.u, anchors[:, 0]]),
+                                    np.concatenate([grid.v, anchors[:, 1]]))
         k0 = geometry.k0
         g_x = np.exp(1j * k0 * incidence.u * geometry.row_x_m) * incidence.amplitude_v_m
         g_y = np.exp(1j * k0 * incidence.v * geometry.col_y_m)
-        rows_g = np.concatenate([self.engine._a_u, a_u]) * g_x
-        cols_g = np.concatenate([self.engine._a_v, a_v]) * g_y
-        self._folds = {mode: _Fold(mode, rows_g, cols_g, nu, nv) for mode in ControlMode
-                       if not (mode.mirrored and geometry.rows % 2)}
+        rows_g = a_u * g_x
+        cols_g = a_v * g_y
         # K(g) = (A_u g_x) (x) (A_v g_y) on the grid, their product at anchors
         f_x, f_y = rows_g.sum(axis=1), cols_g.sum(axis=1)
         s0 = np.concatenate([np.outer(f_x[:nu], f_y[:nv]).ravel(), f_x[nu:] * f_y[nv:]])
-        self._carrier_floor = beta_perp2 * (s0.real**2 + s0.imag**2)
+        carrier_floor = beta_perp2 * (s0.real**2 + s0.imag**2)
+        # bounds of every node, the nu * nv grid row-major, then the anchors
+        vis = grid.visible.ravel()
         n = vis.size
         lower = np.concatenate([np.where(vis, masks.lower.reshape(2, n), 0.0),
                                 masks.anchor_lower], axis=1)
-        self._upper = np.concatenate([np.where(vis, masks.upper.reshape(2, n), np.inf),
-                                      masks.anchor_upper], axis=1)
-        # lower bounds are active on a few lobe and anchor nodes only
-        active = [np.flatnonzero(lower[h] > 0.0) for h in (0, 1)]
-        lower[0] -= self._carrier_floor
-        self._upper[0] -= self._carrier_floor
-        self._floors = [(idx, lower[h][idx], self._weights[idx]) for h, idx in enumerate(active)]
-        ceiling = _row_ceilings(masks)
-        self._columns = (None if ceiling is None
-                         else _ColumnTables(self, ceiling, f_x, f_y, beta_perp2))
-
-    def _workspace(self, batch: int) -> _Workspace:
-        ws = getattr(self._local, "ws", None)
-        if ws is None or ws.capacity < batch:
-            ws = self._local.ws = _Workspace(self.engine, self._n_anchors, batch)
-        return ws
+        upper = np.concatenate([np.where(vis, masks.upper.reshape(2, n), np.inf),
+                                masks.anchor_upper], axis=1)
+        # the point nodes of harmonic h: its grid nodes with a lower bound
+        # (the rows score their ceilings), then every anchor
+        anchor = n + np.arange(n_anchors)
+        nodes = [np.concatenate([np.flatnonzero(lower[h, :n] > 0.0), anchor]) for h in (0, 1)]
+        lower[0] -= carrier_floor
+        upper[0] -= carrier_floor
+        self._grid_upper = upper[:, :n].reshape(2, nu, nv)
+        self._row_ceiling = self._grid_upper.min(axis=2) / (1.0 + BOUND_SLACK)
+        self._point_bounds = [(lower[h, idx], np.where(idx < n, np.inf, upper[h, idx]),
+                               np.where(idx < n, grid.cell_weight, self.anchor_weight))
+                              for h, idx in enumerate(nodes)]
+        # a node's rows of rows_g and cols_g: (u, v) on the grid, (nu + k,
+        # nv + k) for anchor k
+        uv = [np.where(idx < n, np.divmod(idx, nv), idx - n + np.array([[nu], [nv]]))
+              for idx in nodes]
+        self._folds = {mode: _Fold(mode, rows_g, cols_g, nu, nv, uv) for mode in ControlMode
+                       if not (mode.mirrored and geometry.rows % 2)}
 
     def _coefficients(self, rises: np.ndarray, duties: np.ndarray) -> tuple:
         """Source coefficients |d| u^h + delta_h0 beta of stacked blocks for
-        h = 0 and 1, each (cells of a block, batch). The h = 1 coefficients
+        h = 0 and 1, each shaped as the blocks. The h = 1 coefficients
         check the blocks' ranges; u^0 is the duty itself."""
-        batch = rises.shape[0]
-        u1 = pulse_fourier_coefficients(rises, duties, 1).reshape(batch, -1).T * self._d_norm
-        u0 = duties.reshape(batch, -1).T * self._d_norm + self._beta
+        u1 = pulse_fourier_coefficients(rises, duties, 1) * self._d_norm
+        u0 = duties * self._d_norm + self._beta
         return u0, u1
-
-    def _powers(self, coef: np.ndarray, h: int, fold: _Fold, ws: _Workspace) -> np.ndarray:
-        """Power samples of the sources coef (cells of a block, batch) at
-        every grid node, then every anchor, written into ws's power buffer
-        (n_nodes + n_anchors, batch), without the schedule-independent h = 0
-        part self._carrier_floor."""
-        n = self.grid.visible.size
-        rows_out, field, power, imag_power = ws.views(fold.shape[0], coef.shape[1])
-        grid_power = power[:n]
-        f = self.engine._apply_steering(coef, rows_out, field, fold.grid[h]).reshape(grid_power.shape)
-        np.multiply(f.real, f.real, out=grid_power)
-        np.multiply(f.imag, f.imag, out=imag_power)
-        np.add(grid_power, imag_power, out=grid_power)
-        fa = fold.anchor_rows[h] @ coef
-        np.add(fa.real**2, fa.imag**2, out=power[n:])
-        return power
-
-    def _floor_cost(self, h: int, p: np.ndarray) -> np.ndarray:
-        """Weighted shortfall below the lower bounds of harmonic h, given the
-        powers (n_floors, batch) at its floor points self._floors[h]."""
-        _, floor, w = self._floors[h]
-        return w @ ramp(floor[:, None] - p)
 
     def phi_batch(self, rises: np.ndarray, duties: np.ndarray,
                   mode: ControlMode = ControlMode.FULL) -> np.ndarray:
@@ -254,28 +228,45 @@ class CostEvaluator:
         if rises.shape[1:] != fold.shape or duties.shape != rises.shape:
             raise ValueError(f"expected {fold.mode.value} blocks of shape (batch, {fold.shape[0]}, "
                              f"{fold.shape[1]}), got {rises.shape} and {duties.shape}")
-        if fold.mode.columnwise and self._columns is not None:
-            return self._columns.phi(self, rises, duties, fold)
-        return self._phi_grid(rises, duties, fold)
-
-    def _phi_grid(self, rises: np.ndarray, duties: np.ndarray, fold: _Fold) -> np.ndarray:
-        """The grid route of phi_batch, valid for any mode. It scores the
-        batch in slices of at most GRID_SLICE blocks: per block, a larger
-        slice is no faster and needs larger buffers."""
-        coefs = self._coefficients(rises, duties)
         batch = rises.shape[0]
-        ws = self._workspace(min(batch, GRID_SLICE))
+        nu, nv = self.grid.shape
+        q = fold.shape[1]
+        ws = _WORKSPACE
         total = np.zeros(batch)
-        for start in range(0, batch, GRID_SLICE):
-            part = slice(start, start + GRID_SLICE)
-            out = total[part]
-            for h in (0, 1):
-                p = self._powers(coefs[h][:, part], h, fold, ws)
-                idx = self._floors[h][0]
-                if idx.size:
-                    out += self._floor_cost(h, p[idx])
-                p -= self._upper[h][:, None]
-                out += self._weights @ np.maximum(p, 0.0, out=p)
+        for h, coef in enumerate(self._coefficients(rises, duties)):
+            # the point nodes, against both bounds
+            f = _matmul_rows(coef.reshape(batch, -1), fold.points[h],
+                             ws.view("points", (batch, fold.points[h].shape[1]), complex))
+            p = f.real**2 + f.imag**2
+            lower, upper, w = self._point_bounds[h]
+            over = np.maximum(lower - p, p - upper)
+            total += (np.maximum(over, 0.0, out=over) * w).sum(axis=1)
+            # the grid's ceilings, on the rows whose bound can reach them;
+            # T = L_h C of each block is held transposed, (batch, q, nu), so
+            # that the blocks are the product's rows
+            t = _matmul_rows(coef.transpose(0, 2, 1).reshape(batch * q, -1), fold.left_t[h],
+                             ws.view("t", (batch * q, nu), complex)).reshape(batch, q, nu)
+            bound = fold.r_max @ np.abs(t, out=ws.view("size", (batch, q, nu)))
+            bound *= bound
+            kk, uu = np.nonzero(bound > self._row_ceiling[h])
+            if kk.size == 0:
+                continue
+            n = kk.size
+            power = ws.view("power", (n, nv))
+            first = kk * (q * nu) + uu  # each pair's T[k, 0, u] in t's flat order
+            if q == 1:  # |T R|^2 = |T|^2 |R|^2 = bound |R|^2 / max |R|^2
+                np.multiply(bound.reshape(-1)[first, None], fold.r_shape, out=power)
+            else:
+                at = np.add(first[:, None], np.arange(0, q * nu, nu),
+                            out=ws.view("at", (n, q), np.intp))
+                x = np.take(t, at, out=ws.view("x", (n, q), complex), mode="clip")
+                f = _matmul_rows(x, fold.right_t, ws.view("field", (n, nv), complex))
+                np.multiply(f.real, f.real, out=power)
+                power += np.square(f.imag, out=ws.view("scratch", (n, nv)))
+            power -= np.take(self._grid_upper[h], uu, axis=0, out=ws.view("scratch", (n, nv)),
+                             mode="clip")
+            over = np.maximum(power, 0.0, out=power).sum(axis=1)
+            total += np.bincount(kk, weights=over, minlength=batch) * self.grid.cell_weight
         return total
 
     def phi(self, schedule: PulseSchedule) -> float:
@@ -283,93 +274,6 @@ class CostEvaluator:
         if schedule.shape != (self.geometry.rows, self.geometry.cols):
             raise ValueError("schedule shape does not match the geometry")
         return float(self.phi_batch(schedule.rise[None], schedule.duty[None])[0])
-
-
-def _row_ceilings(masks: MaskSet) -> Optional[np.ndarray]:
-    """(2, nu) upper bound of every u-row of the grid, or None when some
-    u-row has more than one upper bound over its visible v (a null notch
-    box, say). Rows without a visible node read the bound at v[0]."""
-    vis = masks.grid.visible
-    ceiling = masks.upper[:, np.arange(vis.shape[0]), np.argmax(vis, axis=1)]
-    if np.any(vis & (masks.upper != ceiling[:, :, None])):
-        return None
-    return ceiling
-
-
-class _ColumnTables:
-    """Tables of CostEvaluator's column route (see its docstring).
-
-    With every row of cells on one pulse, harmonic h radiates
-    (L_h c_h)(u) * (A_v g_y)(v), c_h the control rows' source coefficients
-    and L_h the mode's row factor (see _Fold), so its power is a(u) B(v).
-    f_x = A_u g_x and f_y = A_v g_y hold the grid's u (v), then the
-    anchors'; b_anchor holds B at the anchors' v. The grid's violations of
-    a u-row at h are A * (w B summed over {B > U / A}) - U * (w summed over
-    that set), with A = a, plus the beta_perp carrier term at h = 0, and U
-    the row's one upper bound: b_sorted is the grid's B ascending, and
-    sum_wb[h] and sum_w[h] hold per-u suffix sums over that order,
-    flattened, and 0 on rows without a visible node or a finite bound.
-    """
-
-    def __init__(self, ev: "CostEvaluator", ceiling: np.ndarray, f_x: np.ndarray,
-                 f_y: np.ndarray, beta_perp2: float):
-        nu, nv = ev.grid.shape
-        self.nu = nu
-        active = ev.grid.visible.any(axis=1) & np.isfinite(ceiling)
-        self.ceiling = np.where(active, ceiling, 0.0)[:, :, None]
-        b = f_y.real**2 + f_y.imag**2
-        b_grid = b[:nv]
-        self.b_anchor = b[nv:, None]
-        self.carrier = beta_perp2 * (f_x[:nu].real**2 + f_x[:nu].imag**2)[:, None]
-        order = np.argsort(b_grid, kind="stable")
-        self.b_sorted = b_grid[order]
-        w = ev._weights[:nu * nv].reshape(nu, nv)[:, order] * active[:, :, None]
-
-        def suffix_sums(x):
-            out = np.zeros((2, nu, nv + 1))
-            out[:, :, :nv] = np.cumsum(x[:, :, ::-1], axis=2)[:, :, ::-1]
-            return out.reshape(2, -1)
-
-        self.sum_w = suffix_sums(w)
-        self.sum_wb = suffix_sums(w * self.b_sorted)
-        self.row_start = np.arange(nu)[:, None] * (nv + 1)
-        # the floor points' powers are a[row] * factor
-        self.floor_rows, self.floor_factors = [], []
-        for idx, _, _ in ev._floors:
-            node = idx < nu * nv
-            anchor = np.where(node, 0, idx - nu * nv)
-            self.floor_rows.append(np.where(node, idx // nv, nu + anchor))
-            factor = np.where(node, b_grid[idx % nv], self.b_anchor[anchor, 0])
-            self.floor_factors.append(factor[:, None])
-        self.anchor_upper = ev._upper[:, nu * nv:, None]
-        self.anchor_weights = ev._weights[nu * nv:]
-
-    def phi(self, ev: "CostEvaluator", rises: np.ndarray, duties: np.ndarray,
-            fold: _Fold) -> np.ndarray:
-        """Costs of a column-wise mode's blocks, (batch, p, 1) arrays."""
-        nu = self.nu
-        total = np.zeros(rises.shape[0])
-        for h, coef in enumerate(ev._coefficients(rises, duties)):
-            f = fold.left[h] @ coef
-            a = f.real**2 + f.imag**2
-            rows = self.floor_rows[h]
-            if rows.size:
-                total += ev._floor_cost(h, a[rows] * self.floor_factors[h])
-            p = a[nu:] * self.b_anchor
-            p -= self.anchor_upper[h]
-            total += self.anchor_weights @ np.maximum(p, 0.0, out=p)
-            amp = a[:nu]
-            if h == 0:
-                amp += self.carrier
-            ceiling = self.ceiling[h]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                k = np.searchsorted(self.b_sorted, ceiling / amp, side="right")
-            k += self.row_start
-            over = amp * self.sum_wb[h].take(k)
-            over -= ceiling * self.sum_w[h].take(k)
-            # a row's exact sum is >= 0; clip the rounding below it
-            total += np.maximum(over, 0.0, out=over).sum(axis=0)
-        return total
 
 
 @dataclass(frozen=True)
@@ -728,12 +632,10 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     seed in order. The evaluators share the geometry's size.
 
     Each iteration scores each evaluator's running swarms in one phi_batch
-    call. Its BLAS products round a particle's cost the same at any batch
-    position when the swarm size is a multiple of 4 (measured with OpenBLAS
-    0.3.31 on an AVX-512 x86-64 CPU; the default swarm is 20), and every
-    result then equals the run of its evaluator and seed alone bit for bit.
-    With other swarm sizes a cost can differ from that run's by rounding,
-    which can steer the swarm elsewhere.
+    call, which rounds a particle's cost the same at any position in a
+    batch of any size (measured with OpenBLAS 0.3.31 on an AVX-512 x86-64
+    CPU), so every result equals the run of its evaluator and seed alone
+    bit for bit.
     """
     if not evaluators:
         return []

@@ -16,6 +16,7 @@ from tmems import (
     ControlMode,
     DirectionGrid,
     EmsGeometry,
+    FieldEngine,
     ModeCodec,
     PlaneWaveIncidence,
     PulseSchedule,
@@ -26,8 +27,6 @@ from tmems import (
     cell_factor,
     derive_seed,
     design_for_angle,
-    field_samples,
-    harmonic_far_field,
     harmonic_tensors,
     localize,
     matched_sweep,
@@ -99,7 +98,9 @@ def halfpower_width_u(pattern) -> float:
 
 
 def test_criterion_01_fourier_oracle(capsys):
-    t0 = time.perf_counter()
+    # CPU time, not wall time: the limit bounds this check's own work, which
+    # a loaded host does not change
+    t0 = time.process_time()
     rng = np.random.default_rng(20260816)
     rise = rng.random(100)
     duty = rng.random(100)
@@ -115,7 +116,7 @@ def test_criterion_01_fourier_oracle(capsys):
         closed = pulse_fourier_coefficients(rise, duty, h)
         quad = (duty / n) * np.exp(-2j * np.pi * h * t).sum(axis=1)
         worst = max(worst, float(np.max(np.abs(closed - quad))))
-    dt = time.perf_counter() - t0
+    dt = time.process_time() - t0
     ok = worst < 1e-6 and dt < 1.0
     _report(capsys, 1, ok,
             f"closed form vs 1e4-sample quadrature, |h|<=5, 100 pulses: "
@@ -162,13 +163,13 @@ def test_criterion_03_structural_invariants(capsys):
     inc40 = PlaneWaveIncidence(theta_deg=40.0, phi_deg=0.0, amplitude_v_m=1.0,
                                jones=(1.0 + 0.0j, 0.0j))
     worst_static = max(
-        float(np.max(np.abs(harmonic_far_field(geom, static, states, inc40, grid, h).field)))
+        float(np.max(np.abs(FieldEngine(geom, grid).pattern(static, states, inc40, h).field)))
         for h in (1, 2, 5))
 
     # broadside drive + mirrored rows null the whole u = 0 line at h = 1
     inc0 = PlaneWaveIncidence(theta_deg=0.0, phi_deg=0.0, amplitude_v_m=1.0,
                               jones=(1.0 + 0.0j, 0.0j))
-    pat1 = harmonic_far_field(geom, sched, states, inc0, grid, 1)
+    pat1 = FieldEngine(geom, grid).pattern(sched, states, inc0, 1)
     iu0 = int(np.argmin(np.abs(grid.u)))
     assert grid.u[iu0] == 0.0
     line = float(np.max(np.abs(pat1.field[iu0, :, :])))
@@ -207,15 +208,15 @@ def test_criterion_04_beam_pair_quality(capsys):
 
     grid = DirectionGrid.uniform(EVAL_N)
     inc = sc.incidence()
-    pat0 = harmonic_far_field(geom, best.schedule, states, inc, grid, 0)
-    pat1 = harmonic_far_field(geom, best.schedule, states, inc, grid, 1)
+    pat0 = FieldEngine(geom, grid).pattern(best.schedule, states, inc, 0)
+    pat1 = FieldEngine(geom, grid).pattern(best.schedule, states, inc, 1)
 
     p0 = np.where(grid.visible, pat0.power, -1.0)
     iu, iv = np.unravel_index(int(np.argmax(p0)), p0.shape)
     peak_du = abs(float(grid.u[iu]) - sc.bs_u)
     peak_dv = abs(float(grid.v[iv]))
 
-    e_null = field_samples(geom, best.schedule, states, inc, sc.bs_u, 0.0, h=1)
+    e_null = FieldEngine(geom).field_at(sc.bs_u, 0.0, best.schedule, states, inc, h=1)
     p_null = float(np.sum(np.abs(e_null) ** 2))
     p_lobe = float(np.max(np.where(grid.visible, pat1.power, 0.0)))
     depth_db = 10.0 * np.log10(p_lobe / max(p_null, 1e-300))
@@ -348,8 +349,7 @@ def test_criterion_09_aperture_scaling(capsys):
         elapsed = time.perf_counter() - t0
         if rows == 24:
             t24 = elapsed
-        pat0 = harmonic_far_field(sc.geometry, res.schedule, sc.states,
-                                  sc.incidence(), grid, 0)
+        pat0 = FieldEngine(sc.geometry, grid).pattern(res.schedule, sc.states, sc.incidence(), 0)
         widths[rows] = halfpower_width_u(pat0)
     ok = widths[24] < widths[10] and t24 <= 1200.0
     _report(capsys, 9, ok,

@@ -20,7 +20,6 @@ from tmems.fields import (
     DirectionGrid,
     FieldEngine,
     PlaneWaveIncidence,
-    harmonic_far_field,
     power_db,
 )
 from tmems.geometry import EmsGeometry
@@ -43,8 +42,8 @@ def test_pattern_csv(tmp_path, rng):
     geom = EmsGeometry(rows=2, cols=2)
     grid = DirectionGrid.uniform(3)
     sched = random_schedule(rng, 2, 2)
-    pat = harmonic_far_field(geom, sched, ReflectionStates.ideal(),
-                             PlaneWaveIncidence(theta_deg=0.0), grid, 0)
+    pat = FieldEngine(geom, grid).pattern(sched, ReflectionStates.ideal(),
+                                          PlaneWaveIncidence(theta_deg=0.0), 0)
     path = tmp_path / "pattern.csv"
     write_pattern_csv(path, pat, 1.0)
     lines = path.read_text().splitlines()
@@ -101,7 +100,7 @@ def test_pattern_csv_matches_per_value_writer(tmp_path, rng):
     sched = random_schedule(rng, 4, 6)
     inc = PlaneWaveIncidence(theta_deg=30.0, phi_deg=10.0)
     for h, reference in ((0, 1.0), (1, 3.7e-5)):
-        pat = harmonic_far_field(geom, sched, ReflectionStates.ideal(), inc, grid, h)
+        pat = FieldEngine(geom, grid).pattern(sched, ReflectionStates.ideal(), inc, h)
         fast, slow = tmp_path / f"fast{h}.csv", tmp_path / f"slow{h}.csv"
         write_pattern_csv(fast, pat, reference)
         per_value_pattern_csv(slow, pat, reference)

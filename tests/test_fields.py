@@ -1,6 +1,8 @@
 """Field engine against independent oracles: midpoint quadrature for the cell
 integral and a literal per-cell summation for full patterns."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from tmems.fields import (
     FieldEngine,
     PlaneWaveIncidence,
     cell_factor,
-    field_samples,
-    harmonic_far_field,
     incident_phase_factors,
     power_db,
     ratio_from_powers,
@@ -131,8 +131,8 @@ def test_amplitude_linearity(geom4, ideal, rng):
     inc1 = PlaneWaveIncidence(theta_deg=40.0, amplitude_v_m=1.0)
     inc2 = PlaneWaveIncidence(theta_deg=40.0, amplitude_v_m=2.0)
     for h in (0, 1):
-        e1 = field_samples(geom4, sched, ideal, inc1, 0.2, 0.1, h)
-        e2 = field_samples(geom4, sched, ideal, inc2, 0.2, 0.1, h)
+        e1 = FieldEngine(geom4).field_at(0.2, 0.1, sched, ideal, inc1, h)
+        e2 = FieldEngine(geom4).field_at(0.2, 0.1, sched, ideal, inc2, h)
         assert np.allclose(e2, 2.0 * e1, rtol=1e-15)
     grid = DirectionGrid.uniform(21)
     engine = FieldEngine(geom4, grid)
@@ -142,8 +142,8 @@ def test_amplitude_linearity(geom4, ideal, rng):
         assert np.allclose(p2, 4.0 * p1, rtol=1e-12)
     # the sum/difference ratio is amplitude invariant
     def xi(inc):
-        e0 = field_samples(geom4, sched, ideal, inc, 0.2, 0.1, h=0)
-        e1 = field_samples(geom4, sched, ideal, inc, 0.2, 0.1, h=1)
+        e0 = FieldEngine(geom4).field_at(0.2, 0.1, sched, ideal, inc, h=0)
+        e1 = FieldEngine(geom4).field_at(0.2, 0.1, sched, ideal, inc, h=1)
         return ratio_from_powers(np.sum(np.abs(e0) ** 2), np.sum(np.abs(e1) ** 2)).xi
     assert xi(inc2) == pytest.approx(xi(inc1), rel=1e-9)
 
@@ -207,8 +207,8 @@ def test_direction_grid():
 
 def test_power_helpers(geom4, ideal, rng):
     sched = random_schedule(rng, 4, 4)
-    pat = harmonic_far_field(geom4, sched, ideal, PlaneWaveIncidence(theta_deg=20.0),
-                             DirectionGrid.uniform(11), 0)
+    pat = FieldEngine(geom4, DirectionGrid.uniform(11)).pattern(
+        sched, ideal, PlaneWaveIncidence(theta_deg=20.0), 0)
     assert np.array_equal(pat.power, np.sum(np.abs(pat.field) ** 2, axis=-1))
     assert power_db(1.0, 1.0) == 0.0
     assert power_db(0.1, 1.0) == pytest.approx(-10.0)
@@ -229,12 +229,12 @@ def test_field_at_checks_visibility(geom4, ideal, rng):
     sched = random_schedule(rng, 4, 4)
     inc = PlaneWaveIncidence(theta_deg=10.0)
     with pytest.raises(ValueError, match="visible"):
-        field_samples(geom4, sched, ideal, inc, 0.8, 0.7, h=0)
+        FieldEngine(geom4).field_at(0.8, 0.7, sched, ideal, inc, h=0)
     with pytest.raises(ValueError, match="shape"):
-        field_samples(geom4, random_schedule(rng, 3, 3), ideal, inc, 0.0, 0.0, h=0)
+        FieldEngine(geom4).field_at(0.0, 0.0, random_schedule(rng, 3, 3), ideal, inc, h=0)
     with pytest.raises(ValueError, match="shape"):
-        harmonic_far_field(geom4, random_schedule(rng, 3, 3), ideal, inc,
-                           DirectionGrid.uniform(5), 0)
+        FieldEngine(geom4, DirectionGrid.uniform(5)).pattern(random_schedule(rng, 3, 3), ideal,
+                                                             inc, 0)
     # the engine itself rejects a schedule whose cell count alone agrees
     engine = FieldEngine(EmsGeometry(rows=10, cols=10), DirectionGrid.uniform(5))
     wrong = random_schedule(rng, 5, 20)
@@ -249,7 +249,7 @@ def test_field_samples_match_pattern_nodes(geom4, ideal, rng):
     inc = PlaneWaveIncidence(theta_deg=40.0)
     grid = DirectionGrid.uniform(21)
     pat = FieldEngine(geom4, grid).pattern(sched, ideal, inc, 1)
-    got = field_samples(geom4, sched, ideal, inc, 0.2, -0.4, h=1)[0]
+    got = FieldEngine(geom4).field_at(0.2, -0.4, sched, ideal, inc, h=1)[0]
     iu, iv = grid.nearest_index(0.2, -0.4)
     assert np.allclose(got, pat.field[iu, iv], rtol=1e-13)
 
@@ -275,27 +275,35 @@ def test_separable_kernel_matches_direct_sum(rng):
                     anchor_upper=np.full((2, 3), np.inf),
                     beam_ref=beam_reference(geometry, inc, 0.0))
     engine = FieldEngine(geometry, grid)
+    vis = grid.visible
     for states in (ReflectionStates.ideal(), TENSOR_STATES):
-        ev = CostEvaluator(geometry, states, inc, masks, sched.period_s)
-        ws = ev._workspace(1)
-        full = ev._folds[ControlMode.FULL]
         for h in (0, 1):
             want = direct_sum(geometry, sched, states, inc, u, v, h)
             got = engine.pattern(sched, states, inc, h).field[iu, iv]
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
             got = engine.field_at(u, v, sched, states, inc, h)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-            want = np.concatenate([want, direct_sum(geometry, sched, states, inc,
-                                                    anchors[:, 0], anchors[:, 1], h)])
-            p_want = np.sum(np.abs(want) ** 2, axis=1)
-            # the cost's rows are the full grid, row-major, then the anchors
-            coef = ev._coefficients(sched.rise[None], sched.duty[None])[h]
-            p_all = ev._powers(coef, h, full, ws)[:, 0].copy()
-            if h == 0:
-                p_all += ev._carrier_floor
-            assert p_all.shape == (nu * nv + anchors.shape[0],)
-            p_got = np.concatenate([p_all[:nu * nv][grid.visible.ravel()], p_all[nu * nv:]])
-            assert np.all(np.abs(p_got - p_want) <= 1e-12 * p_want)
+            # the cost against the dense sum of these powers: every ceiling
+            # of harmonic h at half its node's power, every floor at twice
+            p_grid = np.zeros((nu, nv))
+            p_grid[iu, iv] = np.sum(np.abs(want) ** 2, axis=1)
+            e = direct_sum(geometry, sched, states, inc, anchors[:, 0], anchors[:, 1], h)
+            p_anchor = np.sum(np.abs(e) ** 2, axis=1)
+            # each node exceeds (falls short of) its bound by gap times its power
+            for lower, upper, gap in ((0.0, 0.5, 0.5), (2.0, np.inf, 1.0)):
+                bounds = np.zeros((2, nu, nv)), np.full((2, nu, nv), np.inf)
+                bounds[0][h] = lower * p_grid
+                bounds[1][h][vis] = upper * p_grid[vis]
+                a_bounds = np.zeros((2, 3)), np.full((2, 3), np.inf)
+                a_bounds[0][h] = lower * p_anchor
+                a_bounds[1][h] = upper * p_anchor
+                ev = CostEvaluator(geometry, states, inc,
+                                   replace(masks, lower=bounds[0], upper=bounds[1],
+                                           anchor_lower=a_bounds[0], anchor_upper=a_bounds[1]),
+                                   sched.period_s)
+                want_phi = gap * (grid.cell_weight * p_grid.sum()
+                                  + ev.anchor_weight * p_anchor.sum())
+                assert ev.phi(sched) == pytest.approx(want_phi, rel=1e-12)
 
 
 def test_delta_constrained_null_line_at_broadside(ideal, rng):
@@ -314,4 +322,4 @@ def test_delta_constrained_null_line_at_broadside(ideal, rng):
                     anchor_lower=np.zeros((2, 0)), anchor_upper=np.zeros((2, 0)),
                     beam_ref=beam_reference(geometry, PlaneWaveIncidence(theta_deg=0.0), 0.0))
     ev = CostEvaluator(geometry, ideal, PlaneWaveIncidence(theta_deg=0.0), masks, 1e-6)
-    assert np.all(ev._folds[ControlMode.DELTA].left[1][mid] == 0.0)
+    assert np.all(ev._folds[ControlMode.DELTA].left_t[1][:, mid] == 0.0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tmems.config import load_config, parse_config
-from tmems.fields import DirectionGrid, PlaneWaveIncidence, harmonic_far_field
+from tmems.fields import DirectionGrid, FieldEngine, PlaneWaveIncidence
 from tmems.geometry import EmsGeometry
 from tmems.masks import MaskParams, MaskSet, beam_reference, build_masks
 from tmems.modulation import (
@@ -28,7 +28,6 @@ from tmems.synthesis import (
     PsoConfig,
     _wrap_unit,
     conjugate_guess,
-    GRID_SLICE,
     minimize,
     minimize_swarms,
     pso_optimize,
@@ -65,7 +64,7 @@ def test_phi_single_violation_equals_weighted_overshoot(rng, ideal):
     grid = DirectionGrid.uniform(21)
     inc = PlaneWaveIncidence(theta_deg=0.0)
     sched = random_schedule(rng, 4, 4)
-    p0 = harmonic_far_field(geom, sched, ideal, inc, grid, 0).power
+    p0 = FieldEngine(geom, grid).pattern(sched, ideal, inc, 0).power
     iu, iv = grid.nearest_index(0.3, -0.2)
     assert grid.visible[iu, iv]
     nu, nv = grid.shape
@@ -85,7 +84,7 @@ def test_phi_zero_when_strictly_inside(rng, ideal):
     nu, nv = grid.shape
     upper = np.full((2, nu, nv), np.inf)
     for h in (0, 1):
-        p = harmonic_far_field(geom, sched, ideal, inc, grid, h).power
+        p = FieldEngine(geom, grid).pattern(sched, ideal, inc, h).power
         upper[h][grid.visible] = 2.0 * p[grid.visible] + 1.0
     ev = CostEvaluator(geom, ideal, inc, upper_only_masks(geom, inc, grid, upper), sched.period_s)
     assert ev.phi(sched) == 0.0
@@ -113,12 +112,10 @@ def beam_pair_evaluator():
 
 def columnwise_evaluator():
     """The localization scenario's evaluator: 10x10 colwise-delta on the
-    64-grid, whose column-wise masks enable the column route."""
+    64-grid, with column-wise masks."""
     cfg = parse_config({"modulation": {"mode": "colwise-delta"},
                         "incidence": {"theta_deg": 40.0}})
-    ev = cfg.scenario().evaluator()
-    assert ev._columns is not None
-    return ev
+    return cfg.scenario().evaluator()
 
 
 def test_warm_phi_batch_allocates_little():
@@ -217,8 +214,6 @@ def test_folded_block_cost_matches_the_decoded_schedule(fast_scenario, mode):
     rng = np.random.default_rng(5)
     codec = ModeCodec(mode=mode, rows=6, cols=4)
     for ev in fold_cases(fast_scenario, mode):
-        # column-wise modes take the column route here
-        assert ev._columns is not None or not mode.columnwise
         for batch in (1, 7, 20):
             x = rng.random((batch, codec.dim))
             rises, duties = codec.blocks(x)
@@ -271,56 +266,165 @@ def test_phi_batch_checks_the_block_values(monkeypatch):
                 ev.phi_batch(blocks["rise"], blocks["duty"], mode)
 
 
-def test_grid_route_scores_in_slices():
+def dense_phi(ev, rises, duties, mode):
+    """The cost by its definition, the reference for phi_batch: each block
+    decoded to a full schedule, radiated onto every grid node
+    (FieldEngine.pattern) and at every anchor (field_at), every bound's
+    weighted violation summed. Also returns, per block, the number of
+    (harmonic, u-row) pairs with a violated grid ceiling."""
+    codec = ModeCodec(mode=mode, rows=ev.geometry.rows, cols=ev.geometry.cols)
+    x = np.concatenate([rises.reshape(len(rises), -1), duties.reshape(len(duties), -1)], axis=1)
+    engine = FieldEngine(ev.geometry, ev.grid)
+    m, vis, w = ev.masks, ev.grid.visible, ev.grid.cell_weight
+    u, v = m.anchor_uv.T
+    costs, rows_hit = [], []
+    for rise, duty in zip(*codec.decode_batch(x)):
+        sched = PulseSchedule(period_s=ev.period_s, rise=rise, duty=duty)
+        cost, hit = 0.0, 0
+        for h in (0, 1):
+            p = engine.pattern(sched, ev.states, ev.incidence, h).power
+            over = np.where(vis, ramp(p - m.upper[h]), 0.0)
+            hit += int(np.count_nonzero(over.any(axis=1)))
+            cost += w * (over.sum() + np.where(vis, ramp(m.lower[h] - p), 0.0).sum())
+            e = engine.field_at(u, v, sched, ev.states, ev.incidence, h)
+            pa = np.sum(np.abs(e) ** 2, axis=1)
+            cost += ev.anchor_weight * np.sum(ramp(pa - m.anchor_upper[h])
+                                              + ramp(m.anchor_lower[h] - pa))
+        costs.append(cost)
+        rows_hit.append(hit)
+    return np.array(costs), np.array(rows_hit)
+
+
+def with_ceilings(ev, upper):
+    """ev with its masks' grid ceilings replaced by upper."""
+    masks = replace(ev.masks, upper=upper)
+    return CostEvaluator(ev.geometry, ev.states, ev.incidence, masks, ev.period_s)
+
+
+def notched(ev):
+    """ev with a null notch along v = 0.3 at both harmonics, 30 dB under
+    the lowest ceiling: it crosses most u-rows, and few blocks meet it."""
+    upper = ev.masks.upper.copy()
+    iv = ev.grid.nearest_index(0.0, 0.3)[1]
+    upper[:, :, iv] = 1e-3 * ev.masks.upper[:, ev.grid.visible].min()
+    return with_ceilings(ev, upper)
+
+
+def test_batch_cost_equals_its_slices():
     ev = beam_pair_evaluator()
-    fold = ev._folds[ControlMode.DELTA]
     rises, duties = np.random.default_rng(4).random((2, 45, 5, 10))
-    got = ev._phi_grid(rises, duties, fold)
-    assert ev._local.ws.capacity == GRID_SLICE == 20
-    want = [ev._phi_grid(rises[s:s + 20], duties[s:s + 20], fold) for s in (0, 20, 40)]
+    got = ev.phi_batch(rises, duties, ControlMode.DELTA)
+    want = [ev.phi_batch(rises[s:s + 20], duties[s:s + 20], ControlMode.DELTA)
+            for s in (0, 20, 40)]
     assert np.array_equal(got, np.concatenate(want))
+    dense = dense_phi(ev, rises, duties, ControlMode.DELTA)[0]
+    assert np.all(np.abs(got - dense) <= 1e-12 * dense)
+
+
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_notched_cost_matches_dense_reference(fast_scenario, mode):
+    # the notch makes nearly every row a flagged one
+    rng = np.random.default_rng(9)
+    codec = ModeCodec(mode=mode, rows=6, cols=4)
+    n_rows = 2 * 32  # (harmonic, u-row) pairs of the 32-grid
+    for ev in fold_cases(fast_scenario, mode):
+        ev = notched(ev)
+        rises, duties = codec.blocks(rng.random((7, codec.dim)))
+        got = ev.phi_batch(rises, duties, mode)
+        want, rows_hit = dense_phi(ev, rises, duties, mode)
+        assert np.all(rows_hit > n_rows // 2)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 @pytest.mark.parametrize("mode", [ControlMode.COLWISE, ControlMode.COLWISE_DELTA])
-def test_column_route_matches_grid_route(fast_scenario, mode):
+def test_colwise_cost_matches_dense_reference(fast_scenario, mode):
     rng = np.random.default_rng(5)
     codec = ModeCodec(mode=mode, rows=6, cols=4)
     for ev in fold_cases(fast_scenario, mode):
-        assert ev._columns is not None
-        fold = ev._folds[mode]
         for batch in (1, 7, 20):
             rises, duties = codec.blocks(rng.random((batch, codec.dim)))
             got = ev.phi_batch(rises, duties, mode)
-            want = ev._phi_grid(rises, duties, fold)
+            want = dense_phi(ev, rises, duties, mode)[0]
             assert np.all(want > 0.0)
             assert np.all(np.abs(got - want) <= 1e-12 * want)
-        # an all-off skin radiates no first harmonic: every A(u) is exactly 0
+        # an all-off skin radiates no first harmonic: every row of T is 0
         static = np.zeros((2, 1) + codec.control_shape)
-        assert ev.phi_batch(*static, mode) == pytest.approx(ev._phi_grid(*static, fold),
+        assert ev.phi_batch(*static, mode) == pytest.approx(dense_phi(ev, *static, mode)[0],
                                                             rel=1e-12)
 
 
-def test_column_route_falls_back_to_the_grid_route(fast_scenario):
+def test_full_and_notched_cost_match_dense_reference(fast_scenario):
     rng = np.random.default_rng(6)
     mode = ControlMode.COLWISE_DELTA
     sc = fast_scenario(mode=mode, rows=6, cols=4)
     codec = ModeCodec(mode=mode, rows=6, cols=4)
-    rises, duties = rng.random((2, 5, 6, 4))
-    # full schedules on a column-wise evaluator take the grid route
+    # full schedules on a column-wise evaluator
     ev = sc.evaluator()
-    assert ev._columns is not None
-    full = ev._folds[ControlMode.FULL]
-    assert np.array_equal(ev.phi_batch(rises, duties), ev._phi_grid(rises, duties, full))
-    # a null notch gives some u-rows two ceilings, so no column tables exist
-    notched = replace(sc, mask=MaskParams(null_halfwidth_u=0.05, null_halfwidth_v=0.05))
-    ev = notched.evaluator()
-    assert ev._columns is None
+    rises, duties = rng.random((2, 5, 6, 4))
+    want = dense_phi(ev, rises, duties, ControlMode.FULL)[0]
+    assert np.all(np.abs(ev.phi_batch(rises, duties) - want) <= 1e-12 * want)
+    # a null notch gives some u-rows two ceilings
+    notch = replace(sc, mask=MaskParams(null_halfwidth_u=0.05, null_halfwidth_v=0.05))
+    ev = notch.evaluator()
     x = rng.random((5, codec.dim))
     rises, duties = codec.blocks(x)
     got = ev.phi_batch(rises, duties, mode)
-    assert np.array_equal(got, ev._phi_grid(rises, duties, ev._folds[mode]))
+    want = dense_phi(ev, rises, duties, mode)[0]
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
     want = ev.phi_batch(*codec.decode_batch(x))
     assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_lone_flagged_row_costs_as_in_a_batch(fast_scenario, mode):
+    # one u-row keeps a ceiling, 30 dB under the masks' lowest: a block
+    # scored alone radiates that one row, in a batch each block does
+    ev = fast_scenario(mode=mode, rows=6, cols=4, theta_inc_deg=30.0).evaluator()
+    upper = np.full_like(ev.masks.upper, np.inf)
+    iu = ev.grid.nearest_index(0.3, 0.0)[0]
+    upper[:, iu] = 1e-3 * ev.masks.upper[:, ev.grid.visible].min()
+    ev = with_ceilings(ev, upper)
+    codec = ModeCodec(mode=mode, rows=6, cols=4)
+    rises, duties = codec.blocks(np.random.default_rng(10).random((20, codec.dim)))
+    assert np.all(dense_phi(ev, rises, duties, mode)[1] == 2)
+    alone = np.concatenate([ev.phi_batch(rises[i:i + 1], duties[i:i + 1], mode)
+                            for i in range(20)])
+    # any batch size: the swarm size need not be a multiple of 4
+    for batch in (20, 7):
+        assert np.array_equal(ev.phi_batch(rises[:batch], duties[:batch], mode), alone[:batch])
+
+
+@pytest.mark.parametrize("mode", [ControlMode.FULL, ControlMode.COLWISE])
+def test_power_on_its_ceiling_adds_exactly_zero(ideal, mode):
+    # Only column 0 radiates h = 1 (the others have duty 0), so a u-row's
+    # bound is tight at v = 0, where |R| peaks. There a ceiling at the
+    # node's power as the cost computes it adds exactly 0, and one ulp lower
+    # exactly the ulp's weight: the bound's slack never skips a violated row.
+    geom = EmsGeometry(rows=4, cols=4)
+    grid = DirectionGrid.uniform(33)
+    w = grid.cell_weight
+    assert w == 2.0**-8  # phi / w is exact
+    inc = PlaneWaveIncidence(theta_deg=0.0)
+    iv = grid.nearest_index(0.0, 0.0)[1]
+    codec = ModeCodec(mode=mode, rows=4, cols=4)
+    rng = np.random.default_rng(8)
+    for iu in range(9, 24, 2):
+        rises, duties = codec.blocks(rng.random((1, codec.dim)))
+        duties[:, :, 1:] = 0.0
+
+        def phi(level):
+            upper = np.full((2,) + grid.shape, np.inf)
+            upper[1, iu, iv] = level
+            ev = CostEvaluator(geom, ideal, inc, upper_only_masks(geom, inc, grid, upper), 1e-6)
+            return ev.phi_batch(rises, duties, mode)[0]
+
+        power = phi(0.0) / w
+        sched = codec.decode(np.concatenate([rises.ravel(), duties.ravel()]), 1e-6)
+        dense = FieldEngine(geom, grid).pattern(sched, ideal, inc, 1).power[iu, iv]
+        assert power == pytest.approx(dense, rel=1e-12)
+        assert phi(power) == 0.0
+        below = np.nextafter(power, 0.0)
+        assert phi(below) == (power - below) * w
 
 
 def sphere(x):
@@ -492,6 +596,21 @@ def test_pso_optimize_scores_each_swarm_in_one_call(monkeypatch):
     for args, kwargs in calls:
         assert args[0].shape == (6, 2, 4) and args[1].shape == (6, 2, 4)
         assert (args[2:] or (kwargs["mode"],)) == (ControlMode.DELTA,)
+
+
+@pytest.mark.parametrize("mode", [ControlMode.DELTA, ControlMode.COLWISE_DELTA])
+def test_pso_optimize_equals_runs_alone_at_any_swarm_size(fast_scenario, mode):
+    # a swarm of 7 stacks batches of 7, 14 and 21 blocks
+    sc = fast_scenario(mode=mode, swarm=7, iterations=25)
+    evaluators = [sc.evaluator(a) for a in (30.0, 40.0)]
+    seeds = [(1, 2, 3), (4, 5)]
+    together = pso_optimize(evaluators, mode, sc.pso, seeds)
+    for ev, ev_seeds, results in zip(evaluators, seeds, together):
+        for seed, res in zip(ev_seeds, results):
+            [[alone]] = pso_optimize([ev], mode, sc.pso, [(seed,)])
+            assert np.array_equal(res.history, alone.history)
+            assert np.array_equal(res.schedule.rise, alone.schedule.rise)
+            assert np.array_equal(res.schedule.duty, alone.schedule.duty)
 
 
 def test_minimize_swarms_equal_separate_runs():
@@ -754,7 +873,7 @@ def test_duty_driven_to_one_by_power_floor():
     inc = PlaneWaveIncidence(theta_deg=0.0)
     states = ReflectionStates(gamma_on=np.eye(2), gamma_off=np.zeros((2, 2)))
     full = PulseSchedule(period_s=1e-6, rise=np.zeros((1, 1)), duty=np.ones((1, 1)))
-    pmax = float(harmonic_far_field(geom, full, states, inc, grid, 0).power[5, 5])
+    pmax = float(FieldEngine(geom, grid).pattern(full, states, inc, 0).power[5, 5])
     nu, nv = grid.shape
     masks = MaskSet(grid=grid, lower=np.zeros((2, nu, nv)),
                     upper=np.full((2, nu, nv), np.inf),
