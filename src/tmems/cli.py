@@ -2,9 +2,13 @@
 
 Subcommands cover the full workflow: synthesize a schedule, evaluate a stored
 one, sweep the base-station or user angle, run a localization probe (with an
-optional schedule codebook), and export a codebook back to CSV. Outputs land
-in --out as fixed-name files; everything except summary.json (which records
-wall time) is byte-reproducible for a given config and seed.
+optional schedule codebook), and export a codebook back to CSV. Every one but
+export runs through _run, which loads the config with the --seed, --grid and
+--mode overrides, builds the scenario, calls the command's own function (which
+checks its inputs, creates --out, writes its files and returns its summary
+fields and message), then writes summary.json and prints the command's line.
+Outputs land in --out as fixed-name files; everything except summary.json
+(which records wall time) is byte-reproducible for a given config and seed.
 """
 
 import argparse
@@ -25,13 +29,27 @@ from .export import (
 )
 from .fields import DirectionGrid, FieldEngine
 from .geometry import EmsGeometry
-from .isac import Scenario, build_codebook, codebook_digest, localize, matched_sweep, measure_bs_ratio
+from .isac import (Scenario, best_sample, build_codebook, codebook_digest, localize,
+                   matched_sweep, measure_bs_ratio)
 from .synthesis import pso_optimize
 
 
-def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
-    return apply_overrides(cfg, seed=args.seed, eval_grid_n=args.grid, mode=args.mode)
+def _run(args) -> int:
+    """One config-driven command: args.work(args, cfg, scenario) does the
+    command's own work and returns (summary fields, message)."""
+    t0 = time.perf_counter()
+    cfg = apply_overrides(load_config(args.config), seed=args.seed, eval_grid_n=args.grid,
+                          mode=args.mode)
+    fields, message = args.work(args, cfg, cfg.scenario())
+    out = Path(args.out)
+    write_json(out / "summary.json", {
+        "command": args.command,
+        "config": cfg.resolved,
+        **fields,
+        "wall_time_s": time.perf_counter() - t0,
+    })
+    print(f"{args.command}: {message} -> {out}")
+    return 0
 
 
 def _outdir(args) -> Path:
@@ -40,133 +58,74 @@ def _outdir(args) -> Path:
     return out
 
 
-def _eval_patterns(scenario: Scenario, schedule, grid_n: int):
+def _write_patterns(out: Path, scenario: Scenario, schedule, grid_n: int):
     engine = FieldEngine(scenario.geometry, DirectionGrid.uniform(grid_n))
     inc = scenario.incidence()
-    return (engine.pattern(schedule, scenario.states, inc, h=0),
-            engine.pattern(schedule, scenario.states, inc, h=1))
+    for h in (0, 1):
+        pattern = engine.pattern(schedule, scenario.states, inc, h=h)
+        write_pattern_csv(out / f"pattern_h{h}.csv", pattern, scenario.reference)
 
 
-def _write_patterns(out: Path, scenario: Scenario, schedule, grid_n: int):
-    pat0, pat1 = _eval_patterns(scenario, schedule, grid_n)
-    write_pattern_csv(out / "pattern_h0.csv", pat0, scenario.reference)
-    write_pattern_csv(out / "pattern_h1.csv", pat1, scenario.reference)
-
-
-def _ratio_payload(ratio) -> dict:
-    return {"xi": ratio.xi, "p_sigma": ratio.p_sigma, "p_delta": ratio.p_delta,
-            "floored": ratio.floored}
-
-
-def cmd_synthesize(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load(args)
-    scenario = cfg.scenario()
+def cmd_synthesize(args, cfg: RunConfig, scenario: Scenario) -> tuple:
     out = _outdir(args)
     [[res]] = pso_optimize([scenario.evaluator()], scenario.mode, scenario.pso)
     ratio = measure_bs_ratio(scenario, res.schedule, noise_power=cfg.noise_power)
     write_schedule_csv(out / "schedule.csv", res.schedule)
     write_convergence_csv(out / "convergence.csv", res.history)
     _write_patterns(out, scenario, res.schedule, cfg.eval_grid_n)
-    write_json(out / "summary.json", {
-        "command": "synthesize",
-        "config": cfg.resolved,
-        "results": {
-            "phi": res.phi,
-            "iterations": res.iterations,
-            "stop_reason": res.stop_reason,
-            "bs_u": scenario.bs_u,
-            **_ratio_payload(ratio),
-        },
-        "wall_time_s": time.perf_counter() - t0,
-    })
-    print(f"synthesize: phi={res.phi:.6g} xi={ratio.xi:.6g} "
-          f"({res.iterations} iterations, {res.stop_reason}) -> {out}")
-    return 0
+    results = {"phi": res.phi, "iterations": res.iterations, "stop_reason": res.stop_reason,
+               "bs_u": scenario.bs_u, **asdict(ratio)}
+    return ({"results": results},
+            f"phi={res.phi:.6g} xi={ratio.xi:.6g} ({res.iterations} iterations, "
+            f"{res.stop_reason})")
 
 
-def cmd_evaluate(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load(args)
-    scenario = cfg.scenario()
+def cmd_evaluate(args, cfg: RunConfig, scenario: Scenario) -> tuple:
     out = _outdir(args)
     schedule = read_schedule_csv(args.schedule)
-    if schedule.shape != (scenario.geometry.rows, scenario.geometry.cols):
-        raise ValueError(
-            f"schedule is {schedule.shape[0]}x{schedule.shape[1]} but the surface "
-            f"is {scenario.geometry.rows}x{scenario.geometry.cols}")
+    g = scenario.geometry
+    if schedule.shape != (g.rows, g.cols):
+        raise ValueError(f"schedule is {schedule.shape[0]}x{schedule.shape[1]} but the "
+                         f"surface is {g.rows}x{g.cols}")
     phi = scenario.evaluator().phi(schedule)
     ratio = measure_bs_ratio(scenario, schedule, noise_power=cfg.noise_power)
     _write_patterns(out, scenario, schedule, cfg.eval_grid_n)
-    write_json(out / "summary.json", {
-        "command": "evaluate",
-        "config": cfg.resolved,
-        "schedule_file": str(args.schedule),
-        "results": {"phi": phi, "bs_u": scenario.bs_u, **_ratio_payload(ratio)},
-        "wall_time_s": time.perf_counter() - t0,
-    })
-    print(f"evaluate: phi={phi:.6g} xi={ratio.xi:.6g} -> {out}")
-    return 0
+    return ({"schedule_file": str(args.schedule),
+             "results": {"phi": phi, "bs_u": scenario.bs_u, **asdict(ratio)}},
+            f"phi={phi:.6g} xi={ratio.xi:.6g}")
 
 
-def _cmd_sweep(args, vary: str) -> int:
-    t0 = time.perf_counter()
-    cfg = _load(args)
-    angles = cfg.user_angles_deg if vary == "user" else cfg.sweep_angles_deg
-    scenario = cfg.scenario()
+def cmd_sweep(args, cfg: RunConfig, scenario: Scenario) -> tuple:
+    # sweep-user reads the angles as incidence angles, which cannot be negative
+    angles = cfg.user_angles_deg if args.vary == "user" else cfg.sweep_angles_deg
     out = _outdir(args)
-    repeats = args.repeats if args.repeats is not None else cfg.repeats
-    samples = matched_sweep(scenario, vary, angles, master_seed=cfg.seed,
+    repeats = args.repeats or cfg.repeats
+    samples = matched_sweep(scenario, args.vary, angles, master_seed=cfg.seed,
                             repeats=repeats, noise_power=cfg.noise_power)
-    write_sweep_csv(out / "sweep.csv", samples, vary)
-    best = max(samples, key=lambda s: s.xi)
-    write_json(out / "summary.json", {
-        "command": f"sweep-{vary}",
-        "config": cfg.resolved,
-        "repeats": repeats,
-        "samples": [asdict(s) for s in samples],
-        "wall_time_s": time.perf_counter() - t0,
-    })
+    write_sweep_csv(out / "sweep.csv", samples, args.vary)
     xi_values = ", ".join(f"{s.angle_deg:g}:{s.xi:.4g}" for s in samples)
-    print(f"sweep-{vary}: xi per angle [{xi_values}] best at {best.angle_deg:g} -> {out}")
-    return 0
+    return ({"repeats": repeats, "samples": [asdict(s) for s in samples]},
+            f"xi per angle [{xi_values}] best at {best_sample(samples).angle_deg:g}")
 
 
-def cmd_sweep_bs(args) -> int:
-    return _cmd_sweep(args, "bs")
-
-
-def cmd_sweep_user(args) -> int:
-    return _cmd_sweep(args, "user")
-
-
-def cmd_localize(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load(args)
-    scenario = cfg.scenario()
+def cmd_localize(args, cfg: RunConfig, scenario: Scenario) -> tuple:
     out = _outdir(args)
-    repeats = args.repeats if args.repeats is not None else cfg.repeats
-    candidates = cfg.candidates_deg
+    repeats = args.repeats or cfg.repeats
     book = None
-    built = False
-    if args.codebook:
-        book_path = Path(args.codebook)
-        if book_path.exists():
-            book = read_codebook(book_path,
-                                 expected_digest=codebook_digest(scenario, cfg.seed, repeats))
-        else:
-            book = build_codebook(scenario, candidates, cfg.seed, repeats=repeats)
-            write_codebook(book_path, book)
-            built = True
-    res = localize(scenario, candidates, cfg.seed, repeats=repeats, codebook=book,
+    built = bool(args.codebook) and not Path(args.codebook).exists()
+    if built:
+        book = build_codebook(scenario, cfg.candidates_deg, cfg.seed, repeats=repeats)
+        write_codebook(args.codebook, book)
+    elif args.codebook:
+        book = read_codebook(args.codebook,
+                             expected_digest=codebook_digest(scenario, cfg.seed, repeats))
+    res = localize(scenario, cfg.candidates_deg, cfg.seed, repeats=repeats, codebook=book,
                    noise_power=cfg.noise_power)
     write_sweep_csv(out / "localization.csv", res.samples, "candidate")
-    write_json(out / "summary.json", {
-        "command": "localize",
-        "config": cfg.resolved,
+    return ({
         "repeats": repeats,
         "codebook": {
-            "path": str(args.codebook) if args.codebook else None,
+            "path": args.codebook or None,
             "built": built,
             "digest": book.digest.hex() if book is not None else None,
         },
@@ -178,11 +137,8 @@ def cmd_localize(args) -> int:
             "margin": res.margin,
         },
         "samples": [asdict(s) for s in res.samples],
-        "wall_time_s": time.perf_counter() - t0,
-    })
-    print(f"localize: estimate {res.estimate_deg:g} deg (true {scenario.theta_inc_deg:g}, "
-          f"xi={res.best_xi:.4g}, margin={res.margin:.3g}) -> {out}")
-    return 0
+    }, (f"estimate {res.estimate_deg:g} deg (true {scenario.theta_inc_deg:g}, "
+        f"xi={res.best_xi:.4g}, margin={res.margin:.3g})"))
 
 
 def cmd_export(args) -> int:
@@ -228,34 +184,35 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override evaluation.grid_n")
     common.add_argument("--mode", choices=MODE_NAMES, default=None,
                         help="override modulation.mode")
+    common.set_defaults(func=_run)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synthesize", parents=[common],
                        help="design a schedule and export it with its patterns")
-    p.set_defaults(func=cmd_synthesize)
+    p.set_defaults(work=cmd_synthesize)
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="evaluate a stored schedule against the configured scenario")
     p.add_argument("--schedule", metavar="PATH", required=True)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(work=cmd_evaluate)
 
     p = sub.add_parser("sweep-bs", parents=[common],
                        help="xi versus base-station angle, one matched design per angle")
     p.add_argument("--repeats", type=int, default=None,
                    help="synthesis repeats per angle (best kept)")
-    p.set_defaults(func=cmd_sweep_bs)
+    p.set_defaults(work=cmd_sweep, vary="bs")
 
     p = sub.add_parser("sweep-user", parents=[common],
                        help="xi versus user angle, one matched design per angle")
     p.add_argument("--repeats", type=int, default=None)
-    p.set_defaults(func=cmd_sweep_user)
+    p.set_defaults(work=cmd_sweep, vary="user")
 
     p = sub.add_parser("localize", parents=[common],
                        help="probe candidate user angles and report the argmax of xi")
     p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--codebook", metavar="PATH", default=None,
                    help="reuse (or build, if missing) a schedule codebook")
-    p.set_defaults(func=cmd_localize)
+    p.set_defaults(work=cmd_localize)
 
     p = sub.add_parser("export", help="unpack a codebook into per-angle schedule CSVs")
     p.add_argument("--codebook", metavar="PATH", required=True)

@@ -106,14 +106,15 @@ class Codebook:
         return [e.angle_deg for e in self.entries]
 
     def entry_for(self, angle_deg: float) -> Optional[CodebookEntry]:
-        target = _angle_mdeg(angle_deg)
+        target = to_mdeg(angle_deg)
         for e in self.entries:
             if e.angle_mdeg == target:
                 return e
         return None
 
 
-def _angle_mdeg(angle_deg: float) -> int:
+def to_mdeg(angle_deg: float) -> int:
+    """The angle rounded to whole millidegrees, as records key it."""
     return int(round(float(angle_deg) * 1000.0))
 
 
@@ -129,7 +130,7 @@ def entry_from_schedule(angle_deg: float, phi: float, schedule: PulseSchedule,
     duty = duty.flatten()
     rise.setflags(write=False)
     duty.setflags(write=False)
-    return CodebookEntry(angle_mdeg=_angle_mdeg(angle_deg), phi=float(phi),
+    return CodebookEntry(angle_mdeg=to_mdeg(angle_deg), phi=float(phi),
                          rise=rise, duty=duty)
 
 

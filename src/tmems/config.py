@@ -20,7 +20,8 @@ from .modulation import ControlMode, ReflectionStates
 from .synthesis import PsoConfig
 
 MODE_NAMES = tuple(m.value for m in ControlMode)
-POLARIZATIONS = ("te", "tm")
+# the incidence Jones vector of each polarization
+_JONES = {"te": (1.0 + 0.0j, 0.0j), "tm": (0.0j, 1.0 + 0.0j)}
 
 
 class ConfigError(ValueError):
@@ -144,7 +145,7 @@ _SCHEMA = {
         "theta_deg": _float_field(minimum=0.0, maximum=90.0, max_exclusive=True),
         "phi_deg": _float_field(),
         "amplitude_v_m": _float_field(minimum=0.0, exclusive=True),
-        "polarization": _choice_field(POLARIZATIONS),
+        "polarization": _choice_field(tuple(_JONES)),
     },
     "reflection": {
         "theta_deg": _float_field(minimum=-90.0, exclusive=True,
@@ -251,33 +252,6 @@ class RunConfig:
     resolved: dict
 
     @property
-    def geometry(self) -> EmsGeometry:
-        s = self.resolved["surface"]
-        return EmsGeometry(rows=s["rows"], cols=s["cols"],
-                           cell_size_wl=s["cell_size_wl"], f0_hz=s["f0_hz"])
-
-    @property
-    def states(self) -> ReflectionStates:
-        st = self.resolved["states"]
-        return ReflectionStates(gamma_on=_to_matrix(st["gamma_on"]),
-                                gamma_off=_to_matrix(st["gamma_off"]))
-
-    @property
-    def mode(self) -> ControlMode:
-        return ControlMode(self.resolved["modulation"]["mode"])
-
-    @property
-    def jones(self) -> tuple:
-        if self.resolved["incidence"]["polarization"] == "te":
-            return (1.0 + 0.0j, 0.0j)
-        return (0.0j, 1.0 + 0.0j)
-
-    @property
-    def pso(self) -> PsoConfig:
-        s = self.resolved["synthesis"]
-        return PsoConfig(**{k: s[k] for k in _PSO_DEFAULTS})
-
-    @property
     def seed(self) -> int:
         return self.resolved["synthesis"]["seed"]
 
@@ -308,20 +282,22 @@ class RunConfig:
         return self.resolved["localization"]["repeats"]
 
     def scenario(self) -> Scenario:
-        inc = self.resolved["incidence"]
+        r = self.resolved
+        states, inc, synth = r["states"], r["incidence"], r["synthesis"]
         return Scenario(
-            geometry=self.geometry,
-            states=self.states,
-            period_s=self.resolved["modulation"]["period_s"],
-            mode=self.mode,
+            geometry=EmsGeometry(**r["surface"]),
+            states=ReflectionStates(gamma_on=_to_matrix(states["gamma_on"]),
+                                    gamma_off=_to_matrix(states["gamma_off"])),
+            period_s=r["modulation"]["period_s"],
+            mode=ControlMode(r["modulation"]["mode"]),
             theta_inc_deg=inc["theta_deg"],
-            theta_refl_deg=self.resolved["reflection"]["theta_deg"],
+            theta_refl_deg=r["reflection"]["theta_deg"],
             phi_inc_deg=inc["phi_deg"],
             amplitude_v_m=inc["amplitude_v_m"],
-            jones=self.jones,
-            mask=MaskParams(**self.resolved["masks"]),
-            pso=self.pso,
-            synth_grid_n=self.resolved["synthesis"]["grid_n"],
+            jones=_JONES[inc["polarization"]],
+            mask=MaskParams(**r["masks"]),
+            pso=PsoConfig(**{k: synth[k] for k in _PSO_DEFAULTS}),
+            synth_grid_n=synth["grid_n"],
         )
 
 
@@ -332,8 +308,7 @@ def parse_config(mapping: Optional[dict]) -> RunConfig:
     if not isinstance(mapping, dict):
         raise ConfigError("configuration root must be a mapping")
     cfg = RunConfig(resolved=_resolve(_SCHEMA, _DEFAULTS, mapping))
-    cfg.states  # passivity check surfaces early, not at first use
-    cfg.scenario()
+    cfg.scenario()  # passivity and row-parity checks surface here, not at first use
     return cfg
 
 
@@ -352,16 +327,13 @@ def load_config(path: Optional[str]) -> RunConfig:
 def apply_overrides(cfg: RunConfig, seed: Optional[int] = None,
                     eval_grid_n: Optional[int] = None,
                     mode: Optional[str] = None) -> RunConfig:
-    """Command-line overrides, reflected in the resolved mapping."""
+    """Command-line overrides, reflected in the resolved mapping; the
+    re-parse checks them as it checks a file's values."""
     raw = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.resolved.items()}
     if seed is not None:
         raw["synthesis"]["seed"] = int(seed)
     if eval_grid_n is not None:
-        if eval_grid_n < 2:
-            raise ConfigError("'evaluation.grid_n' must be >= 2")
         raw["evaluation"]["grid_n"] = int(eval_grid_n)
     if mode is not None:
-        if mode not in MODE_NAMES:
-            raise ConfigError(f"'modulation.mode' must be one of {MODE_NAMES}")
         raw["modulation"]["mode"] = mode
     return parse_config(raw)

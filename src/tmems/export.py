@@ -10,6 +10,7 @@ import json
 import numpy as np
 
 from .fields import HarmonicPattern, power_db
+from .isac import best_sample
 from .modulation import PulseSchedule
 
 DB_FLOOR = -400.0
@@ -129,7 +130,8 @@ _SWEEP_COLUMNS = "kind,angle_deg,phi,xi,p_sigma,p_delta,floored,iterations,stop_
 
 
 def write_sweep_csv(path, samples, vary: str) -> None:
-    """Sweep or localization samples plus one trailing best-sample summary row."""
+    """Sweep or localization samples plus one trailing summary row: the
+    best_sample with the iterations of all samples."""
     lines = [f"# vary: {vary}", _SWEEP_COLUMNS]
 
     def row(kind, s, iterations, stop_reason, source):
@@ -149,9 +151,8 @@ def write_sweep_csv(path, samples, vary: str) -> None:
     for s in samples:
         lines.append(row("sample", s, s.iterations, s.stop_reason, s.source))
     if samples:
-        best = min(samples, key=lambda s: (-s.xi, s.angle_deg))
         total_iters = sum(s.iterations for s in samples)
-        lines.append(row("summary", best, total_iters, "", "argmax_xi"))
+        lines.append(row("summary", best_sample(samples), total_iters, "", "argmax_xi"))
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codebook import Codebook, entry_from_schedule, scenario_digest
+from .codebook import Codebook, entry_from_schedule, scenario_digest, to_mdeg
 from .fields import (
     DirectionGrid,
     FieldEngine,
@@ -38,7 +38,7 @@ from .synthesis import CostEvaluator, PsoConfig, SynthesisResult, pso_optimize
 
 def derive_seed(master_seed: int, angle_deg: float, rep: int) -> int:
     """Stable per-design RNG seed, independent of evaluation order."""
-    key = f"{int(master_seed)}:{int(round(float(angle_deg) * 1000.0))}:{int(rep)}"
+    key = f"{int(master_seed)}:{to_mdeg(angle_deg)}:{int(rep)}"
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -210,6 +210,11 @@ def _sample(angle_deg, ratio: MonopulseRatio, phi: float,
     )
 
 
+def best_sample(samples: Sequence[SweepSample]) -> SweepSample:
+    """The sample with the largest xi, ties going to the smallest angle."""
+    return min(samples, key=lambda s: (-s.xi, s.angle_deg))
+
+
 def matched_sweep(scenario: Scenario, vary: str, angles_deg: Sequence[float],
                   master_seed: int, repeats: int = 1, noise_power: float = 0.0) -> list:
     """Synthesize and measure with matched design and truth at each angle.
@@ -233,7 +238,7 @@ def build_codebook(scenario: Scenario, candidates_deg: Sequence[float], master_s
                    repeats: int = 1) -> Codebook:
     """Pre-synthesize one schedule per candidate user angle."""
     candidates = sorted(float(a) for a in candidates_deg)
-    if len(set(int(round(a * 1000)) for a in candidates)) != len(candidates):
+    if len(set(map(to_mdeg, candidates))) != len(candidates):
         raise ValueError("candidate angles collide at millidegree resolution")
     designs = design_for_angle(scenario, candidates, master_seed, repeats)
     g = scenario.geometry
@@ -260,9 +265,9 @@ def localize(scenario: Scenario, candidates_deg: Sequence[float], master_seed: i
 
     Each candidate's schedule (from the codebook when available, synthesized
     otherwise) is evaluated under the TRUE incidence of the scenario; the
-    estimate is the candidate with the largest xi, ties going to the smallest
-    angle. A supplied codebook must carry the digest and master seed of this
-    exact scenario; a stale one is rejected rather than silently rebuilt.
+    estimate is the angle of the best_sample. A supplied codebook must carry
+    the digest and master seed of this exact scenario; a stale one is
+    rejected rather than silently rebuilt.
     """
     candidates = [float(a) for a in candidates_deg]
     if not candidates:
@@ -292,12 +297,8 @@ def localize(scenario: Scenario, candidates_deg: Sequence[float], master_seed: i
         ratio = measure_bs_ratio(scenario, schedule, noise_power=noise_power)
         samples.append(_sample(angle, ratio, phi, res))
 
-    scored = sorted(samples, key=lambda s: s.angle_deg)
-    best = scored[0]
-    for s in scored[1:]:
-        if s.xi > best.xi:
-            best = s
-    others = [s.xi for s in scored if s is not best]
+    best = best_sample(samples)
+    others = [s.xi for s in samples if s is not best]
     runner = max(others) if others else float("nan")
     margin = best.xi / runner if others and runner > 0.0 else float("inf")
     return LocalizationResult(samples=tuple(samples), estimate_deg=best.angle_deg,

@@ -44,7 +44,8 @@ class _Workspace(threading.local):
     """The calling thread's phi_batch buffers, shared by every evaluator:
     flat arrays, one per name, that only grow. view(name, shape, dtype)
     shapes the leading part of one, so every view is C-contiguous; a name
-    is taken again only once its last view is spent."""
+    is taken again only once its last view is spent. release() drops the
+    thread's buffers, which otherwise live as long as the thread."""
 
     def view(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         n = math.prod(shape)
@@ -53,6 +54,9 @@ class _Workspace(threading.local):
             buf = np.empty(n, dtype=dtype)
             setattr(self, name, buf)
         return buf[:n].reshape(shape)
+
+    def release(self) -> None:
+        self.__dict__.clear()
 
 
 _WORKSPACE = _Workspace()
@@ -629,7 +633,8 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     of each evaluator, once per seed of that evaluator (seeds[i]; config.seed
     alone by default), every swarm of every evaluator in one loop
     (minimize_swarms); one list of SynthesisResults per evaluator, one per
-    seed in order. The evaluators share the geometry's size.
+    seed in order. The evaluators share the geometry's size. When the search
+    ends, the calling thread's phi_batch buffers are dropped.
 
     Each iteration scores each evaluator's running swarms in one phi_batch
     call, which rounds a particle's cost the same at any position in a
@@ -647,9 +652,12 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     def objective(ev):
         return lambda x: ev.phi_batch(*codec.blocks(x), codec.mode)
 
-    runs = minimize_swarms([objective(ev) for ev in evaluators], codec.dim, config, seeds,
-                           wrap_mask=codec.wrap_mask,
-                           init=np.array([conjugate_guess(ev, codec) for ev in evaluators]))
+    try:
+        runs = minimize_swarms([objective(ev) for ev in evaluators], codec.dim, config, seeds,
+                               wrap_mask=codec.wrap_mask,
+                               init=np.array([conjugate_guess(ev, codec) for ev in evaluators]))
+    finally:
+        _WORKSPACE.release()
     return [[SynthesisResult(schedule=codec.decode(res.best_x, ev.period_s), phi=res.best_value,
                              history=res.history, iterations=res.iterations,
                              stop_reason=res.stop_reason, seed=seed)

@@ -20,21 +20,21 @@ from tmems.synthesis import PsoConfig
 def test_pure_defaults():
     cfg = load_config(None)
     assert cfg.resolved == default_config()
-    geom = cfg.geometry
+    sc = cfg.scenario()
+    geom = sc.geometry
     assert (geom.rows, geom.cols) == (10, 10)
     assert geom.cell_size_wl == 0.45 and geom.f0_hz == 5.5e9
-    assert cfg.mode is ControlMode.DELTA
-    assert cfg.pso.swarm_size == 20 and cfg.pso.iterations == 1000
-    assert cfg.pso.stagnation_window == 100
+    assert sc.mode is ControlMode.DELTA
+    assert sc.pso.swarm_size == 20 and sc.pso.iterations == 1000
+    assert sc.pso.stagnation_window == 100
     assert cfg.eval_grid_n == 201
     assert cfg.noise_power == 0.0
     assert cfg.repeats == 1
     assert cfg.candidates_deg == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
-    sc = cfg.scenario()
     assert sc.theta_inc_deg == 0.0 and sc.theta_refl_deg == 0.0
     assert sc.synth_grid_n == 64
     # the resolved defaults are the dataclass defaults
-    assert sc.mask == MaskParams() and cfg.pso == PsoConfig()
+    assert sc.mask == MaskParams() and sc.pso == PsoConfig()
 
 
 def test_default_codebook_digest_is_pinned():
@@ -47,10 +47,10 @@ def test_default_codebook_digest_is_pinned():
 def test_partial_yaml_gets_defaults(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("surface:\n  rows: 6\n  cols: 4\nreflection:\n  theta_deg: -20\n")
-    cfg = load_config(str(path))
-    assert (cfg.geometry.rows, cfg.geometry.cols) == (6, 4)
-    assert cfg.geometry.cell_size_wl == 0.45  # untouched default
-    assert cfg.scenario().theta_refl_deg == -20.0
+    sc = load_config(str(path)).scenario()
+    assert (sc.geometry.rows, sc.geometry.cols) == (6, 4)
+    assert sc.geometry.cell_size_wl == 0.45  # untouched default
+    assert sc.theta_refl_deg == -20.0
 
 
 def test_unknown_key_suggestion():
@@ -109,11 +109,11 @@ def test_angle_list_validation():
 
 def test_gamma_entry_forms():
     cfg = parse_config({"states": {"gamma_on": 0.8, "gamma_off": [-0.6, -0.2]}})
-    st = cfg.states
+    st = cfg.scenario().states
     assert np.array_equal(st.gamma_on, 0.8 * np.eye(2))
     assert np.array_equal(st.gamma_off, complex(-0.6, -0.2) * np.eye(2))
     full = [[[0.5, 0.0], [0.1, 0.0]], [[0.0, 0.1], [0.5, 0.0]]]
-    st2 = parse_config({"states": {"gamma_on": full}}).states
+    st2 = parse_config({"states": {"gamma_on": full}}).scenario().states
     assert st2.gamma_on[0, 1] == 0.1 and st2.gamma_on[1, 0] == 0.1j
     with pytest.raises(ConfigError, match="must be a number, a \\[real, imaginary\\] pair"):
         parse_config({"states": {"gamma_on": [1.0, 2.0, 3.0]}})
@@ -158,9 +158,9 @@ def test_apply_overrides():
     out = apply_overrides(cfg, seed=9, eval_grid_n=101, mode="full")
     assert out.seed == 9
     assert out.eval_grid_n == 101
-    assert out.mode is ControlMode.FULL
+    assert out.scenario().mode is ControlMode.FULL
     # the original is untouched and no other key moved
-    assert cfg.seed == 1 and cfg.mode is ControlMode.DELTA
+    assert cfg.seed == 1 and cfg.scenario().mode is ControlMode.DELTA
     assert out.resolved["surface"] == cfg.resolved["surface"]
     assert apply_overrides(cfg).resolved == cfg.resolved
     with pytest.raises(ConfigError, match="'synthesis.seed' must be >= 0"):

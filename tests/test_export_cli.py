@@ -335,6 +335,58 @@ def test_cli_sweep_user_rejects_negative_angles(tmp_path, cli_config, capsys):
     assert not out.exists()
 
 
+def test_cli_sweep_prints_the_summary_rows_best(tmp_path, cli_config, capsys, monkeypatch):
+    # two samples tie on xi: the printed best and the summary row of
+    # sweep.csv both take the smaller angle, whatever the config order
+    def tied(scenario, vary, angles, **kwargs):
+        return [SweepSample(angle_deg=a, phi=0.0, xi=5.0, p_sigma=5.0, p_delta=1.0,
+                            floored=False, iterations=1, stop_reason="max_iterations",
+                            source="synthesized") for a in angles]
+
+    monkeypatch.setattr("tmems.cli.matched_sweep", tied)
+    path = tmp_path / "tied.yaml"
+    path.write_text(CLI_CONFIG.replace("angles_deg: [0, 20]", "angles_deg: [20, 0]"))
+    out = tmp_path / "sweep"
+    assert main(["sweep-bs", "--config", str(path), "--out", str(out)]) == 0
+    kind, angle = (out / "sweep.csv").read_text().splitlines()[-1].split(",")[:2]
+    assert (kind, float(angle)) == ("summary", 0.0)
+    assert f"best at {float(angle):g} ->" in capsys.readouterr().out
+
+
+def test_cli_summary_fields(tmp_path, cli_config):
+    # every config-driven command writes summary.json through one runner;
+    # these are the fields readers of the files rely on
+    ratio = {"xi", "p_sigma", "p_delta", "floored"}
+    book = tmp_path / "book.bin"
+    # each command's own fields, with the keys of those that are mappings
+    runs = {
+        "synthesize": ([], {"results": {"phi", "iterations", "stop_reason", "bs_u"} | ratio}),
+        "evaluate": (["--schedule", str(tmp_path / "synthesize" / "schedule.csv")],
+                     {"schedule_file": None, "results": {"phi", "bs_u"} | ratio}),
+        "sweep-bs": ([], {"repeats": None, "samples": None}),
+        "sweep-user": ([], {"repeats": None, "samples": None}),
+        "localize": (["--codebook", str(book)],
+                     {"repeats": None, "samples": None,
+                      "codebook": {"path", "built", "digest"},
+                      "results": {"estimate_deg", "true_theta_deg", "best_xi", "runner_up_xi",
+                                  "margin"}}),
+    }
+    for command, (extra, fields) in runs.items():
+        out = tmp_path / command
+        assert main([command, "--config", cli_config, "--out", str(out), *extra]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"command", "config", "wall_time_s"} | set(fields)
+        assert summary["command"] == command
+        for name, keys in fields.items():
+            if keys is not None:
+                assert set(summary[name]) == keys
+    assert main(["export", "--codebook", str(book), "--out", str(tmp_path / "export")]) == 0
+    meta = json.loads((tmp_path / "export" / "codebook.json").read_text())
+    assert set(meta) == {"command", "source", "mode", "rows", "cols", "seed", "period_s",
+                         "f0_hz", "digest", "entries"}
+    assert set(meta["entries"][0]) == {"angle_deg", "phi", "file"}
+
+
 def test_cli_localize_and_export(tmp_path, cli_config):
     cold, warm1, warm2, packed = (tmp_path / n for n in ("lc", "lw1", "lw2", "ex"))
     book = tmp_path / "designs.tmcb"

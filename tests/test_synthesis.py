@@ -613,6 +613,17 @@ def test_pso_optimize_equals_runs_alone_at_any_swarm_size(fast_scenario, mode):
             assert np.array_equal(res.schedule.duty, alone.schedule.duty)
 
 
+def test_pso_optimize_releases_the_cost_buffers(fast_scenario):
+    # the CLI writes its patterns after the search, where the process peaks;
+    # the search's buffers must not be held there
+    sc = fast_scenario(iterations=5)
+    ev = sc.evaluator()
+    ev.phi_batch(*np.random.default_rng(0).random((2, 4, 3, 6)), ControlMode.DELTA)
+    assert vars(synthesis._WORKSPACE)
+    pso_optimize([ev], ControlMode.DELTA, sc.pso)
+    assert vars(synthesis._WORKSPACE) == {}
+
+
 def test_minimize_swarms_equal_separate_runs():
     def objective(x):
         # zero inside a small ball, quantized outside it, so that swarms
