@@ -99,7 +99,7 @@ def cmd_sweep(args, cfg: RunConfig, scenario: Scenario) -> tuple:
     # sweep-user reads the angles as incidence angles, which cannot be negative
     angles = cfg.user_angles_deg if args.vary == "user" else cfg.sweep_angles_deg
     out = _outdir(args)
-    repeats = args.repeats or cfg.repeats
+    repeats = args.repeats or 1
     samples = matched_sweep(scenario, args.vary, angles, master_seed=cfg.seed,
                             repeats=repeats, noise_power=cfg.noise_power)
     write_sweep_csv(out / "sweep.csv", samples, args.vary)
@@ -199,12 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-bs", parents=[common],
                        help="xi versus base-station angle, one matched design per angle")
     p.add_argument("--repeats", type=int, default=None,
-                   help="synthesis repeats per angle (best kept)")
+                   help="synthesis repeats per angle, best kept (default 1)")
     p.set_defaults(work=cmd_sweep, vary="bs")
 
     p = sub.add_parser("sweep-user", parents=[common],
                        help="xi versus user angle, one matched design per angle")
-    p.add_argument("--repeats", type=int, default=None)
+    p.add_argument("--repeats", type=int, default=None,
+                   help="synthesis repeats per angle, best kept (default 1)")
     p.set_defaults(work=cmd_sweep, vary="user")
 
     p = sub.add_parser("localize", parents=[common],

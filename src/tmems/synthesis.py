@@ -7,9 +7,9 @@ the grid-integrated one-sided violation of the power masks at harmonics 0
 and 1.
 """
 
+import copy
 import math
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -33,6 +33,12 @@ from .modulation import (
 # this relative slack against the bound's own rounding, exceeds the row's
 # lowest ceiling (CostEvaluator).
 BOUND_SLACK = 1e-9
+
+# A phi_batch call on blocks of several designs scores them in passes of
+# whole designs, each of at most this many block columns (blocks times the
+# columns of a block) unless one design alone has more: so the buffers of a
+# call on many designs in a mode with many columns stay those of one pass.
+PASS_COLUMNS = 512
 
 
 def ramp(x):
@@ -85,12 +91,14 @@ class _Fold:
     L_h C R^T with L_h = A_u diag(g_x) R_h (n, p) and R = A_v diag(g_y) E
     (n, q), and a node's row is the outer product of its rows of L_h and R.
 
-    left_t[h] is L_h^T on the grid's u (p, nu) and right_t R^T on the grid's
-    v (q, nv); r_max (q,) holds the largest |R| of each column there, and
-    r_shape (nv,) is (|R| / max |R|)^2 of the first column, for q = 1.
-    points[h] (p * q, n_points) holds the rows of harmonic h's point nodes
-    as columns, cells of the block row-major; points gives each node by its
-    (u, v) rows of rows_g and cols_g.
+    Every table has a leading design axis, of length 1 for one evaluator's
+    design (see CostEvaluator.stack). left_t[h][e] is L_h^T on the grid's u
+    (p, nu) and right_t[e] R^T on the grid's v (q, nv); r_max[e] (q,) holds
+    the largest |R| of each column there, and r_shape[e] (nv,) is
+    (|R| / max |R|)^2 of the first column, for q = 1. points[h][e] (p * q,
+    n_points) holds the rows of harmonic h's point nodes as columns, cells of
+    the block row-major; points gives each node by its (u, v) rows of rows_g
+    and cols_g.
     """
 
     def __init__(self, mode: ControlMode, rows_g: np.ndarray, cols_g: np.ndarray,
@@ -104,14 +112,46 @@ class _Fold:
         else:
             left = (rows_g, rows_g)
         self.shape = (left[0].shape[1], right.shape[1])
-        self.left_t = tuple(np.ascontiguousarray(x[:nu].T) for x in left)
-        self.right_t = np.ascontiguousarray(right[:nv].T)
-        self.r_max = np.abs(right[:nv]).max(axis=0)
-        self.r_shape = (np.abs(right[:nv, 0]) / self.r_max[0])**2
+        self.left_t = tuple(np.ascontiguousarray(x[:nu].T)[None] for x in left)
+        self.right_t = np.ascontiguousarray(right[:nv].T)[None]
+        self.r_max = np.abs(right[:nv]).max(axis=0)[None]
+        self.r_shape = (np.abs(right[:nv, 0]) / self.r_max[0, 0])[None]**2
         n_cells = self.shape[0] * self.shape[1]
-        self.points = tuple(np.ascontiguousarray(
-            (x[iu, :, None] * right[iv, None, :]).reshape(-1, n_cells).T)
+        self.points = tuple((np.ascontiguousarray(
+            (x[iu, :, None] * right[iv, None, :]).reshape(-1, n_cells).T),)
             for x, (iu, iv) in zip(left, points))
+
+    @staticmethod
+    def stack(folds: Sequence["_Fold"]) -> "_Fold":
+        """The folds' designs, in order, in one fold."""
+        fold = copy.copy(folds[0])
+        fold.left_t = tuple(map(np.concatenate, zip(*(f.left_t for f in folds))))
+        fold.right_t, fold.r_max, fold.r_shape = (
+            np.concatenate([getattr(f, name) for f in folds])
+            for name in ("right_t", "r_max", "r_shape"))
+        fold.points = tuple(sum(x, ()) for x in zip(*(f.points for f in folds)))
+        return fold
+
+
+def _group_points(point_bounds: tuple) -> tuple:
+    """For each harmonic, the designs grouped by point count: (members,
+    bounds) per count, bounds (3, len(members), count) stacking the
+    members' point bounds (CostEvaluator._point_bounds) in order."""
+    groups = []
+    for per_design in point_bounds:
+        members = {}
+        for e, bounds in enumerate(per_design):
+            members.setdefault(bounds.shape[1], []).append(e)
+        groups.append(tuple((m, np.stack([per_design[e] for e in m], axis=1))
+                            for m in members.values()))
+    return tuple(groups)
+
+
+def _for_blocks(table: np.ndarray, designs: np.ndarray) -> np.ndarray:
+    """A table with a leading design axis, for each block: the lone
+    design's entry, which broadcasts over the blocks, or else each block's
+    design's."""
+    return table[0] if len(table) == 1 else table[designs]
 
 
 class CostEvaluator:
@@ -124,8 +164,8 @@ class CostEvaluator:
 
     phi_batch scores the control blocks of a mode (ModeCodec.control_shape):
     the mode's two rules are folded into the separable steering factors
-    once, here, for every mode the geometry admits (see _Fold), so no call
-    decodes a schedule, and a mirrored mode radiates half the rows. One
+    once, at the mode's first call (see _Fold), so no call decodes a
+    schedule, and a mirrored mode radiates half the rows. One
     route serves every mode and mask. On the grid, harmonic h of a block C
     radiates F = T R^T with T = L_h C (nu, q), so every node of u-row u has
     |F(u, v)|^2 <= (sum_q |T[u, q]| max_v |R[v, q]|)^2. A (u-row, block)
@@ -139,11 +179,21 @@ class CostEvaluator:
     size: each product that spans blocks holds them in its rows, and a lone
     row is multiplied as a pair (_matmul_rows).
 
-    The bounds, weights and factors are never mutated after construction,
-    and a call writes only into buffers private to the calling thread (one
-    set per thread, shared by every evaluator, grown to the largest call it
-    has scored), so one instance may be shared across threads, and once warm
-    a call allocates little more than its blocks' Fourier coefficients.
+    The tables have a leading design axis, of length 1 here; stack joins the
+    designs of several evaluators, so that one call scores blocks of every
+    design (phi_batch's designs), in passes of whole designs (PASS_COLUMNS).
+    In a pass the products stay per design, each writing its rows of shared
+    buffers, and the elementwise steps run once over all rows, with each
+    design's bounds gathered per row. A design's costs then equal those of
+    its own evaluator bit for bit: its point rows are summed with those of
+    designs that have as many point nodes, never padded.
+
+    The bounds, weights and factors are never mutated after construction
+    (a mode's fold is added at its first call), and a call writes only into
+    buffers private to the calling thread (one set per thread, shared by
+    every evaluator, grown to the largest pass it has scored), so one
+    instance may be shared across threads, and once warm a call allocates
+    little more than its blocks' Fourier coefficients.
     """
 
     def __init__(self, geometry: EmsGeometry, states: ReflectionStates,
@@ -168,9 +218,10 @@ class CostEvaluator:
         # schedule, so it shifts the h = 0 bounds instead of every power.
         a, b = state_sources(states, incidence)
         d = a - b
-        self._d_norm = float(np.linalg.norm(d))
-        e = d / self._d_norm if self._d_norm > 0.0 else np.array([1.0 + 0j, 0j])
-        self._beta = complex(np.vdot(e, b))
+        d_norm = float(np.linalg.norm(d))
+        e = d / d_norm if d_norm > 0.0 else np.array([1.0 + 0j, 0j])
+        self._d_norm = np.array([d_norm])
+        self._beta = np.array([np.vdot(e, b)])
         beta_perp2 = abs(e[0] * b[1] - e[1] * b[0]) ** 2
         # the separable factors with the drive g = g_x (x) g_y folded in:
         # rows for the grid's u (v), then the anchors' u (v)
@@ -199,79 +250,197 @@ class CostEvaluator:
         nodes = [np.concatenate([np.flatnonzero(lower[h, :n] > 0.0), anchor]) for h in (0, 1)]
         lower[0] -= carrier_floor
         upper[0] -= carrier_floor
-        self._grid_upper = upper[:, :n].reshape(2, nu, nv)
-        self._row_ceiling = self._grid_upper.min(axis=2) / (1.0 + BOUND_SLACK)
-        self._point_bounds = [(lower[h, idx], np.where(idx < n, np.inf, upper[h, idx]),
-                               np.where(idx < n, grid.cell_weight, self.anchor_weight))
-                              for h, idx in enumerate(nodes)]
+        # design e's grid ceilings are _grid_upper[e] (2, nu, nv), their
+        # lowest per u-row _row_ceiling[h][e], and _point_bounds[h][e] stacks
+        # its point nodes' lower and upper bounds and weights
+        self._grid_upper = (upper[:, :n].reshape(2, nu, nv),)
+        self._row_ceiling = (self._grid_upper[0].min(axis=2) / (1.0 + BOUND_SLACK))[:, None]
+        self._point_bounds = tuple(
+            (np.array([lower[h, idx], np.where(idx < n, np.inf, upper[h, idx]),
+                       np.where(idx < n, grid.cell_weight, self.anchor_weight)]),)
+            for h, idx in enumerate(nodes))
+        self._point_groups = _group_points(self._point_bounds)
         # a node's rows of rows_g and cols_g: (u, v) on the grid, (nu + k,
         # nv + k) for anchor k
         uv = [np.where(idx < n, np.divmod(idx, nv), idx - n + np.array([[nu], [nv]]))
               for idx in nodes]
-        self._folds = {mode: _Fold(mode, rows_g, cols_g, nu, nv, uv) for mode in ControlMode
-                       if not (mode.mirrored and geometry.rows % 2)}
+        self._factors = (rows_g, cols_g, nu, nv, uv)
+        self._folds = {}
 
-    def _coefficients(self, rises: np.ndarray, duties: np.ndarray) -> tuple:
+    @staticmethod
+    def stack(evaluators: Sequence["CostEvaluator"], mode: ControlMode) -> "CostEvaluator":
+        """One evaluator whose design e is evaluators[e]'s, for phi_batch
+        calls that score the mode's blocks of several designs. The
+        evaluators share the geometry's size and the grid's; the stack keeps
+        the first one's geometry, grid and period and has no states,
+        incidence or masks."""
+        first = evaluators[0]
+        size = (first.geometry.rows, first.geometry.cols, first.grid.shape, first.grid.cell_weight)
+        if any((ev.geometry.rows, ev.geometry.cols, ev.grid.shape, ev.grid.cell_weight) != size
+               for ev in evaluators):
+            raise ValueError("stacked evaluators must share the geometry's and the grid's size")
+        stacked = copy.copy(first)
+        stacked.states = stacked.incidence = stacked.masks = None
+        stacked._d_norm, stacked._beta = (np.concatenate([getattr(ev, name) for ev in evaluators])
+                                          for name in ("_d_norm", "_beta"))
+        stacked._row_ceiling = np.concatenate([ev._row_ceiling for ev in evaluators], axis=1)
+        stacked._grid_upper = sum((ev._grid_upper for ev in evaluators), ())
+        stacked._point_bounds = tuple(sum(x, ())
+                                      for x in zip(*(ev._point_bounds for ev in evaluators)))
+        stacked._point_groups = _group_points(stacked._point_bounds)
+        stacked._factors = None
+        stacked._folds = {mode: _Fold.stack([ev._fold(mode) for ev in evaluators])}
+        return stacked
+
+    def _fold(self, mode: ControlMode) -> _Fold:
+        """The mode's fold, built at its first use; a stack holds one."""
+        if not isinstance(mode, ControlMode):
+            raise ValueError(f"unknown control mode {mode!r}")
+        fold = self._folds.get(mode)
+        if fold is None:
+            if mode.mirrored:
+                check_delta_applicable(self.geometry.rows)
+            if self._factors is None:
+                raise ValueError(f"this stack scores no {mode.value} blocks")
+            fold = self._folds[mode] = _Fold(mode, *self._factors)
+        return fold
+
+    def _coefficients(self, rises: np.ndarray, duties: np.ndarray, designs: np.ndarray) -> tuple:
         """Source coefficients |d| u^h + delta_h0 beta of stacked blocks for
-        h = 0 and 1, each shaped as the blocks. The h = 1 coefficients
-        check the blocks' ranges; u^0 is the duty itself."""
-        u1 = pulse_fourier_coefficients(rises, duties, 1) * self._d_norm
-        u0 = duties * self._d_norm + self._beta
+        h = 0 and 1, each shaped as the blocks, with each block's design's
+        |d| and beta. The h = 1 coefficients check the blocks' ranges; u^0
+        is the duty itself."""
+        at = designs[:, None, None]
+        d_norm = _for_blocks(self._d_norm, at)
+        u1 = pulse_fourier_coefficients(rises, duties, 1) * d_norm
+        u0 = duties * d_norm + _for_blocks(self._beta, at)
         return u0, u1
 
     def phi_batch(self, rises: np.ndarray, duties: np.ndarray,
-                  mode: ControlMode = ControlMode.FULL) -> np.ndarray:
+                  mode: ControlMode = ControlMode.FULL,
+                  designs: Optional[np.ndarray] = None) -> np.ndarray:
         """Costs of a stack of the mode's control blocks, given as rises and
         duties of shape (batch,) + ModeCodec.control_shape; under FULL a
-        block is the whole (rows, cols) schedule."""
-        fold = self._folds.get(mode)
-        if fold is None:
-            if isinstance(mode, ControlMode):  # a mirrored mode on odd rows
-                check_delta_applicable(self.geometry.rows)
-            raise ValueError(f"unknown control mode {mode!r}")
+        block is the whole (rows, cols) schedule. designs (batch,) gives
+        each block's design, in nondecreasing order, for a stack of
+        evaluators (stack); by default every block is design 0."""
+        fold = self._fold(mode)
         if rises.shape[1:] != fold.shape or duties.shape != rises.shape:
             raise ValueError(f"expected {fold.mode.value} blocks of shape (batch, {fold.shape[0]}, "
                              f"{fold.shape[1]}), got {rises.shape} and {duties.shape}")
         batch = rises.shape[0]
+        n_designs = len(self._d_norm)
+        # design e's blocks are rows start[e]:start[e + 1]; a pass takes
+        # whole designs while they fit in PASS_COLUMNS, or one design
+        if designs is None:
+            designs, start = np.zeros(batch, dtype=np.intp), [0] + [batch] * n_designs
+        else:
+            designs = np.asarray(designs)
+            if (designs.shape != (batch,) or designs.dtype.kind not in "iu"
+                    or batch and (designs[0] < 0 or designs[-1] >= n_designs
+                                  or np.any(designs[1:] < designs[:-1]))):
+                raise ValueError(f"designs must give each of the {batch} blocks a design in "
+                                 f"[0, {n_designs}), in nondecreasing order")
+            start = designs.searchsorted(np.arange(n_designs + 1)).tolist()
+        cuts = [0]
+        for lo, hi in zip(start, start[1:]):
+            if hi > lo > cuts[-1] and (hi - cuts[-1]) * fold.shape[1] > PASS_COLUMNS:
+                cuts.append(lo)
+        if len(cuts) == 1:
+            return self._pass(rises, duties, fold, designs, start)
+        total = np.empty(batch)
+        for lo, hi in zip(cuts, cuts[1:] + [batch]):
+            total[lo:hi] = self._pass(rises[lo:hi], duties[lo:hi], fold, designs[lo:hi],
+                                      [min(max(s, lo), hi) - lo for s in start])
+        return total
+
+    def _pass(self, rises: np.ndarray, duties: np.ndarray, fold: _Fold,
+              designs: np.ndarray, start: list) -> np.ndarray:
+        """phi_batch on the blocks of one pass."""
+        spans = [(e, lo, hi) for e, (lo, hi) in enumerate(zip(start, start[1:])) if lo < hi]
+        batch = len(designs)
+        total = np.zeros(batch)
+        for h, coef in enumerate(self._coefficients(rises, duties, designs)):
+            self._add_point_terms(total, h, coef.reshape(batch, -1), fold, designs, spans)
+            self._add_ceiling_terms(total, h, coef, fold, designs, start, spans)
+        return total
+
+    def _add_point_terms(self, total, h, blocks, fold, designs, spans):
+        """Harmonic h's point nodes, against both bounds, one group of
+        designs with as many nodes at a time."""
+        for members, bounds in self._point_groups[h]:
+            if len(members) == len(self._d_norm):  # every block, in order
+                live, rows, local, n = spans, None, designs, len(total)
+            else:  # the blocks of the members, by their place in the group
+                live = [span for span in spans if span[0] in members]
+                if not live:
+                    continue
+                rows = np.concatenate([np.arange(lo, hi) for _, lo, hi in live])
+                local, n = np.searchsorted(members, designs[rows]), rows.size
+            f = _WORKSPACE.view("points", (n, bounds.shape[2]), complex)
+            at = 0
+            for e, lo, hi in live:
+                _matmul_rows(blocks[lo:hi], fold.points[h][e], f[at:at + hi - lo])
+                at += hi - lo
+            p = f.real**2 + f.imag**2
+            lower, upper, w = bounds[:, 0] if len(members) == 1 else bounds[:, local]
+            over = np.maximum(lower - p, p - upper)
+            over = (np.maximum(over, 0.0, out=over) * w).sum(axis=1)
+            if rows is None:
+                total += over
+            else:
+                total[rows] += over
+
+    def _add_ceiling_terms(self, total, h, coef, fold, designs, start, spans):
+        """Harmonic h's grid ceilings, on the rows whose bound can reach
+        them. T = L_h C of each block is held transposed, (batch, q, nu), so
+        that the blocks are the product's rows."""
+        batch = len(total)
         nu, nv = self.grid.shape
         q = fold.shape[1]
         ws = _WORKSPACE
-        total = np.zeros(batch)
-        for h, coef in enumerate(self._coefficients(rises, duties)):
-            # the point nodes, against both bounds
-            f = _matmul_rows(coef.reshape(batch, -1), fold.points[h],
-                             ws.view("points", (batch, fold.points[h].shape[1]), complex))
-            p = f.real**2 + f.imag**2
-            lower, upper, w = self._point_bounds[h]
-            over = np.maximum(lower - p, p - upper)
-            total += (np.maximum(over, 0.0, out=over) * w).sum(axis=1)
-            # the grid's ceilings, on the rows whose bound can reach them;
-            # T = L_h C of each block is held transposed, (batch, q, nu), so
-            # that the blocks are the product's rows
-            t = _matmul_rows(coef.transpose(0, 2, 1).reshape(batch * q, -1), fold.left_t[h],
-                             ws.view("t", (batch * q, nu), complex)).reshape(batch, q, nu)
-            bound = fold.r_max @ np.abs(t, out=ws.view("size", (batch, q, nu)))
-            bound *= bound
-            kk, uu = np.nonzero(bound > self._row_ceiling[h])
-            if kk.size == 0:
-                continue
-            n = kk.size
-            power = ws.view("power", (n, nv))
-            first = kk * (q * nu) + uu  # each pair's T[k, 0, u] in t's flat order
-            if q == 1:  # |T R|^2 = |T|^2 |R|^2 = bound |R|^2 / max |R|^2
-                np.multiply(bound.reshape(-1)[first, None], fold.r_shape, out=power)
-            else:
-                at = np.add(first[:, None], np.arange(0, q * nu, nu),
-                            out=ws.view("at", (n, q), np.intp))
-                x = np.take(t, at, out=ws.view("x", (n, q), complex), mode="clip")
-                f = _matmul_rows(x, fold.right_t, ws.view("field", (n, nv), complex))
-                np.multiply(f.real, f.real, out=power)
-                power += np.square(f.imag, out=ws.view("scratch", (n, nv)))
-            power -= np.take(self._grid_upper[h], uu, axis=0, out=ws.view("scratch", (n, nv)),
-                             mode="clip")
-            over = np.maximum(power, 0.0, out=power).sum(axis=1)
-            total += np.bincount(kk, weights=over, minlength=batch) * self.grid.cell_weight
-        return total
+        blocks = coef.transpose(0, 2, 1).reshape(batch * q, -1)
+        t = ws.view("t", (batch * q, nu), complex)
+        for e, lo, hi in spans:
+            _matmul_rows(blocks[lo * q:hi * q], fold.left_t[h][e], t[lo * q:hi * q])
+        t = t.reshape(batch, q, nu)
+        size = np.abs(t, out=ws.view("size", (batch, q, nu)))
+        bound = np.empty((batch, nu))
+        for e, lo, hi in spans:
+            np.matmul(fold.r_max[e], size[lo:hi], out=bound[lo:hi])
+        bound *= bound
+        ceiling = self._row_ceiling[h]
+        if len(ceiling) > 1:  # each block's row, into the spent buffer of |T|
+            ceiling = np.take(ceiling, designs, axis=0, out=ws.view("size", (batch, nu)),
+                              mode="clip")
+        kk, uu = np.nonzero(bound > ceiling)
+        n = kk.size
+        if n == 0:
+            return
+        # the pairs, in kk's order, run design by design
+        if len(spans) == 1:
+            pairs = [(spans[0][0], 0, n)]
+        else:
+            cut = np.searchsorted(kk, start).tolist()
+            pairs = [(e, cut[e], cut[e + 1]) for e, _, _ in spans if cut[e] < cut[e + 1]]
+        power = ws.view("power", (n, nv))
+        if q == 1:  # |T R|^2 = |T|^2 |R|^2 = bound |R|^2 / max |R|^2
+            peak = bound[kk, uu][:, None]
+            for e, a, b in pairs:
+                np.multiply(peak[a:b], fold.r_shape[e], out=power[a:b])
+        else:
+            x = t[kk, :, uu]  # each pair's row of T, (n, q)
+            f = ws.view("field", (n, nv), complex)
+            for e, a, b in pairs:
+                _matmul_rows(x[a:b], fold.right_t[e], f[a:b])
+            np.multiply(f.real, f.real, out=power)
+            power += np.square(f.imag, out=ws.view("scratch", (n, nv)))
+        upper = ws.view("scratch", (n, nv))
+        for e, a, b in pairs:
+            np.take(self._grid_upper[e][h], uu[a:b], axis=0, out=upper[a:b], mode="clip")
+        power -= upper
+        over = np.maximum(power, 0.0, out=power).sum(axis=1)
+        total += np.bincount(kk, weights=over, minlength=batch) * self.grid.cell_weight
 
     def phi(self, schedule: PulseSchedule) -> float:
         """Cost of a single full schedule."""
@@ -403,15 +572,16 @@ def _wrap_unit(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _checked_costs(objective, x: np.ndarray) -> np.ndarray:
-    f = np.asarray(objective(x), dtype=float)
-    if f.shape != (x.shape[0],):
+def _checked_costs(objective, x: np.ndarray, designs: np.ndarray) -> np.ndarray:
+    """objective on the stacked swarms x (swarms, particles, dim), as
+    (swarms, particles) costs."""
+    f = np.asarray(objective(x.reshape(-1, x.shape[2]), designs), dtype=float)
+    if f.shape != (x.shape[0] * x.shape[1],):
         raise ValueError("objective must return one value per particle")
-    bad = np.nonzero(~np.isfinite(f))[0]
-    if bad.size:
-        i = int(bad[0])
+    if not np.isfinite(f).all():
+        i = int(np.flatnonzero(~np.isfinite(f))[0])
         raise ValueError(f"non-finite cost {f[i]!r} for particle {i}")
-    return f
+    return f.reshape(x.shape[:2])
 
 
 def minimize(objective, dim: int, config: PsoConfig,
@@ -445,11 +615,12 @@ def minimize(objective, dim: int, config: PsoConfig,
         if init.shape != (dim,):
             raise ValueError(f"init must have shape ({dim},)")
         init = init[None]
-    [[res]] = minimize_swarms((objective,), dim, config, ((config.seed,),), wrap_mask, init)
+    [[res]] = minimize_swarms(lambda x, designs: objective(x), dim, config, ((config.seed,),),
+                              wrap_mask, init)
     return res
 
 
-def minimize_swarms(objectives: Sequence, dim: int, config: PsoConfig,
+def minimize_swarms(objective, dim: int, config: PsoConfig,
                     seeds: Sequence[Sequence[int]],
                     wrap_mask: Optional[np.ndarray] = None,
                     init: Optional[np.ndarray] = None) -> list:
@@ -457,25 +628,24 @@ def minimize_swarms(objectives: Sequence, dim: int, config: PsoConfig,
     independent swarm per (design, seed), all advanced in lockstep.
     config.seed is not used.
 
-    Design d is scored by objectives[d] and runs one swarm per seed in
-    seeds[d]; init, when given, holds one start row per design, shared by
-    that design's swarms. Every swarm draws from its own default_rng(seed),
-    in the order minimize draws, and keeps its own best, history and stop
-    rule. Each iteration calls each design's objective once, on the
-    positions of that design's swarms still running, stacked swarm by swarm
-    ((running * swarm, dim)); a swarm that has stopped is neither scored nor
-    drawn for again, and a design with no running swarm is not called. So
-    the returned lists, one per design holding one PsoResult per seed in
-    order, equal separate minimize runs whenever an objective scores a
-    particle independently of its batch. No design gives [].
+    Design d runs one swarm per seed in seeds[d]; init, when given, holds
+    one start row per design, shared by that design's swarms. Every swarm
+    draws from its own default_rng(seed), in the order minimize draws, and
+    keeps its own best, history and stop rule. Each iteration calls
+    objective(x, designs) once: x stacks the positions of every swarm still
+    running, swarm by swarm ((running * swarm, dim)), the swarms of a design
+    adjacent and in seed order, designs in order, and designs (running,)
+    gives each of those swarms' design. A swarm that has stopped is neither
+    scored nor drawn for again. So the returned lists, one per design
+    holding one PsoResult per seed in order, equal separate minimize runs
+    whenever the objective scores a particle independently of its batch and
+    by its swarm's design alone. No design gives [].
     """
     if dim < 1:
         raise ValueError("empty search space")
-    if len(seeds) != len(objectives):
-        raise ValueError("one seed list per objective is required")
     if any(len(s) < 1 for s in seeds):
         raise ValueError("every design needs at least one seed")
-    if not objectives:
+    if not seeds:
         return []
     wrap = np.zeros(dim, dtype=bool) if wrap_mask is None else np.asarray(wrap_mask, dtype=bool)
     n_wrap = int(wrap.sum())
@@ -492,35 +662,30 @@ def minimize_swarms(objectives: Sequence, dim: int, config: PsoConfig,
         rng.random(out=xs)
     if init is not None:
         start = np.array(init, dtype=float)
-        if start.shape != (len(objectives), dim):
-            raise ValueError(f"init must have shape ({len(objectives)}, {dim})")
+        if start.shape != (len(seeds), dim):
+            raise ValueError(f"init must have shape ({len(seeds)}, {dim})")
         _wrap_unit(start[:, :n_wrap])
         np.clip(start[:, n_wrap:], 0.0, 1.0, out=start[:, n_wrap:])
         x[:, 0] = start[[d for d, _ in owner]]
     running = list(range(len(rngs)))  # swarm index of each state row
-
-    def costs(x):
-        f = np.empty(x.shape[:2])
-        lo = 0
-        for d, n in Counter(owner[k][0] for k in running).items():
-            part = x[lo:lo + n].reshape(-1, dim)
-            f[lo:lo + n] = _checked_costs(objectives[d], part).reshape(n, c)
-            lo += n
-        return f
+    designs = np.array([d for d, _ in owner])  # design of each state row
 
     vel = np.zeros_like(x)
-    f = costs(x)
-    pbest = x.copy()
+    f = _checked_costs(objective, x, designs)
+    # the two targets of every particle: best[:, :, 0] is its own best,
+    # best[:, :, 1] its swarm's
+    best = np.empty((len(rngs), c, 2, dim))
+    best[:, :, 0] = x
     pbest_f = f.copy()
     swarms = np.arange(len(rngs))
     ig = np.argmin(pbest_f, axis=1)  # ties resolve to the lowest index
-    gbest = pbest[swarms, ig]
+    best[:, :, 1] = x[swarms, ig][:, None]
     # a history's last entry is its swarm's best cost
     histories = [[value] for value in pbest_f[swarms, ig].tolist()]
     results = [[None] * len(s) for s in seeds]
-    r = np.empty((len(rngs), c, 2, dim))
-    dp = np.empty_like(x)
-    dg = np.empty_like(x)
+    r = np.empty_like(best)
+    delta = np.empty_like(best)
+    coefs = np.array([[config.cognitive], [config.social]])
     clamp = config.velocity_clamp
     w = config.stagnation_window
     it = 0
@@ -529,27 +694,27 @@ def minimize_swarms(objectives: Sequence, dim: int, config: PsoConfig,
         k = running[row]
         d, i = owner[k]
         results[d][i] = PsoResult(
-            best_x=gbest[row].copy(), best_value=histories[k][-1],
+            best_x=best[row, 0, 1].copy(), best_value=histories[k][-1],
             history=np.asarray(histories[k]), iterations=it, stop_reason=stop_reason)
 
     for it in range(1, config.iterations + 1):
         for k, out in zip(running, r):
             rngs[k].random(out=out)
-        np.subtract(pbest, x, out=dp)
-        np.subtract(gbest[:, None], x, out=dg)
-        for t in (dp[..., :n_wrap], dg[..., :n_wrap]):  # the shorter way round
-            t += 0.5
-            t -= np.floor(t)
-            t -= 0.5
-        # inertia * vel + cognitive * r0 * dp + social * r1 * dg in place, in
+        # both pulls at once, each the shorter way round on the torus
+        np.subtract(best, x[:, :, None], out=delta)
+        t = delta[..., :n_wrap]
+        t += 0.5
+        t -= np.floor(t)
+        t -= 0.5
+        # inertia * vel + cognitive * r0 * d0 + social * r1 * d1 in place, in
         # the expression's order of operations, so bit for bit the same
+        r *= coefs
+        r *= delta
         vel *= config.inertia
-        for pull, coef, delta in ((r[:, :, 0], config.cognitive, dp),
-                                  (r[:, :, 1], config.social, dg)):
-            pull *= coef
-            pull *= delta
-            vel += pull
-        np.clip(vel, -clamp, clamp, out=vel)
+        vel += r[:, :, 0]
+        vel += r[:, :, 1]
+        np.minimum(vel, clamp, out=vel)
+        np.maximum(vel, -clamp, out=vel)
         x += vel
         _wrap_unit(x[..., :n_wrap])
         # the duties reflect off the walls at 0 and 1
@@ -560,19 +725,19 @@ def minimize_swarms(objectives: Sequence, dim: int, config: PsoConfig,
         np.subtract(2.0, xd, out=xd, where=high)
         np.negative(vd, out=vd, where=low ^ high)
 
-        f = costs(x)
+        f = _checked_costs(objective, x, designs)
         improved = f < pbest_f
-        pbest[improved] = x[improved]
-        pbest_f[improved] = f[improved]
+        np.copyto(best[:, :, 0], x, where=improved[..., None])
+        np.copyto(pbest_f, f, where=improved)
 
         keep = []
         for row, i in enumerate(np.argmin(pbest_f, axis=1).tolist()):
             history = histories[running[row]]
             value = history[-1]
-            best = float(pbest_f[row, i])
-            if best < value:
-                gbest[row] = pbest[row, i]
-                value = best
+            top = float(pbest_f[row, i])
+            if top < value:
+                best[row, :, 1] = best[row, i, 0]
+                value = top
             history.append(value)
             if value == 0.0:
                 finish(row, "zero_cost")
@@ -586,8 +751,8 @@ def minimize_swarms(objectives: Sequence, dim: int, config: PsoConfig,
             if not keep:
                 break
             # drop the stopped swarms; a copy once per stop, not per iteration
-            x, vel, pbest, pbest_f, gbest, r = (a[keep] for a in (x, vel, pbest, pbest_f, gbest, r))
-            dp, dg = dp[:len(keep)], dg[:len(keep)]
+            x, vel, best, pbest_f, designs = (a[keep] for a in (x, vel, best, pbest_f, designs))
+            r, delta = r[:len(keep)], delta[:len(keep)]
             running = [running[row] for row in keep]
     else:  # no break: the swarms still running used every iteration
         for row in range(len(running)):
@@ -634,13 +799,15 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     alone by default), every swarm of every evaluator in one loop
     (minimize_swarms); one list of SynthesisResults per evaluator, one per
     seed in order. The evaluators share the geometry's size. When the search
-    ends, the calling thread's phi_batch buffers are dropped.
+    ends, the calling thread's phi_batch buffers are dropped, and with them
+    the evaluators' stack.
 
-    Each iteration scores each evaluator's running swarms in one phi_batch
-    call, which rounds a particle's cost the same at any position in a
-    batch of any size (measured with OpenBLAS 0.3.31 on an AVX-512 x86-64
-    CPU), so every result equals the run of its evaluator and seed alone
-    bit for bit.
+    Each iteration scores the running swarms of every evaluator in one
+    phi_batch call, on the evaluator itself when there is one and on a stack
+    of them (CostEvaluator.stack) otherwise. That call rounds a particle's
+    cost as its own evaluator does, at any position in a batch of any size
+    (measured with OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU), so every
+    result equals the run of its evaluator and seed alone bit for bit.
     """
     if not evaluators:
         return []
@@ -648,15 +815,21 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     codec = ModeCodec(mode=mode, rows=geometry.rows, cols=geometry.cols)
     if seeds is None:
         seeds = [(config.seed,)] * len(evaluators)
+    if len(seeds) != len(evaluators):
+        raise ValueError("one seed list per evaluator is required")
+    init = np.array([conjugate_guess(ev, codec) for ev in evaluators])
+    stack = CostEvaluator.stack(evaluators, mode) if len(evaluators) > 1 else evaluators[0]
 
-    def objective(ev):
-        return lambda x: ev.phi_batch(*codec.blocks(x), codec.mode)
+    def objective(x, designs):
+        # a stack takes each block's design
+        rows = (np.repeat(designs, config.swarm_size),) if len(evaluators) > 1 else ()
+        return stack.phi_batch(*codec.blocks(x), codec.mode, *rows)
 
     try:
-        runs = minimize_swarms([objective(ev) for ev in evaluators], codec.dim, config, seeds,
-                               wrap_mask=codec.wrap_mask,
-                               init=np.array([conjugate_guess(ev, codec) for ev in evaluators]))
+        runs = minimize_swarms(objective, codec.dim, config, seeds, wrap_mask=codec.wrap_mask,
+                               init=init)
     finally:
+        stack = None
         _WORKSPACE.release()
     return [[SynthesisResult(schedule=codec.decode(res.best_x, ev.period_s), phi=res.best_value,
                              history=res.history, iterations=res.iterations,

@@ -323,6 +323,18 @@ def test_cli_sweeps(tmp_path, cli_config, capsys):
     assert capsys.readouterr().out.count("best at") == 2
 
 
+def test_cli_sweep_repeats_default_to_one(tmp_path, capsys):
+    # localization.repeats counts localize's restarts, not a sweep's
+    path = tmp_path / "restarts.yaml"
+    path.write_text(CLI_CONFIG.replace("angles_deg: [0, 20]", "angles_deg: [20]")
+                    .replace("iterations: 30", "iterations: 3")
+                    .replace("repeats: 1", "repeats: 3"))
+    for flags, want in (([], 1), (["--repeats", "2"], 2)):
+        out = tmp_path / f"sweep_{want}"
+        assert main(["sweep-bs", "--config", str(path), "--out", str(out)] + flags) == 0
+        assert json.loads((out / "summary.json").read_text())["repeats"] == want
+
+
 def test_cli_sweep_user_rejects_negative_angles(tmp_path, cli_config, capsys):
     # sweep-bs takes signed reflection angles; sweep-user reads the same list
     # as incidence angles and refuses a negative one before any work
@@ -385,6 +397,29 @@ def test_cli_summary_fields(tmp_path, cli_config):
     assert set(meta) == {"command", "source", "mode", "rows", "cols", "seed", "period_s",
                          "f0_hz", "digest", "entries"}
     assert set(meta["entries"][0]) == {"angle_deg", "phi", "file"}
+
+
+def test_cli_reruns_write_the_same_files(tmp_path, cli_config):
+    # every file a synthesize and a cold localize --codebook write is the
+    # same on a rerun, codebook.bin included; summary.json once its wall
+    # time is dropped. Both runs use the same paths, which summary.json names.
+    run = tmp_path / "run"
+    for command, extra in (("synthesize", []),
+                           ("localize", ["--codebook", str(run / "codebook.bin")])):
+        for tag in ("a", "b"):
+            assert main([command, "--config", cli_config, "--out", str(run / "out")] + extra) == 0
+            run.rename(tmp_path / f"{command}_{tag}")
+        a, b = tmp_path / f"{command}_a", tmp_path / f"{command}_b"
+        files = sorted(str(p.relative_to(a)) for p in a.rglob("*") if p.is_file())
+        assert files == sorted(str(p.relative_to(b)) for p in b.rglob("*") if p.is_file())
+        assert "out/summary.json" in files
+        assert ("codebook.bin" in files) == (command == "localize")
+        for name in files:
+            got, want = (a / name).read_bytes(), (b / name).read_bytes()
+            if name.endswith("summary.json"):
+                got, want = json.loads(got), json.loads(want)
+                assert got.pop("wall_time_s") >= 0.0 and want.pop("wall_time_s") >= 0.0
+            assert got == want, name
 
 
 def test_cli_localize_and_export(tmp_path, cli_config):

@@ -322,4 +322,4 @@ def test_delta_constrained_null_line_at_broadside(ideal, rng):
                     anchor_lower=np.zeros((2, 0)), anchor_upper=np.zeros((2, 0)),
                     beam_ref=beam_reference(geometry, PlaneWaveIncidence(theta_deg=0.0), 0.0))
     ev = CostEvaluator(geometry, ideal, PlaneWaveIncidence(theta_deg=0.0), masks, 1e-6)
-    assert np.all(ev._folds[ControlMode.DELTA].left_t[1][:, mid] == 0.0)
+    assert np.all(ev._fold(ControlMode.DELTA).left_t[1][0, :, mid] == 0.0)

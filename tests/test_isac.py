@@ -159,7 +159,9 @@ def test_design_runs_its_repeats_in_one_loop(fast_scenario, monkeypatch):
     score = CostEvaluator.phi_batch
 
     def counted(self, rises, *args, **kwargs):
-        calls.append((self, rises.shape[0]))
+        # a lone design's evaluator is called without designs
+        designs = args[2].tolist() if len(args) > 2 else [0] * rises.shape[0]
+        calls.append((self, rises.shape[0], designs))
         return score(self, rises, *args, **kwargs)
 
     runs = []
@@ -176,15 +178,20 @@ def test_design_runs_its_repeats_in_one_loop(fast_scenario, monkeypatch):
     def check_one_loop():
         [(evaluators, results)] = runs
         iterations = [[res.iterations for res in reps] for reps in results]
-        # per iteration, one cost call per design with a running swarm, in
-        # design order, on that design's running swarms
-        want = [(ev, swarm * sum(it >= i for it in its))
-                for i in range(max(map(max, iterations)) + 1)
-                for ev, its in zip(evaluators, iterations) if max(its) >= i]
-        assert [n for _, n in calls] == [n for _, n in want]
-        assert all(got is ev for (got, _), (ev, _) in zip(calls, want))
-        for ev, its in zip(evaluators, iterations):
-            assert sum(n for e, n in calls if e is ev) == sum((it + 1) * swarm for it in its)
+        # per iteration, one cost call on the running swarms of every
+        # design, in design order, each block marked with its design
+        want = [[d for d, its in enumerate(iterations) for it in its if it >= i
+                 for _ in range(swarm)]
+                for i in range(max(map(max, iterations)) + 1)]
+        assert [n for _, n, _ in calls] == [len(designs) for designs in want]
+        assert [designs for _, _, designs in calls] == want
+        # by the design's own evaluator when it is alone, else by one stack
+        scorers = {id(ev) for ev, _, _ in calls}
+        assert len(scorers) == 1
+        assert (calls[0][0] is evaluators[0]) == (len(evaluators) == 1)
+        for d, its in enumerate(iterations):
+            assert (sum(designs.count(d) for _, _, designs in calls)
+                    == sum((it + 1) * swarm for it in its))
         calls.clear()
         runs.clear()
         return results, iterations

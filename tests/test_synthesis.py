@@ -394,6 +394,94 @@ def test_lone_flagged_row_costs_as_in_a_batch(fast_scenario, mode):
         assert np.array_equal(ev.phi_batch(rises[:batch], duties[:batch], mode), alone[:batch])
 
 
+def with_floors(ev, h, nodes):
+    """ev with a floor 1e-6 of its masks' lowest ceiling on the given grid
+    nodes of harmonic h: each adds a point node."""
+    lower = ev.masks.lower.copy()
+    for iu, iv in nodes:
+        lower[h, iu, iv] = max(lower[h, iu, iv], 1e-6 * ev.masks.upper[:, ev.grid.visible].min())
+    masks = replace(ev.masks, lower=lower)
+    return CostEvaluator(ev.geometry, ev.states, ev.incidence, masks, ev.period_s)
+
+
+def separate_costs(evaluators, rises, duties, mode, designs):
+    return np.concatenate([ev.phi_batch(rises[designs == e], duties[designs == e], mode)
+                           for e, ev in enumerate(evaluators) if np.any(designs == e)])
+
+
+@pytest.mark.parametrize("mode", [ControlMode.DELTA, ControlMode.FULL,
+                                  ControlMode.COLWISE_DELTA, ControlMode.COLWISE])
+def test_stacked_costs_equal_separate_calls(fast_scenario, mode, monkeypatch):
+    # q > 1 (delta, full) and q = 1 (column-wise); the designs differ in
+    # incidence, in theta and phi, so in every table, and in how many blocks
+    # each still runs; a notch lowers the ceilings of the last two below
+    # those of the first
+    evaluators = [fast_scenario(mode=mode, rows=6, cols=4, theta_inc_deg=theta,
+                                phi_inc_deg=phi).evaluator()
+                  for theta, phi in ((20.0, 0.0), (35.0, 25.0), (50.0, -15.0))]
+    evaluators[1:] = map(notched, evaluators[1:])
+    stack = CostEvaluator.stack(evaluators, mode)
+    codec = ModeCodec(mode=mode, rows=6, cols=4)
+    rng = np.random.default_rng(12)
+    for counts in ((8, 8, 8), (16, 0, 1), (1, 7, 0), (0, 0, 5), (1, 1, 1)):
+        rises, duties = codec.blocks(rng.random((sum(counts), codec.dim)))
+        designs = np.repeat(np.arange(3), counts)
+        got = stack.phi_batch(rises, duties, mode, designs)
+        want = separate_costs(evaluators, rises, duties, mode, designs)
+        assert np.all(want > 0.0)
+        assert np.array_equal(got, want)
+        # one design per pass
+        with monkeypatch.context() as m:
+            m.setattr(synthesis, "PASS_COLUMNS", codec.control_shape[1])
+            assert np.array_equal(stack.phi_batch(rises, duties, mode, designs), want)
+    # the notched designs' blocks reach their ceilings
+    rises, duties = codec.blocks(rng.random((8, codec.dim)))
+    for ev in evaluators[1:]:
+        assert np.all(dense_phi(ev, rises, duties, mode)[1] > 0)
+    # by default every block is design 0
+    assert np.array_equal(stack.phi_batch(rises, duties, mode),
+                          evaluators[0].phi_batch(rises, duties, mode))
+
+
+@pytest.mark.parametrize("mode", [ControlMode.DELTA, ControlMode.COLWISE_DELTA])
+def test_stacked_costs_keep_each_designs_point_count(fast_scenario, mode):
+    # hand-built floors give the designs 1, 3 and 1 extra point nodes at
+    # h = 1 and 0, 0 and 2 at h = 0: the row sums group designs 0 and 2 at
+    # h = 1 and designs 0 and 1 at h = 0, and a design's sum is never padded
+    ev = fast_scenario(mode=mode, rows=6, cols=4).evaluator()
+    evaluators = [with_floors(with_floors(ev, 1, [(5, 9)]), 0, []),
+                  with_floors(ev, 1, [(5, 9), (7, 12), (20, 3)]),
+                  with_floors(with_floors(ev, 1, [(9, 20)]), 0, [(12, 14), (18, 17)])]
+    counts = [[ev._point_bounds[h][0].shape[1] for ev in evaluators] for h in (0, 1)]
+    assert counts[0][0] == counts[0][1] != counts[0][2]
+    assert counts[1][0] == counts[1][2] != counts[1][1]
+    stack = CostEvaluator.stack(evaluators, mode)
+    codec = ModeCodec(mode=mode, rows=6, cols=4)
+    rng = np.random.default_rng(13)
+    for counts in ((5, 5, 5), (0, 4, 6), (3, 0, 2), (1, 2, 1), (0, 0, 7)):
+        rises, duties = codec.blocks(rng.random((sum(counts), codec.dim)))
+        designs = np.repeat(np.arange(3), counts)
+        got = stack.phi_batch(rises, duties, mode, designs)
+        assert np.array_equal(got, separate_costs(evaluators, rises, duties, mode, designs))
+
+
+def test_stack_checks_its_designs(fast_scenario):
+    mode = ControlMode.DELTA
+    evaluators = [fast_scenario(rows=6, cols=4).evaluator(a) for a in (20.0, 40.0)]
+    stack = CostEvaluator.stack(evaluators, mode)
+    rises, duties = np.random.default_rng(3).random((2, 4, 3, 4))
+    for bad in ([0, 1, 0, 1], [0, 0, 1, 2], [-1, 0, 0, 0], [0, 0, 1], [0.0, 0.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="designs must give each of the 4 blocks"):
+            stack.phi_batch(rises, duties, mode, np.array(bad))
+    with pytest.raises(ValueError, match="this stack scores no full blocks"):
+        stack.phi_batch(*np.zeros((2, 1, 6, 4)), ControlMode.FULL)
+    with pytest.raises(ValueError, match="unknown control mode"):
+        stack.phi_batch(rises, duties, "sideways")
+    other = fast_scenario(rows=6, cols=6).evaluator()
+    with pytest.raises(ValueError, match="share the geometry's and the grid's size"):
+        CostEvaluator.stack([evaluators[0], other], mode)
+
+
 @pytest.mark.parametrize("mode", [ControlMode.FULL, ControlMode.COLWISE])
 def test_power_on_its_ceiling_adds_exactly_zero(ideal, mode):
     # Only column 0 radiates h = 1 (the others have duty 0), so a u-row's
@@ -598,6 +686,30 @@ def test_pso_optimize_scores_each_swarm_in_one_call(monkeypatch):
         assert (args[2:] or (kwargs["mode"],)) == (ControlMode.DELTA,)
 
 
+def test_pso_optimize_scores_every_design_in_one_call(monkeypatch, fast_scenario):
+    # 2 designs x 2 seeds: one phi_batch call per iteration, on a stack of
+    # the evaluators, with every running swarm and each block's design
+    calls = []
+    score = CostEvaluator.phi_batch
+
+    def counted(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return score(self, *args, **kwargs)
+
+    monkeypatch.setattr(CostEvaluator, "phi_batch", counted)
+    sc = fast_scenario(swarm=5, iterations=6)
+    evaluators = [sc.evaluator(a) for a in (30.0, 40.0)]
+    runs = pso_optimize(evaluators, ControlMode.DELTA, sc.pso, [(1, 2), (3, 4)])
+    assert [[r.iterations for r in rs] for rs in runs] == [[6, 6], [6, 6]]
+    assert len(calls) == 6 + 1
+    for args, kwargs in calls:
+        assert not kwargs
+        rises, duties, mode, designs = args
+        assert rises.shape == duties.shape == (20, 3, 6)
+        assert mode is ControlMode.DELTA
+        assert np.array_equal(designs, np.repeat([0, 0, 1, 1], 5))
+
+
 @pytest.mark.parametrize("mode", [ControlMode.DELTA, ControlMode.COLWISE_DELTA])
 def test_pso_optimize_equals_runs_alone_at_any_swarm_size(fast_scenario, mode):
     # a swarm of 7 stacks batches of 7, 14 and 21 blocks
@@ -638,12 +750,18 @@ def test_minimize_swarms_equal_separate_runs():
     wrap = np.arange(dim) < 2
     cfg = PsoConfig(swarm_size=6, iterations=12, stagnation_window=8)
     objectives = (objective, shifted)
+
+    def both(x, designs):
+        # each particle scored by its swarm's design alone
+        rows = np.repeat(designs, cfg.swarm_size)
+        return np.where(rows == 0, objective(x), shifted(x))
+
     seeds = ((1, 2, 6), (4, 5))
-    [runs, _] = minimize_swarms(objectives, dim, cfg, seeds, wrap_mask=wrap)
+    [runs, _] = minimize_swarms(both, dim, cfg, seeds, wrap_mask=wrap)
     assert [(r.iterations, r.stop_reason) for r in runs] == [
         (7, "zero_cost"), (12, "max_iterations"), (11, "stagnation")]
     for init in (None, np.array([np.full(dim, 0.9), [1.7, -0.2, 1.3, 0.4]])):
-        runs = minimize_swarms(objectives, dim, cfg, seeds, wrap_mask=wrap, init=init)
+        runs = minimize_swarms(both, dim, cfg, seeds, wrap_mask=wrap, init=init)
         for d, (f, design_seeds) in enumerate(zip(objectives, seeds)):
             for seed, got in zip(design_seeds, runs[d]):
                 want = minimize(f, dim, replace(cfg, seed=seed), wrap_mask=wrap,
@@ -652,37 +770,52 @@ def test_minimize_swarms_equal_separate_runs():
                 assert got.best_value == want.best_value
                 assert np.array_equal(got.history, want.history)
                 assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
-    assert minimize_swarms([], dim, cfg, []) == []
+    assert minimize_swarms(both, dim, cfg, []) == []
     with pytest.raises(ValueError, match="seed"):
-        minimize_swarms([objective], dim, cfg, [()])
-    with pytest.raises(ValueError, match="seed list per objective"):
-        minimize_swarms(objectives, dim, cfg, [(1,)])
+        minimize_swarms(both, dim, cfg, [()])
+    # one objective serves every design, so the designs are counted by the
+    # seed lists, and init must give one row per seed list
+    with pytest.raises(ValueError, match=r"init must have shape \(1, 4\)"):
+        minimize_swarms(both, dim, cfg, [(1,)], init=np.zeros((2, dim)))
     with pytest.raises(ValueError, match=r"init must have shape \(2, 4\)"):
-        minimize_swarms(objectives, dim, cfg, seeds, init=np.zeros(dim))
+        minimize_swarms(both, dim, cfg, seeds, init=np.zeros(dim))
 
 
 def test_minimize_swarms_scores_running_swarms_in_one_call():
     batches = []
 
-    def recorder(name):
-        def record(x):
-            batches.append((name, x.shape[0]))
-            return np.ones(x.shape[0])
-        return record
+    def record(x, designs):
+        batches.append((tuple(designs.tolist()), x.shape[0]))
+        return np.ones(x.shape[0])
 
     # every swarm stalls at once after 5 iterations; zero iterations run none
-    minimize_swarms([recorder("a")], 3,
+    minimize_swarms(record, 3,
                     PsoConfig(swarm_size=4, iterations=50, stagnation_window=5), [(1, 2, 3)])
-    assert batches == [("a", 12)] * 6
+    assert batches == [((0, 0, 0), 12)] * 6
     batches.clear()
-    # one call per design and iteration, each on that design's swarms
-    minimize_swarms([recorder("a"), recorder("b")], 3,
+    # one call per iteration for every design, each swarm marked with its design
+    minimize_swarms(record, 3,
                     PsoConfig(swarm_size=4, iterations=50, stagnation_window=5), [(1, 2), (3,)])
-    assert batches == [("a", 8), ("b", 4)] * 6
+    assert batches == [((0, 0, 1), 12)] * 6
     batches.clear()
-    runs = minimize_swarms([recorder("a")], 3, PsoConfig(swarm_size=4, iterations=0), [(1, 2)])
-    assert batches == [("a", 8)]
+    runs = minimize_swarms(record, 3, PsoConfig(swarm_size=4, iterations=0), [(1, 2)])
+    assert batches == [((0, 0), 8)]
     assert [(r.iterations, r.stop_reason) for r in runs[0]] == [(0, "max_iterations")] * 2
+
+
+def test_minimize_swarms_scores_only_the_running_swarms():
+    # design 0's swarm reaches zero cost at once; from then on each call
+    # holds design 1's swarms alone
+    batches = []
+
+    def record(x, designs):
+        batches.append(tuple(designs.tolist()))
+        rows = np.repeat(designs, 3)
+        return np.where(rows == 0, 0.0, 1.0 + x[:, 0])
+
+    minimize_swarms(record, 2, PsoConfig(swarm_size=3, iterations=4, stagnation_window=0),
+                    [(1,), (2, 3)])
+    assert batches == [(0, 1, 1), (0, 1, 1)] + [(1, 1)] * 3
 
 
 def test_pso_history_monotone_and_initial_entry():
