@@ -61,9 +61,9 @@ def _outdir(args) -> Path:
 def _write_patterns(out: Path, scenario: Scenario, schedule, grid_n: int):
     engine = FieldEngine(scenario.geometry, DirectionGrid.uniform(grid_n))
     inc = scenario.incidence()
-    for h in (0, 1):
-        pattern = engine.pattern(schedule, scenario.states, inc, h=h)
-        write_pattern_csv(out / f"pattern_h{h}.csv", pattern, scenario.reference)
+    for h in (0, 1):  # each pattern is dropped before the next is computed
+        write_pattern_csv(out / f"pattern_h{h}.csv",
+                          engine.pattern(schedule, scenario.states, inc, h=h), scenario.reference)
 
 
 def cmd_synthesize(args, cfg: RunConfig, scenario: Scenario) -> tuple:

@@ -43,15 +43,16 @@ def write_pattern_csv(path, pattern: HarmonicPattern, reference: float) -> None:
         "u,v,visible,power_linear,power_db\n",
     ]
     # Each axis value is formatted once and a row's power pairs in one %
-    # call; rows are streamed so the file never sits in memory whole.
+    # call; rows are paired and streamed one at a time, so neither the
+    # grid's pairs nor the file sit in memory whole.
     sv = [format_float(x) for x in grid.v]
     pairs_fmt = "%.17g,%.17g\n" * grid.v.size
-    pairs = np.stack((power, db), axis=-1).reshape(grid.u.size, -1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
-        for u, flags, row in zip(grid.u, grid.visible.tolist(), pairs):
+        for u, flags, p_row, db_row in zip(grid.u, grid.visible.tolist(), power, db):
             su = format_float(u)
             heads = [f"{su},{v},{'1' if f else '0'}," for v, f in zip(sv, flags)]
+            row = np.column_stack((p_row, db_row)).ravel()
             cells = (pairs_fmt % tuple(row.tolist())).splitlines(keepends=True)
             fh.write("".join(map(str.__add__, heads, cells)))
 

@@ -147,6 +147,11 @@ def _group_points(point_bounds: tuple) -> tuple:
     return tuple(groups)
 
 
+def _spans(start: list) -> list:
+    """(design, lo, hi) for each design with blocks, from phi_batch's start."""
+    return [(e, lo, hi) for e, (lo, hi) in enumerate(zip(start, start[1:])) if lo < hi]
+
+
 def _for_blocks(table: np.ndarray, designs: np.ndarray) -> np.ndarray:
     """A table with a leading design axis, for each block: the lone
     design's entry, which broadcasts over the blocks, or else each block's
@@ -318,17 +323,25 @@ class CostEvaluator:
 
     def phi_batch(self, rises: np.ndarray, duties: np.ndarray,
                   mode: ControlMode = ControlMode.FULL,
-                  designs: Optional[np.ndarray] = None) -> np.ndarray:
+                  designs: Optional[np.ndarray] = None,
+                  limit: Optional[np.ndarray] = None) -> np.ndarray:
         """Costs of a stack of the mode's control blocks, given as rises and
         duties of shape (batch,) + ModeCodec.control_shape; under FULL a
         block is the whole (rows, cols) schedule. designs (batch,) gives
         each block's design, in nondecreasing order, for a stack of
-        evaluators (stack); by default every block is design 0."""
+        evaluators (stack); by default every block is design 0. With a
+        limit (batch,) of floats, not NaN, a block whose cost is at least
+        its limit may return any value in [limit, cost]; the others return
+        their cost."""
         fold = self._fold(mode)
         if rises.shape[1:] != fold.shape or duties.shape != rises.shape:
             raise ValueError(f"expected {fold.mode.value} blocks of shape (batch, {fold.shape[0]}, "
                              f"{fold.shape[1]}), got {rises.shape} and {duties.shape}")
         batch = rises.shape[0]
+        if limit is not None:
+            limit = np.asarray(limit)
+            if limit.shape != (batch,) or limit.dtype.kind != "f" or np.isnan(limit).any():
+                raise ValueError(f"limit must give each of the {batch} blocks a non-NaN float")
         n_designs = len(self._d_norm)
         # design e's blocks are rows start[e]:start[e + 1]; a pass takes
         # whole designs while they fit in PASS_COLUMNS, or one design
@@ -347,23 +360,43 @@ class CostEvaluator:
             if hi > lo > cuts[-1] and (hi - cuts[-1]) * fold.shape[1] > PASS_COLUMNS:
                 cuts.append(lo)
         if len(cuts) == 1:
-            return self._pass(rises, duties, fold, designs, start)
+            return self._pass(rises, duties, fold, designs, start, limit)
         total = np.empty(batch)
         for lo, hi in zip(cuts, cuts[1:] + [batch]):
             total[lo:hi] = self._pass(rises[lo:hi], duties[lo:hi], fold, designs[lo:hi],
-                                      [min(max(s, lo), hi) - lo for s in start])
+                                      [min(max(s, lo), hi) - lo for s in start],
+                                      None if limit is None else limit[lo:hi])
         return total
 
     def _pass(self, rises: np.ndarray, duties: np.ndarray, fold: _Fold,
-              designs: np.ndarray, start: list) -> np.ndarray:
-        """phi_batch on the blocks of one pass."""
-        spans = [(e, lo, hi) for e, (lo, hi) in enumerate(zip(start, start[1:])) if lo < hi]
+              designs: np.ndarray, start: list, limit: Optional[np.ndarray]) -> np.ndarray:
+        """phi_batch on the blocks of one pass: a block costs ((P0 + C0) +
+        P1) + C1 with P_h, C_h >= 0 its point and grid-ceiling terms at
+        harmonic h, so P0 + P1 <= cost (rounded addition is monotone), and
+        only the blocks with P0 + P1 below their limit radiate the ceilings."""
+        spans = _spans(start)
         batch = len(designs)
-        total = np.zeros(batch)
-        for h, coef in enumerate(self._coefficients(rises, duties, designs)):
-            self._add_point_terms(total, h, coef.reshape(batch, -1), fold, designs, spans)
-            self._add_ceiling_terms(total, h, coef, fold, designs, start, spans)
-        return total
+        coefs = self._coefficients(rises, duties, designs)
+        points = np.zeros((2, batch))
+        for h, coef in enumerate(coefs):
+            self._add_point_terms(points[h], h, coef.reshape(batch, -1), fold, designs, spans)
+        bound = points[0] + points[1]
+        live = slice(None)
+        if limit is not None:
+            live = np.flatnonzero(bound < limit)
+            if live.size == 0:
+                return bound
+            if live.size < batch:  # the live blocks, with their own designs and spans
+                coefs = tuple(coef[live] for coef in coefs)
+                designs = designs[live]
+                start = live.searchsorted(start).tolist()
+                spans = _spans(start)
+        ceilings = np.zeros((2, len(designs)))
+        for h, coef in enumerate(coefs):
+            self._add_ceiling_terms(ceilings[h], h, coef, fold, designs, start, spans)
+        p0, p1 = points[:, live]
+        bound[live] = ((p0 + ceilings[0]) + p1) + ceilings[1]
+        return bound
 
     def _add_point_terms(self, total, h, blocks, fold, designs, spans):
         """Harmonic h's point nodes, against both bounds, one group of
@@ -572,10 +605,12 @@ def _wrap_unit(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _checked_costs(objective, x: np.ndarray, designs: np.ndarray) -> np.ndarray:
-    """objective on the stacked swarms x (swarms, particles, dim), as
-    (swarms, particles) costs."""
-    f = np.asarray(objective(x.reshape(-1, x.shape[2]), designs), dtype=float)
+def _checked_costs(objective, x: np.ndarray, designs: np.ndarray,
+                   limit: Optional[np.ndarray] = None) -> np.ndarray:
+    """objective on the stacked swarms x (swarms, particles, dim) and their
+    limits (swarms, particles), as (swarms, particles) costs."""
+    f = np.asarray(objective(x.reshape(-1, x.shape[2]), designs,
+                             None if limit is None else limit.reshape(-1)), dtype=float)
     if f.shape != (x.shape[0] * x.shape[1],):
         raise ValueError("objective must return one value per particle")
     if not np.isfinite(f).all():
@@ -615,8 +650,8 @@ def minimize(objective, dim: int, config: PsoConfig,
         if init.shape != (dim,):
             raise ValueError(f"init must have shape ({dim},)")
         init = init[None]
-    [[res]] = minimize_swarms(lambda x, designs: objective(x), dim, config, ((config.seed,),),
-                              wrap_mask, init)
+    [[res]] = minimize_swarms(lambda x, designs, limit: objective(x), dim, config,
+                              ((config.seed,),), wrap_mask, init)
     return res
 
 
@@ -640,6 +675,11 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
     holding one PsoResult per seed in order, equal separate minimize runs
     whenever the objective scores a particle independently of its batch and
     by its swarm's design alone. No design gives [].
+
+    Each call is objective(x, designs, limit), limit holding the particles'
+    personal-best costs flattened as x (None for the initial swarm); where a
+    cost is at least its limit the objective may return any value in
+    [limit, cost], which improves no particle.
     """
     if dim < 1:
         raise ValueError("empty search space")
@@ -725,7 +765,7 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
         np.subtract(2.0, xd, out=xd, where=high)
         np.negative(vd, out=vd, where=low ^ high)
 
-        f = _checked_costs(objective, x, designs)
+        f = _checked_costs(objective, x, designs, pbest_f)
         improved = f < pbest_f
         np.copyto(best[:, :, 0], x, where=improved[..., None])
         np.copyto(pbest_f, f, where=improved)
@@ -804,10 +844,12 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
 
     Each iteration scores the running swarms of every evaluator in one
     phi_batch call, on the evaluator itself when there is one and on a stack
-    of them (CostEvaluator.stack) otherwise. That call rounds a particle's
-    cost as its own evaluator does, at any position in a batch of any size
-    (measured with OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU), so every
-    result equals the run of its evaluator and seed alone bit for bit.
+    of them (CostEvaluator.stack) otherwise, with each particle's personal
+    best as its limit, so that only the particles that can beat it are
+    scored whole. That call rounds a particle's cost as its own evaluator
+    does, at any position in a batch of any size (measured with OpenBLAS
+    0.3.31 on an AVX-512 x86-64 CPU), so every result equals the run of its
+    evaluator and seed alone bit for bit.
     """
     if not evaluators:
         return []
@@ -820,10 +862,10 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     init = np.array([conjugate_guess(ev, codec) for ev in evaluators])
     stack = CostEvaluator.stack(evaluators, mode) if len(evaluators) > 1 else evaluators[0]
 
-    def objective(x, designs):
+    def objective(x, designs, limit):
         # a stack takes each block's design
         rows = (np.repeat(designs, config.swarm_size),) if len(evaluators) > 1 else ()
-        return stack.phi_batch(*codec.blocks(x), codec.mode, *rows)
+        return stack.phi_batch(*codec.blocks(x), codec.mode, *rows, limit=limit)
 
     try:
         runs = minimize_swarms(objective, codec.dim, config, seeds, wrap_mask=codec.wrap_mask,

@@ -482,6 +482,144 @@ def test_stack_checks_its_designs(fast_scenario):
         CostEvaluator.stack([evaluators[0], other], mode)
 
 
+def count_ceiling_blocks(monkeypatch):
+    """A list that gets, for each pass's ceiling stage at h = 0, the number
+    of blocks it radiates."""
+    seen = []
+    ceilings = CostEvaluator._add_ceiling_terms
+
+    def counted(self, total, h, *args):
+        if h == 0:
+            seen.append(len(total))
+        return ceilings(self, total, h, *args)
+
+    monkeypatch.setattr(CostEvaluator, "_add_ceiling_terms", counted)
+    return seen
+
+
+@pytest.mark.parametrize("mode", [ControlMode.DELTA, ControlMode.COLWISE_DELTA])
+def test_limit_bounds_only_the_blocks_that_reach_it(fast_scenario, mode, monkeypatch):
+    # q > 1 (delta) and q = 1 (column-wise), on one evaluator and on a stack
+    # whose second design has a notch: a block whose cost is below its limit
+    # costs exactly, one at or above it returns a value in [limit, cost]
+    evaluators = [fast_scenario(mode=mode, rows=6, cols=4, theta_inc_deg=theta).evaluator()
+                  for theta in (20.0, 50.0)]
+    evaluators[1] = notched(evaluators[1])
+    stack = CostEvaluator.stack(evaluators, mode)
+    codec = ModeCodec(mode=mode, rows=6, cols=4)
+    rises, duties = codec.blocks(np.random.default_rng(14).random((12, codec.dim)))
+    designs = np.repeat([0, 1], 6)
+    seen = count_ceiling_blocks(monkeypatch)
+    for ev, rows in ((evaluators[0], ()), (stack, (designs,))):
+        cost = ev.phi_batch(rises, duties, mode, *rows)
+        assert np.all(cost > 0.0)
+        lone = np.where(np.arange(12) == 5, np.inf, 0.0)
+        mixed = np.choose(np.arange(12) % 4, [0.5 * cost, cost, 2.0 * cost, np.full(12, np.inf)])
+        for limit in (0.5 * cost, cost, 2.0 * cost, np.full(12, np.inf), mixed, lone):
+            got = ev.phi_batch(rises, duties, mode, *rows, limit=limit)
+            below = cost < limit
+            assert np.array_equal(got < limit, below)
+            assert np.array_equal(got[below], cost[below])
+            assert np.all((limit[~below] <= got[~below]) & (got[~below] <= cost[~below]))
+        # a lone live block radiates alone, a lone row paired when q = 1
+        seen.clear()
+        got = ev.phi_batch(rises, duties, mode, *rows, limit=lone)
+        assert seen == [1] and got[5] == cost[5]
+        # no live block: nothing is radiated, and each returns its point terms
+        seen.clear()
+        bound = ev.phi_batch(rises, duties, mode, *rows, limit=np.zeros(12))
+        assert seen == [] and np.all(bound <= cost) and np.any(bound < cost)
+        # the limit is sliced with the blocks when the designs take a pass each
+        want = ev.phi_batch(rises, duties, mode, *rows, limit=mixed)
+        with monkeypatch.context() as m:
+            m.setattr(synthesis, "PASS_COLUMNS", codec.control_shape[1])
+            assert np.array_equal(ev.phi_batch(rises, duties, mode, *rows, limit=mixed), want)
+
+
+def test_phi_batch_checks_the_limit():
+    ev = columnwise_evaluator()
+    mode = ControlMode.COLWISE_DELTA
+    blocks = np.full((2, 3, 5, 1), 0.25)
+    for bad in (np.zeros(2), np.zeros((3, 1)), np.zeros(3, dtype=int),
+                np.array([0.0, np.nan, 1.0])):
+        with pytest.raises(ValueError, match="give each of the 3 blocks a non-NaN float"):
+            ev.phi_batch(*blocks, mode, limit=bad)
+    # +inf bounds nothing
+    assert np.array_equal(ev.phi_batch(*blocks, mode, limit=np.full(3, np.inf)),
+                          ev.phi_batch(*blocks, mode))
+
+
+@pytest.mark.parametrize("seeds", [[(7,)], [(1, 2), (3, 4)]])
+def test_bounded_search_equals_the_exact_search(fast_scenario, seeds):
+    # one design, and 2 designs x 2 seeds: an objective that forwards the
+    # limit and one that drops it find the same bests by the same path
+    sc = fast_scenario(iterations=30)
+    pso = replace(sc.pso, stagnation_window=8, stagnation_rtol=0.05)
+    evaluators = [sc.evaluator(a) for a in (30.0, 40.0)[:len(seeds)]]
+    stack = CostEvaluator.stack(evaluators, sc.mode) if len(seeds) > 1 else evaluators[0]
+    codec = ModeCodec(mode=sc.mode, rows=6, cols=6)
+    init = np.array([conjugate_guess(ev, codec) for ev in evaluators])
+
+    def bounded(x, designs, limit):
+        rows = (np.repeat(designs, pso.swarm_size),) if len(seeds) > 1 else ()
+        return stack.phi_batch(*codec.blocks(x), sc.mode, *rows, limit=limit)
+
+    def exact(x, designs, limit):
+        return bounded(x, designs, None)
+
+    got, want = (minimize_swarms(f, codec.dim, pso, seeds, codec.wrap_mask, init)
+                 for f in (bounded, exact))
+    stops = set()
+    for got_runs, want_runs in zip(got, want):
+        for g, w in zip(got_runs, want_runs):
+            assert np.array_equal(g.best_x, w.best_x)
+            assert g.best_value == w.best_value
+            assert np.array_equal(g.history, w.history)
+            assert (g.iterations, g.stop_reason) == (w.iterations, w.stop_reason)
+            stops.add(g.stop_reason)
+    if len(seeds) > 1:
+        assert stops == {"stagnation", "max_iterations"}
+
+
+def test_nan_point_terms_still_raise(fast_scenario, monkeypatch):
+    # from the first bounded call on, block 2 has a NaN coefficient: its
+    # point terms are NaN, so it is never live, and it returns NaN
+    calls = []
+
+    def poisoned(rises, duties, h):
+        u = pulse_fourier_coefficients(rises, duties, h)
+        calls.append(h)
+        if len(calls) > 1:
+            u[2, 0, 0] = np.nan
+        return u
+
+    monkeypatch.setattr(synthesis, "pulse_fourier_coefficients", poisoned)
+    sc = fast_scenario(iterations=5)
+    with pytest.raises(ValueError, match=r"non-finite cost \S*nan\S* for particle 2"):
+        pso_optimize([sc.evaluator()], sc.mode, sc.pso)
+    assert len(calls) == 2
+
+
+def test_bounded_search_radiates_few_ceilings(fast_scenario, monkeypatch):
+    # on a delta design like the flagship's, most particles cannot beat
+    # their best by the point terms alone, so the ceiling stage sees few of
+    # the blocks phi_batch scores
+    scored = []
+    score = CostEvaluator.phi_batch
+
+    def counted(self, rises, *args, **kwargs):
+        scored.append(rises.shape[0])
+        return score(self, rises, *args, **kwargs)
+
+    monkeypatch.setattr(CostEvaluator, "phi_batch", counted)
+    seen = count_ceiling_blocks(monkeypatch)
+    sc = fast_scenario(iterations=60)
+    pso_optimize([sc.evaluator()], sc.mode, sc.pso)
+    # the initial swarm has no limit; a call with no live block radiates none
+    assert len(scored) == 61 and seen[0] == scored[0] and len(seen) < 61
+    assert sum(seen[1:]) < 0.5 * sum(scored[1:])
+
+
 @pytest.mark.parametrize("mode", [ControlMode.FULL, ControlMode.COLWISE])
 def test_power_on_its_ceiling_adds_exactly_zero(ideal, mode):
     # Only column 0 radiates h = 1 (the others have duty 0), so a u-row's
@@ -688,13 +826,16 @@ def test_pso_optimize_scores_each_swarm_in_one_call(monkeypatch):
 
 def test_pso_optimize_scores_every_design_in_one_call(monkeypatch, fast_scenario):
     # 2 designs x 2 seeds: one phi_batch call per iteration, on a stack of
-    # the evaluators, with every running swarm and each block's design
+    # the evaluators, with every running swarm, each block's design and, from
+    # the second call on, each particle's personal best as its limit
     calls = []
     score = CostEvaluator.phi_batch
 
     def counted(self, *args, **kwargs):
-        calls.append((args, kwargs))
-        return score(self, *args, **kwargs)
+        # the limit is a view of the search's bests, which move after the call
+        kwargs = {k: None if v is None else v.copy() for k, v in kwargs.items()}
+        calls.append((args, kwargs, score(self, *args, **kwargs)))
+        return calls[-1][2]
 
     monkeypatch.setattr(CostEvaluator, "phi_batch", counted)
     sc = fast_scenario(swarm=5, iterations=6)
@@ -702,12 +843,19 @@ def test_pso_optimize_scores_every_design_in_one_call(monkeypatch, fast_scenario
     runs = pso_optimize(evaluators, ControlMode.DELTA, sc.pso, [(1, 2), (3, 4)])
     assert [[r.iterations for r in rs] for rs in runs] == [[6, 6], [6, 6]]
     assert len(calls) == 6 + 1
-    for args, kwargs in calls:
-        assert not kwargs
+    bests = None
+    for args, kwargs, costs in calls:
+        assert kwargs.keys() == {"limit"}
         rises, duties, mode, designs = args
         assert rises.shape == duties.shape == (20, 3, 6)
         assert mode is ControlMode.DELTA
         assert np.array_equal(designs, np.repeat([0, 0, 1, 1], 5))
+        if bests is None:
+            assert kwargs["limit"] is None
+            bests = costs
+        else:
+            assert np.array_equal(kwargs["limit"], bests)
+            bests = np.minimum(bests, costs)
 
 
 @pytest.mark.parametrize("mode", [ControlMode.DELTA, ControlMode.COLWISE_DELTA])
@@ -751,10 +899,12 @@ def test_minimize_swarms_equal_separate_runs():
     cfg = PsoConfig(swarm_size=6, iterations=12, stagnation_window=8)
     objectives = (objective, shifted)
 
-    def both(x, designs):
-        # each particle scored by its swarm's design alone
+    def both(x, designs, limit):
+        # each particle scored by its swarm's design alone; a particle that
+        # cannot beat its best returns its limit, the lowest value allowed
         rows = np.repeat(designs, cfg.swarm_size)
-        return np.where(rows == 0, objective(x), shifted(x))
+        f = np.where(rows == 0, objective(x), shifted(x))
+        return f if limit is None else np.minimum(f, limit)
 
     seeds = ((1, 2, 6), (4, 5))
     [runs, _] = minimize_swarms(both, dim, cfg, seeds, wrap_mask=wrap)
@@ -782,40 +932,48 @@ def test_minimize_swarms_equal_separate_runs():
 
 
 def test_minimize_swarms_scores_running_swarms_in_one_call():
-    batches = []
+    batches, limits = [], []
 
-    def record(x, designs):
+    def record(x, designs, limit):
         batches.append((tuple(designs.tolist()), x.shape[0]))
+        limits.append(None if limit is None else limit.tolist())
         return np.ones(x.shape[0])
 
     # every swarm stalls at once after 5 iterations; zero iterations run none
     minimize_swarms(record, 3,
                     PsoConfig(swarm_size=4, iterations=50, stagnation_window=5), [(1, 2, 3)])
     assert batches == [((0, 0, 0), 12)] * 6
+    # the initial swarm has no limit, then each particle's best bounds it
+    assert limits == [None] + [[1.0] * 12] * 5
     batches.clear()
     # one call per iteration for every design, each swarm marked with its design
     minimize_swarms(record, 3,
                     PsoConfig(swarm_size=4, iterations=50, stagnation_window=5), [(1, 2), (3,)])
     assert batches == [((0, 0, 1), 12)] * 6
     batches.clear()
+    limits.clear()
     runs = minimize_swarms(record, 3, PsoConfig(swarm_size=4, iterations=0), [(1, 2)])
     assert batches == [((0, 0), 8)]
+    assert limits == [None]
     assert [(r.iterations, r.stop_reason) for r in runs[0]] == [(0, "max_iterations")] * 2
 
 
 def test_minimize_swarms_scores_only_the_running_swarms():
     # design 0's swarm reaches zero cost at once; from then on each call
     # holds design 1's swarms alone
-    batches = []
+    batches, limits = [], []
 
-    def record(x, designs):
+    def record(x, designs, limit):
         batches.append(tuple(designs.tolist()))
+        limits.append(None if limit is None else limit.shape)
         rows = np.repeat(designs, 3)
         return np.where(rows == 0, 0.0, 1.0 + x[:, 0])
 
     minimize_swarms(record, 2, PsoConfig(swarm_size=3, iterations=4, stagnation_window=0),
                     [(1,), (2, 3)])
     assert batches == [(0, 1, 1), (0, 1, 1)] + [(1, 1)] * 3
+    # the limits hold the running particles' bests, flattened as x
+    assert limits == [None, (9,)] + [(6,)] * 3
 
 
 def test_pso_history_monotone_and_initial_entry():
