@@ -102,9 +102,6 @@ class Codebook:
     digest: bytes
     entries: tuple
 
-    def angles_deg(self) -> list:
-        return [e.angle_deg for e in self.entries]
-
     def entry_for(self, angle_deg: float) -> Optional[CodebookEntry]:
         target = to_mdeg(angle_deg)
         for e in self.entries:

@@ -97,17 +97,15 @@ _incidence_angles = _angle_list_field(0.0, 90.0, closed_min=True)
 
 
 def _gamma_field(value, path):
-    """Reflection tensor entry: scalar, [re, im], or 2x2 of [re, im]."""
-    def canon(z):
-        return [float(z.real), float(z.imag)]
+    """Reflection tensor entry: scalar, [re, im], or 2x2 of [re, im], every
+    part finite."""
+    def is_num(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
 
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        z = complex(float(value), 0.0)
-        return [[canon(z), canon(0j)], [canon(0j), canon(z)]]
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
-        z = complex(float(value[0]), float(value[1]))
-        return [[canon(z), canon(0j)], [canon(0j), canon(z)]]
+    if is_num(value) or (isinstance(value, (list, tuple)) and len(value) == 2
+                         and all(map(is_num, value))):
+        z = [_num(value, path), 0.0] if is_num(value) else [_num(x, path) for x in value]
+        return [[z, [0.0, 0.0]], [[0.0, 0.0], list(z)]]
     if isinstance(value, (list, tuple)) and len(value) == 2:
         rows = []
         for r, row in enumerate(value):
@@ -115,11 +113,11 @@ def _gamma_field(value, path):
                 raise ConfigError(f"'{path}' rows must have exactly 2 entries")
             cells = []
             for c, cell in enumerate(row):
-                if (not isinstance(cell, (list, tuple)) or len(cell) != 2
-                        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in cell)):
-                    raise ConfigError(
-                        f"'{path}[{r}][{c}]' must be a [real, imaginary] pair of numbers")
-                cells.append([float(cell[0]), float(cell[1])])
+                where = f"{path}[{r}][{c}]"
+                if not (isinstance(cell, (list, tuple)) and len(cell) == 2
+                        and all(map(is_num, cell))):
+                    raise ConfigError(f"'{where}' must be a [real, imaginary] pair of numbers")
+                cells.append([_num(x, where) for x in cell])
             rows.append(cells)
         return rows
     raise ConfigError(
@@ -234,11 +232,6 @@ def _resolve(schema: dict, defaults: dict, user: dict, path: str = "") -> dict:
         else:
             out[key] = defaults[key]
     return out
-
-
-def default_config() -> dict:
-    """A fresh copy of the fully-resolved default configuration."""
-    return _resolve(_SCHEMA, _DEFAULTS, {})
 
 
 def _to_matrix(canon) -> np.ndarray:

@@ -9,11 +9,9 @@ import json
 
 import numpy as np
 
-from .fields import HarmonicPattern, power_db
+from .fields import DB_FLOOR, HarmonicPattern, power_db
 from .isac import best_sample
 from .modulation import PulseSchedule
-
-DB_FLOOR = -400.0
 
 
 def format_float(x) -> str:
@@ -34,7 +32,7 @@ def write_pattern_csv(path, pattern: HarmonicPattern, reference: float) -> None:
     """
     grid = pattern.grid
     power = pattern.power
-    db = power_db(power, reference, floor_db=DB_FLOOR)
+    db = power_db(power, reference)
     lines = [
         f"# harmonic: {pattern.harmonic}",
         f"# omega_rad_s: {format_float(pattern.omega_rad_s)}",

@@ -30,6 +30,10 @@ from .modulation import PulseSchedule, ReflectionStates
 # schedule radiates no first harmonic at all.
 XI_FLOOR = 1e-30
 
+# Floor of power_db, in dB below the reference: keeps exact zeros (invisible
+# or structurally nulled samples) finite and file-serializable.
+DB_FLOOR = -400.0
+
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
@@ -56,6 +60,8 @@ class PlaneWaveIncidence:
         j = np.asarray(self.jones, dtype=complex)
         if j.shape != (2,):
             raise ValueError("jones must have exactly 2 components (TE, TM)")
+        if not np.isfinite(j).all():
+            raise ValueError("jones vector must be finite")
         if abs(np.linalg.norm(j) - 1.0) > 1e-9:
             raise ValueError("jones vector must have unit norm")
         object.__setattr__(self, "jones", (complex(j[0]), complex(j[1])))
@@ -210,16 +216,12 @@ class HarmonicPattern:
         return np.abs(self.field[..., 0]) ** 2 + np.abs(self.field[..., 1]) ** 2
 
 
-def power_db(power, reference: float, floor_db: float = -400.0):
-    """Decibels of power relative to a positive reference, floored.
-
-    The floor keeps exact zeros (invisible or structurally nulled samples)
-    finite and file-serializable.
-    """
+def power_db(power, reference: float):
+    """Decibels of power relative to a positive reference, floored at DB_FLOOR."""
     if not (reference > 0.0):
         raise ValueError("dB reference power must be positive")
     p = np.asarray(power, dtype=float)
-    lin_floor = reference * 10.0 ** (floor_db / 10.0)
+    lin_floor = reference * 10.0 ** (DB_FLOOR / 10.0)
     out = 10.0 * np.log10(np.maximum(p, lin_floor) / reference)
     return out[()] if out.ndim == 0 else out
 

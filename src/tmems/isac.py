@@ -133,7 +133,6 @@ def codebook_digest(scenario: Scenario, master_seed: int, repeats: int) -> bytes
 
 
 def measure_bs_ratio(scenario: Scenario, schedule: PulseSchedule,
-                     incidence: Optional[PlaneWaveIncidence] = None,
                      noise_power: float = 0.0) -> MonopulseRatio:
     """Sum/difference power ratio at the base station direction.
 
@@ -143,7 +142,7 @@ def measure_bs_ratio(scenario: Scenario, schedule: PulseSchedule,
     """
     if not (0.0 <= noise_power < np.inf):  # NaN fails this test too
         raise ValueError("noise power must be finite and non-negative")
-    inc = incidence if incidence is not None else scenario.incidence()
+    inc = scenario.incidence()
     u, v = scenario.bs_u, 0.0
     engine = FieldEngine(scenario.geometry)
     e0 = engine.field_at(u, v, schedule, scenario.states, inc, h=0)

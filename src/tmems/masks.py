@@ -174,6 +174,25 @@ class MaskParams:
     flank_scale: float = 0.5
     flank_margin_db: float = 0.2
 
+    def __post_init__(self):
+        # written so that NaN fails every test
+        for name in ("sidelobe_db", "peak_floor_db", "ripple_db", "null_depth_db",
+                     "lobe_floor_db"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("main_halfwidth_u", "main_halfwidth_v", "lobe_offset_u", "lobe_halfwidth_u",
+                     "lobe_halfwidth_v", "null_halfwidth_u", "null_halfwidth_v"):
+            value = getattr(self, name)
+            if value is not None and not (0.0 < value < np.inf):
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("shoulder_scale", "flank_scale"):
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("shoulder_margin_db", "flank_margin_db"):
+            if not (0.0 <= getattr(self, name) < np.inf):
+                raise ValueError(
+                    f"{name}: shoulder and flank margins must be finite and non-negative")
+
 
 @dataclass(frozen=True, eq=False)
 class MaskSet:
@@ -240,10 +259,6 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, incidence: PlaneWave
     lobe_off = params.lobe_offset_u if params.lobe_offset_u is not None else 0.75 * fn_u
     lobe_hw_u = params.lobe_halfwidth_u if params.lobe_halfwidth_u is not None else 0.2 * fn_u
     lobe_hw_v = params.lobe_halfwidth_v if params.lobe_halfwidth_v is not None else 0.2 * fn_v
-    for value, name in ((hw_u, "main_halfwidth_u"), (hw_v, "main_halfwidth_v"),
-                        (lobe_hw_u, "lobe_halfwidth_u"), (lobe_hw_v, "lobe_halfwidth_v")):
-        if not (value > 0.0):
-            raise ValueError(f"{name} must be positive")
     if lobe_hw_u >= lobe_off:
         raise ValueError("lobe boxes overlap the null direction; shrink lobe_halfwidth_u")
 
@@ -292,8 +307,6 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, incidence: PlaneWave
                      else params.null_halfwidth_v)
         null_hw_v = (params.null_halfwidth_v if params.null_halfwidth_v is not None
                      else params.null_halfwidth_u)
-        if not (null_hw_u > 0.0 and null_hw_v > 0.0):
-            raise ValueError("null halfwidths must be positive")
         notch = _box_nodes(grid, beam_u, 0.0, null_hw_u, null_hw_v, False)
         if (lobes & notch).any():
             raise ValueError("null notch overlaps a required-lobe box")
@@ -314,10 +327,6 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, incidence: PlaneWave
     # m still admits an apex tilted by ~m/slope, and a floor still admits a
     # taller bulge on the opposite side. A floor+cap pair on each flank holds
     # the whole lobe, apex included, at the target direction.
-    if not (params.shoulder_scale > 0.0 and params.flank_scale > 0.0):
-        raise ValueError("shoulder and flank scales must be positive")
-    if params.shoulder_margin_db < 0.0 or params.flank_margin_db < 0.0:
-        raise ValueError("shoulder and flank margins must be non-negative")
     beam_axes = [(geometry.rows, 1.0, 0.0)]
     if not full_v:
         beam_axes.append((geometry.cols, 0.0, 1.0))

@@ -80,8 +80,8 @@ def pulse_fourier_coefficients(rise, duty, h: int):
 class ReflectionStates:
     """On/off reflection tensors in the (TE, TM) basis, each 2x2 complex.
 
-    Passivity is enforced on construction: no singular value may exceed 1
-    (tolerance 1e-9).
+    Finite entries and passivity are enforced on construction: no singular
+    value may exceed 1 (tolerance 1e-9).
     """
 
     gamma_on: np.ndarray
@@ -92,6 +92,8 @@ class ReflectionStates:
             t = np.asarray(getattr(self, name), dtype=complex)
             if t.shape != (2, 2):
                 raise ValueError(f"{name} must be a 2x2 tensor")
+            if not np.isfinite(t).all():
+                raise ValueError(f"{name} entries must be finite")
             if np.linalg.svd(t, compute_uv=False).max() > 1.0 + 1e-9:
                 raise ValueError(f"{name} is not passive (singular value > 1)")
             t = t.copy()
@@ -164,17 +166,6 @@ def harmonic_tensors(states: ReflectionStates, schedule: PulseSchedule, h: int) 
         u[..., None, None] * states.gamma_on[None, None, :, :]
         + uc[..., None, None] * states.gamma_off[None, None, :, :]
     )
-
-
-def harmonic_scalar_coefficients(rise, duty, h: int, gamma_on: complex, gamma_off: complex):
-    """Scalar harmonic coefficients for identity-multiple states (fast path).
-
-    With Gamma_on = gon*I and Gamma_off = goff*I the tensor collapses to
-    (gon*u^h + goff*(delta_{h0} - u^h)) * I; this returns that scalar with the
-    input broadcast shape. For the ideal +/-I pair it is 2*u^h - delta_{h0}.
-    """
-    u = np.asarray(pulse_fourier_coefficients(rise, duty, h))
-    return gamma_on * u + gamma_off * ((1.0 if h == 0 else 0.0) - u)
 
 
 def mirror_rise(rise):

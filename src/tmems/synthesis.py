@@ -41,11 +41,6 @@ BOUND_SLACK = 1e-9
 PASS_COLUMNS = 512
 
 
-def ramp(x):
-    """One-sided penalty: max(x, 0), elementwise."""
-    return np.maximum(np.asarray(x, dtype=float), 0.0)
-
-
 class _Workspace(threading.local):
     """The calling thread's phi_batch buffers, shared by every evaluator:
     flat arrays, one per name, that only grow. view(name, shape, dtype)
@@ -163,7 +158,7 @@ class CostEvaluator:
     """Precomputed mask-violation cost Phi for one scenario on the masks' grid.
 
     Phi = sum over harmonics h in {0, 1} and visible grid nodes of
-    w * ramp(P_h - upper_h) + w * ramp(lower_h - P_h), with w the grid-cell
+    w * max(P_h - upper_h, 0) + w * max(lower_h - P_h, 0), with w the grid-cell
     weight, plus the same terms at the masks' exact-direction anchors. Phi is
     0 exactly when every bound is met.
 
@@ -615,71 +610,51 @@ def _checked_costs(objective, x: np.ndarray, designs: np.ndarray,
         raise ValueError("objective must return one value per particle")
     if not np.isfinite(f).all():
         i = int(np.flatnonzero(~np.isfinite(f))[0])
-        raise ValueError(f"non-finite cost {f[i]!r} for particle {i}")
+        raise ValueError(f"non-finite cost {float(f[i])} for particle {i}")
     return f.reshape(x.shape[:2])
-
-
-def minimize(objective, dim: int, config: PsoConfig,
-             wrap_mask: Optional[np.ndarray] = None,
-             init: Optional[np.ndarray] = None) -> PsoResult:
-    """Global-best PSO over [0, 1]^dim with seeded, order-fixed random draws.
-
-    Args:
-        objective: batched callable mapping (swarm, dim) positions to a
-            (swarm,) cost vector; must be finite.
-        dim: search dimensionality (>= 1).
-        config: swarm hyperparameters; the velocity clamp is a fraction of the
-            unit coordinate range.
-        wrap_mask: True marks periodic coordinates (wrap mod 1, shortest-path
-            attraction); False marks reflecting coordinates. The periodic
-            coordinates must come first.
-        init: optional deterministic start placed on particle 0 (the rest of
-            the swarm stays random); does not consume any random draws.
-
-    Returns:
-        PsoResult with the best vector, its cost, the per-iteration best-cost
-        history (monotone non-increasing, entry 0 is the initial swarm), the
-        number of update iterations performed, and why the loop stopped.
-
-    Random draws happen in a fixed sequential order (two vectors per particle
-    per iteration, drawn as one (swarm, 2, dim) block), so results depend only
-    on the seed, never on evaluation parallelism.
-    """
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (dim,):
-            raise ValueError(f"init must have shape ({dim},)")
-        init = init[None]
-    [[res]] = minimize_swarms(lambda x, designs, limit: objective(x), dim, config,
-                              ((config.seed,),), wrap_mask, init)
-    return res
 
 
 def minimize_swarms(objective, dim: int, config: PsoConfig,
                     seeds: Sequence[Sequence[int]],
                     wrap_mask: Optional[np.ndarray] = None,
                     init: Optional[np.ndarray] = None) -> list:
-    """minimize for several designs, each with several seeds, at once: one
-    independent swarm per (design, seed), all advanced in lockstep.
-    config.seed is not used.
+    """Global-best PSO over [0, 1]^dim with seeded, order-fixed random draws,
+    for several designs, each with several seeds, at once: one independent
+    swarm per (design, seed), all advanced in lockstep. config.seed is not
+    used.
 
-    Design d runs one swarm per seed in seeds[d]; init, when given, holds
-    one start row per design, shared by that design's swarms. Every swarm
-    draws from its own default_rng(seed), in the order minimize draws, and
-    keeps its own best, history and stop rule. Each iteration calls
-    objective(x, designs) once: x stacks the positions of every swarm still
-    running, swarm by swarm ((running * swarm, dim)), the swarms of a design
-    adjacent and in seed order, designs in order, and designs (running,)
-    gives each of those swarms' design. A swarm that has stopped is neither
-    scored nor drawn for again. So the returned lists, one per design
-    holding one PsoResult per seed in order, equal separate minimize runs
-    whenever the objective scores a particle independently of its batch and
-    by its swarm's design alone. No design gives [].
+    Args:
+        objective: batched callable objective(x, designs, limit), below;
+            its costs must be finite.
+        dim: search dimensionality (>= 1).
+        config: swarm hyperparameters; the velocity clamp is a fraction of
+            the unit coordinate range.
+        seeds: seeds[d] lists design d's seeds, one swarm each.
+        wrap_mask: True marks periodic coordinates (wrap mod 1, shortest-path
+            attraction); False marks reflecting coordinates. The periodic
+            coordinates must come first.
+        init: optional (designs, dim) deterministic starts; row d is placed
+            on particle 0 of each of design d's swarms (the rest stays
+            random) and consumes no random draws.
 
-    Each call is objective(x, designs, limit), limit holding the particles'
-    personal-best costs flattened as x (None for the initial swarm); where a
-    cost is at least its limit the objective may return any value in
-    [limit, cost], which improves no particle.
+    Returns one list per design holding one PsoResult per seed in order:
+    the best vector, its cost, the per-iteration best-cost history
+    (monotone non-increasing, entry 0 is the initial swarm), the number of
+    update iterations performed, and why the swarm stopped.
+
+    Every swarm draws from its own default_rng(seed) in a fixed order (its
+    initial positions, then two vectors per particle per iteration, drawn as
+    one (swarm, 2, dim) block) and keeps its own best, history and stop
+    rule. Each iteration calls objective(x, designs, limit) once: x stacks
+    the positions of every swarm still running ((running * swarm, dim)),
+    the swarms of a design adjacent and in seed order, designs in order;
+    designs (running,) gives each of those swarms' design; limit holds the
+    particles' personal-best costs flattened as x (None for the initial
+    swarm). Where a cost is at least its limit the objective may return any
+    value in [limit, cost], which improves no particle. A stopped swarm is
+    neither scored nor drawn for again. So a swarm's result depends on its
+    seed and design alone whenever the objective scores a particle
+    independently of its batch and by its swarm's design alone.
     """
     if dim < 1:
         raise ValueError("empty search space")

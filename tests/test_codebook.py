@@ -52,7 +52,7 @@ def test_round_trip_bit_identical(tmp_path, rng):
     assert loaded.seed == book.seed
     assert loaded.period_s == book.period_s and loaded.f0_hz == book.f0_hz
     assert loaded.digest == book.digest
-    assert loaded.angles_deg() == [5.0, 10.0]
+    assert [e.angle_deg for e in loaded.entries] == [5.0, 10.0]
     for got, want in zip(loaded.entries, sorted(book.entries, key=lambda e: e.angle_mdeg)):
         assert got.angle_mdeg == want.angle_mdeg
         assert got.phi == want.phi

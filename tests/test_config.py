@@ -6,8 +6,8 @@ import pytest
 from tmems.config import (
     ConfigError,
     RunConfig,
+    _DEFAULTS,
     apply_overrides,
-    default_config,
     load_config,
     parse_config,
 )
@@ -19,7 +19,7 @@ from tmems.synthesis import PsoConfig
 
 def test_pure_defaults():
     cfg = load_config(None)
-    assert cfg.resolved == default_config()
+    assert cfg.resolved == _DEFAULTS
     sc = cfg.scenario()
     geom = sc.geometry
     assert (geom.rows, geom.cols) == (10, 10)
@@ -107,7 +107,7 @@ def test_angle_list_validation():
     assert cfg.candidates_deg == [0.0, 89.999]
 
 
-def test_gamma_entry_forms():
+def test_gamma_entry_forms(tmp_path):
     cfg = parse_config({"states": {"gamma_on": 0.8, "gamma_off": [-0.6, -0.2]}})
     st = cfg.scenario().states
     assert np.array_equal(st.gamma_on, 0.8 * np.eye(2))
@@ -121,6 +121,21 @@ def test_gamma_entry_forms():
         parse_config({"states": {"gamma_on": [[0.1], [0.2]]}})
     with pytest.raises(ConfigError, match=r"\[real, imaginary\] pair of numbers"):
         parse_config({"states": {"gamma_on": [[[0.1, 0.0], "x"], [[0.0, 0.0], [0.1, 0.0]]]}})
+    # every form rejects a non-finite part and names the key; past the parse
+    # it would fail deep in the run, in a message that names no key
+    for key in ("gamma_on", "gamma_off"):
+        for bad in (".inf", "-.inf", ".nan"):
+            path = tmp_path / "run.yaml"
+            path.write_text(f"states:\n  {key}: {bad}\n")
+            with pytest.raises(ConfigError, match=rf"'states\.{key}' must be finite"):
+                load_config(str(path))
+    nan = float("nan")
+    for value in ([0.5, nan], [float("inf"), 0.0]):
+        with pytest.raises(ConfigError, match=r"'states\.gamma_on' must be finite"):
+            parse_config({"states": {"gamma_on": value}})
+    full = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, nan]]]
+    with pytest.raises(ConfigError, match=r"'states\.gamma_off\[1\]\[1\]' must be finite"):
+        parse_config({"states": {"gamma_off": full}})
 
 
 def test_non_passive_states_rejected_at_parse_time():

@@ -69,7 +69,7 @@ def per_value_pattern_csv(path, pattern, reference):
     for the file format."""
     grid = pattern.grid
     power = pattern.power
-    db = power_db(power, reference, floor_db=DB_FLOOR)
+    db = power_db(power, reference)
     vis = grid.visible
     lines = [
         f"# harmonic: {pattern.harmonic}",

@@ -188,6 +188,10 @@ def test_incidence_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="amplitude"):
             PlaneWaveIncidence(theta_deg=10.0, amplitude_v_m=bad)
+    # a NaN norm fails no norm test, so finiteness is checked first
+    for jones in ((np.nan, 0.0), (1.0, complex(0.0, np.inf)), (complex(np.nan, 0.0), 1.0)):
+        with pytest.raises(ValueError, match="jones vector must be finite"):
+            PlaneWaveIncidence(theta_deg=10.0, jones=jones)
 
 
 def test_direction_grid():

@@ -52,6 +52,8 @@ def test_scenario_validation(fast_scenario):
         fast_scenario(phi_inc_deg=np.nan)
     with pytest.raises(ValueError, match="amplitude"):
         fast_scenario(amplitude_v_m=np.inf)
+    with pytest.raises(ValueError, match="jones vector must be finite"):
+        fast_scenario(jones=(np.nan, 0.0))
     with pytest.raises(ValueError, match="reflection angle"):
         fast_scenario(theta_refl_deg=90.0)
     with pytest.raises(ValueError, match="incidence angle"):
@@ -104,12 +106,13 @@ def test_noise_power_floors_the_ratio(fast_scenario, rng):
 
 
 def test_measure_accepts_explicit_incidence(fast_scenario, rng):
+    # the incidence is the scenario's own: moving it moves the ratio
     sc = fast_scenario()
     sched = random_schedule(rng, 6, 6, period_s=sc.period_s)
     default = measure_bs_ratio(sc, sched)
-    same = measure_bs_ratio(sc, sched, incidence=sc.incidence())
-    other = measure_bs_ratio(sc, sched, incidence=sc.incidence(10.0))
-    assert same.xi == default.xi
+    same = measure_bs_ratio(replace(sc, theta_inc_deg=sc.theta_inc_deg), sched)
+    other = measure_bs_ratio(replace(sc, theta_inc_deg=10.0), sched)
+    assert same == default
     assert other.xi != default.xi
 
 
@@ -311,7 +314,7 @@ def test_build_codebook_and_warm_cold_equivalence(fast_scenario):
     sc = fast_scenario(mode=ControlMode.COLWISE_DELTA, iterations=10)
     master, repeats = 7, 1
     book = build_codebook(sc, [40.0, 20.0], master, repeats=repeats)
-    assert book.angles_deg() == [20.0, 40.0]  # sorted on build
+    assert [e.angle_deg for e in book.entries] == [20.0, 40.0]  # sorted on build
     assert book.digest == codebook_digest(sc, master, repeats)
     warm = localize(sc, [20.0, 40.0], master, repeats=repeats, codebook=book)
     cold = localize(sc, [20.0, 40.0], master, repeats=repeats)

@@ -191,6 +191,20 @@ def test_mask_validation_errors():
     # boxes fall outside the main box
     with pytest.raises(ValueError, match="lower bound exceeds"):
         masks_at(grid, 0.0, main_halfwidth_u=0.05, lobe_floor_db=-2.0)
+    # MaskParams itself rejects each bad field: a NaN sidelobe ceiling would
+    # make the cost skip it, a NaN null depth would make phi NaN
+    levels = ("sidelobe_db", "peak_floor_db", "ripple_db", "null_depth_db", "lobe_floor_db")
+    widths = ("main_halfwidth_u", "main_halfwidth_v", "lobe_offset_u", "lobe_halfwidth_u",
+              "lobe_halfwidth_v", "null_halfwidth_u", "null_halfwidth_v")
+    scales = ("shoulder_scale", "flank_scale")
+    margins = ("shoulder_margin_db", "flank_margin_db")
+    cases = ([(name, bad) for name in levels for bad in (np.nan, np.inf, -np.inf)]
+             + [(name, bad) for name in widths + scales for bad in (np.nan, np.inf, 0.0, -0.1)]
+             + [(name, bad) for name in margins for bad in (np.nan, np.inf, -0.1)])
+    for name, bad in cases:
+        with pytest.raises(ValueError, match=name):
+            MaskParams(**{name: bad})
+    MaskParams(shoulder_margin_db=0.0, flank_margin_db=0.0)  # the edge stays allowed
 
 
 def test_optional_notch_box():

@@ -11,7 +11,6 @@ from tmems.modulation import (
     PulseSchedule,
     ReflectionStates,
     check_delta_applicable,
-    harmonic_scalar_coefficients,
     harmonic_tensors,
     mirror_rise,
     pulse_fourier_coefficients,
@@ -136,31 +135,36 @@ def test_harmonic_reflection_tensor_ideal():
 
 
 def test_harmonic_tensor_general_states(rng):
-    # tensor path must agree with the definition gamma_on*u + gamma_off*(d_h0 - u)
+    # tensor path must agree with the definition gamma_on*u + gamma_off*(d_h0 - u),
+    # for random tensors and for the ideal +/-I pair, where it is (2u - d_h0) I
+    # with off-diagonal terms of exactly 0
     on = 0.5 * (rng.random((2, 2)) + 1j * rng.random((2, 2)))
     off = 0.5 * (rng.random((2, 2)) + 1j * rng.random((2, 2)))
-    states = ReflectionStates(gamma_on=on, gamma_off=off)
     sched = PulseSchedule(period_s=1e-6, rise=rng.random((3, 2)), duty=rng.random((3, 2)))
-    for h in (0, 1, 3):
-        u = sched.fourier_coefficients(h)
-        want = (u[..., None, None] * states.gamma_on
-                + ((1.0 if h == 0 else 0.0) - u)[..., None, None] * states.gamma_off)
-        assert np.allclose(harmonic_tensors(states, sched, h), want, atol=1e-15)
-
-
-def test_scalar_coefficients_match_tensor_diagonal(rng):
-    rise, duty = rng.random(10), rng.random(10)
-    for h in (0, 1, 2):
-        scal = harmonic_scalar_coefficients(rise, duty, h, 1.0 + 0j, -1.0 + 0j)
-        for i in (0, 4, 9):
-            tens = one_cell_tensor(ReflectionStates.ideal(), rise[i], duty[i], h)
-            assert abs(tens[0, 0] - scal[i]) < 1e-15
-            assert tens[0, 1] == 0.0
+    ideal = ReflectionStates.ideal()
+    for states in (ReflectionStates(gamma_on=on, gamma_off=off), ideal):
+        for h in (0, 1, 2, 3):
+            u = sched.fourier_coefficients(h)
+            delta = 1.0 if h == 0 else 0.0
+            want = (u[..., None, None] * states.gamma_on
+                    + (delta - u)[..., None, None] * states.gamma_off)
+            got = harmonic_tensors(states, sched, h)
+            assert np.allclose(got, want, atol=1e-15)
+            if states is ideal:
+                assert np.all(np.abs(got[..., 0, 0] - (2.0 * u - delta)) < 1e-15)
+                assert np.all(got[..., 0, 1] == 0.0) and np.all(got[..., 1, 0] == 0.0)
 
 
 def test_reflection_states_validation():
     with pytest.raises(ValueError, match="passive"):
         ReflectionStates(gamma_on=1.5 * np.eye(2), gamma_off=-np.eye(2))
+    # diag(inf) has NaN singular values, which no passivity test rejects
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="gamma_off entries must be finite"):
+            ReflectionStates(gamma_on=np.eye(2), gamma_off=np.diag([bad, bad]))
+    with pytest.raises(ValueError, match="gamma_on entries must be finite"):
+        ReflectionStates(gamma_on=np.array([[0.5, 0.0], [complex(0.0, np.nan), 0.5]]),
+                         gamma_off=-np.eye(2))
     with pytest.raises(ValueError, match="2x2"):
         ReflectionStates(gamma_on=np.eye(3), gamma_off=-np.eye(3))
     ideal = ReflectionStates.ideal()

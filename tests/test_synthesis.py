@@ -28,19 +28,11 @@ from tmems.synthesis import (
     PsoConfig,
     _wrap_unit,
     conjugate_guess,
-    minimize,
     minimize_swarms,
     pso_optimize,
-    ramp,
 )
 
 from conftest import random_schedule
-
-
-def test_ramp():
-    assert ramp(-3.0) == 0.0
-    assert ramp(2.5) == 2.5
-    np.testing.assert_array_equal(ramp(np.array([-1.0, 0.0, 4.0])), [0.0, 0.0, 4.0])
 
 
 def upper_only_masks(geom, inc, grid, upper):
@@ -71,7 +63,7 @@ def test_phi_single_violation_equals_weighted_overshoot(rng, ideal):
     upper = np.full((2, nu, nv), np.inf)
     upper[0, iu, iv] = p0[iu, iv] - 2.0  # overshoot of exactly 2 in power
     ev = CostEvaluator(geom, ideal, inc, upper_only_masks(geom, inc, grid, upper), sched.period_s)
-    # one node, one harmonic: phi = cell_weight * ramp(P - upper) = 0.01 * 2
+    # one node, one harmonic: phi = cell_weight * (P - upper) = 0.01 * 2
     assert grid.cell_weight == pytest.approx(0.01)
     assert ev.phi(sched) == pytest.approx(0.02, rel=1e-9)
 
@@ -283,13 +275,13 @@ def dense_phi(ev, rises, duties, mode):
         cost, hit = 0.0, 0
         for h in (0, 1):
             p = engine.pattern(sched, ev.states, ev.incidence, h).power
-            over = np.where(vis, ramp(p - m.upper[h]), 0.0)
+            over = np.where(vis, np.maximum(p - m.upper[h], 0.0), 0.0)
             hit += int(np.count_nonzero(over.any(axis=1)))
-            cost += w * (over.sum() + np.where(vis, ramp(m.lower[h] - p), 0.0).sum())
+            cost += w * (over.sum() + np.where(vis, np.maximum(m.lower[h] - p, 0.0), 0.0).sum())
             e = engine.field_at(u, v, sched, ev.states, ev.incidence, h)
             pa = np.sum(np.abs(e) ** 2, axis=1)
-            cost += ev.anchor_weight * np.sum(ramp(pa - m.anchor_upper[h])
-                                              + ramp(m.anchor_lower[h] - pa))
+            cost += ev.anchor_weight * np.sum(np.maximum(pa - m.anchor_upper[h], 0.0)
+                                              + np.maximum(m.anchor_lower[h] - pa, 0.0))
         costs.append(cost)
         rows_hit.append(hit)
     return np.array(costs), np.array(rows_hit)
@@ -595,7 +587,7 @@ def test_nan_point_terms_still_raise(fast_scenario, monkeypatch):
 
     monkeypatch.setattr(synthesis, "pulse_fourier_coefficients", poisoned)
     sc = fast_scenario(iterations=5)
-    with pytest.raises(ValueError, match=r"non-finite cost \S*nan\S* for particle 2"):
+    with pytest.raises(ValueError, match=r"non-finite cost nan for particle 2"):
         pso_optimize([sc.evaluator()], sc.mode, sc.pso)
     assert len(calls) == 2
 
@@ -657,8 +649,17 @@ def sphere(x):
     return np.sum((2.0 * np.asarray(x) - 1.0) ** 2, axis=1)
 
 
+def one_swarm(objective, dim, config, wrap_mask=None, init=None):
+    """minimize_swarms on one design with one seed, config.seed, and a
+    start row init; objective scores (swarm, dim) positions alone."""
+    [[res]] = minimize_swarms(lambda x, designs, limit: objective(x), dim, config,
+                              [(config.seed,)], wrap_mask,
+                              None if init is None else np.asarray(init)[None])
+    return res
+
+
 def test_pso_solves_sphere():
-    res = minimize(sphere, 10, PsoConfig(seed=3))
+    res = one_swarm(sphere, 10, PsoConfig(seed=3))
     assert res.best_value < 1e-3
     assert res.best_x.shape == (10,)
     assert np.all(np.abs(res.best_x - 0.5) < 0.05)
@@ -666,16 +667,16 @@ def test_pso_solves_sphere():
 
 def test_pso_deterministic():
     cfg = PsoConfig(swarm_size=12, iterations=60, seed=11, stagnation_window=0)
-    a = minimize(sphere, 6, cfg)
-    b = minimize(sphere, 6, cfg)
+    a = one_swarm(sphere, 6, cfg)
+    b = one_swarm(sphere, 6, cfg)
     assert np.array_equal(a.best_x, b.best_x)
     assert a.best_value == b.best_value
     assert np.array_equal(a.history, b.history)
 
 
 def _minimize_per_particle(objective, dim, config, wrap_mask, init=None):
-    """The earlier minimize, updating one particle at a time with two
-    rng.random(dim) draws each; kept as the reference for the array update."""
+    """One swarm updated one particle at a time with two rng.random(dim)
+    draws each: the reference for minimize_swarms' array update."""
     wrap_mask = np.asarray(wrap_mask, dtype=bool)
     reflect_mask = ~wrap_mask
     rng = np.random.default_rng(config.seed)
@@ -750,7 +751,7 @@ def test_pso_array_update_matches_per_particle_loop(seed):
 
     cfg = PsoConfig(swarm_size=7, iterations=120, seed=seed, stagnation_window=40)
     init = np.full(dim, 0.3) if seed % 2 else None
-    res = minimize(objective, dim, cfg, wrap_mask=wrap, init=init)
+    res = one_swarm(objective, dim, cfg, wrap_mask=wrap, init=init)
     best_x, history = _minimize_per_particle(objective, dim, cfg, wrap, init=init)
     assert np.array_equal(res.best_x, best_x)
     assert np.array_equal(res.history, history)
@@ -767,7 +768,7 @@ def test_pso_update_rounds_as_the_per_particle_loop():
     def objective(x):
         return np.sum(np.abs(x - np.linspace(0.1, 0.9, dim)), axis=1)
 
-    res = minimize(objective, dim, cfg, wrap_mask=wrap)
+    res = one_swarm(objective, dim, cfg, wrap_mask=wrap)
     best_x, history = _minimize_per_particle(objective, dim, cfg, wrap)
     assert np.array_equal(res.best_x, best_x)
     assert np.array_equal(res.history, history)
@@ -797,12 +798,12 @@ def test_torus_wrap_stays_below_one():
         return np.zeros(x.shape[0]) + 1.0
 
     cfg = PsoConfig(swarm_size=3, iterations=2, seed=1, stagnation_window=0)
-    minimize(record, 2, cfg, wrap_mask=np.array([True, False]),
-             init=np.array([0.3 - np.nextafter(0.3, 1.0), 0.5]))
+    one_swarm(record, 2, cfg, wrap_mask=np.array([True, False]),
+              init=np.array([0.3 - np.nextafter(0.3, 1.0), 0.5]))
     assert seen[0][0, 0] == 0.0
     assert all(np.all((x[:, 0] >= 0.0) & (x[:, 0] < 1.0)) for x in seen)
     with pytest.raises(ValueError, match="periodic coordinates must come first"):
-        minimize(record, 2, cfg, wrap_mask=np.array([False, True]))
+        one_swarm(record, 2, cfg, wrap_mask=np.array([False, True]))
 
 
 def test_pso_optimize_scores_each_swarm_in_one_call(monkeypatch):
@@ -914,8 +915,8 @@ def test_minimize_swarms_equal_separate_runs():
         runs = minimize_swarms(both, dim, cfg, seeds, wrap_mask=wrap, init=init)
         for d, (f, design_seeds) in enumerate(zip(objectives, seeds)):
             for seed, got in zip(design_seeds, runs[d]):
-                want = minimize(f, dim, replace(cfg, seed=seed), wrap_mask=wrap,
-                                init=None if init is None else init[d])
+                want = one_swarm(f, dim, replace(cfg, seed=seed), wrap_mask=wrap,
+                                 init=None if init is None else init[d])
                 assert np.array_equal(got.best_x, want.best_x)
                 assert got.best_value == want.best_value
                 assert np.array_equal(got.history, want.history)
@@ -978,7 +979,7 @@ def test_minimize_swarms_scores_only_the_running_swarms():
 
 def test_pso_history_monotone_and_initial_entry():
     cfg = PsoConfig(swarm_size=9, iterations=40, seed=5, stagnation_window=0)
-    res = minimize(sphere, 4, cfg)
+    res = one_swarm(sphere, 4, cfg)
     assert np.all(np.diff(res.history) <= 0.0)
     assert res.history.size == 41 and res.iterations == 40
     # entry 0 is the best cost of the freshly drawn swarm
@@ -987,23 +988,23 @@ def test_pso_history_monotone_and_initial_entry():
 
 
 def test_pso_stops_on_zero_cost():
-    res = minimize(lambda x: np.zeros(x.shape[0]), 3,
-                   PsoConfig(swarm_size=4, iterations=50, seed=1))
+    res = one_swarm(lambda x: np.zeros(x.shape[0]), 3,
+                    PsoConfig(swarm_size=4, iterations=50, seed=1))
     assert res.stop_reason == "zero_cost"
     assert res.iterations == 1
     assert res.best_value == 0.0
 
 
 def test_pso_stops_on_stagnation():
-    res = minimize(lambda x: np.ones(x.shape[0]), 3,
-                   PsoConfig(swarm_size=4, iterations=500, seed=1, stagnation_window=10))
+    res = one_swarm(lambda x: np.ones(x.shape[0]), 3,
+                    PsoConfig(swarm_size=4, iterations=500, seed=1, stagnation_window=10))
     assert res.stop_reason == "stagnation"
     assert res.iterations == 10
 
 
 def test_pso_runs_out_of_iterations():
-    res = minimize(sphere, 4, PsoConfig(swarm_size=4, iterations=3, seed=2,
-                                        stagnation_window=0))
+    res = one_swarm(sphere, 4, PsoConfig(swarm_size=4, iterations=3, seed=2,
+                                         stagnation_window=0))
     assert res.stop_reason == "max_iterations"
     assert res.iterations == 3
 
@@ -1014,19 +1015,19 @@ def test_pso_rejects_non_finite_costs():
         f[2] = np.nan
         return f
 
-    with pytest.raises(ValueError, match="particle 2"):
-        minimize(bad, 3, PsoConfig(swarm_size=5, iterations=2, seed=0))
+    with pytest.raises(ValueError, match=r"^non-finite cost nan for particle 2$"):
+        one_swarm(bad, 3, PsoConfig(swarm_size=5, iterations=2, seed=0))
     with pytest.raises(ValueError, match="one value per particle"):
-        minimize(lambda x: np.zeros(x.shape[0] + 1), 3,
-                 PsoConfig(swarm_size=5, iterations=1, seed=0))
+        one_swarm(lambda x: np.zeros(x.shape[0] + 1), 3,
+                  PsoConfig(swarm_size=5, iterations=1, seed=0))
 
 
 def test_pso_init_injection():
     cfg = PsoConfig(swarm_size=6, iterations=0, seed=9)
-    with pytest.raises(ValueError, match=r"init must have shape \(5,\)"):
-        minimize(sphere, 5, cfg, init=np.zeros(4))
+    with pytest.raises(ValueError, match=r"init must have shape \(1, 5\)"):
+        one_swarm(sphere, 5, cfg, init=np.zeros(4))
     # an exact optimum placed on particle 0 survives as the reported best
-    res = minimize(sphere, 5, cfg, init=np.full(5, 0.5))
+    res = one_swarm(sphere, 5, cfg, init=np.full(5, 0.5))
     assert res.best_value == 0.0
     assert np.array_equal(res.best_x, np.full(5, 0.5))
 
@@ -1039,10 +1040,10 @@ def test_pso_init_consumes_no_draws():
         return sphere(x)
 
     cfg = PsoConfig(swarm_size=6, iterations=1, seed=9, stagnation_window=0)
-    minimize(record, 5, cfg)
+    one_swarm(record, 5, cfg)
     plain_x0, plain_x1 = seen
     seen.clear()
-    minimize(record, 5, cfg, init=np.full(5, 0.25))
+    one_swarm(record, 5, cfg, init=np.full(5, 0.25))
     init_x0, _ = seen
     # particle 0 was replaced by the init; the rest of the swarm is untouched
     assert np.array_equal(init_x0[1:], plain_x0[1:])
@@ -1067,7 +1068,7 @@ def test_pso_config_validation():
         with pytest.raises(ValueError, match="velocity_clamp"):
             PsoConfig(velocity_clamp=bad)
     with pytest.raises(ValueError, match="empty"):
-        minimize(sphere, 0, PsoConfig())
+        one_swarm(sphere, 0, PsoConfig())
 
 
 def test_mode_codec_dims_and_wrap():
