@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import EmsGeometry
+from .geometry import EmsGeometry, check_integer
 from .modulation import PulseSchedule, ReflectionStates
 
 # Ratio floor in squared-field units: keeps the monopulse ratio finite when a
@@ -151,6 +151,8 @@ class DirectionGrid:
             a = np.array(getattr(self, name), dtype=float)
             if a.ndim != 1 or a.size < 2:
                 raise ValueError(f"grid {name} axis needs at least 2 samples")
+            if not np.isfinite(a).all():
+                raise ValueError(f"grid {name} axis must be finite")
             steps = np.diff(a)
             if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-12):
                 raise ValueError(f"grid {name} axis must be strictly increasing and uniform")
@@ -160,8 +162,7 @@ class DirectionGrid:
     @classmethod
     def uniform(cls, n: int) -> "DirectionGrid":
         """n x n grid spanning [-1, 1] on both axes (odd n includes 0)."""
-        if n < 2:
-            raise ValueError("grid resolution must be >= 2")
+        check_integer("grid resolution", n, 2)
         axis = np.linspace(-1.0, 1.0, n)
         return cls(u=axis, v=axis)
 

@@ -15,6 +15,13 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0
 
 
+def check_integer(name: str, value, low: int) -> None:
+    """Raise ValueError unless value is an int or a numpy integer, not a
+    bool, of at least low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EmsGeometry:
     """Rectangular lattice of square cells plus the carrier that sizes them."""
@@ -25,8 +32,8 @@ class EmsGeometry:
     f0_hz: float = 5.5e9
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("geometry: rows and cols must be >= 1")
+        check_integer("geometry: rows", self.rows, 1)
+        check_integer("geometry: cols", self.cols, 1)
         if not (0.0 < self.cell_size_wl < np.inf):
             raise ValueError("geometry: cell_size_wl must be positive and finite")
         if not (0.0 < self.f0_hz < np.inf):

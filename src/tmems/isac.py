@@ -30,7 +30,7 @@ from .fields import (
     PlaneWaveIncidence,
     ratio_from_powers,
 )
-from .geometry import EmsGeometry
+from .geometry import EmsGeometry, check_integer
 from .masks import MaskParams, build_masks, reference_power
 from .modulation import ControlMode, PulseSchedule, ReflectionStates, check_delta_applicable
 from .synthesis import CostEvaluator, PsoConfig, SynthesisResult, pso_optimize
@@ -68,8 +68,7 @@ class Scenario:
         if not (0.0 <= self.theta_inc_deg < 90.0):
             raise ValueError("incidence angle must lie in [0, 90) degrees")
         self.incidence()  # rejects a non-finite phi, amplitude or a bad Jones vector
-        if self.synth_grid_n < 2:
-            raise ValueError("synthesis grid needs at least 2 nodes per axis")
+        check_integer("synth_grid_n", self.synth_grid_n, 2)
         if self.mode.mirrored:
             check_delta_applicable(self.geometry.rows)
 

@@ -120,9 +120,9 @@ def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence, beam_u:
 
     # The apex offset moves smoothly and monotonically with the steer inside
     # one lobe width: scan for a sign change, then zoom in on it with its ends,
-    # two even steps and the secant root (few points: numpy holds the
-    # interpreter lock through ops of up to 500 elements). Lobes below half the
-    # tallest have collapsed (a beam merging with its mirror) and are dropped.
+    # two even steps and the secant root, a few points per zoom step. Lobes
+    # below half the tallest have collapsed (a beam merging with its mirror)
+    # and are dropped.
     s = beam_u + np.linspace(-0.5, 0.5, 21) * fn
     f, pk = scan(s)
     if np.isnan(f).all():

@@ -9,7 +9,6 @@ and 1.
 
 import copy
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import PlaneWaveIncidence, state_sources, steering_factors
-from .geometry import EmsGeometry
+from .geometry import EmsGeometry, check_integer
 from .masks import MaskSet
 from .modulation import (
     ControlMode,
@@ -39,28 +38,6 @@ BOUND_SLACK = 1e-9
 # columns of a block) unless one design alone has more: so the buffers of a
 # call on many designs in a mode with many columns stay those of one pass.
 PASS_COLUMNS = 512
-
-
-class _Workspace(threading.local):
-    """The calling thread's phi_batch buffers, shared by every evaluator:
-    flat arrays, one per name, that only grow. view(name, shape, dtype)
-    shapes the leading part of one, so every view is C-contiguous; a name
-    is taken again only once its last view is spent. release() drops the
-    thread's buffers, which otherwise live as long as the thread."""
-
-    def view(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        n = math.prod(shape)
-        buf = getattr(self, name, None)
-        if buf is None or buf.size < n:
-            buf = np.empty(n, dtype=dtype)
-            setattr(self, name, buf)
-        return buf[:n].reshape(shape)
-
-    def release(self) -> None:
-        self.__dict__.clear()
-
-
-_WORKSPACE = _Workspace()
 
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -189,11 +166,11 @@ class CostEvaluator:
     designs that have as many point nodes, never padded.
 
     The bounds, weights and factors are never mutated after construction
-    (a mode's fold is added at its first call), and a call writes only into
-    buffers private to the calling thread (one set per thread, shared by
-    every evaluator, grown to the largest pass it has scored), so one
-    instance may be shared across threads, and once warm a call allocates
-    little more than its blocks' Fourier coefficients.
+    (a mode's fold is added at its first call). A call writes into the
+    evaluator's own scratch buffers, grown to the largest pass it has
+    scored (_view), so an evaluator is used by one thread at a time, and
+    once warm a call allocates little more than its blocks' Fourier
+    coefficients.
     """
 
     def __init__(self, geometry: EmsGeometry, states: ReflectionStates,
@@ -266,6 +243,7 @@ class CostEvaluator:
               for idx in nodes]
         self._factors = (rows_g, cols_g, nu, nv, uv)
         self._folds = {}
+        self._buffers = {}
 
     @staticmethod
     def stack(evaluators: Sequence["CostEvaluator"], mode: ControlMode) -> "CostEvaluator":
@@ -290,7 +268,18 @@ class CostEvaluator:
         stacked._point_groups = _group_points(stacked._point_bounds)
         stacked._factors = None
         stacked._folds = {mode: _Fold.stack([ev._fold(mode) for ev in evaluators])}
+        stacked._buffers = {}
         return stacked
+
+    def _view(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """The leading part of the scratch buffer name, a flat array that
+        only grows, shaped so that it is C-contiguous; a name is taken again
+        only once its last view is spent."""
+        n = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < n:
+            buf = self._buffers[name] = np.empty(n, dtype=dtype)
+        return buf[:n].reshape(shape)
 
     def _fold(self, mode: ControlMode) -> _Fold:
         """The mode's fold, built at its first use; a stack holds one."""
@@ -405,7 +394,7 @@ class CostEvaluator:
                     continue
                 rows = np.concatenate([np.arange(lo, hi) for _, lo, hi in live])
                 local, n = np.searchsorted(members, designs[rows]), rows.size
-            f = _WORKSPACE.view("points", (n, bounds.shape[2]), complex)
+            f = self._view("points", (n, bounds.shape[2]), complex)
             at = 0
             for e, lo, hi in live:
                 _matmul_rows(blocks[lo:hi], fold.points[h][e], f[at:at + hi - lo])
@@ -426,20 +415,20 @@ class CostEvaluator:
         batch = len(total)
         nu, nv = self.grid.shape
         q = fold.shape[1]
-        ws = _WORKSPACE
+        view = self._view
         blocks = coef.transpose(0, 2, 1).reshape(batch * q, -1)
-        t = ws.view("t", (batch * q, nu), complex)
+        t = view("t", (batch * q, nu), complex)
         for e, lo, hi in spans:
             _matmul_rows(blocks[lo * q:hi * q], fold.left_t[h][e], t[lo * q:hi * q])
         t = t.reshape(batch, q, nu)
-        size = np.abs(t, out=ws.view("size", (batch, q, nu)))
+        size = np.abs(t, out=view("size", (batch, q, nu)))
         bound = np.empty((batch, nu))
         for e, lo, hi in spans:
             np.matmul(fold.r_max[e], size[lo:hi], out=bound[lo:hi])
         bound *= bound
         ceiling = self._row_ceiling[h]
         if len(ceiling) > 1:  # each block's row, into the spent buffer of |T|
-            ceiling = np.take(ceiling, designs, axis=0, out=ws.view("size", (batch, nu)),
+            ceiling = np.take(ceiling, designs, axis=0, out=view("size", (batch, nu)),
                               mode="clip")
         kk, uu = np.nonzero(bound > ceiling)
         n = kk.size
@@ -451,19 +440,19 @@ class CostEvaluator:
         else:
             cut = np.searchsorted(kk, start).tolist()
             pairs = [(e, cut[e], cut[e + 1]) for e, _, _ in spans if cut[e] < cut[e + 1]]
-        power = ws.view("power", (n, nv))
+        power = view("power", (n, nv))
         if q == 1:  # |T R|^2 = |T|^2 |R|^2 = bound |R|^2 / max |R|^2
             peak = bound[kk, uu][:, None]
             for e, a, b in pairs:
                 np.multiply(peak[a:b], fold.r_shape[e], out=power[a:b])
         else:
             x = t[kk, :, uu]  # each pair's row of T, (n, q)
-            f = ws.view("field", (n, nv), complex)
+            f = view("field", (n, nv), complex)
             for e, a, b in pairs:
                 _matmul_rows(x[a:b], fold.right_t[e], f[a:b])
             np.multiply(f.real, f.real, out=power)
-            power += np.square(f.imag, out=ws.view("scratch", (n, nv)))
-        upper = ws.view("scratch", (n, nv))
+            power += np.square(f.imag, out=view("scratch", (n, nv)))
+        upper = view("scratch", (n, nv))
         for e, a, b in pairs:
             np.take(self._grid_upper[e][h], uu[a:b], axis=0, out=upper[a:b], mode="clip")
         power -= upper
@@ -494,7 +483,9 @@ class ModeCodec:
     cols: int
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+        check_integer("codec rows", self.rows, 0)
+        check_integer("codec cols", self.cols, 0)
+        if self.rows == 0 or self.cols == 0:
             raise ValueError("empty search space")
         if self.mode.mirrored:
             check_delta_applicable(self.rows)
@@ -568,8 +559,8 @@ class PsoConfig:
     velocity_clamp: float = 0.5
 
     def __post_init__(self):
-        if self.swarm_size < 1 or self.iterations < 0 or self.stagnation_window < 0:
-            raise ValueError("swarm_size must be >= 1, iterations and stagnation_window >= 0")
+        for name, low in (("swarm_size", 1), ("iterations", 0), ("stagnation_window", 0)):
+            check_integer(name, getattr(self, name), low)
         # written so that NaN fails every range test
         for name in ("inertia", "cognitive", "social", "stagnation_rtol"):
             if not (0.0 <= getattr(self, name) < np.inf):
@@ -813,9 +804,9 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     of each evaluator, once per seed of that evaluator (seeds[i]; config.seed
     alone by default), every swarm of every evaluator in one loop
     (minimize_swarms); one list of SynthesisResults per evaluator, one per
-    seed in order. The evaluators share the geometry's size. When the search
-    ends, the calling thread's phi_batch buffers are dropped, and with them
-    the evaluators' stack.
+    seed in order. The evaluators share the geometry's size, and each is
+    used by one thread at a time. A stack of several evaluators lives as
+    long as the search, with its cost buffers.
 
     Each iteration scores the running swarms of every evaluator in one
     phi_batch call, on the evaluator itself when there is one and on a stack
@@ -842,12 +833,8 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
         rows = (np.repeat(designs, config.swarm_size),) if len(evaluators) > 1 else ()
         return stack.phi_batch(*codec.blocks(x), codec.mode, *rows, limit=limit)
 
-    try:
-        runs = minimize_swarms(objective, codec.dim, config, seeds, wrap_mask=codec.wrap_mask,
-                               init=init)
-    finally:
-        stack = None
-        _WORKSPACE.release()
+    runs = minimize_swarms(objective, codec.dim, config, seeds, wrap_mask=codec.wrap_mask,
+                           init=init)
     return [[SynthesisResult(schedule=codec.decode(res.best_x, ev.period_s), phi=res.best_value,
                              history=res.history, iterations=res.iterations,
                              stop_reason=res.stop_reason, seed=seed)

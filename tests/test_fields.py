@@ -207,6 +207,9 @@ def test_direction_grid():
         DirectionGrid(u=np.array([0.0, 0.1, 0.3]), v=np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="increasing"):
         DirectionGrid(u=np.array([1.0, 0.0]), v=np.array([0.0, 1.0]))
+    # inf - 0 and 0 - -inf are equal steps
+    with pytest.raises(ValueError, match="finite"):
+        DirectionGrid(u=np.array([-np.inf, 0.0, np.inf]), v=np.array([0.0, 1.0]))
 
 
 def test_power_helpers(geom4, ideal, rng):

@@ -1,9 +1,6 @@
 """Mask-violation cost, mode codecs, and the seeded particle-swarm search."""
 
-import sys
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -117,7 +114,7 @@ def test_warm_phi_batch_allocates_little():
              (columnwise_evaluator(), ControlMode.COLWISE_DELTA, (20, 5, 1)))
     for ev, mode, shape in cases:
         rises, duties = rng.random((2,) + shape)
-        want = ev.phi_batch(rises, duties, mode)  # warm-up builds this thread's buffers
+        want = ev.phi_batch(rises, duties, mode)  # warm-up builds the evaluator's buffers
         tracemalloc.start()
         try:
             got = ev.phi_batch(rises, duties, mode)
@@ -127,44 +124,6 @@ def test_warm_phi_batch_allocates_little():
         # one (64 x 64 x 20) complex temporary alone would be 1.3 MB
         assert peak < 256 * 1024
         assert np.array_equal(got, want)
-
-
-def test_shared_evaluator_is_thread_safe():
-    rng = np.random.default_rng(1)
-    # more threads than cores, each switching batch sizes: at times two score
-    # the same size at once, at times sizes that need different buffers
-    sizes = [(20, 7, 20, 1), (7, 20, 1, 20), (1, 20, 7, 7)]
-
-    def delta_or_full(n, i):
-        # delta and full blocks of one evaluator share a thread's buffers
-        mode = (ControlMode.DELTA, ControlMode.FULL)[i % 2]
-        return (*rng.random((2, n, 5 if mode.mirrored else 10, 10)), mode)
-
-    def colwise_delta(n, i):
-        return (*rng.random((2, n, 5, 1)), ControlMode.COLWISE_DELTA)
-
-    for ev, draw in ((beam_pair_evaluator(), delta_or_full),
-                     (columnwise_evaluator(), colwise_delta)):
-        jobs = [[draw(n, i) for i, n in enumerate(row)] for row in sizes]
-        want = [[ev.phi_batch(*call) for call in job] for job in jobs]
-        barrier = threading.Barrier(len(jobs), timeout=60)
-
-        def run(job):
-            barrier.wait()
-            return [[ev.phi_batch(*call) for call in job] for _ in range(6)]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-                futures = [pool.submit(run, job) for job in jobs]
-                got = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for rounds, expected in zip(got, want):
-            for costs in rounds:
-                for c, w in zip(costs, expected):
-                    assert np.array_equal(c, w)
 
 
 TENSOR_STATES = ReflectionStates(
@@ -876,13 +835,20 @@ def test_pso_optimize_equals_runs_alone_at_any_swarm_size(fast_scenario, mode):
 
 def test_pso_optimize_releases_the_cost_buffers(fast_scenario):
     # the CLI writes its patterns after the search, where the process peaks;
-    # the search's buffers must not be held there
+    # the search's buffers must not be held there: a search on several
+    # designs scores on a stack, whose buffers are its own and go with it
     sc = fast_scenario(iterations=5)
-    ev = sc.evaluator()
-    ev.phi_batch(*np.random.default_rng(0).random((2, 4, 3, 6)), ControlMode.DELTA)
-    assert vars(synthesis._WORKSPACE)
-    pso_optimize([ev], ControlMode.DELTA, sc.pso)
-    assert vars(synthesis._WORKSPACE) == {}
+    evaluators = [sc.evaluator(a) for a in (30.0, 40.0)]
+    pso_optimize(evaluators, ControlMode.DELTA, sc.pso)
+    assert [ev._buffers for ev in evaluators] == [{}, {}]
+    first = evaluators[0]
+    first.phi_batch(*np.random.default_rng(0).random((2, 4, 3, 6)), ControlMode.DELTA)
+    stack = CostEvaluator.stack(evaluators, ControlMode.DELTA)
+    assert first._buffers and stack._buffers == {}
+    stack.phi_batch(*np.random.default_rng(1).random((2, 4, 3, 6)), ControlMode.DELTA,
+                    np.array([0, 0, 1, 1]))
+    assert stack._buffers and stack._buffers is not first._buffers
+    assert all(a is not b for a in stack._buffers.values() for b in first._buffers.values())
 
 
 def test_minimize_swarms_equal_separate_runs():
@@ -1069,6 +1035,31 @@ def test_pso_config_validation():
             PsoConfig(velocity_clamp=bad)
     with pytest.raises(ValueError, match="empty"):
         one_swarm(sphere, 0, PsoConfig())
+
+
+SIZES = {
+    "geometry.rows": lambda n, make: EmsGeometry(rows=n, cols=4),
+    "geometry.cols": lambda n, make: EmsGeometry(rows=4, cols=n),
+    "pso.swarm_size": lambda n, make: PsoConfig(swarm_size=n),
+    "pso.iterations": lambda n, make: PsoConfig(iterations=n),
+    "pso.stagnation_window": lambda n, make: PsoConfig(stagnation_window=n),
+    "codec.rows": lambda n, make: ModeCodec(mode=ControlMode.FULL, rows=n, cols=4),
+    "codec.cols": lambda n, make: ModeCodec(mode=ControlMode.FULL, rows=4, cols=n),
+    "scenario.synth_grid_n": lambda n, make: make(synth_grid_n=n),
+    "grid.uniform": lambda n, make: DirectionGrid.uniform(n),
+}
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_sizes_must_be_integers(size, fast_scenario):
+    build = SIZES[size]
+    # NaN is below no bound, so only the type check stops it (a NaN
+    # stagnation_window would turn the stagnation stop off)
+    for bad in (2.5, 4.0, np.nan, True, "4"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(bad, fast_scenario)
+    build(np.int64(4), fast_scenario)
+    build(4, fast_scenario)
 
 
 def test_mode_codec_dims_and_wrap():
