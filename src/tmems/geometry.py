@@ -15,11 +15,13 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0
 
 
-def check_integer(name: str, value, low: int) -> None:
+def check_integer(name: str, value, low: int, high: float = np.inf) -> None:
     """Raise ValueError unless value is an int or a numpy integer, not a
-    bool, of at least low."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    bool, in [low, high]."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not low <= value <= high):
+        span = f">= {low}" if high == np.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
 @dataclass(frozen=True)

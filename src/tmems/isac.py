@@ -38,6 +38,7 @@ from .synthesis import CostEvaluator, PsoConfig, SynthesisResult, pso_optimize
 
 def derive_seed(master_seed: int, angle_deg: float, rep: int) -> int:
     """Stable per-design RNG seed, independent of evaluation order."""
+    check_integer("master_seed", master_seed, 0, 2**64 - 1)
     key = f"{int(master_seed)}:{to_mdeg(angle_deg)}:{int(rep)}"
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
@@ -82,9 +83,9 @@ class Scenario:
     def reference(self) -> float:
         return reference_power(self.geometry, self.amplitude_v_m)
 
-    def incidence(self, theta_deg: Optional[float] = None) -> PlaneWaveIncidence:
+    def incidence(self) -> PlaneWaveIncidence:
         return PlaneWaveIncidence(
-            theta_deg=self.theta_inc_deg if theta_deg is None else float(theta_deg),
+            theta_deg=self.theta_inc_deg,
             phi_deg=self.phi_inc_deg,
             amplitude_v_m=self.amplitude_v_m,
             jones=self.jones,
@@ -93,9 +94,9 @@ class Scenario:
     def synth_grid(self) -> DirectionGrid:
         return DirectionGrid.uniform(self.synth_grid_n)
 
-    def evaluator(self, design_theta_deg: Optional[float] = None) -> CostEvaluator:
-        """Cost evaluator with masks steered for the given assumed incidence."""
-        incidence = self.incidence(design_theta_deg)
+    def evaluator(self) -> CostEvaluator:
+        """Cost evaluator with masks steered for the scenario's incidence."""
+        incidence = self.incidence()
         masks = build_masks(self.synth_grid(), self.geometry, incidence, self.states, self.mask,
                             self.bs_u, self.mode.columnwise)
         return CostEvaluator(self.geometry, self.states, incidence, masks, self.period_s)
@@ -125,6 +126,7 @@ def _matrix_payload(m: np.ndarray) -> list:
 
 
 def codebook_digest(scenario: Scenario, master_seed: int, repeats: int) -> bytes:
+    check_integer("master_seed", master_seed, 0, 2**64 - 1)
     payload = dict(scenario.digest_payload())
     payload["master_seed"] = int(master_seed)
     payload["repeats"] = int(repeats)
@@ -274,9 +276,9 @@ def localize(scenario: Scenario, candidates_deg: Sequence[float], master_seed: i
         g = scenario.geometry
         if (codebook.mode, codebook.rows, codebook.cols) != (scenario.mode, g.rows, g.cols):
             raise ValueError("codebook geometry or mode does not match the scenario")
-        if codebook.seed != int(master_seed):
+        expected = codebook_digest(scenario, master_seed, repeats)  # checks the seed
+        if codebook.seed != master_seed:
             raise ValueError("codebook was built with a different master seed")
-        expected = codebook_digest(scenario, master_seed, repeats)
         if codebook.digest != expected:
             raise ValueError("codebook scenario digest mismatch; rebuild it")
 

@@ -63,14 +63,12 @@ class _Fold:
     L_h C R^T with L_h = A_u diag(g_x) R_h (n, p) and R = A_v diag(g_y) E
     (n, q), and a node's row is the outer product of its rows of L_h and R.
 
-    Every table has a leading design axis, of length 1 for one evaluator's
-    design (see CostEvaluator.stack). left_t[h][e] is L_h^T on the grid's u
-    (p, nu) and right_t[e] R^T on the grid's v (q, nv); r_max[e] (q,) holds
-    the largest |R| of each column there, and r_shape[e] (nv,) is
-    (|R| / max |R|)^2 of the first column, for q = 1. points[h][e] (p * q,
-    n_points) holds the rows of harmonic h's point nodes as columns, cells of
-    the block row-major; points gives each node by its (u, v) rows of rows_g
-    and cols_g.
+    left_t[h] is L_h^T on the grid's u (p, nu) and right_t R^T on the
+    grid's v (q, nv); r_max (q,) holds the largest |R| of each column there,
+    and r_shape (nv,) is (|R| / max |R|)^2 of the first column, for q = 1.
+    points[h] (p * q, n_points) holds the rows of harmonic h's point nodes
+    as columns, cells of the block row-major; points gives each node by its
+    (u, v) rows of rows_g and cols_g.
     """
 
     def __init__(self, mode: ControlMode, rows_g: np.ndarray, cols_g: np.ndarray,
@@ -84,37 +82,26 @@ class _Fold:
         else:
             left = (rows_g, rows_g)
         self.shape = (left[0].shape[1], right.shape[1])
-        self.left_t = tuple(np.ascontiguousarray(x[:nu].T)[None] for x in left)
-        self.right_t = np.ascontiguousarray(right[:nv].T)[None]
-        self.r_max = np.abs(right[:nv]).max(axis=0)[None]
-        self.r_shape = (np.abs(right[:nv, 0]) / self.r_max[0, 0])[None]**2
+        self.left_t = tuple(np.ascontiguousarray(x[:nu].T) for x in left)
+        self.right_t = np.ascontiguousarray(right[:nv].T)
+        self.r_max = np.abs(right[:nv]).max(axis=0)
+        self.r_shape = (np.abs(right[:nv, 0]) / self.r_max[0])**2
         n_cells = self.shape[0] * self.shape[1]
-        self.points = tuple((np.ascontiguousarray(
-            (x[iu, :, None] * right[iv, None, :]).reshape(-1, n_cells).T),)
+        self.points = tuple(np.ascontiguousarray(
+            (x[iu, :, None] * right[iv, None, :]).reshape(-1, n_cells).T)
             for x, (iu, iv) in zip(left, points))
 
-    @staticmethod
-    def stack(folds: Sequence["_Fold"]) -> "_Fold":
-        """The folds' designs, in order, in one fold."""
-        fold = copy.copy(folds[0])
-        fold.left_t = tuple(map(np.concatenate, zip(*(f.left_t for f in folds))))
-        fold.right_t, fold.r_max, fold.r_shape = (
-            np.concatenate([getattr(f, name) for f in folds])
-            for name in ("right_t", "r_max", "r_shape"))
-        fold.points = tuple(sum(x, ()) for x in zip(*(f.points for f in folds)))
-        return fold
 
-
-def _group_points(point_bounds: tuple) -> tuple:
-    """For each harmonic, the designs grouped by point count: (members,
-    bounds) per count, bounds (3, len(members), count) stacking the
-    members' point bounds (CostEvaluator._point_bounds) in order."""
+def _group_points(evaluators: Sequence["CostEvaluator"]) -> tuple:
+    """For each harmonic, the evaluators' designs grouped by point count:
+    (members, bounds) per count, bounds (3, len(members), count) stacking
+    the members' point bounds (CostEvaluator._point_bounds) in order."""
     groups = []
-    for per_design in point_bounds:
+    for h in (0, 1):
         members = {}
-        for e, bounds in enumerate(per_design):
-            members.setdefault(bounds.shape[1], []).append(e)
-        groups.append(tuple((m, np.stack([per_design[e] for e in m], axis=1))
+        for e, ev in enumerate(evaluators):
+            members.setdefault(ev._point_bounds[h].shape[1], []).append(e)
+        groups.append(tuple((m, np.stack([evaluators[e]._point_bounds[h] for e in m], axis=1))
                             for m in members.values()))
     return tuple(groups)
 
@@ -156,21 +143,23 @@ class CostEvaluator:
     size: each product that spans blocks holds them in its rows, and a lone
     row is multiplied as a pair (_matmul_rows).
 
-    The tables have a leading design axis, of length 1 here; stack joins the
-    designs of several evaluators, so that one call scores blocks of every
-    design (phi_batch's designs), in passes of whole designs (PASS_COLUMNS).
-    In a pass the products stay per design, each writing its rows of shared
-    buffers, and the elementwise steps run once over all rows, with each
-    design's bounds gathered per row. A design's costs then equal those of
-    its own evaluator bit for bit: its point rows are summed with those of
-    designs that have as many point nodes, never padded.
+    A stack of several evaluators (stack) holds them as its designs, so
+    that one call scores blocks of every design (phi_batch's designs), in
+    any mode, in passes of whole designs (PASS_COLUMNS). It reads each
+    design's folds and grid ceilings from that design's evaluator and joins
+    only the tables gathered per block: |d|, beta, the row ceilings and the
+    point bounds. In a pass the products stay per design, each writing its
+    rows of shared buffers, and the elementwise steps run once over all
+    rows, with each design's bounds gathered per row. A design's costs then
+    equal those of its own evaluator bit for bit: its point rows are summed
+    with those of designs that have as many point nodes, never padded.
 
     The bounds, weights and factors are never mutated after construction
-    (a mode's fold is added at its first call). A call writes into the
-    evaluator's own scratch buffers, grown to the largest pass it has
-    scored (_view), so an evaluator is used by one thread at a time, and
-    once warm a call allocates little more than its blocks' Fourier
-    coefficients.
+    (a mode's fold is added to its design's evaluator at its first call). A
+    call writes into the evaluator's own scratch buffers, grown to the
+    largest pass it has scored (_view), so an evaluator is used by one
+    thread at a time, and once warm a call allocates little more than its
+    blocks' Fourier coefficients.
     """
 
     def __init__(self, geometry: EmsGeometry, states: ReflectionStates,
@@ -227,16 +216,16 @@ class CostEvaluator:
         nodes = [np.concatenate([np.flatnonzero(lower[h, :n] > 0.0), anchor]) for h in (0, 1)]
         lower[0] -= carrier_floor
         upper[0] -= carrier_floor
-        # design e's grid ceilings are _grid_upper[e] (2, nu, nv), their
-        # lowest per u-row _row_ceiling[h][e], and _point_bounds[h][e] stacks
-        # its point nodes' lower and upper bounds and weights
-        self._grid_upper = (upper[:, :n].reshape(2, nu, nv),)
-        self._row_ceiling = (self._grid_upper[0].min(axis=2) / (1.0 + BOUND_SLACK))[:, None]
+        # the grid ceilings are _grid_upper (2, nu, nv), their lowest per
+        # u-row _row_ceiling[h][e] for design e, and _point_bounds[h] stacks
+        # the point nodes' lower and upper bounds and weights
+        self._grid_upper = upper[:, :n].reshape(2, nu, nv)
+        self._row_ceiling = (self._grid_upper.min(axis=2) / (1.0 + BOUND_SLACK))[:, None]
         self._point_bounds = tuple(
-            (np.array([lower[h, idx], np.where(idx < n, np.inf, upper[h, idx]),
-                       np.where(idx < n, grid.cell_weight, self.anchor_weight)]),)
+            np.array([lower[h, idx], np.where(idx < n, np.inf, upper[h, idx]),
+                      np.where(idx < n, grid.cell_weight, self.anchor_weight)])
             for h, idx in enumerate(nodes))
-        self._point_groups = _group_points(self._point_bounds)
+        self._point_groups = _group_points((self,))
         # a node's rows of rows_g and cols_g: (u, v) on the grid, (nu + k,
         # nv + k) for anchor k
         uv = [np.where(idx < n, np.divmod(idx, nv), idx - n + np.array([[nu], [nv]]))
@@ -244,32 +233,30 @@ class CostEvaluator:
         self._factors = (rows_g, cols_g, nu, nv, uv)
         self._folds = {}
         self._buffers = {}
+        self._members = ()  # a stack's evaluators; a lone one never refers to itself
 
     @staticmethod
-    def stack(evaluators: Sequence["CostEvaluator"], mode: ControlMode) -> "CostEvaluator":
-        """One evaluator whose design e is evaluators[e]'s, for phi_batch
-        calls that score the mode's blocks of several designs. The
-        evaluators share the geometry's size and the grid's; the stack keeps
-        the first one's geometry, grid and period and has no states,
-        incidence or masks."""
+    def stack(evaluators: Sequence["CostEvaluator"]) -> "CostEvaluator":
+        """An evaluator of evaluators[0]'s design whose design e is also
+        evaluators[e]'s, for phi_batch calls that score blocks of several
+        designs. The evaluators share the geometry's size and the grid's."""
         first = evaluators[0]
         size = (first.geometry.rows, first.geometry.cols, first.grid.shape, first.grid.cell_weight)
         if any((ev.geometry.rows, ev.geometry.cols, ev.grid.shape, ev.grid.cell_weight) != size
                for ev in evaluators):
             raise ValueError("stacked evaluators must share the geometry's and the grid's size")
         stacked = copy.copy(first)
-        stacked.states = stacked.incidence = stacked.masks = None
+        stacked._members = tuple(evaluators)
         stacked._d_norm, stacked._beta = (np.concatenate([getattr(ev, name) for ev in evaluators])
                                           for name in ("_d_norm", "_beta"))
         stacked._row_ceiling = np.concatenate([ev._row_ceiling for ev in evaluators], axis=1)
-        stacked._grid_upper = sum((ev._grid_upper for ev in evaluators), ())
-        stacked._point_bounds = tuple(sum(x, ())
-                                      for x in zip(*(ev._point_bounds for ev in evaluators)))
-        stacked._point_groups = _group_points(stacked._point_bounds)
-        stacked._factors = None
-        stacked._folds = {mode: _Fold.stack([ev._fold(mode) for ev in evaluators])}
+        stacked._point_groups = _group_points(evaluators)
         stacked._buffers = {}
         return stacked
+
+    def _designs(self) -> tuple:
+        """The evaluator of each design: a stack's members, or this one."""
+        return self._members or (self,)
 
     def _view(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         """The leading part of the scratch buffer name, a flat array that
@@ -281,18 +268,20 @@ class CostEvaluator:
             buf = self._buffers[name] = np.empty(n, dtype=dtype)
         return buf[:n].reshape(shape)
 
-    def _fold(self, mode: ControlMode) -> _Fold:
-        """The mode's fold, built at its first use; a stack holds one."""
+    def _fold(self, mode: ControlMode) -> list:
+        """The mode's fold of each design, built at its first use and kept
+        by that design's evaluator."""
         if not isinstance(mode, ControlMode):
             raise ValueError(f"unknown control mode {mode!r}")
-        fold = self._folds.get(mode)
-        if fold is None:
-            if mode.mirrored:
-                check_delta_applicable(self.geometry.rows)
-            if self._factors is None:
-                raise ValueError(f"this stack scores no {mode.value} blocks")
-            fold = self._folds[mode] = _Fold(mode, *self._factors)
-        return fold
+        folds = []
+        for ev in self._designs():
+            fold = ev._folds.get(mode)
+            if fold is None:
+                if mode.mirrored:
+                    check_delta_applicable(ev.geometry.rows)
+                fold = ev._folds[mode] = _Fold(mode, *ev._factors)
+            folds.append(fold)
+        return folds
 
     def _coefficients(self, rises: np.ndarray, duties: np.ndarray, designs: np.ndarray) -> tuple:
         """Source coefficients |d| u^h + delta_h0 beta of stacked blocks for
@@ -317,10 +306,11 @@ class CostEvaluator:
         limit (batch,) of floats, not NaN, a block whose cost is at least
         its limit may return any value in [limit, cost]; the others return
         their cost."""
-        fold = self._fold(mode)
-        if rises.shape[1:] != fold.shape or duties.shape != rises.shape:
-            raise ValueError(f"expected {fold.mode.value} blocks of shape (batch, {fold.shape[0]}, "
-                             f"{fold.shape[1]}), got {rises.shape} and {duties.shape}")
+        folds = self._fold(mode)
+        p, q = folds[0].shape
+        if rises.shape[1:] != (p, q) or duties.shape != rises.shape:
+            raise ValueError(f"expected {mode.value} blocks of shape (batch, {p}, {q}), "
+                             f"got {rises.shape} and {duties.shape}")
         batch = rises.shape[0]
         if limit is not None:
             limit = np.asarray(limit)
@@ -341,18 +331,18 @@ class CostEvaluator:
             start = designs.searchsorted(np.arange(n_designs + 1)).tolist()
         cuts = [0]
         for lo, hi in zip(start, start[1:]):
-            if hi > lo > cuts[-1] and (hi - cuts[-1]) * fold.shape[1] > PASS_COLUMNS:
+            if hi > lo > cuts[-1] and (hi - cuts[-1]) * q > PASS_COLUMNS:
                 cuts.append(lo)
         if len(cuts) == 1:
-            return self._pass(rises, duties, fold, designs, start, limit)
+            return self._pass(rises, duties, folds, designs, start, limit)
         total = np.empty(batch)
         for lo, hi in zip(cuts, cuts[1:] + [batch]):
-            total[lo:hi] = self._pass(rises[lo:hi], duties[lo:hi], fold, designs[lo:hi],
+            total[lo:hi] = self._pass(rises[lo:hi], duties[lo:hi], folds, designs[lo:hi],
                                       [min(max(s, lo), hi) - lo for s in start],
                                       None if limit is None else limit[lo:hi])
         return total
 
-    def _pass(self, rises: np.ndarray, duties: np.ndarray, fold: _Fold,
+    def _pass(self, rises: np.ndarray, duties: np.ndarray, folds: list,
               designs: np.ndarray, start: list, limit: Optional[np.ndarray]) -> np.ndarray:
         """phi_batch on the blocks of one pass: a block costs ((P0 + C0) +
         P1) + C1 with P_h, C_h >= 0 its point and grid-ceiling terms at
@@ -363,7 +353,7 @@ class CostEvaluator:
         coefs = self._coefficients(rises, duties, designs)
         points = np.zeros((2, batch))
         for h, coef in enumerate(coefs):
-            self._add_point_terms(points[h], h, coef.reshape(batch, -1), fold, designs, spans)
+            self._add_point_terms(points[h], h, coef.reshape(batch, -1), folds, designs, spans)
         bound = points[0] + points[1]
         live = slice(None)
         if limit is not None:
@@ -377,12 +367,12 @@ class CostEvaluator:
                 spans = _spans(start)
         ceilings = np.zeros((2, len(designs)))
         for h, coef in enumerate(coefs):
-            self._add_ceiling_terms(ceilings[h], h, coef, fold, designs, start, spans)
+            self._add_ceiling_terms(ceilings[h], h, coef, folds, designs, start, spans)
         p0, p1 = points[:, live]
         bound[live] = ((p0 + ceilings[0]) + p1) + ceilings[1]
         return bound
 
-    def _add_point_terms(self, total, h, blocks, fold, designs, spans):
+    def _add_point_terms(self, total, h, blocks, folds, designs, spans):
         """Harmonic h's point nodes, against both bounds, one group of
         designs with as many nodes at a time."""
         for members, bounds in self._point_groups[h]:
@@ -397,7 +387,7 @@ class CostEvaluator:
             f = self._view("points", (n, bounds.shape[2]), complex)
             at = 0
             for e, lo, hi in live:
-                _matmul_rows(blocks[lo:hi], fold.points[h][e], f[at:at + hi - lo])
+                _matmul_rows(blocks[lo:hi], folds[e].points[h], f[at:at + hi - lo])
                 at += hi - lo
             p = f.real**2 + f.imag**2
             lower, upper, w = bounds[:, 0] if len(members) == 1 else bounds[:, local]
@@ -408,23 +398,23 @@ class CostEvaluator:
             else:
                 total[rows] += over
 
-    def _add_ceiling_terms(self, total, h, coef, fold, designs, start, spans):
+    def _add_ceiling_terms(self, total, h, coef, folds, designs, start, spans):
         """Harmonic h's grid ceilings, on the rows whose bound can reach
         them. T = L_h C of each block is held transposed, (batch, q, nu), so
         that the blocks are the product's rows."""
         batch = len(total)
         nu, nv = self.grid.shape
-        q = fold.shape[1]
+        q = folds[0].shape[1]
         view = self._view
         blocks = coef.transpose(0, 2, 1).reshape(batch * q, -1)
         t = view("t", (batch * q, nu), complex)
         for e, lo, hi in spans:
-            _matmul_rows(blocks[lo * q:hi * q], fold.left_t[h][e], t[lo * q:hi * q])
+            _matmul_rows(blocks[lo * q:hi * q], folds[e].left_t[h], t[lo * q:hi * q])
         t = t.reshape(batch, q, nu)
         size = np.abs(t, out=view("size", (batch, q, nu)))
         bound = np.empty((batch, nu))
         for e, lo, hi in spans:
-            np.matmul(fold.r_max[e], size[lo:hi], out=bound[lo:hi])
+            np.matmul(folds[e].r_max, size[lo:hi], out=bound[lo:hi])
         bound *= bound
         ceiling = self._row_ceiling[h]
         if len(ceiling) > 1:  # each block's row, into the spent buffer of |T|
@@ -444,17 +434,18 @@ class CostEvaluator:
         if q == 1:  # |T R|^2 = |T|^2 |R|^2 = bound |R|^2 / max |R|^2
             peak = bound[kk, uu][:, None]
             for e, a, b in pairs:
-                np.multiply(peak[a:b], fold.r_shape[e], out=power[a:b])
+                np.multiply(peak[a:b], folds[e].r_shape, out=power[a:b])
         else:
             x = t[kk, :, uu]  # each pair's row of T, (n, q)
             f = view("field", (n, nv), complex)
             for e, a, b in pairs:
-                _matmul_rows(x[a:b], fold.right_t[e], f[a:b])
+                _matmul_rows(x[a:b], folds[e].right_t, f[a:b])
             np.multiply(f.real, f.real, out=power)
             power += np.square(f.imag, out=view("scratch", (n, nv)))
         upper = view("scratch", (n, nv))
+        evaluators = self._designs()
         for e, a, b in pairs:
-            np.take(self._grid_upper[e][h], uu[a:b], axis=0, out=upper[a:b], mode="clip")
+            np.take(evaluators[e]._grid_upper[h], uu[a:b], axis=0, out=upper[a:b], mode="clip")
         power -= upper
         over = np.maximum(power, 0.0, out=power).sum(axis=1)
         total += np.bincount(kk, weights=over, minlength=batch) * self.grid.cell_weight
@@ -561,6 +552,7 @@ class PsoConfig:
     def __post_init__(self):
         for name, low in (("swarm_size", 1), ("iterations", 0), ("stagnation_window", 0)):
             check_integer(name, getattr(self, name), low)
+        check_integer("seed", self.seed, 0, 2**64 - 1)  # a codebook stores it as a u64
         # written so that NaN fails every range test
         for name in ("inertia", "cognitive", "social", "stagnation_rtol"):
             if not (0.0 <= getattr(self, name) < np.inf):
@@ -805,17 +797,18 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     alone by default), every swarm of every evaluator in one loop
     (minimize_swarms); one list of SynthesisResults per evaluator, one per
     seed in order. The evaluators share the geometry's size, and each is
-    used by one thread at a time. A stack of several evaluators lives as
-    long as the search, with its cost buffers.
+    used by one thread at a time.
 
     Each iteration scores the running swarms of every evaluator in one
     phi_batch call, on the evaluator itself when there is one and on a stack
-    of them (CostEvaluator.stack) otherwise, with each particle's personal
-    best as its limit, so that only the particles that can beat it are
-    scored whole. That call rounds a particle's cost as its own evaluator
-    does, at any position in a batch of any size (measured with OpenBLAS
-    0.3.31 on an AVX-512 x86-64 CPU), so every result equals the run of its
-    evaluator and seed alone bit for bit.
+    of them (CostEvaluator.stack) otherwise. The stack holds the evaluators
+    and reads each design's tables from its own; it lives as long as the
+    search, with its cost buffers. Each particle's personal best is its
+    limit, so that only the particles that can beat it are scored whole.
+    That call rounds a particle's cost as its own evaluator does, at any
+    position in a batch of any size (measured with OpenBLAS 0.3.31 on an
+    AVX-512 x86-64 CPU), so every result equals the run of its evaluator and
+    seed alone bit for bit.
     """
     if not evaluators:
         return []
@@ -826,7 +819,7 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     if len(seeds) != len(evaluators):
         raise ValueError("one seed list per evaluator is required")
     init = np.array([conjugate_guess(ev, codec) for ev in evaluators])
-    stack = CostEvaluator.stack(evaluators, mode) if len(evaluators) > 1 else evaluators[0]
+    stack = CostEvaluator.stack(evaluators) if len(evaluators) > 1 else evaluators[0]
 
     def objective(x, designs, limit):
         # a stack takes each block's design

@@ -121,7 +121,7 @@ def test_design_for_angle_best_of_repeats(fast_scenario):
     master = 99
     singles = []
     for rep in range(2):
-        ev = sc.evaluator(design_theta_deg=40.0)
+        ev = replace(sc, theta_inc_deg=40.0).evaluator()
         cfg = replace(sc.pso, seed=derive_seed(master, 40.0, rep))
         [[single]] = pso_optimize([ev], sc.mode, cfg)
         singles.append(single)
@@ -296,6 +296,35 @@ def test_localize_rejects_stale_codebooks(fast_scenario, rng):
     # repeats is part of the digest, so a different repeat count is also stale
     with pytest.raises(ValueError, match="digest mismatch"):
         localize(sc, [20.0], master, repeats=2, codebook=Codebook(**good))
+
+
+SEEDED = {
+    "PsoConfig.seed": lambda sc, seed: PsoConfig(seed=seed),
+    "derive_seed": lambda sc, seed: derive_seed(seed, 40.0, 0),
+    "codebook_digest": lambda sc, seed: codebook_digest(sc, seed, 1),
+    "design_for_angle": lambda sc, seed: design_for_angle(sc, [40.0], seed),
+    "matched_sweep": lambda sc, seed: matched_sweep(sc, "user", [40.0], seed),
+    "build_codebook": lambda sc, seed: build_codebook(sc, [40.0], seed),
+    "localize": lambda sc, seed: localize(sc, [40.0], seed),
+    # a seed-1 codebook, which 1.5 and True used to be taken for
+    "localize, codebook": lambda sc, seed: localize(sc, [40.0], seed,
+                                                    codebook=build_codebook(sc, [40.0], 1)),
+}
+
+
+@pytest.mark.parametrize("entry", SEEDED)
+def test_seeds_must_be_u64_integers(entry, fast_scenario):
+    call = SEEDED[entry]
+    sc = fast_scenario(iterations=2, swarm=2)
+    for bad in (1.5, 1.0, np.nan, True, "1", -3, np.int64(-3), 2**64):
+        with pytest.raises(ValueError,
+                           match=r"seed must be an integer in \[0, 18446744073709551615\], got"):
+            call(sc, bad)
+    goods = (1, np.uint64(1))
+    if entry != "localize, codebook":
+        goods += (0, 2**64 - 1, np.uint64(2**64 - 1))
+    for good in goods:
+        call(sc, good)
 
 
 def test_codebook_digest_sensitivity(fast_scenario):

@@ -1,6 +1,8 @@
 """Mask-violation cost, mode codecs, and the seeded particle-swarm search."""
 
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -371,7 +373,7 @@ def test_stacked_costs_equal_separate_calls(fast_scenario, mode, monkeypatch):
                                 phi_inc_deg=phi).evaluator()
                   for theta, phi in ((20.0, 0.0), (35.0, 25.0), (50.0, -15.0))]
     evaluators[1:] = map(notched, evaluators[1:])
-    stack = CostEvaluator.stack(evaluators, mode)
+    stack = CostEvaluator.stack(evaluators)
     codec = ModeCodec(mode=mode, rows=6, cols=4)
     rng = np.random.default_rng(12)
     for counts in ((8, 8, 8), (16, 0, 1), (1, 7, 0), (0, 0, 5), (1, 1, 1)):
@@ -403,10 +405,10 @@ def test_stacked_costs_keep_each_designs_point_count(fast_scenario, mode):
     evaluators = [with_floors(with_floors(ev, 1, [(5, 9)]), 0, []),
                   with_floors(ev, 1, [(5, 9), (7, 12), (20, 3)]),
                   with_floors(with_floors(ev, 1, [(9, 20)]), 0, [(12, 14), (18, 17)])]
-    counts = [[ev._point_bounds[h][0].shape[1] for ev in evaluators] for h in (0, 1)]
+    counts = [[ev._point_bounds[h].shape[1] for ev in evaluators] for h in (0, 1)]
     assert counts[0][0] == counts[0][1] != counts[0][2]
     assert counts[1][0] == counts[1][2] != counts[1][1]
-    stack = CostEvaluator.stack(evaluators, mode)
+    stack = CostEvaluator.stack(evaluators)
     codec = ModeCodec(mode=mode, rows=6, cols=4)
     rng = np.random.default_rng(13)
     for counts in ((5, 5, 5), (0, 4, 6), (3, 0, 2), (1, 2, 1), (0, 0, 7)):
@@ -418,19 +420,24 @@ def test_stacked_costs_keep_each_designs_point_count(fast_scenario, mode):
 
 def test_stack_checks_its_designs(fast_scenario):
     mode = ControlMode.DELTA
-    evaluators = [fast_scenario(rows=6, cols=4).evaluator(a) for a in (20.0, 40.0)]
-    stack = CostEvaluator.stack(evaluators, mode)
+    sc = fast_scenario(rows=6, cols=4)
+    evaluators = [replace(sc, theta_inc_deg=a).evaluator() for a in (20.0, 40.0)]
+    stack = CostEvaluator.stack(evaluators)
     rises, duties = np.random.default_rng(3).random((2, 4, 3, 4))
     for bad in ([0, 1, 0, 1], [0, 0, 1, 2], [-1, 0, 0, 0], [0, 0, 1], [0.0, 0.0, 1.0, 1.0]):
         with pytest.raises(ValueError, match="designs must give each of the 4 blocks"):
             stack.phi_batch(rises, duties, mode, np.array(bad))
-    with pytest.raises(ValueError, match="this stack scores no full blocks"):
-        stack.phi_batch(*np.zeros((2, 1, 6, 4)), ControlMode.FULL)
+    # the stack built for delta blocks scores full ones too
+    designs = np.array([0, 0, 1, 1])
+    full = np.random.default_rng(4).random((2, 4, 6, 4))
+    want = separate_costs(evaluators, *full, ControlMode.FULL, designs)
+    assert np.all(want > 0.0)
+    assert np.array_equal(stack.phi_batch(*full, ControlMode.FULL, designs), want)
     with pytest.raises(ValueError, match="unknown control mode"):
         stack.phi_batch(rises, duties, "sideways")
     other = fast_scenario(rows=6, cols=6).evaluator()
     with pytest.raises(ValueError, match="share the geometry's and the grid's size"):
-        CostEvaluator.stack([evaluators[0], other], mode)
+        CostEvaluator.stack([evaluators[0], other])
 
 
 def count_ceiling_blocks(monkeypatch):
@@ -456,7 +463,7 @@ def test_limit_bounds_only_the_blocks_that_reach_it(fast_scenario, mode, monkeyp
     evaluators = [fast_scenario(mode=mode, rows=6, cols=4, theta_inc_deg=theta).evaluator()
                   for theta in (20.0, 50.0)]
     evaluators[1] = notched(evaluators[1])
-    stack = CostEvaluator.stack(evaluators, mode)
+    stack = CostEvaluator.stack(evaluators)
     codec = ModeCodec(mode=mode, rows=6, cols=4)
     rises, duties = codec.blocks(np.random.default_rng(14).random((12, codec.dim)))
     designs = np.repeat([0, 1], 6)
@@ -506,8 +513,8 @@ def test_bounded_search_equals_the_exact_search(fast_scenario, seeds):
     # limit and one that drops it find the same bests by the same path
     sc = fast_scenario(iterations=30)
     pso = replace(sc.pso, stagnation_window=8, stagnation_rtol=0.05)
-    evaluators = [sc.evaluator(a) for a in (30.0, 40.0)[:len(seeds)]]
-    stack = CostEvaluator.stack(evaluators, sc.mode) if len(seeds) > 1 else evaluators[0]
+    evaluators = [replace(sc, theta_inc_deg=a).evaluator() for a in (30.0, 40.0)[:len(seeds)]]
+    stack = CostEvaluator.stack(evaluators) if len(seeds) > 1 else evaluators[0]
     codec = ModeCodec(mode=sc.mode, rows=6, cols=6)
     init = np.array([conjugate_guess(ev, codec) for ev in evaluators])
 
@@ -799,7 +806,7 @@ def test_pso_optimize_scores_every_design_in_one_call(monkeypatch, fast_scenario
 
     monkeypatch.setattr(CostEvaluator, "phi_batch", counted)
     sc = fast_scenario(swarm=5, iterations=6)
-    evaluators = [sc.evaluator(a) for a in (30.0, 40.0)]
+    evaluators = [replace(sc, theta_inc_deg=a).evaluator() for a in (30.0, 40.0)]
     runs = pso_optimize(evaluators, ControlMode.DELTA, sc.pso, [(1, 2), (3, 4)])
     assert [[r.iterations for r in rs] for rs in runs] == [[6, 6], [6, 6]]
     assert len(calls) == 6 + 1
@@ -822,7 +829,7 @@ def test_pso_optimize_scores_every_design_in_one_call(monkeypatch, fast_scenario
 def test_pso_optimize_equals_runs_alone_at_any_swarm_size(fast_scenario, mode):
     # a swarm of 7 stacks batches of 7, 14 and 21 blocks
     sc = fast_scenario(mode=mode, swarm=7, iterations=25)
-    evaluators = [sc.evaluator(a) for a in (30.0, 40.0)]
+    evaluators = [replace(sc, theta_inc_deg=a).evaluator() for a in (30.0, 40.0)]
     seeds = [(1, 2, 3), (4, 5)]
     together = pso_optimize(evaluators, mode, sc.pso, seeds)
     for ev, ev_seeds, results in zip(evaluators, seeds, together):
@@ -838,17 +845,35 @@ def test_pso_optimize_releases_the_cost_buffers(fast_scenario):
     # the search's buffers must not be held there: a search on several
     # designs scores on a stack, whose buffers are its own and go with it
     sc = fast_scenario(iterations=5)
-    evaluators = [sc.evaluator(a) for a in (30.0, 40.0)]
+    evaluators = [replace(sc, theta_inc_deg=a).evaluator() for a in (30.0, 40.0)]
     pso_optimize(evaluators, ControlMode.DELTA, sc.pso)
     assert [ev._buffers for ev in evaluators] == [{}, {}]
     first = evaluators[0]
     first.phi_batch(*np.random.default_rng(0).random((2, 4, 3, 6)), ControlMode.DELTA)
-    stack = CostEvaluator.stack(evaluators, ControlMode.DELTA)
+    stack = CostEvaluator.stack(evaluators)
     assert first._buffers and stack._buffers == {}
     stack.phi_batch(*np.random.default_rng(1).random((2, 4, 3, 6)), ControlMode.DELTA,
                     np.array([0, 0, 1, 1]))
     assert stack._buffers and stack._buffers is not first._buffers
     assert all(a is not b for a in stack._buffers.values() for b in first._buffers.values())
+
+
+def test_pso_optimize_leaves_no_evaluator_alive(fast_scenario):
+    # with the cycle collector off, the evaluators of a search, one alone or
+    # several on a stack, are freed once the caller drops them: neither an
+    # evaluator nor a stack refers to itself, so the search's tables and
+    # buffers are not held while the CLI writes its patterns
+    sc = fast_scenario(iterations=5)
+    gc.disable()
+    try:
+        for angles in ((30.0,), (30.0, 40.0)):
+            evaluators = [replace(sc, theta_inc_deg=a).evaluator() for a in angles]
+            pso_optimize(evaluators, ControlMode.DELTA, sc.pso)
+            alive = [weakref.ref(ev) for ev in evaluators]
+            del evaluators
+            assert [ref() for ref in alive] == [None] * len(angles)
+    finally:
+        gc.enable()
 
 
 def test_minimize_swarms_equal_separate_runs():
