@@ -28,9 +28,7 @@ from .export import (
     write_sweep_csv,
 )
 from .fields import DirectionGrid, FieldEngine
-from .geometry import EmsGeometry
-from .isac import (Scenario, best_sample, build_codebook, codebook_digest, localize,
-                   matched_sweep, measure_bs_ratio)
+from .isac import Scenario, best_sample, build_codebook, localize, matched_sweep, measure_bs_ratio
 from .synthesis import pso_optimize
 
 
@@ -117,8 +115,7 @@ def cmd_localize(args, cfg: RunConfig, scenario: Scenario) -> tuple:
         book = build_codebook(scenario, cfg.candidates_deg, cfg.seed, repeats=repeats)
         write_codebook(args.codebook, book)
     elif args.codebook:
-        book = read_codebook(args.codebook,
-                             expected_digest=codebook_digest(scenario, cfg.seed, repeats))
+        book = read_codebook(args.codebook)
     res = localize(scenario, cfg.candidates_deg, cfg.seed, repeats=repeats, codebook=book,
                    noise_power=cfg.noise_power)
     write_sweep_csv(out / "localization.csv", res.samples, "candidate")
@@ -144,11 +141,10 @@ def cmd_localize(args, cfg: RunConfig, scenario: Scenario) -> tuple:
 def cmd_export(args) -> int:
     out = _outdir(args)
     book = read_codebook(args.codebook)
-    geometry = EmsGeometry(rows=book.rows, cols=book.cols, f0_hz=book.f0_hz)
     entries = []
     for entry in book.entries:
         name = f"schedule_{entry.angle_mdeg}mdeg.csv"
-        write_schedule_csv(out / name, entry.schedule(geometry, book.mode, book.period_s))
+        write_schedule_csv(out / name, book.schedule(entry))
         entries.append({"angle_deg": entry.angle_deg, "phi": entry.phi, "file": name})
     write_json(out / "codebook.json", {
         "command": "export",

@@ -19,7 +19,7 @@ Each record is: steering angle in millidegrees (i32, 0 to 90000), pair count
 (u32), achieved cost (f64), then pair count x (rise f64, duty f64). Full-surface
 modes store rows x cols pairs in row-major order; column-wise modes store one
 pair per row. The digest binds the file to the exact scenario it was built
-for; a mismatch on load is an error, never a silent fallback.
+for; isac.localize rejects a mismatch, never silently falling back.
 """
 
 import hashlib
@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import EmsGeometry
 from .modulation import ControlMode, PulseSchedule
 
 MAGIC = b"TMEMSCB1"
@@ -79,17 +78,6 @@ class CodebookEntry:
     def angle_deg(self) -> float:
         return self.angle_mdeg / 1000.0
 
-    def schedule(self, geometry: EmsGeometry, mode: ControlMode,
-                 period_s: float) -> PulseSchedule:
-        """Expand the stored pairs back into a full per-cell schedule."""
-        p, q = geometry.rows, geometry.cols
-        if self.rise.size != pairs_per_record(mode, p, q):
-            raise CodebookError("entry size does not match the geometry and mode")
-        # one column per row in column-wise modes, every cell otherwise
-        rise = np.broadcast_to(self.rise.reshape(p, -1), (p, q))
-        duty = np.broadcast_to(self.duty.reshape(p, -1), (p, q))
-        return PulseSchedule(period_s=period_s, rise=rise, duty=duty)
-
 
 @dataclass(frozen=True)
 class Codebook:
@@ -101,6 +89,17 @@ class Codebook:
     f0_hz: float
     digest: bytes
     entries: tuple
+
+    def schedule(self, entry: CodebookEntry) -> PulseSchedule:
+        """Expand an entry's stored pairs into a full per-cell schedule of
+        this book's surface, mode and modulation period."""
+        p, q = self.rows, self.cols
+        if entry.rise.size != pairs_per_record(self.mode, p, q):
+            raise CodebookError("entry size does not match the geometry and mode")
+        # one column per row in column-wise modes, every cell otherwise
+        rise = np.broadcast_to(entry.rise.reshape(p, -1), (p, q))
+        duty = np.broadcast_to(entry.duty.reshape(p, -1), (p, q))
+        return PulseSchedule(period_s=self.period_s, rise=rise, duty=duty)
 
     def entry_for(self, angle_deg: float) -> Optional[CodebookEntry]:
         target = to_mdeg(angle_deg)

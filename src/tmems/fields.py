@@ -84,32 +84,20 @@ class PlaneWaveIncidence:
         return float(self.source_direction[1])
 
     @cached_property
-    def te_axis(self) -> np.ndarray:
-        """TE (perpendicular) polarization axis: phi-hat of the source direction."""
-        ph = np.deg2rad(self.phi_deg)
-        e = np.array([-np.sin(ph), np.cos(ph), 0.0])
-        e.setflags(write=False)
-        return e
-
-    @cached_property
-    def tm_axis(self) -> np.ndarray:
-        """TM (parallel) polarization axis: theta-hat of the source direction."""
-        th = np.deg2rad(self.theta_deg)
-        ph = np.deg2rad(self.phi_deg)
-        e = np.array([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th)])
-        e.setflags(write=False)
-        return e
-
-    @cached_property
     def polarization_matrix(self) -> np.ndarray:
         """2x2 map from reflected (TE, TM) components to tangential (x, y) field.
 
-        Column i is the tangential projection (with sign) of
-        z x (k_out x e_i) - e_i for basis axis e_i, where k_out points from the
-        aperture toward the source. Real-valued.
+        The TE (perpendicular) axis is phi-hat of the source direction, the
+        TM (parallel) axis its theta-hat. Column i is the tangential
+        projection (with sign) of z x (k_out x e_i) - e_i for axis e_i, where
+        k_out points from the aperture toward the source. Real-valued.
         """
+        th = np.deg2rad(self.theta_deg)
+        ph = np.deg2rad(self.phi_deg)
+        te = np.array([-np.sin(ph), np.cos(ph), 0.0])
+        tm = np.array([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th)])
         cols = []
-        for e in (self.te_axis, self.tm_axis):
+        for e in (te, tm):
             b = np.cross(_Z_AXIS, np.cross(self.source_direction, e)) - e
             cols.append(-b[:2])
         m = np.column_stack(cols)
@@ -320,11 +308,11 @@ class FieldEngine:
                  incidence: PlaneWaveIncidence, h: int) -> np.ndarray:
         """Exact-direction samples, shape (n_directions, 2) complex.
 
-        Directions must lie inside the visible disc.
+        Directions must lie inside the visible disc; NaN lies outside it.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        if np.any(u**2 + v**2 > 1.0 + 1e-12):
+        if not np.all(u**2 + v**2 <= 1.0 + 1e-12):
             raise ValueError("direction outside the visible disc")
         w = self._cell_weights(schedule, states, incidence, h)
         return steering_rows(self.geometry, u, v) @ w

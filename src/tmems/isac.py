@@ -91,14 +91,11 @@ class Scenario:
             jones=self.jones,
         )
 
-    def synth_grid(self) -> DirectionGrid:
-        return DirectionGrid.uniform(self.synth_grid_n)
-
     def evaluator(self) -> CostEvaluator:
         """Cost evaluator with masks steered for the scenario's incidence."""
         incidence = self.incidence()
-        masks = build_masks(self.synth_grid(), self.geometry, incidence, self.states, self.mask,
-                            self.bs_u, self.mode.columnwise)
+        masks = build_masks(DirectionGrid.uniform(self.synth_grid_n), self.geometry, incidence,
+                            self.states, self.mask, self.bs_u, self.mode.columnwise)
         return CostEvaluator(self.geometry, self.states, incidence, masks, self.period_s)
 
     def digest_payload(self) -> dict:
@@ -127,6 +124,7 @@ def _matrix_payload(m: np.ndarray) -> list:
 
 def codebook_digest(scenario: Scenario, master_seed: int, repeats: int) -> bytes:
     check_integer("master_seed", master_seed, 0, 2**64 - 1)
+    check_integer("repeats", repeats, 1)
     payload = dict(scenario.digest_payload())
     payload["master_seed"] = int(master_seed)
     payload["repeats"] = int(repeats)
@@ -173,8 +171,7 @@ def design_for_angle(scenario: Scenario, angles_deg: Sequence[float], master_see
     (see synthesis.pso_optimize for the rounding caveat). Cost ties keep the
     earliest repeat. No angle gives [].
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    check_integer("repeats", repeats, 1)
     if vary not in _SWEPT:
         raise ValueError('vary must be "bs" or "user"')
     angles = [float(a) for a in angles_deg]
@@ -265,9 +262,11 @@ def localize(scenario: Scenario, candidates_deg: Sequence[float], master_seed: i
 
     Each candidate's schedule (from the codebook when available, synthesized
     otherwise) is evaluated under the TRUE incidence of the scenario; the
-    estimate is the angle of the best_sample. A supplied codebook must carry
-    the digest and master seed of this exact scenario; a stale one is
-    rejected rather than silently rebuilt.
+    estimate is the angle of the best_sample. This is the one place a
+    codebook is checked against its scenario: a supplied book must hold the
+    scenario's mode and surface size, master seed and digest (which pins
+    repeats too), else ValueError names the first that differs; a stale book
+    is never silently rebuilt. Its entries expand with Codebook.schedule.
     """
     candidates = [float(a) for a in candidates_deg]
     if not candidates:
@@ -275,10 +274,14 @@ def localize(scenario: Scenario, candidates_deg: Sequence[float], master_seed: i
     if codebook is not None:
         g = scenario.geometry
         if (codebook.mode, codebook.rows, codebook.cols) != (scenario.mode, g.rows, g.cols):
-            raise ValueError("codebook geometry or mode does not match the scenario")
+            raise ValueError(
+                f"codebook mode and size ({codebook.mode.value}, {codebook.rows}x"
+                f"{codebook.cols}) does not match the scenario ({scenario.mode.value}, "
+                f"{g.rows}x{g.cols})")
         expected = codebook_digest(scenario, master_seed, repeats)  # checks the seed
         if codebook.seed != master_seed:
-            raise ValueError("codebook was built with a different master seed")
+            raise ValueError(f"codebook was built with a different master seed "
+                             f"({codebook.seed}, not {master_seed})")
         if codebook.digest != expected:
             raise ValueError("codebook scenario digest mismatch; rebuild it")
 
@@ -289,7 +292,7 @@ def localize(scenario: Scenario, candidates_deg: Sequence[float], master_seed: i
     samples = []
     for angle, entry in zip(candidates, entries):
         if entry is not None:
-            schedule = entry.schedule(scenario.geometry, scenario.mode, scenario.period_s)
+            schedule = codebook.schedule(entry)
             res, phi = None, entry.phi
         else:
             res = next(designs)

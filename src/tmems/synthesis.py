@@ -492,14 +492,6 @@ class ModeCodec:
         p, q = self.control_shape
         return 2 * p * q
 
-    @property
-    def wrap_mask(self) -> np.ndarray:
-        """True for rise coordinates (torus), False for duty (reflecting)."""
-        half = self.dim // 2
-        m = np.zeros(self.dim, dtype=bool)
-        m[:half] = True
-        return m
-
     def blocks(self, x: np.ndarray):
         """(batch, dim) vectors -> (rises, duties) of the control block,
         each (batch,) + control_shape."""
@@ -599,7 +591,7 @@ def _checked_costs(objective, x: np.ndarray, designs: np.ndarray,
 
 def minimize_swarms(objective, dim: int, config: PsoConfig,
                     seeds: Sequence[Sequence[int]],
-                    wrap_mask: Optional[np.ndarray] = None,
+                    n_wrap: int = 0,
                     init: Optional[np.ndarray] = None) -> list:
     """Global-best PSO over [0, 1]^dim with seeded, order-fixed random draws,
     for several designs, each with several seeds, at once: one independent
@@ -613,9 +605,9 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
         config: swarm hyperparameters; the velocity clamp is a fraction of
             the unit coordinate range.
         seeds: seeds[d] lists design d's seeds, one swarm each.
-        wrap_mask: True marks periodic coordinates (wrap mod 1, shortest-path
-            attraction); False marks reflecting coordinates. The periodic
-            coordinates must come first.
+        n_wrap: how many leading coordinates are periodic (wrap mod 1,
+            shortest-path attraction), in [0, dim]; the rest reflect at
+            the unit bounds.
         init: optional (designs, dim) deterministic starts; row d is placed
             on particle 0 of each of design d's swarms (the rest stays
             random) and consumes no random draws.
@@ -641,14 +633,11 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
     """
     if dim < 1:
         raise ValueError("empty search space")
+    check_integer("n_wrap", n_wrap, 0, dim)
     if any(len(s) < 1 for s in seeds):
         raise ValueError("every design needs at least one seed")
     if not seeds:
         return []
-    wrap = np.zeros(dim, dtype=bool) if wrap_mask is None else np.asarray(wrap_mask, dtype=bool)
-    n_wrap = int(wrap.sum())
-    if wrap.shape != (dim,) or wrap[n_wrap:].any():
-        raise ValueError("periodic coordinates must come first in wrap_mask")
     owner = [(d, i) for d, s in enumerate(seeds) for i in range(len(s))]  # of each swarm
     rngs = [np.random.default_rng(seed) for s in seeds for seed in s]
     c = config.swarm_size
@@ -826,8 +815,8 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
         rows = (np.repeat(designs, config.swarm_size),) if len(evaluators) > 1 else ()
         return stack.phi_batch(*codec.blocks(x), codec.mode, *rows, limit=limit)
 
-    runs = minimize_swarms(objective, codec.dim, config, seeds, wrap_mask=codec.wrap_mask,
-                           init=init)
+    # the rises, periodic, come first
+    runs = minimize_swarms(objective, codec.dim, config, seeds, n_wrap=codec.dim // 2, init=init)
     return [[SynthesisResult(schedule=codec.decode(res.best_x, ev.period_s), phi=res.best_value,
                              history=res.history, iterations=res.iterations,
                              stop_reason=res.stop_reason, seed=seed)

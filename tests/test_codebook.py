@@ -17,7 +17,6 @@ from tmems.codebook import (
     scenario_digest,
     write_codebook,
 )
-from tmems.geometry import EmsGeometry
 from tmems.modulation import ControlMode, PulseSchedule
 
 HEADER_SIZE = 76
@@ -214,18 +213,22 @@ def test_entry_from_schedule_colwise_guard(rng):
 
 
 def test_entry_schedule_expansion(rng):
-    geom = EmsGeometry(rows=4, cols=3)
+    def book(mode, rows=4):
+        return Codebook(mode=mode, rows=rows, cols=3, seed=0, period_s=1e-6, f0_hz=5.5e9,
+                        digest=bytes(32), entries=())
+
     col = PulseSchedule(period_s=1e-6,
                         rise=np.repeat(rng.random((4, 1)), 3, axis=1),
                         duty=np.repeat(rng.random((4, 1)), 3, axis=1))
     entry = entry_from_schedule(5.0, 0.0, col, ControlMode.COLWISE)
-    back = entry.schedule(geom, ControlMode.COLWISE, 1e-6)
+    back = book(ControlMode.COLWISE).schedule(entry)
+    assert back.period_s == 1e-6
     assert np.array_equal(back.rise, col.rise)
     assert np.array_equal(back.duty, col.duty)
     with pytest.raises(CodebookError, match="entry size"):
-        entry.schedule(EmsGeometry(rows=6, cols=3), ControlMode.COLWISE, 1e-6)
+        book(ControlMode.COLWISE, rows=6).schedule(entry)
     full = PulseSchedule(period_s=1e-6, rise=rng.random((4, 3)), duty=rng.random((4, 3)))
     fe = entry_from_schedule(5.0, 0.0, full, ControlMode.FULL)
-    fback = fe.schedule(geom, ControlMode.FULL, 1e-6)
+    fback = book(ControlMode.FULL).schedule(fe)
     assert np.array_equal(fback.rise, full.rise)
     assert np.array_equal(fback.duty, full.duty)

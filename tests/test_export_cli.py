@@ -449,6 +449,28 @@ def test_cli_localize_and_export(tmp_path, cli_config):
         assert sched.shape == (6, 6)
 
 
+def test_cli_localize_rejects_a_stale_codebook(tmp_path, cli_config, capsys):
+    # a book built for another scenario ends in one error line naming what
+    # differs, and is neither used nor rebuilt
+    book = tmp_path / "designs.tmcb"
+    assert main(["localize", "--config", cli_config, "--out", str(tmp_path / "built"),
+                 "--seed", "1", "--codebook", str(book)]) == 0
+    blob = book.read_bytes()
+    capsys.readouterr()
+    for extra, message in ((["--seed", "2"], "different master seed (1, not 2)"),
+                           (["--seed", "1", "--mode", "full"],
+                            "mode and size (delta, 6x6) does not match the scenario (full, 6x6)"),
+                           (["--seed", "1", "--repeats", "2"], "digest mismatch")):
+        out = tmp_path / "stale"
+        assert main(["localize", "--config", cli_config, "--out", str(out),
+                     "--codebook", str(book), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err, err
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()
+        assert book.read_bytes() == blob
+
+
 def test_cli_jobs_has_no_effect(tmp_path, cli_config):
     # every design of a command runs in one PSO loop, so --jobs is accepted
     # and changes nothing

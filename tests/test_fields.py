@@ -237,6 +237,10 @@ def test_field_at_checks_visibility(geom4, ideal, rng):
     inc = PlaneWaveIncidence(theta_deg=10.0)
     with pytest.raises(ValueError, match="visible"):
         FieldEngine(geom4).field_at(0.8, 0.7, sched, ideal, inc, h=0)
+    # NaN lies in no disc: it is rejected, not returned as NaN fields
+    for u, v in ((np.nan, 0.0), (0.0, np.nan), ([0.1, np.nan], [0.0, 0.0])):
+        with pytest.raises(ValueError, match="visible"):
+            FieldEngine(geom4).field_at(u, v, sched, ideal, inc, h=0)
     with pytest.raises(ValueError, match="shape"):
         FieldEngine(geom4).field_at(0.0, 0.0, random_schedule(rng, 3, 3), ideal, inc, h=0)
     with pytest.raises(ValueError, match="shape"):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tmems.codebook import Codebook, entry_from_schedule
-from tmems.geometry import EmsGeometry
 from tmems.isac import (
     Scenario,
     build_codebook,
@@ -324,6 +323,27 @@ def test_seeds_must_be_u64_integers(entry, fast_scenario):
     if entry != "localize, codebook":
         goods += (0, 2**64 - 1, np.uint64(2**64 - 1))
     for good in goods:
+        call(sc, good)
+
+
+REPEATED = {
+    "codebook_digest": lambda sc, repeats: codebook_digest(sc, 1, repeats),
+    "design_for_angle": lambda sc, repeats: design_for_angle(sc, [40.0], 1, repeats),
+    "localize": lambda sc, repeats: localize(sc, [40.0], 1, repeats),
+    # a repeats-1 codebook, which 1.5 and True used to be taken for
+    "localize, codebook": lambda sc, repeats: localize(
+        sc, [40.0], 1, repeats, codebook=build_codebook(sc, [40.0], 1)),
+}
+
+
+@pytest.mark.parametrize("entry", REPEATED)
+def test_repeats_must_be_positive_integers(entry, fast_scenario):
+    call = REPEATED[entry]
+    sc = fast_scenario(iterations=2, swarm=2)
+    for bad in (1.5, 1.9, 1.0, np.nan, True, "1", 0, -3, np.int64(0)):
+        with pytest.raises(ValueError, match="repeats must be an integer >= 1, got"):
+            call(sc, bad)
+    for good in (1, np.int64(1)):
         call(sc, good)
 
 

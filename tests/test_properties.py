@@ -14,7 +14,6 @@ from tmems.codebook import (
     write_codebook,
 )
 from tmems.export import read_schedule_csv, write_schedule_csv
-from tmems.geometry import EmsGeometry
 from tmems.modulation import ControlMode, PulseSchedule
 from tmems.synthesis import ModeCodec
 
@@ -122,11 +121,10 @@ def assert_usable(book: Codebook):
     """Every value finite and in range: the book exports as `tmems export` does,
     and every angle is one a candidate in [0, 90) degrees rounds to."""
     assert 0.0 < book.period_s < np.inf and 0.0 < book.f0_hz < np.inf
-    geometry = EmsGeometry(rows=book.rows, cols=book.cols, f0_hz=book.f0_hz)
     for entry in book.entries:
         assert 0 <= entry.angle_mdeg <= 90_000
         assert 0.0 <= entry.phi < np.inf
-        entry.schedule(geometry, book.mode, book.period_s)
+        book.schedule(entry)
 
 
 @settings(max_examples=8)

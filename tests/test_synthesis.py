@@ -525,7 +525,7 @@ def test_bounded_search_equals_the_exact_search(fast_scenario, seeds):
     def exact(x, designs, limit):
         return bounded(x, designs, None)
 
-    got, want = (minimize_swarms(f, codec.dim, pso, seeds, codec.wrap_mask, init)
+    got, want = (minimize_swarms(f, codec.dim, pso, seeds, codec.dim // 2, init)
                  for f in (bounded, exact))
     stops = set()
     for got_runs, want_runs in zip(got, want):
@@ -615,11 +615,11 @@ def sphere(x):
     return np.sum((2.0 * np.asarray(x) - 1.0) ** 2, axis=1)
 
 
-def one_swarm(objective, dim, config, wrap_mask=None, init=None):
+def one_swarm(objective, dim, config, n_wrap=0, init=None):
     """minimize_swarms on one design with one seed, config.seed, and a
     start row init; objective scores (swarm, dim) positions alone."""
     [[res]] = minimize_swarms(lambda x, designs, limit: objective(x), dim, config,
-                              [(config.seed,)], wrap_mask,
+                              [(config.seed,)], n_wrap,
                               None if init is None else np.asarray(init)[None])
     return res
 
@@ -640,10 +640,11 @@ def test_pso_deterministic():
     assert np.array_equal(a.history, b.history)
 
 
-def _minimize_per_particle(objective, dim, config, wrap_mask, init=None):
+def _minimize_per_particle(objective, dim, config, n_wrap, init=None):
     """One swarm updated one particle at a time with two rng.random(dim)
-    draws each: the reference for minimize_swarms' array update."""
-    wrap_mask = np.asarray(wrap_mask, dtype=bool)
+    draws each, its first n_wrap coordinates periodic: the reference for
+    minimize_swarms' array update."""
+    wrap_mask = np.arange(dim) < n_wrap
     reflect_mask = ~wrap_mask
     rng = np.random.default_rng(config.seed)
     c = config.swarm_size
@@ -707,7 +708,8 @@ def _minimize_per_particle(objective, dim, config, wrap_mask, init=None):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_pso_array_update_matches_per_particle_loop(seed):
     dim = 10
-    wrap = np.arange(dim) < dim // 2
+    n_wrap = dim // 2
+    wrap = np.arange(dim) < n_wrap
     target = np.linspace(0.05, 0.95, dim)
 
     def objective(x):
@@ -717,8 +719,8 @@ def test_pso_array_update_matches_per_particle_loop(seed):
 
     cfg = PsoConfig(swarm_size=7, iterations=120, seed=seed, stagnation_window=40)
     init = np.full(dim, 0.3) if seed % 2 else None
-    res = one_swarm(objective, dim, cfg, wrap_mask=wrap, init=init)
-    best_x, history = _minimize_per_particle(objective, dim, cfg, wrap, init=init)
+    res = one_swarm(objective, dim, cfg, n_wrap=n_wrap, init=init)
+    best_x, history = _minimize_per_particle(objective, dim, cfg, n_wrap, init=init)
     assert np.array_equal(res.best_x, best_x)
     assert np.array_equal(res.history, history)
 
@@ -727,15 +729,14 @@ def test_pso_update_rounds_as_the_per_particle_loop():
     # with coefficients that are not powers of 2, (c * r) * d and c * (r * d)
     # round differently; the in-place update keeps the reference's order
     dim = 6
-    wrap = np.arange(dim) < 3
     cfg = PsoConfig(swarm_size=8, iterations=80, seed=4, stagnation_window=0,
                     inertia=0.7, cognitive=1.7, social=1.3, velocity_clamp=0.3)
 
     def objective(x):
         return np.sum(np.abs(x - np.linspace(0.1, 0.9, dim)), axis=1)
 
-    res = one_swarm(objective, dim, cfg, wrap_mask=wrap)
-    best_x, history = _minimize_per_particle(objective, dim, cfg, wrap)
+    res = one_swarm(objective, dim, cfg, n_wrap=3)
+    best_x, history = _minimize_per_particle(objective, dim, cfg, 3)
     assert np.array_equal(res.best_x, best_x)
     assert np.array_equal(res.history, history)
 
@@ -764,12 +765,14 @@ def test_torus_wrap_stays_below_one():
         return np.zeros(x.shape[0]) + 1.0
 
     cfg = PsoConfig(swarm_size=3, iterations=2, seed=1, stagnation_window=0)
-    one_swarm(record, 2, cfg, wrap_mask=np.array([True, False]),
+    one_swarm(record, 2, cfg, n_wrap=1,
               init=np.array([0.3 - np.nextafter(0.3, 1.0), 0.5]))
     assert seen[0][0, 0] == 0.0
     assert all(np.all((x[:, 0] >= 0.0) & (x[:, 0] < 1.0)) for x in seen)
-    with pytest.raises(ValueError, match="periodic coordinates must come first"):
-        one_swarm(record, 2, cfg, wrap_mask=np.array([False, True]))
+    # n_wrap counts leading coordinates, 0 to dim
+    for bad in (-1, 3, 1.5, True):
+        with pytest.raises(ValueError, match=r"n_wrap must be an integer in \[0, 2\]"):
+            one_swarm(record, 2, cfg, n_wrap=bad)
 
 
 def test_pso_optimize_scores_each_swarm_in_one_call(monkeypatch):
@@ -887,7 +890,6 @@ def test_minimize_swarms_equal_separate_runs():
         return np.sum(np.abs(x - 0.3), axis=1)
 
     dim = 4
-    wrap = np.arange(dim) < 2
     cfg = PsoConfig(swarm_size=6, iterations=12, stagnation_window=8)
     objectives = (objective, shifted)
 
@@ -899,14 +901,14 @@ def test_minimize_swarms_equal_separate_runs():
         return f if limit is None else np.minimum(f, limit)
 
     seeds = ((1, 2, 6), (4, 5))
-    [runs, _] = minimize_swarms(both, dim, cfg, seeds, wrap_mask=wrap)
+    [runs, _] = minimize_swarms(both, dim, cfg, seeds, n_wrap=2)
     assert [(r.iterations, r.stop_reason) for r in runs] == [
         (7, "zero_cost"), (12, "max_iterations"), (11, "stagnation")]
     for init in (None, np.array([np.full(dim, 0.9), [1.7, -0.2, 1.3, 0.4]])):
-        runs = minimize_swarms(both, dim, cfg, seeds, wrap_mask=wrap, init=init)
+        runs = minimize_swarms(both, dim, cfg, seeds, n_wrap=2, init=init)
         for d, (f, design_seeds) in enumerate(zip(objectives, seeds)):
             for seed, got in zip(design_seeds, runs[d]):
-                want = one_swarm(f, dim, replace(cfg, seed=seed), wrap_mask=wrap,
+                want = one_swarm(f, dim, replace(cfg, seed=seed), n_wrap=2,
                                  init=None if init is None else init[d])
                 assert np.array_equal(got.best_x, want.best_x)
                 assert got.best_value == want.best_value
@@ -1094,8 +1096,6 @@ def test_mode_codec_dims_and_wrap():
     for mode, dim in dims.items():
         codec = ModeCodec(mode=mode, rows=p, cols=q)
         assert codec.dim == dim
-        wrap = codec.wrap_mask
-        assert wrap.sum() == dim // 2 and wrap[: dim // 2].all()
     with pytest.raises(ConstraintError, match="even row count"):
         ModeCodec(mode=ControlMode.DELTA, rows=5, cols=4)
 
