@@ -48,7 +48,7 @@ def pulse_fourier_coefficients(rise, duty, h: int):
     Args:
         rise: normalized rise instant(s) in [0, 1), scalar or array.
         duty: normalized on-fraction(s) in [0, 1], scalar or array.
-        h: harmonic index (any integer).
+        h: harmonic index, any int or numpy integer but a bool.
 
     Returns:
         Complex coefficient(s) u^h, same shape as the broadcast inputs.
@@ -59,6 +59,8 @@ def pulse_fourier_coefficients(rise, duty, h: int):
         Duty 0 or 1 short-circuits to an exact 0 for h != 0: a permanently
         on/off cell has no sidebands, and sin(pi*h) leaves rounding residue.
     """
+    if isinstance(h, bool) or not isinstance(h, (int, np.integer)):
+        raise ValueError(f"harmonic h must be an integer, got {h!r}")
     rise = np.asarray(rise, dtype=float)
     duty = np.asarray(duty, dtype=float)
     # written so that NaN fails the range test

@@ -92,30 +92,9 @@ class _Fold:
             for x, (iu, iv) in zip(left, points))
 
 
-def _group_points(evaluators: Sequence["CostEvaluator"]) -> tuple:
-    """For each harmonic, the evaluators' designs grouped by point count:
-    (members, bounds) per count, bounds (3, len(members), count) stacking
-    the members' point bounds (CostEvaluator._point_bounds) in order."""
-    groups = []
-    for h in (0, 1):
-        members = {}
-        for e, ev in enumerate(evaluators):
-            members.setdefault(ev._point_bounds[h].shape[1], []).append(e)
-        groups.append(tuple((m, np.stack([evaluators[e]._point_bounds[h] for e in m], axis=1))
-                            for m in members.values()))
-    return tuple(groups)
-
-
 def _spans(start: list) -> list:
     """(design, lo, hi) for each design with blocks, from phi_batch's start."""
     return [(e, lo, hi) for e, (lo, hi) in enumerate(zip(start, start[1:])) if lo < hi]
-
-
-def _for_blocks(table: np.ndarray, designs: np.ndarray) -> np.ndarray:
-    """A table with a leading design axis, for each block: the lone
-    design's entry, which broadcasts over the blocks, or else each block's
-    design's."""
-    return table[0] if len(table) == 1 else table[designs]
 
 
 class CostEvaluator:
@@ -143,16 +122,15 @@ class CostEvaluator:
     size: each product that spans blocks holds them in its rows, and a lone
     row is multiplied as a pair (_matmul_rows).
 
-    A stack of several evaluators (stack) holds them as its designs, so
-    that one call scores blocks of every design (phi_batch's designs), in
-    any mode, in passes of whole designs (PASS_COLUMNS). It reads each
-    design's folds and grid ceilings from that design's evaluator and joins
-    only the tables gathered per block: |d|, beta, the row ceilings and the
-    point bounds. In a pass the products stay per design, each writing its
-    rows of shared buffers, and the elementwise steps run once over all
-    rows, with each design's bounds gathered per row. A design's costs then
-    equal those of its own evaluator bit for bit: its point rows are summed
-    with those of designs that have as many point nodes, never padded.
+    A stack of evaluators (stack) holds them as its designs, so that one
+    call scores blocks of every design (phi_batch's designs), in any mode,
+    in passes of whole designs (PASS_COLUMNS). A design's blocks are one
+    span of rows, and every step reads the span's tables from that
+    design's own evaluator: its folds, |d| and beta, row ceilings, point
+    bounds and grid ceilings, which broadcast over the span. No table is
+    joined or gathered per block, so a stack of one scores as its
+    evaluator does, and each design's costs equal its own evaluator's bit
+    for bit.
 
     The bounds, weights and factors are never mutated after construction
     (a mode's fold is added to its design's evaluator at its first call). A
@@ -186,8 +164,8 @@ class CostEvaluator:
         d = a - b
         d_norm = float(np.linalg.norm(d))
         e = d / d_norm if d_norm > 0.0 else np.array([1.0 + 0j, 0j])
-        self._d_norm = np.array([d_norm])
-        self._beta = np.array([np.vdot(e, b)])
+        self._d_norm = d_norm
+        self._beta = complex(np.vdot(e, b))
         beta_perp2 = abs(e[0] * b[1] - e[1] * b[0]) ** 2
         # the separable factors with the drive g = g_x (x) g_y folded in:
         # rows for the grid's u (v), then the anchors' u (v)
@@ -217,15 +195,16 @@ class CostEvaluator:
         lower[0] -= carrier_floor
         upper[0] -= carrier_floor
         # the grid ceilings are _grid_upper (2, nu, nv), their lowest per
-        # u-row _row_ceiling[h][e] for design e, and _point_bounds[h] stacks
-        # the point nodes' lower and upper bounds and weights
+        # u-row _row_ceiling (2, nu), and _point_bounds stacks the point
+        # nodes' lower and upper bounds and weights, harmonic h's in the
+        # columns _point_cols[h]
         self._grid_upper = upper[:, :n].reshape(2, nu, nv)
-        self._row_ceiling = (self._grid_upper.min(axis=2) / (1.0 + BOUND_SLACK))[:, None]
-        self._point_bounds = tuple(
+        self._row_ceiling = self._grid_upper.min(axis=2) / (1.0 + BOUND_SLACK)
+        self._point_bounds = np.concatenate([
             np.array([lower[h, idx], np.where(idx < n, np.inf, upper[h, idx]),
                       np.where(idx < n, grid.cell_weight, self.anchor_weight)])
-            for h, idx in enumerate(nodes))
-        self._point_groups = _group_points((self,))
+            for h, idx in enumerate(nodes)], axis=1)
+        self._point_cols = (slice(None, len(nodes[0])), slice(len(nodes[0]), None))
         # a node's rows of rows_g and cols_g: (u, v) on the grid, (nu + k,
         # nv + k) for anchor k
         uv = [np.where(idx < n, np.divmod(idx, nv), idx - n + np.array([[nu], [nv]]))
@@ -247,10 +226,6 @@ class CostEvaluator:
             raise ValueError("stacked evaluators must share the geometry's and the grid's size")
         stacked = copy.copy(first)
         stacked._members = tuple(evaluators)
-        stacked._d_norm, stacked._beta = (np.concatenate([getattr(ev, name) for ev in evaluators])
-                                          for name in ("_d_norm", "_beta"))
-        stacked._row_ceiling = np.concatenate([ev._row_ceiling for ev in evaluators], axis=1)
-        stacked._point_groups = _group_points(evaluators)
         stacked._buffers = {}
         return stacked
 
@@ -283,15 +258,18 @@ class CostEvaluator:
             folds.append(fold)
         return folds
 
-    def _coefficients(self, rises: np.ndarray, duties: np.ndarray, designs: np.ndarray) -> tuple:
+    def _coefficients(self, rises: np.ndarray, duties: np.ndarray, spans: list) -> tuple:
         """Source coefficients |d| u^h + delta_h0 beta of stacked blocks for
-        h = 0 and 1, each shaped as the blocks, with each block's design's
-        |d| and beta. The h = 1 coefficients check the blocks' ranges; u^0
-        is the duty itself."""
-        at = designs[:, None, None]
-        d_norm = _for_blocks(self._d_norm, at)
-        u1 = pulse_fourier_coefficients(rises, duties, 1) * d_norm
-        u0 = duties * d_norm + _for_blocks(self._beta, at)
+        h = 0 and 1, each shaped as the blocks, with the |d| and beta of
+        each span's design. The h = 1 coefficients check the blocks'
+        ranges; u^0 is the duty itself."""
+        evaluators = self._designs()
+        u1 = pulse_fourier_coefficients(rises, duties, 1)
+        u0 = np.empty_like(u1)
+        for e, lo, hi in spans:
+            ev = evaluators[e]
+            u1[lo:hi] *= ev._d_norm
+            np.add(duties[lo:hi] * ev._d_norm, ev._beta, out=u0[lo:hi])
         return u0, u1
 
     def phi_batch(self, rises: np.ndarray, duties: np.ndarray,
@@ -316,16 +294,16 @@ class CostEvaluator:
             limit = np.asarray(limit)
             if limit.shape != (batch,) or limit.dtype.kind != "f" or np.isnan(limit).any():
                 raise ValueError(f"limit must give each of the {batch} blocks a non-NaN float")
-        n_designs = len(self._d_norm)
+        n_designs = len(self._designs())
         # design e's blocks are rows start[e]:start[e + 1]; a pass takes
         # whole designs while they fit in PASS_COLUMNS, or one design
         if designs is None:
-            designs, start = np.zeros(batch, dtype=np.intp), [0] + [batch] * n_designs
+            start = [0] + [batch] * n_designs
         else:
             designs = np.asarray(designs)
             if (designs.shape != (batch,) or designs.dtype.kind not in "iu"
                     or batch and (designs[0] < 0 or designs[-1] >= n_designs
-                                  or np.any(designs[1:] < designs[:-1]))):
+                                  or (designs[1:] < designs[:-1]).any())):
                 raise ValueError(f"designs must give each of the {batch} blocks a design in "
                                  f"[0, {n_designs}), in nondecreasing order")
             start = designs.searchsorted(np.arange(n_designs + 1)).tolist()
@@ -334,71 +312,57 @@ class CostEvaluator:
             if hi > lo > cuts[-1] and (hi - cuts[-1]) * q > PASS_COLUMNS:
                 cuts.append(lo)
         if len(cuts) == 1:
-            return self._pass(rises, duties, folds, designs, start, limit)
+            return self._pass(rises, duties, folds, start, limit)
         total = np.empty(batch)
         for lo, hi in zip(cuts, cuts[1:] + [batch]):
-            total[lo:hi] = self._pass(rises[lo:hi], duties[lo:hi], folds, designs[lo:hi],
+            total[lo:hi] = self._pass(rises[lo:hi], duties[lo:hi], folds,
                                       [min(max(s, lo), hi) - lo for s in start],
                                       None if limit is None else limit[lo:hi])
         return total
 
     def _pass(self, rises: np.ndarray, duties: np.ndarray, folds: list,
-              designs: np.ndarray, start: list, limit: Optional[np.ndarray]) -> np.ndarray:
+              start: list, limit: Optional[np.ndarray]) -> np.ndarray:
         """phi_batch on the blocks of one pass: a block costs ((P0 + C0) +
         P1) + C1 with P_h, C_h >= 0 its point and grid-ceiling terms at
         harmonic h, so P0 + P1 <= cost (rounded addition is monotone), and
         only the blocks with P0 + P1 below their limit radiate the ceilings."""
         spans = _spans(start)
-        batch = len(designs)
-        coefs = self._coefficients(rises, duties, designs)
+        batch = len(rises)
+        coefs = self._coefficients(rises, duties, spans)
         points = np.zeros((2, batch))
-        for h, coef in enumerate(coefs):
-            self._add_point_terms(points[h], h, coef.reshape(batch, -1), folds, designs, spans)
+        self._add_point_terms(points, [coef.reshape(batch, -1) for coef in coefs], folds, spans)
         bound = points[0] + points[1]
         live = slice(None)
         if limit is not None:
             live = np.flatnonzero(bound < limit)
             if live.size == 0:
                 return bound
-            if live.size < batch:  # the live blocks, with their own designs and spans
+            if live.size < batch:  # the live blocks, with their own spans
                 coefs = tuple(coef[live] for coef in coefs)
-                designs = designs[live]
                 start = live.searchsorted(start).tolist()
                 spans = _spans(start)
-        ceilings = np.zeros((2, len(designs)))
+        ceilings = np.zeros((2, len(coefs[0])))
         for h, coef in enumerate(coefs):
-            self._add_ceiling_terms(ceilings[h], h, coef, folds, designs, start, spans)
+            self._add_ceiling_terms(ceilings[h], h, coef, folds, start, spans)
         p0, p1 = points[:, live]
         bound[live] = ((p0 + ceilings[0]) + p1) + ceilings[1]
         return bound
 
-    def _add_point_terms(self, total, h, blocks, folds, designs, spans):
-        """Harmonic h's point nodes, against both bounds, one group of
-        designs with as many nodes at a time."""
-        for members, bounds in self._point_groups[h]:
-            if len(members) == len(self._d_norm):  # every block, in order
-                live, rows, local, n = spans, None, designs, len(total)
-            else:  # the blocks of the members, by their place in the group
-                live = [span for span in spans if span[0] in members]
-                if not live:
-                    continue
-                rows = np.concatenate([np.arange(lo, hi) for _, lo, hi in live])
-                local, n = np.searchsorted(members, designs[rows]), rows.size
-            f = self._view("points", (n, bounds.shape[2]), complex)
-            at = 0
-            for e, lo, hi in live:
-                _matmul_rows(blocks[lo:hi], folds[e].points[h], f[at:at + hi - lo])
-                at += hi - lo
+    def _add_point_terms(self, total, blocks, folds, spans):
+        """Both harmonics' point nodes, against both bounds, one design's
+        span of blocks at a time: harmonic h's terms go to total[h]."""
+        evaluators = self._designs()
+        for e, lo, hi in spans:
+            (lower, upper, w), cols = evaluators[e]._point_bounds, evaluators[e]._point_cols
+            f = self._view("points", (hi - lo, lower.size), complex)
+            for h in (0, 1):
+                _matmul_rows(blocks[h][lo:hi], folds[e].points[h], f[:, cols[h]])
             p = f.real**2 + f.imag**2
-            lower, upper, w = bounds[:, 0] if len(members) == 1 else bounds[:, local]
             over = np.maximum(lower - p, p - upper)
-            over = (np.maximum(over, 0.0, out=over) * w).sum(axis=1)
-            if rows is None:
-                total += over
-            else:
-                total[rows] += over
+            over = np.maximum(over, 0.0, out=over) * w
+            total[:, lo:hi] += [over[:, c].sum(axis=1) for c in cols]
 
-    def _add_ceiling_terms(self, total, h, coef, folds, designs, start, spans):
+    def _add_ceiling_terms(self, total, h, coef, folds, start, spans):
         """Harmonic h's grid ceilings, on the rows whose bound can reach
         them. T = L_h C of each block is held transposed, (batch, q, nu), so
         that the blocks are the product's rows."""
@@ -416,20 +380,17 @@ class CostEvaluator:
         for e, lo, hi in spans:
             np.matmul(folds[e].r_max, size[lo:hi], out=bound[lo:hi])
         bound *= bound
-        ceiling = self._row_ceiling[h]
-        if len(ceiling) > 1:  # each block's row, into the spent buffer of |T|
-            ceiling = np.take(ceiling, designs, axis=0, out=view("size", (batch, nu)),
-                              mode="clip")
-        kk, uu = np.nonzero(bound > ceiling)
+        evaluators = self._designs()
+        flags = np.empty((batch, nu), dtype=bool)
+        for e, lo, hi in spans:
+            np.greater(bound[lo:hi], evaluators[e]._row_ceiling[h], out=flags[lo:hi])
+        kk, uu = flags.nonzero()
         n = kk.size
         if n == 0:
             return
         # the pairs, in kk's order, run design by design
-        if len(spans) == 1:
-            pairs = [(spans[0][0], 0, n)]
-        else:
-            cut = np.searchsorted(kk, start).tolist()
-            pairs = [(e, cut[e], cut[e + 1]) for e, _, _ in spans if cut[e] < cut[e + 1]]
+        cut = kk.searchsorted(start).tolist()
+        pairs = [(e, cut[e], cut[e + 1]) for e, _, _ in spans if cut[e] < cut[e + 1]]
         power = view("power", (n, nv))
         if q == 1:  # |T R|^2 = |T|^2 |R|^2 = bound |R|^2 / max |R|^2
             peak = bound[kk, uu][:, None]
@@ -443,7 +404,6 @@ class CostEvaluator:
             np.multiply(f.real, f.real, out=power)
             power += np.square(f.imag, out=view("scratch", (n, nv)))
         upper = view("scratch", (n, nv))
-        evaluators = self._designs()
         for e, a, b in pairs:
             np.take(evaluators[e]._grid_upper[h], uu[a:b], axis=0, out=upper[a:b], mode="clip")
         power -= upper
@@ -577,16 +537,17 @@ def _wrap_unit(x: np.ndarray) -> np.ndarray:
 
 def _checked_costs(objective, x: np.ndarray, designs: np.ndarray,
                    limit: Optional[np.ndarray] = None) -> np.ndarray:
-    """objective on the stacked swarms x (swarms, particles, dim) and their
+    """objective on the stacked swarms x (swarms, dim, particles) and their
     limits (swarms, particles), as (swarms, particles) costs."""
-    f = np.asarray(objective(x.reshape(-1, x.shape[2]), designs,
+    swarms, dim, particles = x.shape
+    f = np.asarray(objective(x.transpose(0, 2, 1).reshape(-1, dim), designs,
                              None if limit is None else limit.reshape(-1)), dtype=float)
-    if f.shape != (x.shape[0] * x.shape[1],):
+    if f.shape != (swarms * particles,):
         raise ValueError("objective must return one value per particle")
     if not np.isfinite(f).all():
         i = int(np.flatnonzero(~np.isfinite(f))[0])
         raise ValueError(f"non-finite cost {float(f[i])} for particle {i}")
-    return f.reshape(x.shape[:2])
+    return f.reshape(swarms, particles)
 
 
 def minimize_swarms(objective, dim: int, config: PsoConfig,
@@ -643,36 +604,40 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
     c = config.swarm_size
 
     # state arrays carry a leading swarm axis over the running swarms only,
-    # the swarms of a design adjacent and in seed order
+    # the swarms of a design adjacent and in seed order; x is (swarms, dim,
+    # particles), so the periodic and the reflecting coordinates are two
+    # contiguous blocks, and a swarm's (particles, dim) draws are transposed
     x = np.empty((len(rngs), c, dim))
     for rng, xs in zip(rngs, x):
         rng.random(out=xs)
+    x = x.transpose(0, 2, 1).copy()
     if init is not None:
         start = np.array(init, dtype=float)
         if start.shape != (len(seeds), dim):
             raise ValueError(f"init must have shape ({len(seeds)}, {dim})")
         _wrap_unit(start[:, :n_wrap])
         np.clip(start[:, n_wrap:], 0.0, 1.0, out=start[:, n_wrap:])
-        x[:, 0] = start[[d for d, _ in owner]]
+        x[:, :, 0] = start[[d for d, _ in owner]]
     running = list(range(len(rngs)))  # swarm index of each state row
     designs = np.array([d for d, _ in owner])  # design of each state row
 
     vel = np.zeros_like(x)
     f = _checked_costs(objective, x, designs)
-    # the two targets of every particle: best[:, :, 0] is its own best,
-    # best[:, :, 1] its swarm's
-    best = np.empty((len(rngs), c, 2, dim))
-    best[:, :, 0] = x
+    # the two targets of every particle: best[:, 0] is its own best,
+    # best[:, 1] its swarm's, each (swarms, dim, particles)
+    best = np.empty((len(rngs), 2, dim, c))
+    best[:, 0] = x
     pbest_f = f.copy()
     swarms = np.arange(len(rngs))
     ig = np.argmin(pbest_f, axis=1)  # ties resolve to the lowest index
-    best[:, :, 1] = x[swarms, ig][:, None]
+    best[:, 1] = x[swarms, :, ig][:, :, None]
     # a history's last entry is its swarm's best cost
     histories = [[value] for value in pbest_f[swarms, ig].tolist()]
     results = [[None] * len(s) for s in seeds]
+    draws = np.empty((len(rngs), c, 2, dim))
     r = np.empty_like(best)
     delta = np.empty_like(best)
-    coefs = np.array([[config.cognitive], [config.social]])
+    coefs = np.array([config.cognitive, config.social])[:, None, None]
     clamp = config.velocity_clamp
     w = config.stagnation_window
     it = 0
@@ -681,15 +646,16 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
         k = running[row]
         d, i = owner[k]
         results[d][i] = PsoResult(
-            best_x=best[row, 0, 1].copy(), best_value=histories[k][-1],
+            best_x=best[row, 1, :, 0].copy(), best_value=histories[k][-1],
             history=np.asarray(histories[k]), iterations=it, stop_reason=stop_reason)
 
     for it in range(1, config.iterations + 1):
-        for k, out in zip(running, r):
+        for k, out in zip(running, draws):
             rngs[k].random(out=out)
+        np.copyto(r, draws[:len(running)].transpose(0, 2, 3, 1))
         # both pulls at once, each the shorter way round on the torus
-        np.subtract(best, x[:, :, None], out=delta)
-        t = delta[..., :n_wrap]
+        np.subtract(best, x[:, None], out=delta)
+        t = delta[:, :, :n_wrap]
         t += 0.5
         t -= np.floor(t)
         t -= 0.5
@@ -698,14 +664,14 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
         r *= coefs
         r *= delta
         vel *= config.inertia
-        vel += r[:, :, 0]
-        vel += r[:, :, 1]
+        vel += r[:, 0]
+        vel += r[:, 1]
         np.minimum(vel, clamp, out=vel)
         np.maximum(vel, -clamp, out=vel)
         x += vel
-        _wrap_unit(x[..., :n_wrap])
+        _wrap_unit(x[:, :n_wrap])
         # the duties reflect off the walls at 0 and 1
-        xd, vd = x[..., n_wrap:], vel[..., n_wrap:]
+        xd, vd = x[:, n_wrap:], vel[:, n_wrap:]
         low = xd < 0.0
         np.negative(xd, out=xd, where=low)
         high = xd > 1.0
@@ -714,7 +680,7 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
 
         f = _checked_costs(objective, x, designs, pbest_f)
         improved = f < pbest_f
-        np.copyto(best[:, :, 0], x, where=improved[..., None])
+        np.copyto(best[:, 0], x, where=improved[:, None])
         np.copyto(pbest_f, f, where=improved)
 
         keep = []
@@ -723,7 +689,7 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
             value = history[-1]
             top = float(pbest_f[row, i])
             if top < value:
-                best[row, :, 1] = best[row, i, 0]
+                best[row, 1] = best[row, 0, :, i, None]
                 value = top
             history.append(value)
             if value == 0.0:
@@ -789,11 +755,12 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     used by one thread at a time.
 
     Each iteration scores the running swarms of every evaluator in one
-    phi_batch call, on the evaluator itself when there is one and on a stack
-    of them (CostEvaluator.stack) otherwise. The stack holds the evaluators
-    and reads each design's tables from its own; it lives as long as the
-    search, with its cost buffers. Each particle's personal best is its
-    limit, so that only the particles that can beat it are scored whole.
+    phi_batch call on a stack of the evaluators (CostEvaluator.stack), a
+    lone evaluator's stack of one included, with each block's design. The
+    stack holds the evaluators and reads each design's tables from its own;
+    it lives as long as the search, with its cost buffers. Each particle's
+    personal best is its limit, so that only the particles that can beat
+    it are scored whole.
     That call rounds a particle's cost as its own evaluator does, at any
     position in a batch of any size (measured with OpenBLAS 0.3.31 on an
     AVX-512 x86-64 CPU), so every result equals the run of its evaluator and
@@ -808,12 +775,11 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     if len(seeds) != len(evaluators):
         raise ValueError("one seed list per evaluator is required")
     init = np.array([conjugate_guess(ev, codec) for ev in evaluators])
-    stack = CostEvaluator.stack(evaluators) if len(evaluators) > 1 else evaluators[0]
+    stack = CostEvaluator.stack(evaluators)
 
     def objective(x, designs, limit):
-        # a stack takes each block's design
-        rows = (np.repeat(designs, config.swarm_size),) if len(evaluators) > 1 else ()
-        return stack.phi_batch(*codec.blocks(x), codec.mode, *rows, limit=limit)
+        return stack.phi_batch(*codec.blocks(x), codec.mode, np.repeat(designs, config.swarm_size),
+                               limit=limit)
 
     # the rises, periodic, come first
     runs = minimize_swarms(objective, codec.dim, config, seeds, n_wrap=codec.dim // 2, init=init)

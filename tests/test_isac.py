@@ -161,9 +161,8 @@ def test_design_runs_its_repeats_in_one_loop(fast_scenario, monkeypatch):
     score = CostEvaluator.phi_batch
 
     def counted(self, rises, *args, **kwargs):
-        # a lone design's evaluator is called without designs
-        designs = args[2].tolist() if len(args) > 2 else [0] * rises.shape[0]
-        calls.append((self, rises.shape[0], designs))
+        # every call marks each block with its design, a lone design's too
+        calls.append((self, rises.shape[0], args[2].tolist()))
         return score(self, rises, *args, **kwargs)
 
     runs = []
@@ -187,10 +186,10 @@ def test_design_runs_its_repeats_in_one_loop(fast_scenario, monkeypatch):
                 for i in range(max(map(max, iterations)) + 1)]
         assert [n for _, n, _ in calls] == [len(designs) for designs in want]
         assert [designs for _, _, designs in calls] == want
-        # by the design's own evaluator when it is alone, else by one stack
+        # by one stack of the designs' evaluators, a lone design's included
         scorers = {id(ev) for ev, _, _ in calls}
         assert len(scorers) == 1
-        assert (calls[0][0] is evaluators[0]) == (len(evaluators) == 1)
+        assert calls[0][0]._members == tuple(evaluators)
         for d, its in enumerate(iterations):
             assert (sum(designs.count(d) for _, _, designs in calls)
                     == sum((it + 1) * swarm for it in its))

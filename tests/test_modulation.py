@@ -5,6 +5,8 @@ tiling), exercised through the mode decoder."""
 import numpy as np
 import pytest
 
+from tmems.fields import DirectionGrid, FieldEngine, PlaneWaveIncidence
+from tmems.geometry import EmsGeometry
 from tmems.modulation import (
     ConstraintError,
     ControlMode,
@@ -117,6 +119,22 @@ def test_coefficient_input_validation():
         pulse_fourier_coefficients(np.array([0.2, np.nan]), 0.5, 1)
     with pytest.raises(ValueError, match="duty"):
         pulse_fourier_coefficients(0.2, np.array([np.nan, 0.5]), 0)
+
+
+def test_harmonic_must_be_an_integer():
+    # a NaN harmonic would return NaN, 0.5 a value of no harmonic, and a
+    # bool would pass for 0 or 1
+    sched = PulseSchedule(period_s=1e-6, rise=[[0.2]], duty=[[0.3]])
+    engine = FieldEngine(EmsGeometry(rows=1, cols=1), DirectionGrid.uniform(5))
+    states, inc = ReflectionStates.ideal(), PlaneWaveIncidence(theta_deg=0.0)
+    for bad in (float("nan"), 0.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="harmonic h must be an integer"):
+            pulse_fourier_coefficients(0.2, 0.3, bad)
+        with pytest.raises(ValueError, match="harmonic h must be an integer"):
+            engine.pattern(sched, states, inc, bad)
+    one = pulse_fourier_coefficients(0.2, 0.3, 1)
+    assert pulse_fourier_coefficients(0.2, 0.3, np.int64(1)) == one
+    assert np.isfinite(pulse_fourier_coefficients(0.2, 0.3, -2))
 
 
 def one_cell_tensor(states, rise, duty, h):

@@ -396,16 +396,37 @@ def test_stacked_costs_equal_separate_calls(fast_scenario, mode, monkeypatch):
                           evaluators[0].phi_batch(rises, duties, mode))
 
 
+@pytest.mark.parametrize("mode", [ControlMode.DELTA, ControlMode.FULL,
+                                  ControlMode.COLWISE_DELTA, ControlMode.COLWISE])
+def test_stack_of_one_costs_as_its_evaluator(fast_scenario, mode):
+    # the notch makes some blocks radiate their ceilings; a mixed limit
+    # stops half of the blocks at their point terms
+    ev = notched(fast_scenario(mode=mode, rows=6, cols=4).evaluator())
+    stack = CostEvaluator.stack([ev])
+    codec = ModeCodec(mode=mode, rows=6, cols=4)
+    rises, duties = codec.blocks(np.random.default_rng(14).random((12, codec.dim)))
+    zeros = np.zeros(12, dtype=int)
+    costs = ev.phi_batch(rises, duties, mode)
+    assert np.any(dense_phi(ev, rises, duties, mode)[1] > 0)
+    mixed = np.where(np.arange(12) % 2 == 0, 0.5, 2.0) * costs
+    for limit in (None, np.full(12, np.inf), mixed):
+        want = ev.phi_batch(rises, duties, mode, limit=limit)
+        got = stack.phi_batch(rises, duties, mode, designs=zeros, limit=limit)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, costs) == (limit is not mixed)
+
+
 @pytest.mark.parametrize("mode", [ControlMode.DELTA, ControlMode.COLWISE_DELTA])
 def test_stacked_costs_keep_each_designs_point_count(fast_scenario, mode):
     # hand-built floors give the designs 1, 3 and 1 extra point nodes at
-    # h = 1 and 0, 0 and 2 at h = 0: the row sums group designs 0 and 2 at
-    # h = 1 and designs 0 and 1 at h = 0, and a design's sum is never padded
+    # h = 1 and 0, 0 and 2 at h = 0: at each harmonic two designs have as
+    # many point nodes and the third has more, and each is scored as alone
     ev = fast_scenario(mode=mode, rows=6, cols=4).evaluator()
     evaluators = [with_floors(with_floors(ev, 1, [(5, 9)]), 0, []),
                   with_floors(ev, 1, [(5, 9), (7, 12), (20, 3)]),
                   with_floors(with_floors(ev, 1, [(9, 20)]), 0, [(12, 14), (18, 17)])]
-    counts = [[ev._point_bounds[h].shape[1] for ev in evaluators] for h in (0, 1)]
+    counts = [[ev._point_bounds[:, ev._point_cols[h]].shape[1] for ev in evaluators]
+              for h in (0, 1)]
     assert counts[0][0] == counts[0][1] != counts[0][2]
     assert counts[1][0] == counts[1][2] != counts[1][1]
     stack = CostEvaluator.stack(evaluators)
@@ -789,9 +810,12 @@ def test_pso_optimize_scores_each_swarm_in_one_call(monkeypatch):
     cfg = PsoConfig(swarm_size=6, iterations=8, seed=3, stagnation_window=0)
     [[res]] = pso_optimize([ev], ControlMode.DELTA, cfg)
     assert len(calls) == res.iterations + 1
+    # a lone design is scored on a stack of one, every block marked design 0
     for args, kwargs in calls:
-        assert args[0].shape == (6, 2, 4) and args[1].shape == (6, 2, 4)
-        assert (args[2:] or (kwargs["mode"],)) == (ControlMode.DELTA,)
+        rises, duties, mode, designs = args
+        assert rises.shape == duties.shape == (6, 2, 4)
+        assert mode is ControlMode.DELTA
+        assert np.array_equal(designs, np.zeros(6))
 
 
 def test_pso_optimize_scores_every_design_in_one_call(monkeypatch, fast_scenario):
