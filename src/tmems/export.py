@@ -40,19 +40,28 @@ def write_pattern_csv(path, pattern: HarmonicPattern, reference: float) -> None:
         f"# db_floor: {format_float(DB_FLOOR)}",
         "u,v,visible,power_linear,power_db\n",
     ]
-    # Each axis value is formatted once and a row's power pairs in one %
-    # call; rows are paired and streamed one at a time, so neither the
-    # grid's pairs nor the file sit in memory whole.
-    sv = [format_float(x) for x in grid.v]
-    pairs_fmt = "%.17g,%.17g\n" * grid.v.size
+    # A u-row is one % call on a template of its nodes' lines, joined with
+    # the row's u in front of each. An invisible node whose pair is that of
+    # zero power (a sum of squares is never -0) is fixed text, formatted
+    # once (kind 2); every other node, invisible (0) or visible (1), takes
+    # its pair by "%.17g,%.17g". Rows are streamed one at a time, so neither
+    # the grid's pairs nor the file sit in memory whole.
+    zero_db = power_db(0.0, reference)
+    kinds = grid.visible.astype(np.int8)
+    kinds[~grid.visible & (power == 0.0) & (db == zero_db)] = 2
+    pieces = np.array([[f"{format_float(v)},{flag},{pair}\n" for v in grid.v]
+                       for flag, pair in (("0", "%.17g,%.17g"), ("1", "%.17g,%.17g"),
+                                          ("0", "%.17g,%.17g" % (0.0, zero_db)))],
+                      dtype=object)
+    columns = np.arange(grid.v.size)
+    pairs = np.empty((grid.v.size, 2))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
-        for u, flags, p_row, db_row in zip(grid.u, grid.visible.tolist(), power, db):
-            su = format_float(u)
-            heads = [f"{su},{v},{'1' if f else '0'}," for v, f in zip(sv, flags)]
-            row = np.column_stack((p_row, db_row)).ravel()
-            cells = (pairs_fmt % tuple(row.tolist())).splitlines(keepends=True)
-            fh.write("".join(map(str.__add__, heads, cells)))
+        for u, kind, p_row, db_row in zip(grid.u, kinds, power, db):
+            head = format_float(u) + ","
+            template = head + head.join(pieces[kind, columns])
+            pairs[:, 0], pairs[:, 1] = p_row, db_row
+            fh.write(template % tuple(pairs[kind != 2].ravel().tolist()))
 
 
 def write_schedule_csv(path, schedule: PulseSchedule) -> None:

@@ -166,7 +166,7 @@ class DirectionGrid:
     def dv(self) -> float:
         return float(self.v[1] - self.v[0])
 
-    @property
+    @cached_property
     def cell_weight(self) -> float:
         """Quadrature weight of one grid cell in (u, v) space."""
         return self.du * self.dv

@@ -42,6 +42,17 @@ class ControlMode(str, Enum):
         return mode
 
 
+def check_pulses(rise: np.ndarray, duty: np.ndarray):
+    """Raise ValueError unless every rise lies in [0, 1) and every duty in
+    [0, 1]: a minimum and a maximum of each float array, which propagate
+    NaN, so NaN fails every range test."""
+    low, high = np.minimum.reduce, np.maximum.reduce
+    if not (0.0 <= low(rise, axis=None, initial=0.0) and high(rise, axis=None, initial=0.0) < 1.0):
+        raise ValueError("rise must lie in [0, 1)")
+    if not (0.0 <= low(duty, axis=None, initial=0.0) and high(duty, axis=None, initial=0.0) <= 1.0):
+        raise ValueError("duty must lie in [0, 1]")
+
+
 def pulse_fourier_coefficients(rise, duty, h: int):
     """Closed-form Fourier coefficient of the on/off indicator at harmonic h.
 
@@ -63,19 +74,22 @@ def pulse_fourier_coefficients(rise, duty, h: int):
         raise ValueError(f"harmonic h must be an integer, got {h!r}")
     rise = np.asarray(rise, dtype=float)
     duty = np.asarray(duty, dtype=float)
-    # written so that NaN fails the range test
-    if not np.all((rise >= 0.0) & (rise < 1.0)):
-        raise ValueError("rise must lie in [0, 1)")
-    if not np.all((duty >= 0.0) & (duty <= 1.0)):
-        raise ValueError("duty must lie in [0, 1]")
+    check_pulses(rise, duty)
     if h == 0:
         out = duty.astype(complex)
         return out[()] if out.ndim == 0 else out
+    u = sideband_coefficients(rise, duty, h)
+    return u[()] if u.ndim == 0 else u
+
+
+def sideband_coefficients(rise: np.ndarray, duty: np.ndarray, h: int) -> np.ndarray:
+    """pulse_fourier_coefficients at a harmonic h != 0 of float arrays whose
+    ranges the caller has checked (check_pulses)."""
     x = np.pi * h
     amp = np.where(duty == 1.0, 0.0, np.sin(x * duty) / x)
     u = np.exp(-1j * x * (2.0 * rise + duty))
     u *= amp
-    return u[()] if u.ndim == 0 else u
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,10 +152,7 @@ class PulseSchedule:
         duty = np.array(self.duty, dtype=float)
         if rise.ndim != 2 or rise.shape != duty.shape:
             raise ValueError("rise and duty must be 2-D arrays of equal shape")
-        if not np.all((rise >= 0.0) & (rise < 1.0)):
-            raise ValueError("rise values must lie in [0, 1)")
-        if not np.all((duty >= 0.0) & (duty <= 1.0)):
-            raise ValueError("duty values must lie in [0, 1]")
+        check_pulses(rise, duty)
         rise.setflags(write=False)
         duty.setflags(write=False)
         object.__setattr__(self, "rise", rise)

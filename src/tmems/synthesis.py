@@ -23,8 +23,9 @@ from .modulation import (
     PulseSchedule,
     ReflectionStates,
     check_delta_applicable,
+    check_pulses,
     mirror_rise,
-    pulse_fourier_coefficients,
+    sideband_coefficients,
 )
 
 
@@ -116,7 +117,9 @@ class CostEvaluator:
     below the row's lowest ceiling adds exactly 0 to the ceiling terms, so
     only the other pairs are radiated, all in one product. The point nodes
     (each harmonic's grid nodes with a lower bound, then every anchor) are
-    radiated for every block and scored against both of their bounds.
+    radiated and scored against both of their bounds. With a limit the
+    terms come in stages, each for the blocks the ones before left below
+    their limits (_pass).
 
     A block's cost is rounded the same at any position in a batch of any
     size: each product that spans blocks holds them in its rows, and a lone
@@ -195,16 +198,14 @@ class CostEvaluator:
         lower[0] -= carrier_floor
         upper[0] -= carrier_floor
         # the grid ceilings are _grid_upper (2, nu, nv), their lowest per
-        # u-row _row_ceiling (2, nu), and _point_bounds stacks the point
-        # nodes' lower and upper bounds and weights, harmonic h's in the
-        # columns _point_cols[h]
+        # u-row _row_ceiling (2, nu), and _point_bounds[h] stacks harmonic
+        # h's point nodes' lower and upper bounds and weights
         self._grid_upper = upper[:, :n].reshape(2, nu, nv)
         self._row_ceiling = self._grid_upper.min(axis=2) / (1.0 + BOUND_SLACK)
-        self._point_bounds = np.concatenate([
+        self._point_bounds = tuple(
             np.array([lower[h, idx], np.where(idx < n, np.inf, upper[h, idx]),
                       np.where(idx < n, grid.cell_weight, self.anchor_weight)])
-            for h, idx in enumerate(nodes)], axis=1)
-        self._point_cols = (slice(None, len(nodes[0])), slice(len(nodes[0]), None))
+            for h, idx in enumerate(nodes))
         # a node's rows of rows_g and cols_g: (u, v) on the grid, (nu + k,
         # nv + k) for anchor k
         uv = [np.where(idx < n, np.divmod(idx, nv), idx - n + np.array([[nu], [nv]]))
@@ -258,19 +259,22 @@ class CostEvaluator:
             folds.append(fold)
         return folds
 
-    def _coefficients(self, rises: np.ndarray, duties: np.ndarray, spans: list) -> tuple:
-        """Source coefficients |d| u^h + delta_h0 beta of stacked blocks for
-        h = 0 and 1, each shaped as the blocks, with the |d| and beta of
-        each span's design. The h = 1 coefficients check the blocks'
-        ranges; u^0 is the duty itself."""
-        evaluators = self._designs()
-        u1 = pulse_fourier_coefficients(rises, duties, 1)
-        u0 = np.empty_like(u1)
+    def _coefficients(self, h: int, rises: np.ndarray, duties: np.ndarray, tables: list,
+                      spans: list) -> np.ndarray:
+        """Source coefficients |d| u^h + delta_h0 beta of stacked blocks,
+        shaped as the blocks, with the |d| and beta of each span's design.
+        u^0 is the duty itself, so h = 0 needs no exponential; phi_batch
+        has checked the blocks' ranges."""
+        if h == 0:
+            u = np.empty(rises.shape, complex)
+            for e, lo, hi in spans:
+                ev = tables[e][0]
+                np.add(duties[lo:hi] * ev._d_norm, ev._beta, out=u[lo:hi])
+            return u
+        u = sideband_coefficients(rises, duties, h)
         for e, lo, hi in spans:
-            ev = evaluators[e]
-            u1[lo:hi] *= ev._d_norm
-            np.add(duties[lo:hi] * ev._d_norm, ev._beta, out=u0[lo:hi])
-        return u0, u1
+            u[lo:hi] *= tables[e][0]._d_norm
+        return u
 
     def phi_batch(self, rises: np.ndarray, duties: np.ndarray,
                   mode: ControlMode = ControlMode.FULL,
@@ -283,18 +287,23 @@ class CostEvaluator:
         evaluators (stack); by default every block is design 0. With a
         limit (batch,) of floats, not NaN, a block whose cost is at least
         its limit may return any value in [limit, cost]; the others return
-        their cost."""
+        their cost. The rises and duties of every block are range-checked,
+        also of those that their limit drops."""
         folds = self._fold(mode)
         p, q = folds[0].shape
         if rises.shape[1:] != (p, q) or duties.shape != rises.shape:
             raise ValueError(f"expected {mode.value} blocks of shape (batch, {p}, {q}), "
                              f"got {rises.shape} and {duties.shape}")
+        rises, duties = np.asarray(rises, dtype=float), np.asarray(duties, dtype=float)
+        check_pulses(rises, duties)
         batch = rises.shape[0]
         if limit is not None:
             limit = np.asarray(limit)
             if limit.shape != (batch,) or limit.dtype.kind != "f" or np.isnan(limit).any():
                 raise ValueError(f"limit must give each of the {batch} blocks a non-NaN float")
-        n_designs = len(self._designs())
+        # each design's evaluator and fold
+        tables = list(zip(self._designs(), folds))
+        n_designs = len(tables)
         # design e's blocks are rows start[e]:start[e + 1]; a pass takes
         # whole designs while they fit in PASS_COLUMNS, or one design
         if designs is None:
@@ -312,103 +321,120 @@ class CostEvaluator:
             if hi > lo > cuts[-1] and (hi - cuts[-1]) * q > PASS_COLUMNS:
                 cuts.append(lo)
         if len(cuts) == 1:
-            return self._pass(rises, duties, folds, start, limit)
+            return self._pass(rises, duties, tables, start, limit)
         total = np.empty(batch)
         for lo, hi in zip(cuts, cuts[1:] + [batch]):
-            total[lo:hi] = self._pass(rises[lo:hi], duties[lo:hi], folds,
+            total[lo:hi] = self._pass(rises[lo:hi], duties[lo:hi], tables,
                                       [min(max(s, lo), hi) - lo for s in start],
                                       None if limit is None else limit[lo:hi])
         return total
 
-    def _pass(self, rises: np.ndarray, duties: np.ndarray, folds: list,
+    def _pass(self, rises: np.ndarray, duties: np.ndarray, tables: list,
               start: list, limit: Optional[np.ndarray]) -> np.ndarray:
-        """phi_batch on the blocks of one pass: a block costs ((P0 + C0) +
-        P1) + C1 with P_h, C_h >= 0 its point and grid-ceiling terms at
-        harmonic h, so P0 + P1 <= cost (rounded addition is monotone), and
-        only the blocks with P0 + P1 below their limit radiate the ceilings."""
+        """phi_batch on the blocks of one pass, in stages. A block costs
+        ((P0 + C0) + P1) + C1 with P_h, C_h >= 0 its point and grid-ceiling
+        terms at harmonic h, so P0 <= P0 + P1 <= cost (rounded addition is
+        monotone). Every block scores P0; only the blocks with P0 below
+        their limit form their h = 1 coefficients and score P1, and only
+        those with P0 + P1 below it radiate the ceilings. A block dropped at
+        a stage returns its bound there."""
         spans = _spans(start)
-        batch = len(rises)
-        coefs = self._coefficients(rises, duties, spans)
-        points = np.zeros((2, batch))
-        self._add_point_terms(points, [coef.reshape(batch, -1) for coef in coefs], folds, spans)
-        bound = points[0] + points[1]
-        live = slice(None)
-        if limit is not None:
-            live = np.flatnonzero(bound < limit)
+        total = np.empty(len(rises))
+        rows = slice(None)  # the rows of total that the live blocks fill
+        coefs, points = [], []
+        for h in (0, 1):
+            coefs.append(self._coefficients(h, rises, duties, tables, spans))
+            points.append(self._point_terms(h, coefs[h], tables, spans))
+            if limit is None:
+                continue
+            bound = points[0] if h == 0 else points[0] + points[1]
+            live = (bound < limit).nonzero()[0]
+            if live.size == len(bound):
+                continue
+            total[rows] = bound
             if live.size == 0:
-                return bound
-            if live.size < batch:  # the live blocks, with their own spans
-                coefs = tuple(coef[live] for coef in coefs)
-                start = live.searchsorted(start).tolist()
-                spans = _spans(start)
-        ceilings = np.zeros((2, len(coefs[0])))
-        for h, coef in enumerate(coefs):
-            self._add_ceiling_terms(ceilings[h], h, coef, folds, start, spans)
-        p0, p1 = points[:, live]
-        bound[live] = ((p0 + ceilings[0]) + p1) + ceilings[1]
-        return bound
+                return total
+            # the live blocks, with their own spans
+            rows = live if isinstance(rows, slice) else rows[live]
+            coefs = [coef.take(live, axis=0) for coef in coefs]
+            points = [point[live] for point in points]
+            if h == 0:
+                rises, duties = rises.take(live, axis=0), duties.take(live, axis=0)
+                limit = limit[live]
+            start = live.searchsorted(start).tolist()
+            spans = _spans(start)
+        ceilings = self._ceiling_terms(coefs, tables, start, spans)
+        total[rows] = ((points[0] + ceilings[0]) + points[1]) + ceilings[1]
+        return total
 
-    def _add_point_terms(self, total, blocks, folds, spans):
-        """Both harmonics' point nodes, against both bounds, one design's
-        span of blocks at a time: harmonic h's terms go to total[h]."""
-        evaluators = self._designs()
+    def _point_terms(self, h: int, coef: np.ndarray, tables: list, spans: list) -> np.ndarray:
+        """Harmonic h's point nodes, against both bounds, one design's span
+        of blocks at a time: one term per block."""
+        blocks = coef.reshape(len(coef), -1)
+        total = np.empty(len(coef))
         for e, lo, hi in spans:
-            (lower, upper, w), cols = evaluators[e]._point_bounds, evaluators[e]._point_cols
-            f = self._view("points", (hi - lo, lower.size), complex)
-            for h in (0, 1):
-                _matmul_rows(blocks[h][lo:hi], folds[e].points[h], f[:, cols[h]])
+            ev, fold = tables[e]
+            lower, upper, w = ev._point_bounds[h]
+            f = np.empty((hi - lo, lower.size), complex)
+            _matmul_rows(blocks[lo:hi], fold.points[h], f)
             p = f.real**2 + f.imag**2
             over = np.maximum(lower - p, p - upper)
             over = np.maximum(over, 0.0, out=over) * w
-            total[:, lo:hi] += [over[:, c].sum(axis=1) for c in cols]
+            np.add.reduce(over, axis=1, out=total[lo:hi])
+        return total
 
-    def _add_ceiling_terms(self, total, h, coef, folds, start, spans):
-        """Harmonic h's grid ceilings, on the rows whose bound can reach
-        them. T = L_h C of each block is held transposed, (batch, q, nu), so
-        that the blocks are the product's rows."""
-        batch = len(total)
-        nu, nv = self.grid.shape
-        q = folds[0].shape[1]
+    def _ceiling_terms(self, coefs: list, tables: list, start: list, spans: list) -> np.ndarray:
+        """Both harmonics' grid ceilings, (2, batch), on the rows whose bound
+        can reach them. T = L_h C of each block is held transposed, (2,
+        batch, q, nu), so that the blocks are the products' rows; the pairs
+        of both harmonics are radiated together."""
+        batch = len(coefs[0])
+        _, nu, nv = self._grid_upper.shape
+        q = tables[0][1].shape[1]
         view = self._view
-        blocks = coef.transpose(0, 2, 1).reshape(batch * q, -1)
-        t = view("t", (batch * q, nu), complex)
+        t = view("t", (2, batch * q, nu), complex)
+        for h, coef in enumerate(coefs):
+            blocks = coef.transpose(0, 2, 1).reshape(batch * q, -1)
+            for e, lo, hi in spans:
+                _matmul_rows(blocks[lo * q:hi * q], tables[e][1].left_t[h], t[h, lo * q:hi * q])
+        t = t.reshape(2, batch, q, nu)
+        size = np.abs(t, out=view("size", (2, batch, q, nu)))
+        bound = np.empty((2, batch, nu))
         for e, lo, hi in spans:
-            _matmul_rows(blocks[lo * q:hi * q], folds[e].left_t[h], t[lo * q:hi * q])
-        t = t.reshape(batch, q, nu)
-        size = np.abs(t, out=view("size", (batch, q, nu)))
-        bound = np.empty((batch, nu))
-        for e, lo, hi in spans:
-            np.matmul(folds[e].r_max, size[lo:hi], out=bound[lo:hi])
+            np.matmul(tables[e][1].r_max, size[:, lo:hi], out=bound[:, lo:hi])
         bound *= bound
-        evaluators = self._designs()
-        flags = np.empty((batch, nu), dtype=bool)
+        flags = np.empty((2, batch, nu), dtype=bool)
         for e, lo, hi in spans:
-            np.greater(bound[lo:hi], evaluators[e]._row_ceiling[h], out=flags[lo:hi])
-        kk, uu = flags.nonzero()
-        n = kk.size
+            np.greater(bound[:, lo:hi], tables[e][0]._row_ceiling[:, None], out=flags[:, lo:hi])
+        # hk indexes (harmonic, block) pairs as h * batch + block
+        hk, uu = flags.reshape(2 * batch, nu).nonzero()
+        n = hk.size
         if n == 0:
-            return
-        # the pairs, in kk's order, run design by design
-        cut = kk.searchsorted(start).tolist()
-        pairs = [(e, cut[e], cut[e + 1]) for e, _, _ in spans if cut[e] < cut[e + 1]]
+            return np.zeros((2, batch))
+        # the pairs, in hk's order, run harmonic by harmonic, design by
+        # design: (h, e, a, b) for the pairs a:b of harmonic h and design e
+        cut = hk.searchsorted([h * batch + s for h in (0, 1) for s in start]).tolist()
+        pairs = [(h, e, cut[i + e], cut[i + e + 1]) for h, i in ((0, 0), (1, len(start)))
+                 for e, _, _ in spans if cut[i + e] < cut[i + e + 1]]
         power = view("power", (n, nv))
         if q == 1:  # |T R|^2 = |T|^2 |R|^2 = bound |R|^2 / max |R|^2
-            peak = bound[kk, uu][:, None]
-            for e, a, b in pairs:
-                np.multiply(peak[a:b], folds[e].r_shape, out=power[a:b])
+            peak = bound.reshape(2 * batch, nu)[hk, uu][:, None]
+            for _, e, a, b in pairs:
+                np.multiply(peak[a:b], tables[e][1].r_shape, out=power[a:b])
         else:
-            x = t[kk, :, uu]  # each pair's row of T, (n, q)
+            x = t.reshape(2 * batch, q, nu)[hk, :, uu]  # each pair's row of T, (n, q)
             f = view("field", (n, nv), complex)
-            for e, a, b in pairs:
-                _matmul_rows(x[a:b], folds[e].right_t, f[a:b])
+            for _, e, a, b in pairs:
+                _matmul_rows(x[a:b], tables[e][1].right_t, f[a:b])
             np.multiply(f.real, f.real, out=power)
             power += np.square(f.imag, out=view("scratch", (n, nv)))
         upper = view("scratch", (n, nv))
-        for e, a, b in pairs:
-            np.take(evaluators[e]._grid_upper[h], uu[a:b], axis=0, out=upper[a:b], mode="clip")
+        for h, e, a, b in pairs:
+            tables[e][0]._grid_upper[h].take(uu[a:b], axis=0, out=upper[a:b], mode="clip")
         power -= upper
-        over = np.maximum(power, 0.0, out=power).sum(axis=1)
-        total += np.bincount(kk, weights=over, minlength=batch) * self.grid.cell_weight
+        over = np.add.reduce(np.maximum(power, 0.0, out=power), axis=1)
+        ceilings = np.bincount(hk, weights=over, minlength=2 * batch) * self.grid.cell_weight
+        return ceilings.reshape(2, batch)
 
     def phi(self, schedule: PulseSchedule) -> float:
         """Cost of a single full schedule."""
@@ -654,7 +680,8 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
             rngs[k].random(out=out)
         np.copyto(r, draws[:len(running)].transpose(0, 2, 3, 1))
         # both pulls at once, each the shorter way round on the torus
-        np.subtract(best, x[:, None], out=delta)
+        np.subtract(best[:, 0], x, out=delta[:, 0])
+        np.subtract(best[:, 1], x, out=delta[:, 1])
         t = delta[:, :, :n_wrap]
         t += 0.5
         t -= np.floor(t)
@@ -680,8 +707,9 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
 
         f = _checked_costs(objective, x, designs, pbest_f)
         improved = f < pbest_f
-        np.copyto(best[:, 0], x, where=improved[:, None])
-        np.copyto(pbest_f, f, where=improved)
+        if improved.any():
+            np.copyto(best[:, 0], x, where=improved[:, None])
+            np.copyto(pbest_f, f, where=improved)
 
         keep = []
         for row, i in enumerate(np.argmin(pbest_f, axis=1).tolist()):

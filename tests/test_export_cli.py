@@ -19,6 +19,7 @@ from tmems.export import (
 from tmems.fields import (
     DirectionGrid,
     FieldEngine,
+    HarmonicPattern,
     PlaneWaveIncidence,
     power_db,
 )
@@ -105,6 +106,32 @@ def test_pattern_csv_matches_per_value_writer(tmp_path, rng):
         write_pattern_csv(fast, pat, reference)
         per_value_pattern_csv(slow, pat, reference)
         assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_pattern_csv_fixed_text_only_for_invisible_zero_power(tmp_path, rng):
+    # the writer prints an invisible node's zero power as fixed text; a
+    # visible node of exactly zero power and an invisible one with power
+    # must still print as the per-value writer prints them
+    grid = DirectionGrid(u=np.linspace(-1.0, 1.0, 9), v=np.linspace(-1.0, 0.8, 7))
+    field = rng.normal(size=grid.shape + (2, 2)) @ np.array([1.0, 1j])
+    field[~grid.visible] = 0.0
+    iu, iv = grid.nearest_index(0.0, 0.2)
+    assert grid.visible[iu, iv] and not grid.visible[0, 0]
+    field[iu, iv] = 0.0
+    field[0, 0] = 1e-3
+    pat = HarmonicPattern(harmonic=1, omega_rad_s=2.0, grid=grid, field=field)
+    assert pat.power[iu, iv] == 0.0 and pat.power[0, 0] > 0.0
+    for reference in (1.0, 3.7e-5, np.pi):
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        write_pattern_csv(fast, pat, reference)
+        per_value_pattern_csv(slow, pat, reference)
+        assert fast.read_bytes() == slow.read_bytes()
+    zero = ",".join(("0", format_float(power_db(0.0, np.pi))))
+    lines = fast.read_text().splitlines()[5:]
+    assert lines[0].split(",")[2:] == ["0", format_float(pat.power[0, 0]),
+                                       format_float(power_db(pat.power[0, 0], np.pi))]
+    assert lines[iu * grid.v.size + iv].endswith(",1," + zero)
+    assert lines[1].endswith(",0," + zero)
 
 
 def test_schedule_csv_round_trip(tmp_path, rng):

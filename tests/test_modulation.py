@@ -119,6 +119,23 @@ def test_coefficient_input_validation():
         pulse_fourier_coefficients(np.array([0.2, np.nan]), 0.5, 1)
     with pytest.raises(ValueError, match="duty"):
         pulse_fourier_coefficients(0.2, np.array([np.nan, 0.5]), 0)
+    # the range check takes a minimum and a maximum of each array: -0.0
+    # and empty arrays pass; the smallest negative, either NaN, an infinity
+    # and the first float past either end fail, in a strided view too
+    pulse_fourier_coefficients(np.array([0.0, -0.0, np.nextafter(1.0, 0.0)]),
+                               np.array([-0.0, 0.0, 1.0]), 1)
+    pulse_fourier_coefficients(np.zeros((0, 3)), np.zeros((0, 3)), 1)
+    tiny = np.nextafter(0.0, -1.0)
+    x = np.full((4, 6), 0.5)
+    for bad in (tiny, 1.0, np.nan, -np.nan, np.inf, -np.inf):
+        x[2, 1] = bad
+        with pytest.raises(ValueError, match="rise"):
+            pulse_fourier_coefficients(x[:, :3], x[:, 3:], 1)
+    x[2, 1] = 0.5
+    for bad in (tiny, np.nextafter(1.0, 2.0), np.nan, -np.nan, np.inf, -np.inf):
+        x[2, 4] = bad
+        with pytest.raises(ValueError, match="duty"):
+            pulse_fourier_coefficients(x[:, :3], x[:, 3:], 1)
 
 
 def test_harmonic_must_be_an_integer():

@@ -17,8 +17,9 @@ from tmems.modulation import (
     ControlMode,
     PulseSchedule,
     ReflectionStates,
+    check_pulses,
     mirror_rise,
-    pulse_fourier_coefficients,
+    sideband_coefficients,
 )
 from tmems import synthesis
 from tmems.synthesis import (
@@ -197,26 +198,36 @@ def test_phi_batch_checks_the_block():
 
 
 def test_phi_batch_checks_the_block_values(monkeypatch):
-    calls = []
+    checks, harmonics = [], []
+
+    def counted_check(rises, duties):
+        checks.append(len(rises))
+        return check_pulses(rises, duties)
 
     def counted(*args):
-        calls.append(args[2])
-        return pulse_fourier_coefficients(*args)
+        harmonics.append(args[2])
+        return sideband_coefficients(*args)
 
-    # one range check per call: the h = 1 coefficients check, u^0 is the duty
-    monkeypatch.setattr(synthesis, "pulse_fourier_coefficients", counted)
+    # one range check per call, of every block, before any block is
+    # dropped: a zero limit drops every block at its h = 0 point terms, so
+    # no h = 1 coefficient is formed, and a bad value still raises
+    monkeypatch.setattr(synthesis, "check_pulses", counted_check)
+    monkeypatch.setattr(synthesis, "sideband_coefficients", counted)
     for ev, mode, shape in ((beam_pair_evaluator(), ControlMode.DELTA, (45, 5, 10)),
                             (columnwise_evaluator(), ControlMode.COLWISE_DELTA, (45, 5, 1))):
-        calls.clear()
-        ev.phi_batch(np.full(shape, 0.25), np.full(shape, 0.5), mode)
-        assert calls == [1]
-        for which, bad, match in (("rise", np.nan, "rise"), ("rise", 1.0, "rise"),
-                                  ("rise", -0.1, "rise"), ("duty", np.nan, "duty"),
-                                  ("duty", 1.5, "duty"), ("duty", -0.1, "duty")):
-            blocks = {"rise": np.full(shape, 0.25), "duty": np.full(shape, 0.5)}
-            blocks[which][2, 1, 0] = bad
-            with pytest.raises(ValueError, match=match):
-                ev.phi_batch(blocks["rise"], blocks["duty"], mode)
+        for limit in (None, np.zeros(45)):
+            checks.clear()
+            harmonics.clear()
+            ev.phi_batch(np.full(shape, 0.25), np.full(shape, 0.5), mode, limit=limit)
+            assert checks == [45]
+            assert harmonics == ([1] if limit is None else [])
+            for which, bad, match in (("rise", np.nan, "rise"), ("rise", 1.0, "rise"),
+                                      ("rise", -0.1, "rise"), ("duty", np.nan, "duty"),
+                                      ("duty", 1.5, "duty"), ("duty", -0.1, "duty")):
+                blocks = {"rise": np.full(shape, 0.25), "duty": np.full(shape, 0.5)}
+                blocks[which][2, 1, 0] = bad
+                with pytest.raises(ValueError, match=match):
+                    ev.phi_batch(blocks["rise"], blocks["duty"], mode, limit=limit)
 
 
 def dense_phi(ev, rises, duties, mode):
@@ -425,7 +436,7 @@ def test_stacked_costs_keep_each_designs_point_count(fast_scenario, mode):
     evaluators = [with_floors(with_floors(ev, 1, [(5, 9)]), 0, []),
                   with_floors(ev, 1, [(5, 9), (7, 12), (20, 3)]),
                   with_floors(with_floors(ev, 1, [(9, 20)]), 0, [(12, 14), (18, 17)])]
-    counts = [[ev._point_bounds[:, ev._point_cols[h]].shape[1] for ev in evaluators]
+    counts = [[ev._point_bounds[h].shape[1] for ev in evaluators]
               for h in (0, 1)]
     assert counts[0][0] == counts[0][1] != counts[0][2]
     assert counts[1][0] == counts[1][2] != counts[1][1]
@@ -462,25 +473,48 @@ def test_stack_checks_its_designs(fast_scenario):
 
 
 def count_ceiling_blocks(monkeypatch):
-    """A list that gets, for each pass's ceiling stage at h = 0, the number
-    of blocks it radiates."""
+    """A list that gets, for each pass's ceiling stage, the number of
+    blocks it radiates."""
     seen = []
-    ceilings = CostEvaluator._add_ceiling_terms
+    ceilings = CostEvaluator._ceiling_terms
 
-    def counted(self, total, h, *args):
-        if h == 0:
-            seen.append(len(total))
-        return ceilings(self, total, h, *args)
+    def counted(self, coefs, *args):
+        seen.append(len(coefs[0]))
+        return ceilings(self, coefs, *args)
 
-    monkeypatch.setattr(CostEvaluator, "_add_ceiling_terms", counted)
+    monkeypatch.setattr(CostEvaluator, "_ceiling_terms", counted)
     return seen
 
 
-@pytest.mark.parametrize("mode", [ControlMode.DELTA, ControlMode.COLWISE_DELTA])
+def point_terms(ev, rises, duties, mode):
+    """P_h (2, batch) by definition, from the dense fields: each harmonic's
+    grid nodes with a floor against it, and every anchor against both of
+    its bounds, weighted as in the cost."""
+    codec = ModeCodec(mode=mode, rows=ev.geometry.rows, cols=ev.geometry.cols)
+    x = np.concatenate([rises.reshape(len(rises), -1), duties.reshape(len(duties), -1)], axis=1)
+    engine = FieldEngine(ev.geometry, ev.grid)
+    m, w = ev.masks, ev.grid.cell_weight
+    u, v = m.anchor_uv.T
+    terms = np.zeros((2, len(x)))
+    for k, (rise, duty) in enumerate(zip(*codec.decode_batch(x))):
+        sched = PulseSchedule(period_s=ev.period_s, rise=rise, duty=duty)
+        for h in (0, 1):
+            p = engine.pattern(sched, ev.states, ev.incidence, h).power
+            floor = ev.grid.visible & (m.lower[h] > 0.0)
+            pa = np.sum(np.abs(engine.field_at(u, v, sched, ev.states, ev.incidence, h)) ** 2,
+                        axis=1)
+            terms[h, k] = (w * np.maximum(m.lower[h] - p, 0.0)[floor].sum()
+                           + ev.anchor_weight * np.sum(np.maximum(pa - m.anchor_upper[h], 0.0)
+                                                       + np.maximum(m.anchor_lower[h] - pa, 0.0)))
+    return terms
+
+
+@pytest.mark.parametrize("mode", list(ControlMode))
 def test_limit_bounds_only_the_blocks_that_reach_it(fast_scenario, mode, monkeypatch):
-    # q > 1 (delta) and q = 1 (column-wise), on one evaluator and on a stack
-    # whose second design has a notch: a block whose cost is below its limit
-    # costs exactly, one at or above it returns a value in [limit, cost]
+    # q > 1 (delta, full) and q = 1 (column-wise), on one evaluator and on a
+    # stack whose second design has a notch: a block whose cost is below
+    # its limit costs exactly, one at or above it returns a value in
+    # [limit, cost], whichever stage drops it
     evaluators = [fast_scenario(mode=mode, rows=6, cols=4, theta_inc_deg=theta).evaluator()
                   for theta in (20.0, 50.0)]
     evaluators[1] = notched(evaluators[1])
@@ -489,22 +523,55 @@ def test_limit_bounds_only_the_blocks_that_reach_it(fast_scenario, mode, monkeyp
     rises, duties = codec.blocks(np.random.default_rng(14).random((12, codec.dim)))
     designs = np.repeat([0, 1], 6)
     seen = count_ceiling_blocks(monkeypatch)
+    harmonics, lone_rows = [], []
+
+    def counted(*args):
+        harmonics.append(args[2])
+        return sideband_coefficients(*args)
+
+    def rows_of(a, b, out):
+        lone_rows.append(len(a) == 1)
+        return matmul_rows(a, b, out)
+
+    matmul_rows = synthesis._matmul_rows
+    monkeypatch.setattr(synthesis, "sideband_coefficients", counted)
+    monkeypatch.setattr(synthesis, "_matmul_rows", rows_of)
     for ev, rows in ((evaluators[0], ()), (stack, (designs,))):
         cost = ev.phi_batch(rises, duties, mode, *rows)
         assert np.all(cost > 0.0)
+        parts = [(ev, slice(None))] if not rows else [(evaluators[0], slice(6)),
+                                                       (evaluators[1], slice(6, None))]
+        p0, p1 = np.concatenate([point_terms(e, rises[k], duties[k], mode) for e, k in parts],
+                                axis=1)
+        assert np.all(p0 > 0.0) and np.any(p1 > 0.0)
         lone = np.where(np.arange(12) == 5, np.inf, 0.0)
         mixed = np.choose(np.arange(12) % 4, [0.5 * cost, cost, 2.0 * cost, np.full(12, np.inf)])
-        for limit in (0.5 * cost, cost, 2.0 * cost, np.full(12, np.inf), mixed, lone):
+        # the h = 0 point terms reach the first; those of h = 0 and 1 reach
+        # the second, which lies past the h = 0 terms where P1 > 0
+        at_p0 = 0.5 * p0
+        past_p0 = np.where(p1 > 0.0, p0 + 0.5 * p1, at_p0)
+        for limit in (0.5 * cost, cost, 2.0 * cost, np.full(12, np.inf), mixed, lone,
+                      at_p0, past_p0):
+            seen.clear()
+            harmonics.clear()
             got = ev.phi_batch(rises, duties, mode, *rows, limit=limit)
             below = cost < limit
             assert np.array_equal(got < limit, below)
             assert np.array_equal(got[below], cost[below])
             assert np.all((limit[~below] <= got[~below]) & (got[~below] <= cost[~below]))
-        # a lone live block radiates alone, a lone row paired when q = 1
+            if limit is at_p0:  # every block stops before its h = 1 coefficients
+                assert harmonics == [] and seen == []
+                assert np.allclose(got, p0, rtol=1e-9, atol=0.0)
+            if limit is past_p0:  # every block stops at its point terms, some at h = 1
+                assert harmonics == [1] and seen == []
+                assert np.allclose(got, p0 + p1, rtol=1e-9, atol=0.0)
+        # a lone live block radiates alone, each lone row of a product paired
         seen.clear()
+        lone_rows.clear()
         got = ev.phi_batch(rises, duties, mode, *rows, limit=lone)
         assert seen == [1] and got[5] == cost[5]
-        # no live block: nothing is radiated, and each returns its point terms
+        assert lone_rows.count(True) >= 1 + mode.columnwise
+        # no live block: nothing is radiated, and each returns its h = 0 terms
         seen.clear()
         bound = ev.phi_batch(rises, duties, mode, *rows, limit=np.zeros(12))
         assert seen == [] and np.all(bound <= cost) and np.any(bound < cost)
@@ -561,22 +628,33 @@ def test_bounded_search_equals_the_exact_search(fast_scenario, seeds):
 
 
 def test_nan_point_terms_still_raise(fast_scenario, monkeypatch):
-    # from the first bounded call on, block 2 has a NaN coefficient: its
-    # point terms are NaN, so it is never live, and it returns NaN
-    calls = []
-
-    def poisoned(rises, duties, h):
-        u = pulse_fourier_coefficients(rises, duties, h)
-        calls.append(h)
-        if len(calls) > 1:
-            u[2, 0, 0] = np.nan
-        return u
-
-    monkeypatch.setattr(synthesis, "pulse_fourier_coefficients", poisoned)
+    # from the first bounded call on, the first block that forms harmonic
+    # h's coefficients gets a NaN one: its point terms are NaN, so it is
+    # never live, it returns NaN, and the search stops at that call
+    score, coefficients = CostEvaluator.phi_batch, CostEvaluator._coefficients
     sc = fast_scenario(iterations=5)
-    with pytest.raises(ValueError, match=r"non-finite cost nan for particle 2"):
-        pso_optimize([sc.evaluator()], sc.mode, sc.pso)
-    assert len(calls) == 2
+    for h in (0, 1):
+        bounded, poisoned = [], []
+
+        def scored(self, *args, limit=None):
+            bounded.append(limit is not None)
+            return score(self, *args, limit=limit)
+
+        def poison(self, stage, *args):
+            u = coefficients(self, stage, *args)
+            if stage == h and bounded[-1]:
+                u[0, 0, 0] = np.nan
+                poisoned.append(len(bounded))
+            return u
+
+        with monkeypatch.context() as m:
+            m.setattr(CostEvaluator, "phi_batch", scored)
+            m.setattr(CostEvaluator, "_coefficients", poison)
+            with pytest.raises(ValueError, match=r"non-finite cost nan for particle") as info:
+                pso_optimize([sc.evaluator()], sc.mode, sc.pso)
+        assert poisoned == [len(bounded)] and len(bounded) >= 2
+        if h == 0:
+            assert info.match("particle 0$")
 
 
 def test_bounded_search_radiates_few_ceilings(fast_scenario, monkeypatch):
