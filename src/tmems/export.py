@@ -83,32 +83,46 @@ def write_schedule_csv(path, schedule: PulseSchedule) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+# the header lines read_schedule_csv takes, with their types
+_HEADERS = {"rows": int, "cols": int, "period_s": float}
+
+
+def _parse_field(where: str, name: str, text: str, kind: type):
+    """text as kind (int or float), or a ValueError naming where and the field."""
+    try:
+        return kind(text)
+    except ValueError:
+        wanted = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: {name} {text.strip()!r} is not {wanted}") from None
+
+
 def read_schedule_csv(path) -> PulseSchedule:
-    period_s = None
-    rows = cols = None
+    """The schedule write_schedule_csv wrote; a malformed line raises a
+    ValueError naming path:line and the field."""
+    headers = {}
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
+            where = f"{path}:{number}"
             line = line.strip()
-            if not line:
+            if not line or line.startswith("p,"):
                 continue
             if line.startswith("#"):
                 key, _, value = line[1:].partition(":")
                 key = key.strip()
-                if key == "rows":
-                    rows = int(value)
-                elif key == "cols":
-                    cols = int(value)
-                elif key == "period_s":
-                    period_s = float(value)
+                if key in _HEADERS:
+                    headers[key] = _parse_field(where, key, value, _HEADERS[key])
                 continue
-            if line.startswith("p,"):
-                continue
-            p_s, q_s, rise_s, duty_s = line.split(",")
-            cell = (int(p_s) - 1, int(q_s) - 1)
-            if cell in entries:
-                raise ValueError(f"{path}: cell ({cell[0] + 1}, {cell[1] + 1}) is listed twice")
-            entries[cell] = (float(rise_s), float(duty_s))
+            fields = line.split(",")
+            if len(fields) != 4:
+                raise ValueError(f"{where}: expected the 4 fields p,q,rise,duty, "
+                                 f"got {len(fields)}")
+            p, q, rise, duty = (_parse_field(where, name, text, kind) for name, text, kind in
+                                zip(("p", "q", "rise", "duty"), fields, (int, int, float, float)))
+            if (p - 1, q - 1) in entries:
+                raise ValueError(f"{where}: cell ({p}, {q}) is listed twice")
+            entries[p - 1, q - 1] = (rise, duty)
+    rows, cols, period_s = (headers.get(key) for key in _HEADERS)
     if rows is None or cols is None or period_s is None:
         raise ValueError(f"{path} is missing rows/cols/period_s headers")
     if rows < 1 or cols < 1:

@@ -8,6 +8,7 @@ and 1.
 """
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -126,7 +127,7 @@ class CostEvaluator:
     row is multiplied as a pair (_matmul_rows).
 
     A stack of evaluators (stack) holds them as its designs, so that one
-    call scores blocks of every design (phi_batch's designs), in any mode,
+    call scores blocks of every design (phi_batch's counts), in any mode,
     in passes of whole designs (PASS_COLUMNS). A design's blocks are one
     span of rows, and every step reads the span's tables from that
     design's own evaluator: its folds, |d| and beta, row ceilings, point
@@ -220,12 +221,11 @@ class CostEvaluator:
         """An evaluator of evaluators[0]'s design whose design e is also
         evaluators[e]'s, for phi_batch calls that score blocks of several
         designs. The evaluators share the geometry's size and the grid's."""
-        first = evaluators[0]
-        size = (first.geometry.rows, first.geometry.cols, first.grid.shape, first.grid.cell_weight)
-        if any((ev.geometry.rows, ev.geometry.cols, ev.grid.shape, ev.grid.cell_weight) != size
-               for ev in evaluators):
-            raise ValueError("stacked evaluators must share the geometry's and the grid's size")
-        stacked = copy.copy(first)
+        if len({(ev.geometry.rows, ev.geometry.cols, ev.grid.shape, ev.grid.cell_weight)
+                for ev in evaluators}) != 1:
+            raise ValueError("a stack needs one or more evaluators that share the geometry's "
+                             "and the grid's size")
+        stacked = copy.copy(evaluators[0])
         stacked._members = tuple(evaluators)
         stacked._buffers = {}
         return stacked
@@ -278,17 +278,19 @@ class CostEvaluator:
 
     def phi_batch(self, rises: np.ndarray, duties: np.ndarray,
                   mode: ControlMode = ControlMode.FULL,
-                  designs: Optional[np.ndarray] = None,
+                  counts: Optional[Sequence[int]] = None,
                   limit: Optional[np.ndarray] = None) -> np.ndarray:
         """Costs of a stack of the mode's control blocks, given as rises and
         duties of shape (batch,) + ModeCodec.control_shape; under FULL a
-        block is the whole (rows, cols) schedule. designs (batch,) gives
-        each block's design, in nondecreasing order, for a stack of
-        evaluators (stack); by default every block is design 0. With a
-        limit (batch,) of floats, not NaN, a block whose cost is at least
-        its limit may return any value in [limit, cost]; the others return
-        their cost. The rises and duties of every block are range-checked,
-        also of those that their limit drops."""
+        block is the whole (rows, cols) schedule. On a stack of evaluators
+        (stack), counts (a list, tuple or array) gives each design's number
+        of blocks, non-negative integers summing to the batch, and design
+        e's blocks follow those of the designs before it; by default every
+        block is design 0. With a limit (batch,) of floats, not NaN, a block
+        whose cost is at least its limit may return any value in [limit,
+        cost]; the others return their cost. The rises and duties of every
+        block are range-checked, also of those that their limit drops. No
+        blocks cost an empty array."""
         folds = self._fold(mode)
         p, q = folds[0].shape
         if rises.shape[1:] != (p, q) or duties.shape != rises.shape:
@@ -303,25 +305,22 @@ class CostEvaluator:
                 raise ValueError(f"limit must give each of the {batch} blocks a non-NaN float")
         # each design's evaluator and fold
         tables = list(zip(self._designs(), folds))
-        n_designs = len(tables)
+        if counts is None:
+            counts = [batch] + [0] * (len(tables) - 1)
+        if (not isinstance(counts, (list, tuple, np.ndarray)) or len(counts) != len(tables)
+                or not all((type(n) is int or isinstance(n, np.integer)) and n >= 0
+                           for n in counts) or sum(counts) != batch):
+            raise ValueError(f"counts must give each of the {len(tables)} designs a non-negative "
+                             f"integer count of blocks, summing to the {batch} blocks")
         # design e's blocks are rows start[e]:start[e + 1]; a pass takes
         # whole designs while they fit in PASS_COLUMNS, or one design
-        if designs is None:
-            start = [0] + [batch] * n_designs
-        else:
-            designs = np.asarray(designs)
-            if (designs.shape != (batch,) or designs.dtype.kind not in "iu"
-                    or batch and (designs[0] < 0 or designs[-1] >= n_designs
-                                  or (designs[1:] < designs[:-1]).any())):
-                raise ValueError(f"designs must give each of the {batch} blocks a design in "
-                                 f"[0, {n_designs}), in nondecreasing order")
-            start = designs.searchsorted(np.arange(n_designs + 1)).tolist()
+        start = [0, *itertools.accumulate(counts)]
         cuts = [0]
         for lo, hi in zip(start, start[1:]):
             if hi > lo > cuts[-1] and (hi - cuts[-1]) * q > PASS_COLUMNS:
                 cuts.append(lo)
         if len(cuts) == 1:
-            return self._pass(rises, duties, tables, start, limit)
+            return self._pass(rises, duties, tables, start, limit) if batch else np.empty(0)
         total = np.empty(batch)
         for lo, hi in zip(cuts, cuts[1:] + [batch]):
             total[lo:hi] = self._pass(rises[lo:hi], duties[lo:hi], tables,
@@ -561,12 +560,12 @@ def _wrap_unit(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _checked_costs(objective, x: np.ndarray, designs: np.ndarray,
+def _checked_costs(objective, x: np.ndarray, counts: list,
                    limit: Optional[np.ndarray] = None) -> np.ndarray:
     """objective on the stacked swarms x (swarms, dim, particles) and their
     limits (swarms, particles), as (swarms, particles) costs."""
     swarms, dim, particles = x.shape
-    f = np.asarray(objective(x.transpose(0, 2, 1).reshape(-1, dim), designs,
+    f = np.asarray(objective(x.transpose(0, 2, 1).reshape(-1, dim), counts,
                              None if limit is None else limit.reshape(-1)), dtype=float)
     if f.shape != (swarms * particles,):
         raise ValueError("objective must return one value per particle")
@@ -586,7 +585,7 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
     used.
 
     Args:
-        objective: batched callable objective(x, designs, limit), below;
+        objective: batched callable objective(x, counts, limit), below;
             its costs must be finite.
         dim: search dimensionality (>= 1).
         config: swarm hyperparameters; the velocity clamp is a fraction of
@@ -607,16 +606,17 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
     Every swarm draws from its own default_rng(seed) in a fixed order (its
     initial positions, then two vectors per particle per iteration, drawn as
     one (swarm, 2, dim) block) and keeps its own best, history and stop
-    rule. Each iteration calls objective(x, designs, limit) once: x stacks
+    rule. Each iteration calls objective(x, counts, limit) once: x stacks
     the positions of every swarm still running ((running * swarm, dim)),
     the swarms of a design adjacent and in seed order, designs in order;
-    designs (running,) gives each of those swarms' design; limit holds the
-    particles' personal-best costs flattened as x (None for the initial
-    swarm). Where a cost is at least its limit the objective may return any
-    value in [limit, cost], which improves no particle. A stopped swarm is
-    neither scored nor drawn for again. So a swarm's result depends on its
-    seed and design alone whenever the objective scores a particle
-    independently of its batch and by its swarm's design alone.
+    counts, a list that changes after the call, gives each design's number
+    of running swarms; limit holds the particles' personal-best costs
+    flattened as x (None for the initial swarm). Where a cost is at least
+    its limit the objective may return any value in [limit, cost], which
+    improves no particle. A stopped swarm is neither scored nor drawn for
+    again. So a swarm's result depends on its seed and design alone
+    whenever the objective scores a particle independently of its batch
+    and by its swarm's design alone.
     """
     if dim < 1:
         raise ValueError("empty search space")
@@ -645,25 +645,24 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
         np.clip(start[:, n_wrap:], 0.0, 1.0, out=start[:, n_wrap:])
         x[:, :, 0] = start[[d for d, _ in owner]]
     running = list(range(len(rngs)))  # swarm index of each state row
-    designs = np.array([d for d, _ in owner])  # design of each state row
+    counts = [len(s) for s in seeds]  # running swarms of each design
 
     vel = np.zeros_like(x)
-    f = _checked_costs(objective, x, designs)
-    # the two targets of every particle: best[:, 0] is its own best,
-    # best[:, 1] its swarm's, each (swarms, dim, particles)
-    best = np.empty((len(rngs), 2, dim, c))
-    best[:, 0] = x
+    f = _checked_costs(objective, x, counts)
+    # the two targets of every particle: best[:, :, 0] is its own best,
+    # best[:, :, 1] its swarm's, so best is (swarms, dim, 2, particles)
+    best = np.empty((len(rngs), dim, 2, c))
+    best[:, :, 0] = x
     pbest_f = f.copy()
     swarms = np.arange(len(rngs))
     ig = np.argmin(pbest_f, axis=1)  # ties resolve to the lowest index
-    best[:, 1] = x[swarms, :, ig][:, :, None]
+    best[:, :, 1] = x[swarms, :, ig][:, :, None]
     # a history's last entry is its swarm's best cost
     histories = [[value] for value in pbest_f[swarms, ig].tolist()]
     results = [[None] * len(s) for s in seeds]
     draws = np.empty((len(rngs), c, 2, dim))
-    r = np.empty_like(best)
-    delta = np.empty_like(best)
-    coefs = np.array([config.cognitive, config.social])[:, None, None]
+    r, delta = np.empty_like(best), np.empty_like(best)
+    coefs = np.array([config.cognitive, config.social])[:, None]
     clamp = config.velocity_clamp
     w = config.stagnation_window
     it = 0
@@ -671,28 +670,27 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
     def finish(row: int, stop_reason: str):
         k = running[row]
         d, i = owner[k]
+        counts[d] -= 1
         results[d][i] = PsoResult(
-            best_x=best[row, 1, :, 0].copy(), best_value=histories[k][-1],
+            best_x=best[row, :, 1, 0].copy(), best_value=histories[k][-1],
             history=np.asarray(histories[k]), iterations=it, stop_reason=stop_reason)
 
     for it in range(1, config.iterations + 1):
         for k, out in zip(running, draws):
             rngs[k].random(out=out)
-        np.copyto(r, draws[:len(running)].transpose(0, 2, 3, 1))
+        # inertia * vel + cognitive * r0 * d0 + social * r1 * d1 in place, in
+        # the expression's order of operations, so bit for bit the same
+        np.multiply(draws[:len(running)].transpose(0, 3, 2, 1), coefs, out=r)
         # both pulls at once, each the shorter way round on the torus
-        np.subtract(best[:, 0], x, out=delta[:, 0])
-        np.subtract(best[:, 1], x, out=delta[:, 1])
-        t = delta[:, :, :n_wrap]
+        np.subtract(best, x[:, :, None], out=delta)
+        t = delta[:, :n_wrap]
         t += 0.5
         t -= np.floor(t)
         t -= 0.5
-        # inertia * vel + cognitive * r0 * d0 + social * r1 * d1 in place, in
-        # the expression's order of operations, so bit for bit the same
-        r *= coefs
         r *= delta
         vel *= config.inertia
-        vel += r[:, 0]
-        vel += r[:, 1]
+        vel += r[:, :, 0]
+        vel += r[:, :, 1]
         np.minimum(vel, clamp, out=vel)
         np.maximum(vel, -clamp, out=vel)
         x += vel
@@ -705,10 +703,10 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
         np.subtract(2.0, xd, out=xd, where=high)
         np.negative(vd, out=vd, where=low ^ high)
 
-        f = _checked_costs(objective, x, designs, pbest_f)
+        f = _checked_costs(objective, x, counts, pbest_f)
         improved = f < pbest_f
         if improved.any():
-            np.copyto(best[:, 0], x, where=improved[:, None])
+            np.copyto(best[:, :, 0], x, where=improved[:, None])
             np.copyto(pbest_f, f, where=improved)
 
         keep = []
@@ -717,7 +715,7 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
             value = history[-1]
             top = float(pbest_f[row, i])
             if top < value:
-                best[row, 1] = best[row, 0, :, i, None]
+                best[row, :, 1] = best[row, :, 0, i, None]
                 value = top
             history.append(value)
             if value == 0.0:
@@ -732,7 +730,7 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
             if not keep:
                 break
             # drop the stopped swarms; a copy once per stop, not per iteration
-            x, vel, best, pbest_f, designs = (a[keep] for a in (x, vel, best, pbest_f, designs))
+            x, vel, best, pbest_f = (a[keep] for a in (x, vel, best, pbest_f))
             r, delta = r[:len(keep)], delta[:len(keep)]
             running = [running[row] for row in keep]
     else:  # no break: the swarms still running used every iteration
@@ -784,9 +782,10 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
 
     Each iteration scores the running swarms of every evaluator in one
     phi_batch call on a stack of the evaluators (CostEvaluator.stack), a
-    lone evaluator's stack of one included, with each block's design. The
-    stack holds the evaluators and reads each design's tables from its own;
-    it lives as long as the search, with its cost buffers. Each particle's
+    lone evaluator's stack of one included, with each design's count of
+    blocks (its running swarms times the swarm size). The stack holds the
+    evaluators and reads each design's tables from its own; it lives as
+    long as the search, with its cost buffers. Each particle's
     personal best is its limit, so that only the particles that can beat
     it are scored whole.
     That call rounds a particle's cost as its own evaluator does, at any
@@ -805,9 +804,9 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     init = np.array([conjugate_guess(ev, codec) for ev in evaluators])
     stack = CostEvaluator.stack(evaluators)
 
-    def objective(x, designs, limit):
-        return stack.phi_batch(*codec.blocks(x), codec.mode, np.repeat(designs, config.swarm_size),
-                               limit=limit)
+    def objective(x, counts, limit):
+        return stack.phi_batch(*codec.blocks(x), codec.mode,
+                               [n * config.swarm_size for n in counts], limit=limit)
 
     # the rises, periodic, come first
     runs = minimize_swarms(objective, codec.dim, config, seeds, n_wrap=codec.dim // 2, init=init)

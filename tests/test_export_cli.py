@@ -152,6 +152,19 @@ BAD_SCHEDULES = {
     "twice": "# rows: 2\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n"
              "1,1,0.25,0.5\n2,1,0.25,0.5\n1,1,0.75,0.5\n",
     "empty": "# rows: 0\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n",
+    "three fields": "# rows: 1\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n1,1,0.25\n",
+    "bad duty": "# rows: 1\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n1,1,0.25,abc\n",
+    "bad rows": "# rows: x\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n1,1,0.25,0.5\n",
+}
+
+# the message each of BAD_SCHEDULES raises, naming the line (after the
+# file's path) and the field where a line is malformed
+BAD_SCHEDULE_MESSAGES = {
+    "twice": ":7: cell (1, 1) is listed twice",
+    "empty": "empty surface",
+    "three fields": ":5: expected the 4 fields p,q,rise,duty, got 3",
+    "bad duty": ":5: duty 'abc' is not a number",
+    "bad rows": ":1: rows 'x' is not an integer",
 }
 
 
@@ -167,20 +180,26 @@ def test_schedule_csv_read_errors(tmp_path):
         read_schedule_csv(short)
     # the second (1, 1) row used to overwrite the first silently, and zero
     # rows used to load as an empty schedule
-    for name, message in (("twice", r"cell \(1, 1\) is listed twice"), ("empty", "empty surface")):
+    for name, message in BAD_SCHEDULE_MESSAGES.items():
         path = tmp_path / f"{name}.csv"
         path.write_text(BAD_SCHEDULES[name])
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as info:
             read_schedule_csv(path)
+        assert message in str(info.value)
+        if message.startswith(":"):
+            assert str(info.value) == f"{path}{message}"
 
 
 def test_cli_evaluate_reports_schedule_read_errors(tmp_path, cli_config, capsys):
-    for name, message in (("twice", "listed twice"), ("empty", "empty surface")):
+    for name, message in BAD_SCHEDULE_MESSAGES.items():
         path = tmp_path / f"{name}.csv"
         path.write_text(BAD_SCHEDULES[name])
         assert main(["evaluate", "--config", cli_config, "--out", str(tmp_path / "x"),
                      "--schedule", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        if message.startswith(":"):
+            assert f"{path}{message}" in err
 
 
 # 1-based cell indices outside the header's rows x cols; p=0 once wrapped to

@@ -1,11 +1,13 @@
 """Scenario plumbing, monopulse ratios, matched sweeps, and localization."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tmems.codebook import Codebook, entry_from_schedule
+from tmems.config import load_config
 from tmems.isac import (
     Scenario,
     build_codebook,
@@ -161,8 +163,8 @@ def test_design_runs_its_repeats_in_one_loop(fast_scenario, monkeypatch):
     score = CostEvaluator.phi_batch
 
     def counted(self, rises, *args, **kwargs):
-        # every call marks each block with its design, a lone design's too
-        calls.append((self, rises.shape[0], args[2].tolist()))
+        # every call counts each design's blocks, a lone design's too
+        calls.append((self, rises.shape[0], list(args[2])))
         return score(self, rises, *args, **kwargs)
 
     runs = []
@@ -180,18 +182,17 @@ def test_design_runs_its_repeats_in_one_loop(fast_scenario, monkeypatch):
         [(evaluators, results)] = runs
         iterations = [[res.iterations for res in reps] for reps in results]
         # per iteration, one cost call on the running swarms of every
-        # design, in design order, each block marked with its design
-        want = [[d for d, its in enumerate(iterations) for it in its if it >= i
-                 for _ in range(swarm)]
+        # design, in design order, with each design's count of blocks
+        want = [[swarm * sum(it >= i for it in its) for its in iterations]
                 for i in range(max(map(max, iterations)) + 1)]
-        assert [n for _, n, _ in calls] == [len(designs) for designs in want]
-        assert [designs for _, _, designs in calls] == want
+        assert [n for _, n, _ in calls] == [sum(counts) for counts in want]
+        assert [counts for _, _, counts in calls] == want
         # by one stack of the designs' evaluators, a lone design's included
         scorers = {id(ev) for ev, _, _ in calls}
         assert len(scorers) == 1
         assert calls[0][0]._members == tuple(evaluators)
         for d, its in enumerate(iterations):
-            assert (sum(designs.count(d) for _, _, designs in calls)
+            assert (sum(counts[d] for _, _, counts in calls)
                     == sum((it + 1) * swarm for it in its))
         calls.clear()
         runs.clear()
@@ -374,3 +375,31 @@ def test_build_codebook_and_warm_cold_equivalence(fast_scenario):
     assert warm.estimate_deg == cold.estimate_deg
     with pytest.raises(ValueError, match="millidegree"):
         build_codebook(sc, [10.0, 10.0001], master)
+
+
+@pytest.fixture(scope="module")
+def localization_confusion():
+    """One codebook of configs/localization.yaml, probed with each of its
+    candidates in turn as the true angle: {true angle: LocalizationResult}.
+    The book's digest leaves out the true angle, so one book serves every
+    probe."""
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "localization.yaml"))
+    sc = cfg.scenario()
+    book = build_codebook(sc, cfg.candidates_deg, cfg.seed, repeats=cfg.repeats)
+    return {angle: localize(replace(sc, theta_inc_deg=angle), cfg.candidates_deg, cfg.seed,
+                            repeats=cfg.repeats, codebook=book, noise_power=cfg.noise_power)
+            for angle in cfg.candidates_deg}
+
+
+@pytest.mark.parametrize("true_deg", [0.0, 10.0, 20.0, 30.0, 40.0, pytest.param(
+    50.0, marks=pytest.mark.xfail(strict=True, reason="the 0 deg design wins at a true 50 deg, "
+                                                      "margin 4.21 (ROADMAP item 9)"))])
+def test_localization_names_each_candidate_as_the_true_angle(localization_confusion, true_deg,
+                                                             capsys):
+    # a row of the confusion matrix: each design's xi at this true angle
+    res = localization_confusion[true_deg]
+    row = ", ".join(f"{s.angle_deg:g}: {s.xi:.3g}" for s in res.samples)
+    with capsys.disabled():
+        print(f"[localization] true {true_deg:g} deg, xi by design {{{row}}} -> estimate "
+              f"{res.estimate_deg:g} deg, margin {res.margin:.3g}", flush=True)
+    assert res.estimate_deg == true_deg

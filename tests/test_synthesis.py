@@ -368,9 +368,10 @@ def with_floors(ev, h, nodes):
     return CostEvaluator(ev.geometry, ev.states, ev.incidence, masks, ev.period_s)
 
 
-def separate_costs(evaluators, rises, duties, mode, designs):
-    return np.concatenate([ev.phi_batch(rises[designs == e], duties[designs == e], mode)
-                           for e, ev in enumerate(evaluators) if np.any(designs == e)])
+def separate_costs(evaluators, rises, duties, mode, counts):
+    start = np.cumsum([0, *counts])
+    return np.concatenate([ev.phi_batch(rises[lo:hi], duties[lo:hi], mode)
+                           for ev, lo, hi in zip(evaluators, start, start[1:]) if lo < hi])
 
 
 @pytest.mark.parametrize("mode", [ControlMode.DELTA, ControlMode.FULL,
@@ -389,15 +390,14 @@ def test_stacked_costs_equal_separate_calls(fast_scenario, mode, monkeypatch):
     rng = np.random.default_rng(12)
     for counts in ((8, 8, 8), (16, 0, 1), (1, 7, 0), (0, 0, 5), (1, 1, 1)):
         rises, duties = codec.blocks(rng.random((sum(counts), codec.dim)))
-        designs = np.repeat(np.arange(3), counts)
-        got = stack.phi_batch(rises, duties, mode, designs)
-        want = separate_costs(evaluators, rises, duties, mode, designs)
+        got = stack.phi_batch(rises, duties, mode, counts)
+        want = separate_costs(evaluators, rises, duties, mode, counts)
         assert np.all(want > 0.0)
         assert np.array_equal(got, want)
         # one design per pass
         with monkeypatch.context() as m:
             m.setattr(synthesis, "PASS_COLUMNS", codec.control_shape[1])
-            assert np.array_equal(stack.phi_batch(rises, duties, mode, designs), want)
+            assert np.array_equal(stack.phi_batch(rises, duties, mode, counts), want)
     # the notched designs' blocks reach their ceilings
     rises, duties = codec.blocks(rng.random((8, codec.dim)))
     for ev in evaluators[1:]:
@@ -416,13 +416,12 @@ def test_stack_of_one_costs_as_its_evaluator(fast_scenario, mode):
     stack = CostEvaluator.stack([ev])
     codec = ModeCodec(mode=mode, rows=6, cols=4)
     rises, duties = codec.blocks(np.random.default_rng(14).random((12, codec.dim)))
-    zeros = np.zeros(12, dtype=int)
     costs = ev.phi_batch(rises, duties, mode)
     assert np.any(dense_phi(ev, rises, duties, mode)[1] > 0)
     mixed = np.where(np.arange(12) % 2 == 0, 0.5, 2.0) * costs
     for limit in (None, np.full(12, np.inf), mixed):
         want = ev.phi_batch(rises, duties, mode, limit=limit)
-        got = stack.phi_batch(rises, duties, mode, designs=zeros, limit=limit)
+        got = stack.phi_batch(rises, duties, mode, counts=[12], limit=limit)
         assert np.array_equal(got, want)
         assert np.array_equal(got, costs) == (limit is not mixed)
 
@@ -445,9 +444,8 @@ def test_stacked_costs_keep_each_designs_point_count(fast_scenario, mode):
     rng = np.random.default_rng(13)
     for counts in ((5, 5, 5), (0, 4, 6), (3, 0, 2), (1, 2, 1), (0, 0, 7)):
         rises, duties = codec.blocks(rng.random((sum(counts), codec.dim)))
-        designs = np.repeat(np.arange(3), counts)
-        got = stack.phi_batch(rises, duties, mode, designs)
-        assert np.array_equal(got, separate_costs(evaluators, rises, duties, mode, designs))
+        got = stack.phi_batch(rises, duties, mode, counts)
+        assert np.array_equal(got, separate_costs(evaluators, rises, duties, mode, counts))
 
 
 def test_stack_checks_its_designs(fast_scenario):
@@ -456,20 +454,40 @@ def test_stack_checks_its_designs(fast_scenario):
     evaluators = [replace(sc, theta_inc_deg=a).evaluator() for a in (20.0, 40.0)]
     stack = CostEvaluator.stack(evaluators)
     rises, duties = np.random.default_rng(3).random((2, 4, 3, 4))
-    for bad in ([0, 1, 0, 1], [0, 0, 1, 2], [-1, 0, 0, 0], [0, 0, 1], [0.0, 0.0, 1.0, 1.0]):
-        with pytest.raises(ValueError, match="designs must give each of the 4 blocks"):
-            stack.phi_batch(rises, duties, mode, np.array(bad))
+    # one count per design, each an integer >= 0, summing to the batch
+    for bad in ([4], [2, 2, 0], [1, 2], [5, -1], [2.0, 2.0], [True, 3], np.array([[2, 2]]),
+                "22", 4):
+        with pytest.raises(ValueError, match="counts must give each of the 2 designs"):
+            stack.phi_batch(rises, duties, mode, bad)
+    want = separate_costs(evaluators, rises, duties, mode, [1, 3])
+    for counts in ([1, 3], (1, 3), np.array([1, 3]), [np.int32(1), np.uint8(3)]):
+        assert np.array_equal(stack.phi_batch(rises, duties, mode, counts), want)
     # the stack built for delta blocks scores full ones too
-    designs = np.array([0, 0, 1, 1])
     full = np.random.default_rng(4).random((2, 4, 6, 4))
-    want = separate_costs(evaluators, *full, ControlMode.FULL, designs)
+    want = separate_costs(evaluators, *full, ControlMode.FULL, [2, 2])
     assert np.all(want > 0.0)
-    assert np.array_equal(stack.phi_batch(*full, ControlMode.FULL, designs), want)
+    assert np.array_equal(stack.phi_batch(*full, ControlMode.FULL, [2, 2]), want)
     with pytest.raises(ValueError, match="unknown control mode"):
         stack.phi_batch(rises, duties, "sideways")
     other = fast_scenario(rows=6, cols=6).evaluator()
     with pytest.raises(ValueError, match="share the geometry's and the grid's size"):
         CostEvaluator.stack([evaluators[0], other])
+
+
+def test_no_blocks_cost_nothing_and_no_evaluators_make_no_stack(fast_scenario):
+    # a lone evaluator and a stack, with and without a limit, in a mode
+    # with q > 1 and in one with q = 1
+    sc = fast_scenario(rows=6, cols=4)
+    evaluators = [replace(sc, theta_inc_deg=a).evaluator() for a in (20.0, 40.0)]
+    stack = CostEvaluator.stack(evaluators)
+    for mode, shape in ((ControlMode.DELTA, (0, 3, 4)), (ControlMode.COLWISE, (0, 6, 1))):
+        empty = np.empty(shape)
+        for ev, rows in ((evaluators[0], ()), (stack, ()), (stack, ([0, 0],))):
+            for limit in (None, np.empty(0)):
+                got = ev.phi_batch(empty, empty, mode, *rows, limit=limit)
+                assert got.shape == (0,) and got.dtype == float
+    with pytest.raises(ValueError, match="a stack needs one or more evaluators"):
+        CostEvaluator.stack([])
 
 
 def count_ceiling_blocks(monkeypatch):
@@ -521,7 +539,6 @@ def test_limit_bounds_only_the_blocks_that_reach_it(fast_scenario, mode, monkeyp
     stack = CostEvaluator.stack(evaluators)
     codec = ModeCodec(mode=mode, rows=6, cols=4)
     rises, duties = codec.blocks(np.random.default_rng(14).random((12, codec.dim)))
-    designs = np.repeat([0, 1], 6)
     seen = count_ceiling_blocks(monkeypatch)
     harmonics, lone_rows = [], []
 
@@ -536,7 +553,7 @@ def test_limit_bounds_only_the_blocks_that_reach_it(fast_scenario, mode, monkeyp
     matmul_rows = synthesis._matmul_rows
     monkeypatch.setattr(synthesis, "sideband_coefficients", counted)
     monkeypatch.setattr(synthesis, "_matmul_rows", rows_of)
-    for ev, rows in ((evaluators[0], ()), (stack, (designs,))):
+    for ev, rows in ((evaluators[0], ()), (stack, ([6, 6],))):
         cost = ev.phi_batch(rises, duties, mode, *rows)
         assert np.all(cost > 0.0)
         parts = [(ev, slice(None))] if not rows else [(evaluators[0], slice(6)),
@@ -606,12 +623,12 @@ def test_bounded_search_equals_the_exact_search(fast_scenario, seeds):
     codec = ModeCodec(mode=sc.mode, rows=6, cols=6)
     init = np.array([conjugate_guess(ev, codec) for ev in evaluators])
 
-    def bounded(x, designs, limit):
-        rows = (np.repeat(designs, pso.swarm_size),) if len(seeds) > 1 else ()
+    def bounded(x, counts, limit):
+        rows = ([n * pso.swarm_size for n in counts],) if len(seeds) > 1 else ()
         return stack.phi_batch(*codec.blocks(x), sc.mode, *rows, limit=limit)
 
-    def exact(x, designs, limit):
-        return bounded(x, designs, None)
+    def exact(x, counts, limit):
+        return bounded(x, counts, None)
 
     got, want = (minimize_swarms(f, codec.dim, pso, seeds, codec.dim // 2, init)
                  for f in (bounded, exact))
@@ -717,7 +734,7 @@ def sphere(x):
 def one_swarm(objective, dim, config, n_wrap=0, init=None):
     """minimize_swarms on one design with one seed, config.seed, and a
     start row init; objective scores (swarm, dim) positions alone."""
-    [[res]] = minimize_swarms(lambda x, designs, limit: objective(x), dim, config,
+    [[res]] = minimize_swarms(lambda x, counts, limit: objective(x), dim, config,
                               [(config.seed,)], n_wrap,
                               None if init is None else np.asarray(init)[None])
     return res
@@ -888,17 +905,17 @@ def test_pso_optimize_scores_each_swarm_in_one_call(monkeypatch):
     cfg = PsoConfig(swarm_size=6, iterations=8, seed=3, stagnation_window=0)
     [[res]] = pso_optimize([ev], ControlMode.DELTA, cfg)
     assert len(calls) == res.iterations + 1
-    # a lone design is scored on a stack of one, every block marked design 0
+    # a lone design is scored on a stack of one, with its count of blocks
     for args, kwargs in calls:
-        rises, duties, mode, designs = args
+        rises, duties, mode, counts = args
         assert rises.shape == duties.shape == (6, 2, 4)
         assert mode is ControlMode.DELTA
-        assert np.array_equal(designs, np.zeros(6))
+        assert counts == [6]
 
 
 def test_pso_optimize_scores_every_design_in_one_call(monkeypatch, fast_scenario):
     # 2 designs x 2 seeds: one phi_batch call per iteration, on a stack of
-    # the evaluators, with every running swarm, each block's design and, from
+    # the evaluators, with every running swarm, each design's count and, from
     # the second call on, each particle's personal best as its limit
     calls = []
     score = CostEvaluator.phi_batch
@@ -918,10 +935,10 @@ def test_pso_optimize_scores_every_design_in_one_call(monkeypatch, fast_scenario
     bests = None
     for args, kwargs, costs in calls:
         assert kwargs.keys() == {"limit"}
-        rises, duties, mode, designs = args
+        rises, duties, mode, counts = args
         assert rises.shape == duties.shape == (20, 3, 6)
         assert mode is ControlMode.DELTA
-        assert np.array_equal(designs, np.repeat([0, 0, 1, 1], 5))
+        assert counts == [10, 10]
         if bests is None:
             assert kwargs["limit"] is None
             bests = costs
@@ -957,8 +974,7 @@ def test_pso_optimize_releases_the_cost_buffers(fast_scenario):
     first.phi_batch(*np.random.default_rng(0).random((2, 4, 3, 6)), ControlMode.DELTA)
     stack = CostEvaluator.stack(evaluators)
     assert first._buffers and stack._buffers == {}
-    stack.phi_batch(*np.random.default_rng(1).random((2, 4, 3, 6)), ControlMode.DELTA,
-                    np.array([0, 0, 1, 1]))
+    stack.phi_batch(*np.random.default_rng(1).random((2, 4, 3, 6)), ControlMode.DELTA, [2, 2])
     assert stack._buffers and stack._buffers is not first._buffers
     assert all(a is not b for a in stack._buffers.values() for b in first._buffers.values())
 
@@ -995,10 +1011,10 @@ def test_minimize_swarms_equal_separate_runs():
     cfg = PsoConfig(swarm_size=6, iterations=12, stagnation_window=8)
     objectives = (objective, shifted)
 
-    def both(x, designs, limit):
+    def both(x, counts, limit):
         # each particle scored by its swarm's design alone; a particle that
         # cannot beat its best returns its limit, the lowest value allowed
-        rows = np.repeat(designs, cfg.swarm_size)
+        rows = np.repeat([0, 1][:len(counts)], [n * cfg.swarm_size for n in counts])
         f = np.where(rows == 0, objective(x), shifted(x))
         return f if limit is None else np.minimum(f, limit)
 
@@ -1030,26 +1046,26 @@ def test_minimize_swarms_equal_separate_runs():
 def test_minimize_swarms_scores_running_swarms_in_one_call():
     batches, limits = [], []
 
-    def record(x, designs, limit):
-        batches.append((tuple(designs.tolist()), x.shape[0]))
+    def record(x, counts, limit):
+        batches.append((tuple(counts), x.shape[0]))
         limits.append(None if limit is None else limit.tolist())
         return np.ones(x.shape[0])
 
     # every swarm stalls at once after 5 iterations; zero iterations run none
     minimize_swarms(record, 3,
                     PsoConfig(swarm_size=4, iterations=50, stagnation_window=5), [(1, 2, 3)])
-    assert batches == [((0, 0, 0), 12)] * 6
+    assert batches == [((3,), 12)] * 6
     # the initial swarm has no limit, then each particle's best bounds it
     assert limits == [None] + [[1.0] * 12] * 5
     batches.clear()
-    # one call per iteration for every design, each swarm marked with its design
+    # one call per iteration for every design, with each design's count of swarms
     minimize_swarms(record, 3,
                     PsoConfig(swarm_size=4, iterations=50, stagnation_window=5), [(1, 2), (3,)])
-    assert batches == [((0, 0, 1), 12)] * 6
+    assert batches == [((2, 1), 12)] * 6
     batches.clear()
     limits.clear()
     runs = minimize_swarms(record, 3, PsoConfig(swarm_size=4, iterations=0), [(1, 2)])
-    assert batches == [((0, 0), 8)]
+    assert batches == [((2,), 8)]
     assert limits == [None]
     assert [(r.iterations, r.stop_reason) for r in runs[0]] == [(0, "max_iterations")] * 2
 
@@ -1059,15 +1075,15 @@ def test_minimize_swarms_scores_only_the_running_swarms():
     # holds design 1's swarms alone
     batches, limits = [], []
 
-    def record(x, designs, limit):
-        batches.append(tuple(designs.tolist()))
+    def record(x, counts, limit):
+        batches.append(tuple(counts))
         limits.append(None if limit is None else limit.shape)
-        rows = np.repeat(designs, 3)
+        rows = np.repeat([0, 1], [3 * n for n in counts])
         return np.where(rows == 0, 0.0, 1.0 + x[:, 0])
 
     minimize_swarms(record, 2, PsoConfig(swarm_size=3, iterations=4, stagnation_window=0),
                     [(1,), (2, 3)])
-    assert batches == [(0, 1, 1), (0, 1, 1)] + [(1, 1)] * 3
+    assert batches == [(1, 2), (1, 2)] + [(0, 2)] * 3
     # the limits hold the running particles' bests, flattened as x
     assert limits == [None, (9,)] + [(6,)] * 3
 
