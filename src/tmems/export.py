@@ -83,23 +83,40 @@ def write_schedule_csv(path, schedule: PulseSchedule) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-# the header lines read_schedule_csv takes, with their types
-_HEADERS = {"rows": int, "cols": int, "period_s": float}
+# each field read_schedule_csv takes: its type, a range test written so
+# that NaN fails it (None: checked against the surface), and the range
+_FIELDS = {
+    "rows": (int, lambda n: n >= 1, "be at least 1"),
+    "cols": (int, lambda n: n >= 1, "be at least 1"),
+    "period_s": (float, lambda x: 0.0 < x < np.inf, "be positive and finite"),
+    "p": (int, None, ""),
+    "q": (int, None, ""),
+    "rise": (float, lambda x: 0.0 <= x < 1.0, "lie in [0, 1)"),
+    "duty": (float, lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]"),
+}
+_HEADERS = ("rows", "cols", "period_s")
 
 
-def _parse_field(where: str, name: str, text: str, kind: type):
-    """text as kind (int or float), or a ValueError naming where and the field."""
+def _parse_field(where: str, name: str, text: str):
+    """text as the field name's type, or a ValueError naming where and the
+    field when it is not one or lies outside the field's range."""
+    kind, in_range, wanted = _FIELDS[name]
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
-        wanted = "an integer" if kind is int else "a number"
-        raise ValueError(f"{where}: {name} {text.strip()!r} is not {wanted}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: {name} {text.strip()!r} is not {noun}") from None
+    if in_range is not None and not in_range(value):
+        raise ValueError(f"{where}: {name} {text.strip()} must {wanted}")
+    return value
 
 
 def read_schedule_csv(path) -> PulseSchedule:
-    """The schedule write_schedule_csv wrote; a malformed line raises a
-    ValueError naming path:line and the field."""
+    """The schedule write_schedule_csv wrote; a malformed line, an out-of-range
+    value or a repeated header raises a ValueError naming path:line and the
+    field."""
     headers = {}
+    header_lines = {}
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -111,22 +128,24 @@ def read_schedule_csv(path) -> PulseSchedule:
                 key, _, value = line[1:].partition(":")
                 key = key.strip()
                 if key in _HEADERS:
-                    headers[key] = _parse_field(where, key, value, _HEADERS[key])
+                    if key in headers:
+                        raise ValueError(f"{where}: {key} is declared again "
+                                         f"(first on line {header_lines[key]})")
+                    headers[key] = _parse_field(where, key, value)
+                    header_lines[key] = number
                 continue
             fields = line.split(",")
             if len(fields) != 4:
                 raise ValueError(f"{where}: expected the 4 fields p,q,rise,duty, "
                                  f"got {len(fields)}")
-            p, q, rise, duty = (_parse_field(where, name, text, kind) for name, text, kind in
-                                zip(("p", "q", "rise", "duty"), fields, (int, int, float, float)))
+            p, q, rise, duty = (_parse_field(where, name, text)
+                                for name, text in zip(("p", "q", "rise", "duty"), fields))
             if (p - 1, q - 1) in entries:
                 raise ValueError(f"{where}: cell ({p}, {q}) is listed twice")
             entries[p - 1, q - 1] = (rise, duty)
     rows, cols, period_s = (headers.get(key) for key in _HEADERS)
     if rows is None or cols is None or period_s is None:
         raise ValueError(f"{path} is missing rows/cols/period_s headers")
-    if rows < 1 or cols < 1:
-        raise ValueError(f"{path} declares an empty surface ({rows} x {cols})")
     for i, j in entries:
         if not (0 <= i < rows and 0 <= j < cols):
             raise ValueError(f"{path}: cell ({i + 1}, {j + 1}) lies outside p in 1..{rows}, q in 1..{cols}")

@@ -35,12 +35,6 @@ from .modulation import (
 # lowest ceiling (CostEvaluator).
 BOUND_SLACK = 1e-9
 
-# A phi_batch call on blocks of several designs scores them in passes of
-# whole designs, each of at most this many block columns (blocks times the
-# columns of a block) unless one design alone has more: so the buffers of a
-# call on many designs in a mode with many columns stay those of one pass.
-PASS_COLUMNS = 512
-
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a @ b into out, every row rounded as in any product of two rows or
@@ -116,30 +110,31 @@ class CostEvaluator:
     |F(u, v)|^2 <= (sum_q |T[u, q]| max_v |R[v, q]|)^2. A (u-row, block)
     pair whose bound, raised by BOUND_SLACK against its rounding, lies at or
     below the row's lowest ceiling adds exactly 0 to the ceiling terms, so
-    only the other pairs are radiated, all in one product. The point nodes
-    (each harmonic's grid nodes with a lower bound, then every anchor) are
-    radiated and scored against both of their bounds. With a limit the
+    only the other pairs are radiated, a design's in one product. The point
+    nodes (each harmonic's grid nodes with a lower bound, then every anchor)
+    are radiated and scored against both of their bounds. With a limit the
     terms come in stages, each for the blocks the ones before left below
-    their limits (_pass).
+    their limits.
 
     A block's cost is rounded the same at any position in a batch of any
     size: each product that spans blocks holds them in its rows, and a lone
     row is multiplied as a pair (_matmul_rows).
 
     A stack of evaluators (stack) holds them as its designs, so that one
-    call scores blocks of every design (phi_batch's counts), in any mode,
-    in passes of whole designs (PASS_COLUMNS). A design's blocks are one
-    span of rows, and every step reads the span's tables from that
-    design's own evaluator: its folds, |d| and beta, row ceilings, point
-    bounds and grid ceilings, which broadcast over the span. No table is
-    joined or gathered per block, so a stack of one scores as its
-    evaluator does, and each design's costs equal its own evaluator's bit
-    for bit.
+    call scores blocks of every design (phi_batch's counts), in any mode.
+    A design's blocks are one span of rows, and every step reads the span's
+    tables from that design's own evaluator: its folds, |d| and beta, row
+    ceilings, point bounds and grid ceilings, which broadcast over the
+    span. No table is joined or gathered per block, so a stack of one
+    scores as its evaluator does, and each design's costs equal its own
+    evaluator's bit for bit. The grid-ceiling stage, the largest, scores
+    one design's span at a time (_ceiling_terms), so its buffers hold one
+    design's blocks at most.
 
     The bounds, weights and factors are never mutated after construction
     (a mode's fold is added to its design's evaluator at its first call). A
     call writes into the evaluator's own scratch buffers, grown to the
-    largest pass it has scored (_view), so an evaluator is used by one
+    largest design span it has scored (_view), so an evaluator is used by one
     thread at a time, and once warm a call allocates little more than its
     blocks' Fourier coefficients.
     """
@@ -312,33 +307,19 @@ class CostEvaluator:
                            for n in counts) or sum(counts) != batch):
             raise ValueError(f"counts must give each of the {len(tables)} designs a non-negative "
                              f"integer count of blocks, summing to the {batch} blocks")
-        # design e's blocks are rows start[e]:start[e + 1]; a pass takes
-        # whole designs while they fit in PASS_COLUMNS, or one design
+        if not batch:
+            return np.empty(0)
+        # design e's blocks are rows start[e]:start[e + 1]. The terms come
+        # in stages: a block costs ((P0 + C0) + P1) + C1 with P_h, C_h >= 0
+        # its point and grid-ceiling terms at harmonic h, so P0 <= P0 + P1
+        # <= cost (rounded addition is monotone). Every block scores P0;
+        # only the blocks with P0 below their limit form their h = 1
+        # coefficients and score P1, and only those with P0 + P1 below it
+        # radiate the ceilings. A block dropped at a stage returns its bound
+        # there.
         start = [0, *itertools.accumulate(counts)]
-        cuts = [0]
-        for lo, hi in zip(start, start[1:]):
-            if hi > lo > cuts[-1] and (hi - cuts[-1]) * q > PASS_COLUMNS:
-                cuts.append(lo)
-        if len(cuts) == 1:
-            return self._pass(rises, duties, tables, start, limit) if batch else np.empty(0)
-        total = np.empty(batch)
-        for lo, hi in zip(cuts, cuts[1:] + [batch]):
-            total[lo:hi] = self._pass(rises[lo:hi], duties[lo:hi], tables,
-                                      [min(max(s, lo), hi) - lo for s in start],
-                                      None if limit is None else limit[lo:hi])
-        return total
-
-    def _pass(self, rises: np.ndarray, duties: np.ndarray, tables: list,
-              start: list, limit: Optional[np.ndarray]) -> np.ndarray:
-        """phi_batch on the blocks of one pass, in stages. A block costs
-        ((P0 + C0) + P1) + C1 with P_h, C_h >= 0 its point and grid-ceiling
-        terms at harmonic h, so P0 <= P0 + P1 <= cost (rounded addition is
-        monotone). Every block scores P0; only the blocks with P0 below
-        their limit form their h = 1 coefficients and score P1, and only
-        those with P0 + P1 below it radiate the ceilings. A block dropped at
-        a stage returns its bound there."""
         spans = _spans(start)
-        total = np.empty(len(rises))
+        total = np.empty(batch)
         rows = slice(None)  # the rows of total that the live blocks fill
         coefs, points = [], []
         for h in (0, 1):
@@ -362,7 +343,9 @@ class CostEvaluator:
                 limit = limit[live]
             start = live.searchsorted(start).tolist()
             spans = _spans(start)
-        ceilings = self._ceiling_terms(coefs, tables, start, spans)
+        ceilings = np.empty((2, len(points[0])))
+        for e, lo, hi in spans:
+            ceilings[:, lo:hi] = self._ceiling_terms([coef[lo:hi] for coef in coefs], *tables[e])
         total[rows] = ((points[0] + ceilings[0]) + points[1]) + ceilings[1]
         return total
 
@@ -382,57 +365,40 @@ class CostEvaluator:
             np.add.reduce(over, axis=1, out=total[lo:hi])
         return total
 
-    def _ceiling_terms(self, coefs: list, tables: list, start: list, spans: list) -> np.ndarray:
-        """Both harmonics' grid ceilings, (2, batch), on the rows whose bound
-        can reach them. T = L_h C of each block is held transposed, (2,
+    def _ceiling_terms(self, coefs: list, ev: "CostEvaluator", fold: _Fold) -> np.ndarray:
+        """Both harmonics' grid ceilings, (2, batch), of one design's blocks,
+        on the rows whose bound can reach them, from that design's evaluator
+        ev and fold alone. T = L_h C of each block is held transposed, (2,
         batch, q, nu), so that the blocks are the products' rows; the pairs
         of both harmonics are radiated together."""
         batch = len(coefs[0])
-        _, nu, nv = self._grid_upper.shape
-        q = tables[0][1].shape[1]
+        _, nu, nv = ev._grid_upper.shape
+        q = fold.shape[1]
         view = self._view
         t = view("t", (2, batch * q, nu), complex)
         for h, coef in enumerate(coefs):
-            blocks = coef.transpose(0, 2, 1).reshape(batch * q, -1)
-            for e, lo, hi in spans:
-                _matmul_rows(blocks[lo * q:hi * q], tables[e][1].left_t[h], t[h, lo * q:hi * q])
+            _matmul_rows(coef.transpose(0, 2, 1).reshape(batch * q, -1), fold.left_t[h], t[h])
         t = t.reshape(2, batch, q, nu)
-        size = np.abs(t, out=view("size", (2, batch, q, nu)))
-        bound = np.empty((2, batch, nu))
-        for e, lo, hi in spans:
-            np.matmul(tables[e][1].r_max, size[:, lo:hi], out=bound[:, lo:hi])
+        bound = np.matmul(fold.r_max, np.abs(t, out=view("size", (2, batch, q, nu))))
         bound *= bound
-        flags = np.empty((2, batch, nu), dtype=bool)
-        for e, lo, hi in spans:
-            np.greater(bound[:, lo:hi], tables[e][0]._row_ceiling[:, None], out=flags[:, lo:hi])
         # hk indexes (harmonic, block) pairs as h * batch + block
-        hk, uu = flags.reshape(2 * batch, nu).nonzero()
+        hk, uu = (bound > ev._row_ceiling[:, None]).reshape(2 * batch, nu).nonzero()
         n = hk.size
         if n == 0:
             return np.zeros((2, batch))
-        # the pairs, in hk's order, run harmonic by harmonic, design by
-        # design: (h, e, a, b) for the pairs a:b of harmonic h and design e
-        cut = hk.searchsorted([h * batch + s for h in (0, 1) for s in start]).tolist()
-        pairs = [(h, e, cut[i + e], cut[i + e + 1]) for h, i in ((0, 0), (1, len(start)))
-                 for e, _, _ in spans if cut[i + e] < cut[i + e + 1]]
         power = view("power", (n, nv))
         if q == 1:  # |T R|^2 = |T|^2 |R|^2 = bound |R|^2 / max |R|^2
-            peak = bound.reshape(2 * batch, nu)[hk, uu][:, None]
-            for _, e, a, b in pairs:
-                np.multiply(peak[a:b], tables[e][1].r_shape, out=power[a:b])
+            np.multiply(bound.reshape(2 * batch, nu)[hk, uu][:, None], fold.r_shape, out=power)
         else:
             x = t.reshape(2 * batch, q, nu)[hk, :, uu]  # each pair's row of T, (n, q)
-            f = view("field", (n, nv), complex)
-            for _, e, a, b in pairs:
-                _matmul_rows(x[a:b], tables[e][1].right_t, f[a:b])
+            f = _matmul_rows(x, fold.right_t, view("field", (n, nv), complex))
             np.multiply(f.real, f.real, out=power)
             power += np.square(f.imag, out=view("scratch", (n, nv)))
-        upper = view("scratch", (n, nv))
-        for h, e, a, b in pairs:
-            tables[e][0]._grid_upper[h].take(uu[a:b], axis=0, out=upper[a:b], mode="clip")
-        power -= upper
+        # each pair's row of the grid ceilings, of its harmonic
+        power -= ev._grid_upper.reshape(2 * nu, nv).take(
+            uu + nu * (hk >= batch), axis=0, out=view("scratch", (n, nv)), mode="clip")
         over = np.add.reduce(np.maximum(power, 0.0, out=power), axis=1)
-        ceilings = np.bincount(hk, weights=over, minlength=2 * batch) * self.grid.cell_weight
+        ceilings = np.bincount(hk, weights=over, minlength=2 * batch) * ev.grid.cell_weight
         return ceilings.reshape(2, batch)
 
     def phi(self, schedule: PulseSchedule) -> float:

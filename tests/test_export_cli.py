@@ -155,16 +155,33 @@ BAD_SCHEDULES = {
     "three fields": "# rows: 1\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n1,1,0.25\n",
     "bad duty": "# rows: 1\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n1,1,0.25,abc\n",
     "bad rows": "# rows: x\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n1,1,0.25,0.5\n",
+    "no cols": "# rows: 1\n# cols: 0\n# period_s: 1e-06\np,q,rise,duty\n",
+    "nan period": "# rows: 1\n# cols: 1\n# period_s: nan\np,q,rise,duty\n1,1,0.25,0.5\n",
+    "inf period": "# rows: 1\n# cols: 1\n# period_s: inf\np,q,rise,duty\n1,1,0.25,0.5\n",
+    "nan rise": "# rows: 1\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n1,1,nan,0.5\n",
+    "rise of 1": "# rows: 1\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n1,1,1.0,0.5\n",
+    "nan duty": "# rows: 1\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n1,1,0.25,nan\n",
+    "negative duty": "# rows: 1\n# cols: 1\n# period_s: 1e-06\np,q,rise,duty\n1,1,0.25,-0.5\n",
+    "rows twice": "# rows: 1\n# cols: 1\n# rows: 2\n# period_s: 1e-06\np,q,rise,duty\n"
+                  "1,1,0.25,0.5\n",
 }
 
 # the message each of BAD_SCHEDULES raises, naming the line (after the
 # file's path) and the field where a line is malformed
 BAD_SCHEDULE_MESSAGES = {
     "twice": ":7: cell (1, 1) is listed twice",
-    "empty": "empty surface",
+    "empty": ":1: rows 0 must be at least 1",
     "three fields": ":5: expected the 4 fields p,q,rise,duty, got 3",
     "bad duty": ":5: duty 'abc' is not a number",
     "bad rows": ":1: rows 'x' is not an integer",
+    "no cols": ":2: cols 0 must be at least 1",
+    "nan period": ":3: period_s nan must be positive and finite",
+    "inf period": ":3: period_s inf must be positive and finite",
+    "nan rise": ":5: rise nan must lie in [0, 1)",
+    "rise of 1": ":5: rise 1.0 must lie in [0, 1)",
+    "nan duty": ":5: duty nan must lie in [0, 1]",
+    "negative duty": ":5: duty -0.5 must lie in [0, 1]",
+    "rows twice": ":3: rows is declared again (first on line 1)",
 }
 
 
@@ -196,10 +213,10 @@ def test_cli_evaluate_reports_schedule_read_errors(tmp_path, cli_config, capsys)
         path.write_text(BAD_SCHEDULES[name])
         assert main(["evaluate", "--config", cli_config, "--out", str(tmp_path / "x"),
                      "--schedule", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert message in err
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: ") and message in err
         if message.startswith(":"):
-            assert f"{path}{message}" in err
+            assert err == f"error: {path}{message}"
 
 
 # 1-based cell indices outside the header's rows x cols; p=0 once wrapped to

@@ -376,7 +376,7 @@ def separate_costs(evaluators, rises, duties, mode, counts):
 
 @pytest.mark.parametrize("mode", [ControlMode.DELTA, ControlMode.FULL,
                                   ControlMode.COLWISE_DELTA, ControlMode.COLWISE])
-def test_stacked_costs_equal_separate_calls(fast_scenario, mode, monkeypatch):
+def test_stacked_costs_equal_separate_calls(fast_scenario, mode):
     # q > 1 (delta, full) and q = 1 (column-wise); the designs differ in
     # incidence, in theta and phi, so in every table, and in how many blocks
     # each still runs; a notch lowers the ceilings of the last two below
@@ -394,10 +394,6 @@ def test_stacked_costs_equal_separate_calls(fast_scenario, mode, monkeypatch):
         want = separate_costs(evaluators, rises, duties, mode, counts)
         assert np.all(want > 0.0)
         assert np.array_equal(got, want)
-        # one design per pass
-        with monkeypatch.context() as m:
-            m.setattr(synthesis, "PASS_COLUMNS", codec.control_shape[1])
-            assert np.array_equal(stack.phi_batch(rises, duties, mode, counts), want)
     # the notched designs' blocks reach their ceilings
     rises, duties = codec.blocks(rng.random((8, codec.dim)))
     for ev in evaluators[1:]:
@@ -405,6 +401,28 @@ def test_stacked_costs_equal_separate_calls(fast_scenario, mode, monkeypatch):
     # by default every block is design 0
     assert np.array_equal(stack.phi_batch(rises, duties, mode),
                           evaluators[0].phi_batch(rises, duties, mode))
+
+
+def test_stack_buffers_hold_one_design(fast_scenario):
+    # the ceiling stage scores one design at a time, so a stack's scratch
+    # buffers are never larger than those its evaluators hold alone, however
+    # many designs' blocks one call scores
+    mode = ControlMode.FULL
+    designs = [dict(theta_inc_deg=theta, phi_inc_deg=phi)
+               for theta, phi in ((20.0, 0.0), (35.0, 25.0), (50.0, -15.0))]
+    alone, stacked = ([notched(fast_scenario(mode=mode, rows=6, cols=4, **d).evaluator())
+                       for d in designs] for _ in range(2))
+    stack = CostEvaluator.stack(stacked)
+    codec = ModeCodec(mode=mode, rows=6, cols=4)
+    rises, duties = codec.blocks(np.random.default_rng(15).random((24, codec.dim)))
+    for ev, k in zip(alone, range(0, 24, 8)):
+        ev.phi_batch(rises[k:k + 8], duties[k:k + 8], mode)
+    stack.phi_batch(rises, duties, mode, (8, 8, 8))
+
+    def largest(ev):
+        return max(buf.nbytes for buf in ev._buffers.values())
+
+    assert largest(stack) <= max(map(largest, alone))
 
 
 @pytest.mark.parametrize("mode", [ControlMode.DELTA, ControlMode.FULL,
@@ -491,7 +509,7 @@ def test_no_blocks_cost_nothing_and_no_evaluators_make_no_stack(fast_scenario):
 
 
 def count_ceiling_blocks(monkeypatch):
-    """A list that gets, for each pass's ceiling stage, the number of
+    """A list that gets, for each design's ceiling stage, the number of
     blocks it radiates."""
     seen = []
     ceilings = CostEvaluator._ceiling_terms
@@ -592,11 +610,6 @@ def test_limit_bounds_only_the_blocks_that_reach_it(fast_scenario, mode, monkeyp
         seen.clear()
         bound = ev.phi_batch(rises, duties, mode, *rows, limit=np.zeros(12))
         assert seen == [] and np.all(bound <= cost) and np.any(bound < cost)
-        # the limit is sliced with the blocks when the designs take a pass each
-        want = ev.phi_batch(rises, duties, mode, *rows, limit=mixed)
-        with monkeypatch.context() as m:
-            m.setattr(synthesis, "PASS_COLUMNS", codec.control_shape[1])
-            assert np.array_equal(ev.phi_batch(rises, duties, mode, *rows, limit=mixed), want)
 
 
 def test_phi_batch_checks_the_limit():
