@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .geometry import EmsGeometry
-from .isac import Scenario
+from .isac import Scenario, check_candidates
 from .masks import MaskParams
 from .modulation import ControlMode, ReflectionStates
 from .synthesis import PsoConfig
@@ -94,6 +94,15 @@ def _angle_list_field(minimum, maximum, closed_min=False):
 
 # angles used as an assumed incidence angle
 _incidence_angles = _angle_list_field(0.0, 90.0, closed_min=True)
+
+
+def _candidate_angles(value, path):
+    """Incidence angles that stay apart at millidegree resolution."""
+    angles = _incidence_angles(value, path)
+    try:
+        return check_candidates(angles)
+    except ValueError as exc:
+        raise ConfigError(f"'{path}': {exc}") from None
 
 
 def _gamma_field(value, path):
@@ -188,7 +197,7 @@ _SCHEMA = {
         "angles_deg": _angle_list_field(-90.0, 90.0),
     },
     "localization": {
-        "candidates_deg": _incidence_angles,
+        "candidates_deg": _candidate_angles,
         "repeats": _int_field(minimum=1),
     },
 }

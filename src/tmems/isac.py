@@ -231,12 +231,25 @@ def matched_sweep(scenario: Scenario, vary: str, angles_deg: Sequence[float],
     return samples
 
 
+def check_candidates(candidates_deg: Sequence[float]) -> list:
+    """The candidate angles as floats. A design is keyed by its angle in
+    whole millidegrees (derive_seed, codebook records), so two candidates
+    that round alike would be one design twice: ValueError names the first
+    such pair."""
+    candidates = [float(a) for a in candidates_deg]
+    first = {}
+    for i, angle in enumerate(candidates):
+        j = first.setdefault(to_mdeg(angle), i)
+        if j != i:
+            raise ValueError(f"candidate angles {candidates[j]} and {angle} collide at "
+                             f"millidegree resolution")
+    return candidates
+
+
 def build_codebook(scenario: Scenario, candidates_deg: Sequence[float], master_seed: int,
                    repeats: int = 1) -> Codebook:
     """Pre-synthesize one schedule per candidate user angle."""
-    candidates = sorted(float(a) for a in candidates_deg)
-    if len(set(map(to_mdeg, candidates))) != len(candidates):
-        raise ValueError("candidate angles collide at millidegree resolution")
+    candidates = sorted(check_candidates(candidates_deg))
     designs = design_for_angle(scenario, candidates, master_seed, repeats)
     g = scenario.geometry
     return Codebook(mode=scenario.mode, rows=g.rows, cols=g.cols, seed=int(master_seed),
@@ -267,8 +280,10 @@ def localize(scenario: Scenario, candidates_deg: Sequence[float], master_seed: i
     scenario's mode and surface size, master seed and digest (which pins
     repeats too), else ValueError names the first that differs; a stale book
     is never silently rebuilt. Its entries expand with Codebook.schedule.
+    Candidates that collide at millidegree resolution raise ValueError
+    (check_candidates).
     """
-    candidates = [float(a) for a in candidates_deg]
+    candidates = check_candidates(candidates_deg)
     if not candidates:
         raise ValueError("at least one candidate angle is required")
     if codebook is not None:

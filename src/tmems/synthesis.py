@@ -9,7 +9,6 @@ and 1.
 
 import copy
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -69,7 +68,6 @@ class _Fold:
 
     def __init__(self, mode: ControlMode, rows_g: np.ndarray, cols_g: np.ndarray,
                  nu: int, nv: int, points: tuple):
-        self.mode = mode
         half = rows_g.shape[1] // 2
         right = cols_g.sum(axis=1, keepdims=True) if mode.columnwise else cols_g
         if mode.mirrored:
@@ -128,15 +126,13 @@ class CostEvaluator:
     span. No table is joined or gathered per block, so a stack of one
     scores as its evaluator does, and each design's costs equal its own
     evaluator's bit for bit. The grid-ceiling stage, the largest, scores
-    one design's span at a time (_ceiling_terms), so its buffers hold one
-    design's blocks at most.
+    one design's span at a time (_ceiling_terms), so its temporaries hold
+    one design's blocks at most.
 
-    The bounds, weights and factors are never mutated after construction
-    (a mode's fold is added to its design's evaluator at its first call). A
-    call writes into the evaluator's own scratch buffers, grown to the
-    largest design span it has scored (_view), so an evaluator is used by one
-    thread at a time, and once warm a call allocates little more than its
-    blocks' Fourier coefficients.
+    The bounds, weights and factors are never mutated after construction.
+    A call allocates its temporaries for itself and mutates nothing but its
+    designs' fold caches: a mode's fold is added to a design's evaluator at
+    its first call.
     """
 
     def __init__(self, geometry: EmsGeometry, states: ReflectionStates,
@@ -208,7 +204,6 @@ class CostEvaluator:
               for idx in nodes]
         self._factors = (rows_g, cols_g, nu, nv, uv)
         self._folds = {}
-        self._buffers = {}
         self._members = ()  # a stack's evaluators; a lone one never refers to itself
 
     @staticmethod
@@ -222,22 +217,11 @@ class CostEvaluator:
                              "and the grid's size")
         stacked = copy.copy(evaluators[0])
         stacked._members = tuple(evaluators)
-        stacked._buffers = {}
         return stacked
 
     def _designs(self) -> tuple:
         """The evaluator of each design: a stack's members, or this one."""
         return self._members or (self,)
-
-    def _view(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        """The leading part of the scratch buffer name, a flat array that
-        only grows, shaped so that it is C-contiguous; a name is taken again
-        only once its last view is spent."""
-        n = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < n:
-            buf = self._buffers[name] = np.empty(n, dtype=dtype)
-        return buf[:n].reshape(shape)
 
     def _fold(self, mode: ControlMode) -> list:
         """The mode's fold of each design, built at its first use and kept
@@ -374,29 +358,26 @@ class CostEvaluator:
         batch = len(coefs[0])
         _, nu, nv = ev._grid_upper.shape
         q = fold.shape[1]
-        view = self._view
-        t = view("t", (2, batch * q, nu), complex)
+        t = np.empty((2, batch * q, nu), complex)
         for h, coef in enumerate(coefs):
             _matmul_rows(coef.transpose(0, 2, 1).reshape(batch * q, -1), fold.left_t[h], t[h])
         t = t.reshape(2, batch, q, nu)
-        bound = np.matmul(fold.r_max, np.abs(t, out=view("size", (2, batch, q, nu))))
+        bound = np.matmul(fold.r_max, np.abs(t))
         bound *= bound
         # hk indexes (harmonic, block) pairs as h * batch + block
         hk, uu = (bound > ev._row_ceiling[:, None]).reshape(2 * batch, nu).nonzero()
         n = hk.size
         if n == 0:
             return np.zeros((2, batch))
-        power = view("power", (n, nv))
         if q == 1:  # |T R|^2 = |T|^2 |R|^2 = bound |R|^2 / max |R|^2
-            np.multiply(bound.reshape(2 * batch, nu)[hk, uu][:, None], fold.r_shape, out=power)
+            power = bound.reshape(2 * batch, nu)[hk, uu][:, None] * fold.r_shape
         else:
             x = t.reshape(2 * batch, q, nu)[hk, :, uu]  # each pair's row of T, (n, q)
-            f = _matmul_rows(x, fold.right_t, view("field", (n, nv), complex))
-            np.multiply(f.real, f.real, out=power)
-            power += np.square(f.imag, out=view("scratch", (n, nv)))
+            f = _matmul_rows(x, fold.right_t, np.empty((n, nv), complex))
+            power = f.real * f.real
+            power += np.square(f.imag)
         # each pair's row of the grid ceilings, of its harmonic
-        power -= ev._grid_upper.reshape(2 * nu, nv).take(
-            uu + nu * (hk >= batch), axis=0, out=view("scratch", (n, nv)), mode="clip")
+        power -= ev._grid_upper.reshape(2 * nu, nv).take(uu + nu * (hk >= batch), axis=0)
         over = np.add.reduce(np.maximum(power, 0.0, out=power), axis=1)
         ceilings = np.bincount(hk, weights=over, minlength=2 * batch) * ev.grid.cell_weight
         return ceilings.reshape(2, batch)
@@ -528,10 +509,11 @@ def _wrap_unit(x: np.ndarray) -> np.ndarray:
 
 def _checked_costs(objective, x: np.ndarray, counts: list,
                    limit: Optional[np.ndarray] = None) -> np.ndarray:
-    """objective on the stacked swarms x (swarms, dim, particles) and their
-    limits (swarms, particles), as (swarms, particles) costs."""
+    """objective on the stacked swarms x (swarms, dim, particles), each
+    design's count of them as a tuple, and their limits (swarms,
+    particles), as (swarms, particles) costs."""
     swarms, dim, particles = x.shape
-    f = np.asarray(objective(x.transpose(0, 2, 1).reshape(-1, dim), counts,
+    f = np.asarray(objective(x.transpose(0, 2, 1).reshape(-1, dim), tuple(counts),
                              None if limit is None else limit.reshape(-1)), dtype=float)
     if f.shape != (swarms * particles,):
         raise ValueError("objective must return one value per particle")
@@ -575,14 +557,14 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
     rule. Each iteration calls objective(x, counts, limit) once: x stacks
     the positions of every swarm still running ((running * swarm, dim)),
     the swarms of a design adjacent and in seed order, designs in order;
-    counts, a list that changes after the call, gives each design's number
-    of running swarms; limit holds the particles' personal-best costs
-    flattened as x (None for the initial swarm). Where a cost is at least
-    its limit the objective may return any value in [limit, cost], which
-    improves no particle. A stopped swarm is neither scored nor drawn for
-    again. So a swarm's result depends on its seed and design alone
-    whenever the objective scores a particle independently of its batch
-    and by its swarm's design alone.
+    counts, a tuple, gives each design's number of running swarms; limit
+    holds the particles' personal-best costs flattened as x (None for the
+    initial swarm). Where a cost is at least its limit the objective may
+    return any value in [limit, cost], which improves no particle. A
+    stopped swarm is neither scored nor drawn for again. So a swarm's
+    result depends on its seed and design alone whenever the objective
+    scores a particle independently of its batch and by its swarm's design
+    alone.
     """
     if dim < 1:
         raise ValueError("empty search space")
@@ -743,17 +725,15 @@ def pso_optimize(evaluators: Sequence[CostEvaluator], mode: ControlMode, config:
     of each evaluator, once per seed of that evaluator (seeds[i]; config.seed
     alone by default), every swarm of every evaluator in one loop
     (minimize_swarms); one list of SynthesisResults per evaluator, one per
-    seed in order. The evaluators share the geometry's size, and each is
-    used by one thread at a time.
+    seed in order. The evaluators share the geometry's size.
 
     Each iteration scores the running swarms of every evaluator in one
     phi_batch call on a stack of the evaluators (CostEvaluator.stack), a
     lone evaluator's stack of one included, with each design's count of
     blocks (its running swarms times the swarm size). The stack holds the
     evaluators and reads each design's tables from its own; it lives as
-    long as the search, with its cost buffers. Each particle's
-    personal best is its limit, so that only the particles that can beat
-    it are scored whole.
+    long as the search. Each particle's personal best is its limit, so that
+    only the particles that can beat it are scored whole.
     That call rounds a particle's cost as its own evaluator does, at any
     position in a batch of any size (measured with OpenBLAS 0.3.31 on an
     AVX-512 x86-64 CPU), so every result equals the run of its evaluator and

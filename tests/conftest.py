@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from tmems.fields import cell_factor
 from tmems.geometry import EmsGeometry
 from tmems.isac import Scenario
 from tmems.modulation import ControlMode, PulseSchedule, ReflectionStates
@@ -48,6 +49,29 @@ def random_schedule(rng, rows, cols, period_s=1e-6):
     return PulseSchedule(period_s=period_s,
                          rise=rng.random((rows, cols)),
                          duty=rng.random((rows, cols)))
+
+
+def direct_sum(geometry, tensors, incidence, u, v):
+    """The radiation sum, one cell at a time, toward directions (u[i], v[i]).
+
+    tensors (..., rows, cols, 2, 2) are the cells' reflection tensors, say
+    harmonic_tensors of a schedule, or the on and off states of an instant;
+    the result is (..., n, 2). Each cell's drive and steering phase come
+    from its own position, with no table or separable factor of the
+    package."""
+    k0 = geometry.k0
+    xy = geometry.cell_xy_m
+    u, v = np.atleast_1d(u), np.atleast_1d(v)
+    tensors = np.asarray(tensors)
+    tensors = tensors.reshape(tensors.shape[:-4] + (geometry.n_cells, 2, 2))
+    m2 = incidence.polarization_matrix
+    jones = np.asarray(incidence.jones, dtype=complex)
+    acc = np.zeros(tensors.shape[:-3] + (u.size, 2), dtype=complex)
+    for n, (x, y) in enumerate(xy):
+        drive = incidence.amplitude_v_m * np.exp(1j * k0 * (incidence.u * x + incidence.v * y))
+        steer = np.exp(1j * k0 * (u * x + v * y))
+        acc += steer[:, None] * (drive * (tensors[..., n, :, :] @ jones) @ m2.T)[..., None, :]
+    return (1j * k0 / (4.0 * np.pi) * cell_factor(geometry, u, v))[:, None] * acc
 
 
 @pytest.fixture

@@ -24,7 +24,6 @@ from tmems import (
     Scenario,
     build_codebook,
     build_masks,
-    cell_factor,
     derive_seed,
     design_for_angle,
     harmonic_tensors,
@@ -36,6 +35,8 @@ from tmems import (
     write_codebook,
 )
 from tmems.cli import main as cli_main
+
+from conftest import direct_sum
 
 MASTER_SEED = 1234
 EVAL_N = 201
@@ -58,22 +59,6 @@ def _scenario(**kw) -> Scenario:
     )
     base.update(kw)
     return Scenario(**base)
-
-
-def direct_field_sum(geometry, schedule, states, incidence, u, v, h):
-    """Per-cell Python loop over the radiation sum, no vectorized steering."""
-    tens = harmonic_tensors(states, schedule, h).reshape(-1, 2, 2)
-    m2 = incidence.polarization_matrix
-    jones = np.asarray(incidence.jones, dtype=complex)
-    xy = geometry.cell_xy_m
-    k0 = geometry.k0
-    acc = np.zeros(2, dtype=complex)
-    for n in range(xy.shape[0]):
-        drive = incidence.amplitude_v_m * np.exp(
-            1j * k0 * (incidence.u * xy[n, 0] + incidence.v * xy[n, 1]))
-        steer = np.exp(1j * k0 * (u * xy[n, 0] + v * xy[n, 1]))
-        acc = acc + steer * drive * (m2 @ (tens[n] @ jones))
-    return 1j * k0 / (4.0 * np.pi) * cell_factor(geometry, u, v) * acc
 
 
 def halfpower_width_u(pattern) -> float:
@@ -242,8 +227,8 @@ def test_criterion_04_beam_pair_quality(capsys):
     side_margin_db = 10.0 * np.log10(worst_rel)
 
     e_engine = pat0.field[iu, iv]
-    e_direct = direct_field_sum(geom, best.schedule, states, inc,
-                                float(grid.u[iu]), float(grid.v[iv]), 0)
+    [e_direct] = direct_sum(geom, harmonic_tensors(states, best.schedule, 0), inc,
+                            grid.u[iu], grid.v[iv])
     direct_rel = float(np.linalg.norm(e_direct - e_engine) / np.linalg.norm(e_engine))
 
     ok = (peak_du <= grid.du + 1e-12 and peak_dv <= grid.dv + 1e-12

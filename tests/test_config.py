@@ -107,6 +107,18 @@ def test_angle_list_validation():
     assert cfg.candidates_deg == [0.0, 89.999]
 
 
+def test_candidates_must_differ_at_millidegree_resolution():
+    # a design is keyed by its angle in millidegrees (derive_seed, codebook
+    # records), so two candidates that round alike would be one design twice
+    with pytest.raises(ConfigError, match=r"^'localization\.candidates_deg': candidate angles "
+                                          r"20\.0 and 20\.0001 collide at millidegree"):
+        parse_config({"localization": {"candidates_deg": [20, 30, 20.0001]}})
+    with pytest.raises(ConfigError, match=r"angles 30\.0 and 30\.0 collide"):
+        parse_config({"localization": {"candidates_deg": [30, 30]}})
+    cfg = parse_config({"localization": {"candidates_deg": [20, 20.001, 30]}})
+    assert cfg.candidates_deg == [20.0, 20.001, 30.0]
+
+
 def test_gamma_entry_forms(tmp_path):
     cfg = parse_config({"states": {"gamma_on": 0.8, "gamma_off": [-0.6, -0.2]}})
     st = cfg.scenario().states

@@ -512,6 +512,21 @@ def test_cli_localize_and_export(tmp_path, cli_config):
         assert sched.shape == (6, 6)
 
 
+def test_cli_localize_rejects_colliding_candidates(tmp_path, capsys):
+    # with or without a codebook, one error line naming the key and both
+    # angles, before any design is synthesized or any file written
+    path = tmp_path / "collide.yaml"
+    path.write_text(CLI_CONFIG.replace("candidates_deg: [20, 40]",
+                                       "candidates_deg: [20, 20.0001, 30]"))
+    for extra in ([], ["--codebook", str(tmp_path / "designs.tmcb")]):
+        out = tmp_path / "out"
+        assert main(["localize", "--config", str(path), "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: 'localization.candidates_deg': candidate angles 20.0 and "
+                       "20.0001 collide at millidegree resolution\n")
+        assert not out.exists() and not (tmp_path / "designs.tmcb").exists()
+
+
 def test_cli_localize_rejects_a_stale_codebook(tmp_path, cli_config, capsys):
     # a book built for another scenario ends in one error line naming what
     # differs, and is neither used nor rebuilt

@@ -20,29 +20,15 @@ from tmems.masks import MaskSet, beam_reference
 from tmems.modulation import ControlMode, PulseSchedule, ReflectionStates, harmonic_tensors
 from tmems.synthesis import CostEvaluator, ModeCodec
 
-from conftest import random_schedule
-
-
-def direct_sum(geometry, schedule, states, incidence, u, v, h):
-    """Per-cell loop over the radiation sum toward directions (u[i], v[i]),
-    with the unfactorised steering phase e^{j k0 (u x + v y)}: (n, 2)."""
-    exc = (incidence.amplitude_v_m * incident_phase_factors(incidence, geometry)[:, None]
-           * np.asarray(incidence.jones)[None, :])
-    tens = harmonic_tensors(states, schedule, h).reshape(-1, 2, 2)
-    m2 = incidence.polarization_matrix
-    xy = geometry.cell_xy_m
-    acc = np.zeros((u.size, 2), dtype=complex)
-    for n in range(geometry.n_cells):
-        steer = np.exp(1j * geometry.k0 * (u * xy[n, 0] + v * xy[n, 1]))
-        acc += steer[:, None] * (m2 @ (tens[n] @ exc[n]))[None, :]
-    return (1j * geometry.k0 / (4.0 * np.pi) * cell_factor(geometry, u, v))[:, None] * acc
+from conftest import direct_sum, random_schedule
 
 
 def brute_force_pattern(geometry, schedule, states, incidence, grid, h):
     """Direct sum toward every visible grid node, no precomputed tables."""
     out = np.zeros((grid.u.size, grid.v.size, 2), dtype=complex)
     iu, iv = np.nonzero(grid.visible)
-    out[iu, iv] = direct_sum(geometry, schedule, states, incidence, grid.u[iu], grid.v[iv], h)
+    out[iu, iv] = direct_sum(geometry, harmonic_tensors(states, schedule, h), incidence,
+                             grid.u[iu], grid.v[iv])
     return out
 
 
@@ -289,7 +275,8 @@ def test_separable_kernel_matches_direct_sum(rng):
     vis = grid.visible
     for states in (ReflectionStates.ideal(), TENSOR_STATES):
         for h in (0, 1):
-            want = direct_sum(geometry, sched, states, inc, u, v, h)
+            tensors = harmonic_tensors(states, sched, h)
+            want = direct_sum(geometry, tensors, inc, u, v)
             got = engine.pattern(sched, states, inc, h).field[iu, iv]
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
             got = engine.field_at(u, v, sched, states, inc, h)
@@ -298,7 +285,7 @@ def test_separable_kernel_matches_direct_sum(rng):
             # of harmonic h at half its node's power, every floor at twice
             p_grid = np.zeros((nu, nv))
             p_grid[iu, iv] = np.sum(np.abs(want) ** 2, axis=1)
-            e = direct_sum(geometry, sched, states, inc, anchors[:, 0], anchors[:, 1], h)
+            e = direct_sum(geometry, tensors, inc, anchors[:, 0], anchors[:, 1])
             p_anchor = np.sum(np.abs(e) ** 2, axis=1)
             # each node exceeds (falls short of) its bound by gap times its power
             for lower, upper, gap in ((0.0, 0.5, 0.5), (2.0, np.inf, 1.0)):
@@ -315,6 +302,79 @@ def test_separable_kernel_matches_direct_sum(rng):
                 want_phi = gap * (grid.cell_weight * p_grid.sum()
                                   + ev.anchor_weight * p_anchor.sum())
                 assert ev.phi(sched) == pytest.approx(want_phi, rel=1e-12)
+
+
+def test_time_sampled_oracle_matches_the_pipeline():
+    # An independent model of the switched aperture: its field E(t) at N
+    # instants of a period, each cell's tensor on or off at each instant,
+    # so no Fourier coefficient or fold of the package enters. Its DFT at
+    # h = 0 and 1 must match the engine at pattern nodes and at exact
+    # directions, and phi_batch of the delta-mode control block must match
+    # the mask sum of the oracle's powers.
+    geometry = EmsGeometry(rows=4, cols=4)
+    states = TENSOR_STATES
+    inc = PlaneWaveIncidence(theta_deg=35.0, phi_deg=-25.0, jones=(0.6 + 0.0j, 0.8j))
+    codec = ModeCodec(mode=ControlMode.DELTA, rows=4, cols=4)
+    x = np.random.default_rng(21).random(codec.dim)
+    sched = codec.decode(x, 1e-6)
+    grid = DirectionGrid.uniform(9)
+    iu, iv = np.nonzero(grid.visible)
+    anchors = np.array([[0.31, -0.17], [-0.52, 0.44], [0.05, 0.9]])
+    u = np.concatenate([grid.u[iu], anchors[:, 0]])
+    v = np.concatenate([grid.v[iv], anchors[:, 1]])
+    n = 4096
+    t = np.arange(n) / n
+    on = np.mod(t[:, None, None] - sched.rise, 1.0) < sched.duty  # (N, rows, cols)
+    e_t = direct_sum(geometry, np.where(on[..., None, None], states.gamma_on, states.gamma_off),
+                     inc, u, v)
+    # Aliasing order 1/N: on the sample grid a pulse's indicator coefficient
+    # int_I e^{-j 2 pi h t} dt becomes a sum over the samples in I. Each of
+    # its two edges moves the covered length by at most half a sample, 1/(2
+    # N); the kernel's slope 2 pi h adds at most pi h / (2 N^2) per edge in
+    # the cut sample, and its curvature (2 pi h)^2 / (24 N^2) over the
+    # whole period. The off state's coefficient errs by the opposite
+    # amount, so each cell adds at most eps |drive| |a - b| |kernel| to the
+    # field, a = M2 Gamma_on J and b = M2 Gamma_off J.
+    m2, jones = inc.polarization_matrix, np.asarray(inc.jones)
+    swing = np.linalg.norm(m2 @ ((states.gamma_on - states.gamma_off) @ jones))
+    kernel = geometry.k0 / (4.0 * np.pi) * np.abs(cell_factor(geometry, u, v))
+    engine = FieldEngine(geometry, grid)
+    pick = np.random.default_rng(22).random((4, 2, u.size))
+    bounds = []
+    for h in (0, 1):
+        e_h = np.mean(e_t * np.exp(-2j * np.pi * h * t)[:, None, None], axis=0)
+        eps = 1.0 / n + (np.pi * h + (np.pi * h) ** 2 / 6.0) / n**2
+        tol = (eps * geometry.n_cells * inc.amplitude_v_m * swing * kernel
+               + 1e-12 * np.abs(e_h).max())  # and the DFT's own rounding
+        got = np.concatenate([engine.pattern(sched, states, inc, h).field[iu, iv],
+                              engine.field_at(anchors[:, 0], anchors[:, 1], sched, states, inc, h)])
+        assert np.all(np.linalg.norm(got - e_h, axis=1) <= tol)
+        got = engine.field_at(u, v, sched, states, inc, h)
+        assert np.all(np.linalg.norm(got - e_h, axis=1) <= tol)
+        # bounds around the oracle's powers: a random half of the nodes
+        # with a ceiling, another with a floor, some of each violated
+        p = np.sum(np.abs(e_h) ** 2, axis=1)
+        upper = np.where(pick[0, h] < 0.5, (0.5 + pick[1, h]) * p, np.inf)
+        lower = np.where(pick[2, h] < 0.5, (0.5 + pick[3, h]) * p, 0.0)
+        # |P - P_oracle| <= tol (2 |E_oracle| + tol) at each node
+        bounds.append((p, lower, upper, tol * (2.0 * np.linalg.norm(e_h, axis=1) + tol)))
+    nu, nv = grid.shape
+    lower, upper = np.zeros((2, nu, nv)), np.full((2, nu, nv), np.inf)
+    k = iu.size
+    for h, (_, lo, up, _) in enumerate(bounds):
+        lower[h, iu, iv], upper[h, iu, iv] = lo[:k], up[:k]
+    masks = MaskSet(grid=grid, lower=lower, upper=upper, anchor_uv=anchors,
+                    anchor_lower=np.array([b[1][k:] for b in bounds]),
+                    anchor_upper=np.array([b[2][k:] for b in bounds]),
+                    beam_ref=beam_reference(geometry, inc, 0.0))
+    ev = CostEvaluator(geometry, states, inc, masks, sched.period_s)
+    weight = np.concatenate([np.full(k, grid.cell_weight), np.full(len(anchors), ev.anchor_weight)])
+    want = sum(np.sum(weight * (np.maximum(p - up, 0.0) + np.maximum(lo - p, 0.0)))
+               for p, lo, up, _ in bounds)
+    slack = sum(np.sum(weight * dp * ((lo > 0.0) | (up < np.inf))) for _, lo, up, dp in bounds)
+    got = ev.phi_batch(*codec.blocks(x), ControlMode.DELTA)[0]
+    assert abs(got - want) <= slack
+    assert slack < 0.1 * want  # so that the check bites
 
 
 def test_delta_constrained_null_line_at_broadside(ideal, rng):

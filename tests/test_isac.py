@@ -377,6 +377,17 @@ def test_build_codebook_and_warm_cold_equivalence(fast_scenario):
         build_codebook(sc, [10.0, 10.0001], master)
 
 
+def test_localize_rejects_candidates_that_collide(fast_scenario):
+    # derive_seed gives both angles one seed, so they would be one design
+    # synthesized and ranked twice; a codebook could hold only one of them
+    sc = fast_scenario(iterations=2)
+    book = build_codebook(sc, [20.0, 30.0], 7)
+    for codebook in (None, book):
+        with pytest.raises(ValueError, match=r"^candidate angles 20\.0 and 20\.0001 collide at "
+                                             r"millidegree resolution$"):
+            localize(sc, [20, 20.0001, 30], 7, codebook=codebook)
+
+
 @pytest.fixture(scope="module")
 def localization_confusion():
     """One codebook of configs/localization.yaml, probed with each of its

@@ -26,6 +26,7 @@ CONFIGS = ("configs/beam-pair.yaml", "configs/localization.yaml", "configs/user-
 
 # (output directory, CLI arguments); each runs in order, with --out its directory
 COMMANDS = (
+    ("synthesize-default", ["synthesize"]),
     ("synthesize", ["synthesize", "--config", "configs/beam-pair.yaml"]),
     ("synthesize-seed20", ["synthesize", "--config", "configs/beam-pair.yaml", "--seed", "20"]),
     ("synthesize-full", ["synthesize", "--config", "configs/beam-pair.yaml", "--mode", "full"]),
