@@ -115,6 +115,8 @@ class Scenario:
             "mask": asdict(self.mask),
             "pso": {k: v for k, v in asdict(self.pso).items() if k != "seed"},
             "synth_grid_n": self.synth_grid_n,
+            # the anchors' calibration model; books built under another are stale
+            "beam_reference": "state-sources",
         }
 
 

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import (DirectionGrid, PlaneWaveIncidence, incident_phase_factors, steering_factors,
-                     steering_rows)
+from .fields import (DirectionGrid, PlaneWaveIncidence, incident_phase_factors, state_sources,
+                     steering_factors, steering_rows)
 from .geometry import EmsGeometry
 from .modulation import ReflectionStates
 
@@ -43,15 +43,19 @@ def half_power_halfwidth(n: int, cell_size_wl: float) -> float:
 class BeamReference:
     """Analytic carrier-beam design used to calibrate beam-shaping anchors.
 
-    The carrier coefficient of a pulse is real (it moves on the segment
-    between the two reflection scalars), so a beam steered off specular
-    always comes with a mirror lobe; the mirror's skirt interferes with the
-    main lobe and shifts its apex by a few hundredths in direction cosine.
-    This design applies per-cell conjugate weighting toward an internally
-    adjusted steer direction chosen so the resulting apex, mirror
-    interference and element-gain tilt included, lands exactly on the
+    A cell of duty D radiates g * (b + D d) on the carrier, with a and b the
+    state sources (fields.state_sources), d = a - b and g the cell's drive.
+    With b = m d + b_perp, b_perp orthogonal to d, the carrier power is
+    |d|^2 |K(g (m + D))|^2 + beta_perp2 |K g|^2 for the far-field kernel K,
+    exactly, for every state pair. The duty makes the part along d follow
+    the conjugate cosine at half swing, D = clip(cos(phase) / 2 - Re m, 0, 1),
+    toward an internally adjusted steer direction. That part is real up to
+    the constant Im m, so a beam steered off specular always comes with a
+    mirror lobe, whose skirt shifts the main lobe's apex by a few hundredths
+    in direction cosine; the steer is chosen so that the resulting apex,
+    mirror interference and element-gain tilt included, lands exactly on the
     requested beam direction. Anchors derived from this shape describe a
-    pattern that is actually achievable, unlike an isolated-lobe model.
+    pattern that a schedule reaches, unlike an isolated-lobe model.
     """
 
     geometry: EmsGeometry
@@ -59,43 +63,44 @@ class BeamReference:
     duty: np.ndarray
     phase: np.ndarray
     weights: np.ndarray
-    pol2: float
+    drive: np.ndarray
+    d_norm2: float
+    beta_perp2: float
 
     def __post_init__(self):
-        for name in ("duty", "phase", "weights"):
+        for name in ("duty", "phase", "weights", "drive"):
             getattr(self, name).setflags(write=False)
 
     def power_at(self, u, v) -> np.ndarray:
         """Carrier power of the reference design at exact directions."""
-        f = steering_rows(self.geometry, u, v) @ self.weights
-        return self.pol2 * (f.real**2 + f.imag**2)
+        rows = steering_rows(self.geometry, u, v)
+        f, kg = rows @ self.weights, rows @ self.drive
+        return self.d_norm2 * (f.real**2 + f.imag**2) + self.beta_perp2 * (kg.real**2 + kg.imag**2)
 
 
 def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence, beam_u: float,
-                   scalar_states: Optional[tuple] = None) -> BeamReference:
+                   states: ReflectionStates) -> BeamReference:
     """Build the steer-compensated conjugate carrier design for a beam at
-    (beam_u, 0).
-
-    scalar_states is the (on, off) reflection scalar pair; tensor states fall
-    back to the ideal (+1, -1) pair, which only degrades the calibration,
-    never the correctness of the masks built from it.
-    """
+    (beam_u, 0) from the states' sources, as the cost sees them."""
     if beam_u**2 > 1.0:
         raise ValueError("beam direction outside the visible disc")
-    gam_on, gam_off = scalar_states if scalar_states is not None else (1.0 + 0j, -1.0 + 0j)
-    span = gam_on - gam_off
-    if abs(span) < 1e-12:
+    a, b = state_sources(states, incidence)
+    d = a - b
+    d_norm2 = np.vdot(d, d).real
+    if d_norm2 < 1e-24:
         raise ValueError("reflection states are identical; no carrier contrast")
+    # m = vdot(d, b) / |d|^2 by real division: ideal states give exactly -1/2
+    p = np.vdot(d, b)
+    m = complex(p.real / d_norm2, p.imag / d_norm2)
+    beta_perp2 = abs(d[0] * b[1] - d[1] * b[0]) ** 2 / d_norm2
     g = incident_phase_factors(incidence, geometry) * incidence.amplitude_v_m
-    jones = np.asarray(incidence.jones)
-    pol2 = float(np.sum(np.abs(incidence.polarization_matrix @ jones) ** 2))
     phase0, x = np.angle(g)[:, None], geometry.cell_xy_m[:, :1]
 
     def make(steers: np.ndarray):
         """Phases, duties and weights of the designs, each (n_cells, n_steers)."""
         phase = phase0 + geometry.k0 * (x * steers)
-        duty = np.clip(((np.cos(phase) - gam_off) / span).real, 0.0, 1.0)
-        return phase, duty, (gam_off + span * duty) * g[:, None]
+        duty = np.clip(0.5 * np.cos(phase) - m.real, 0.0, 1.0)
+        return phase, duty, (m + duty) * g[:, None]
 
     fn = 1.0 / (geometry.rows * geometry.cell_size_wl)
     us, step = np.linspace(beam_u - 0.6 * fn, beam_u + 0.6 * fn, 241, retstep=True)
@@ -103,6 +108,8 @@ def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence, beam_u:
     if not us.size:
         raise ValueError("beam window has no visible directions")
     a_u, a_v = steering_factors(geometry, us, np.zeros(1))
+    kg = a_u @ (a_v[0] @ g.reshape(geometry.rows, geometry.cols, 1))
+    p_perp = beta_perp2 * (kg.real**2 + kg.imag**2)
 
     def scan(steers: np.ndarray):
         """Apex offsets from beam_u and apex powers of the steers' lobes, each
@@ -110,7 +117,7 @@ def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence, beam_u:
         maximum; both NaN where the maximum sits on the window edge."""
         # separable line: sum each row's cells at v = 0, then radiate the rows
         f = a_u @ (a_v[0] @ make(steers)[2].reshape(geometry.rows, geometry.cols, -1))
-        p = pol2 * (f.real**2 + f.imag**2)
+        p = d_norm2 * (f.real**2 + f.imag**2) + p_perp
         i, k = np.argmax(p, axis=0), np.arange(steers.size)
         lo, mid, hi = p[i - 1, k], p[i, k], p[(i + 1) % us.size, k]
         inside = (i > 0) & (i < us.size - 1)
@@ -144,7 +151,8 @@ def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence, beam_u:
     phase, duty, weights = (a[:, 0] for a in make(steers[best:best + 1]))
     return BeamReference(geometry=geometry, steer_u=float(steers[best]),
                          duty=duty.reshape(geometry.rows, geometry.cols),
-                         phase=phase, weights=weights, pol2=pol2)
+                         phase=phase, weights=weights, drive=g, d_norm2=float(d_norm2),
+                         beta_perp2=float(beta_perp2))
 
 
 @dataclass(frozen=True)
@@ -249,7 +257,7 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, incidence: PlaneWave
     Raises ValueError for inconsistent parameters, e.g. a null that lands
     inside a required-lobe box or a lower bound above its upper bound.
     """
-    ref = beam_reference(geometry, incidence, beam_u, scalar_states=states.scalar_pair())
+    ref = beam_reference(geometry, incidence, beam_u, states)
     r0 = reference_power(geometry, incidence.amplitude_v_m)
 
     fn_u = 1.0 / (geometry.rows * geometry.cell_size_wl)

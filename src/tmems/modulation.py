@@ -122,20 +122,6 @@ class ReflectionStates:
         eye = np.eye(2, dtype=complex)
         return cls(gamma_on=eye, gamma_off=-eye)
 
-    def scalar_pair(self):
-        """(on, off) scalars when both tensors are multiples of the identity.
-
-        Returns None when either state has off-diagonal terms or unequal
-        diagonals; masks.beam_reference then calibrates on the ideal
-        (+1, -1) pair instead.
-        """
-        out = []
-        for t in (self.gamma_on, self.gamma_off):
-            if t[0, 1] != 0 or t[1, 0] != 0 or t[0, 0] != t[1, 1]:
-                return None
-            out.append(complex(t[0, 0]))
-        return tuple(out)
-
 
 @dataclass(frozen=True, eq=False)
 class PulseSchedule:

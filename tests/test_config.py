@@ -41,7 +41,7 @@ def test_default_codebook_digest_is_pinned():
     # a renamed, added or re-defaulted mask or PSO field would silently make
     # every existing codebook.bin stale
     digest = codebook_digest(parse_config({}).scenario(), 1, 1)
-    assert digest.hex() == "bf10c4f8ae04b30f8029a9e80efd4727e5d4fd89d3dc913b27c068ad2093b79b"
+    assert digest.hex() == "2f658e280f7aeb55416d675f592a3781f498aff7567af0c6da15256a79331faa"
 
 
 def test_partial_yaml_gets_defaults(tmp_path):

@@ -485,6 +485,24 @@ def test_cli_reruns_write_the_same_files(tmp_path, cli_config):
             assert got == want, name
 
 
+def test_cli_synthesize_runs_tensor_states(tmp_path):
+    # a cross-polarised on state: the masks calibrate on the states' own
+    # sources, and a rerun writes the same files
+    path = tmp_path / "tensor.yaml"
+    path.write_text(CLI_CONFIG.replace("  iterations: 30", "  iterations: 5") + """\
+states:
+  gamma_on: [[[0.6, 0.0], [0.0, 0.6]], [[0.0, 0.6], [0.6, 0.0]]]
+  gamma_off: -0.9
+""")
+    runs = [tmp_path / n for n in ("a", "b")]
+    for out in runs:
+        assert main(["synthesize", "--config", str(path), "--out", str(out)]) == 0
+    for name in OUTPUTS:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    summary = json.loads((runs[0] / "summary.json").read_text())
+    assert summary["config"]["states"]["gamma_on"][0][1] == [0.0, 0.6]
+
+
 def test_cli_localize_and_export(tmp_path, cli_config):
     cold, warm1, warm2, packed = (tmp_path / n for n in ("lc", "lw1", "lw2", "ex"))
     book = tmp_path / "designs.tmcb"

@@ -270,7 +270,7 @@ def test_separable_kernel_matches_direct_sum(rng):
     masks = MaskSet(grid=grid, lower=np.zeros((2, nu, nv)), upper=np.full((2, nu, nv), np.inf),
                     anchor_uv=anchors, anchor_lower=np.zeros((2, 3)),
                     anchor_upper=np.full((2, 3), np.inf),
-                    beam_ref=beam_reference(geometry, inc, 0.0))
+                    beam_ref=beam_reference(geometry, inc, 0.0, ReflectionStates.ideal()))
     engine = FieldEngine(geometry, grid)
     vis = grid.visible
     for states in (ReflectionStates.ideal(), TENSOR_STATES):
@@ -366,7 +366,7 @@ def test_time_sampled_oracle_matches_the_pipeline():
     masks = MaskSet(grid=grid, lower=lower, upper=upper, anchor_uv=anchors,
                     anchor_lower=np.array([b[1][k:] for b in bounds]),
                     anchor_upper=np.array([b[2][k:] for b in bounds]),
-                    beam_ref=beam_reference(geometry, inc, 0.0))
+                    beam_ref=beam_reference(geometry, inc, 0.0, states))
     ev = CostEvaluator(geometry, states, inc, masks, sched.period_s)
     weight = np.concatenate([np.full(k, grid.cell_weight), np.full(len(anchors), ev.anchor_weight)])
     want = sum(np.sum(weight * (np.maximum(p - up, 0.0) + np.maximum(lo - p, 0.0)))
@@ -391,6 +391,7 @@ def test_delta_constrained_null_line_at_broadside(ideal, rng):
     masks = MaskSet(grid=grid, lower=np.zeros((2,) + grid.shape),
                     upper=np.full((2,) + grid.shape, np.inf), anchor_uv=np.zeros((0, 2)),
                     anchor_lower=np.zeros((2, 0)), anchor_upper=np.zeros((2, 0)),
-                    beam_ref=beam_reference(geometry, PlaneWaveIncidence(theta_deg=0.0), 0.0))
+                    beam_ref=beam_reference(geometry, PlaneWaveIncidence(theta_deg=0.0), 0.0,
+                                            ideal))
     ev = CostEvaluator(geometry, ideal, PlaneWaveIncidence(theta_deg=0.0), masks, 1e-6)
     assert np.all(ev._fold(ControlMode.DELTA)[0].left_t[1][:, mid] == 0.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tmems.config import parse_config
-from tmems.fields import DirectionGrid, PlaneWaveIncidence
+from tmems.fields import DirectionGrid, FieldEngine, PlaneWaveIncidence, state_sources
 from tmems.geometry import EmsGeometry
 from tmems.masks import (
     MaskParams,
@@ -14,13 +14,18 @@ from tmems.masks import (
     half_power_halfwidth,
     reference_power,
 )
-from tmems.modulation import ReflectionStates
+from tmems.modulation import PulseSchedule, ReflectionStates
 
 GEOM10 = EmsGeometry(rows=10, cols=10)
 INC0 = PlaneWaveIncidence(theta_deg=0.0)
 INC40 = PlaneWaveIncidence(theta_deg=40.0)
 IDEAL = ReflectionStates.ideal()
-IDEAL_PAIR = (1.0 + 0j, -1.0 + 0j)
+# a lossy scalar pair, and a pair whose on state turns TE into TM
+SCALAR = ReflectionStates(gamma_on=0.9 * np.exp(0.3j) * np.eye(2),
+                          gamma_off=(-0.8 + 0.1j) * np.eye(2))
+CROSS = ReflectionStates(gamma_on=0.9 * np.array([[0.0, 1.0], [1.0, 0.0]]),
+                         gamma_off=-0.8 * np.eye(2))
+BEAM_U = -np.sin(np.radians(20.0))  # the beam-pair scenario, with INC40
 R0 = reference_power(GEOM10, 1.0)
 
 
@@ -38,7 +43,7 @@ def test_reference_power_formula():
 
 def test_half_power_halfwidth_matches_the_reference_beam():
     # along v the broadside reference beam is a uniform line of 10 cells
-    ref = beam_reference(GEOM10, INC0, 0.0)
+    ref = beam_reference(GEOM10, INC0, 0.0, IDEAL)
     hp = half_power_halfwidth(10, 0.45)
     drop = ref.power_at(0.0, hp)[0] / ref.power_at(0.0, 0.0)[0]
     assert ref.power_at(0.0, -hp)[0] == pytest.approx(ref.power_at(0.0, hp)[0], rel=1e-12)
@@ -109,11 +114,57 @@ def test_calibrated_anchors_use_reference_levels():
     grid = DirectionGrid.uniform(41)
     beam_u = -np.sin(np.radians(20.0))
     masks = masks_at(grid, beam_u, incidence=INC40)
-    ref = beam_reference(GEOM10, INC40, beam_u, scalar_states=IDEAL_PAIR)
+    ref = beam_reference(GEOM10, INC40, beam_u, IDEAL)
     assert masks.beam_ref.steer_u == ref.steer_u
     assert np.array_equal(masks.beam_ref.duty, ref.duty)
     level = float(ref.power_at(masks.anchor_uv[2][0], masks.anchor_uv[2][1])[0])
     assert masks.anchor_upper[0][2] == pytest.approx(level * 10.0 ** 0.07, rel=1e-12)
+
+
+@pytest.mark.parametrize("states", [IDEAL, SCALAR, CROSS], ids=["ideal", "scalar", "cross"])
+def test_reference_power_is_its_schedules_carrier_power(states):
+    # the reference's own duties, as a schedule, radiate the carrier power
+    # that power_at reports, so its anchors describe a lobe it reaches
+    masks = build_masks(DirectionGrid.uniform(41), GEOM10, INC40, states, MaskParams(), BEAM_U)
+    ref = masks.beam_ref
+    schedule = PulseSchedule(period_s=1e-6, rise=np.zeros_like(ref.duty), duty=ref.duty)
+    # the beam, then the shoulder and flank anchors
+    uv = np.vstack([[BEAM_U, 0.0], masks.anchor_uv[2:]])
+    assert uv.shape == (9, 2)
+    field = FieldEngine(GEOM10).field_at(uv[:, 0], uv[:, 1], schedule, states, INC40, 0)
+    power = np.sum(field.real**2 + field.imag**2, axis=1)
+    assert np.allclose(power, ref.power_at(uv[:, 0], uv[:, 1]), rtol=1e-12, atol=0.0)
+    assert np.all(masks.anchor_lower[0, 2:] <= power[1:])
+    assert np.all(power[1:] <= masks.anchor_upper[0, 2:])
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
+def test_calibration_is_continuous_in_the_states(eps):
+    # a cross term that couples TE into TM moves the calibration by O(eps)
+    grid = DirectionGrid.uniform(41)
+    on = SCALAR.gamma_on.copy()
+    on[1, 0] += eps
+    moved_states = ReflectionStates(gamma_on=on, gamma_off=SCALAR.gamma_off)
+    base, moved = (build_masks(grid, GEOM10, INC40, st, MaskParams(), BEAM_U)
+                   for st in (SCALAR, moved_states))
+    (a0, b0), (a1, b1) = (state_sources(st, INC40) for st in (SCALAR, moved_states))
+    r = np.linalg.norm((a1 - b1) - (a0 - b0)) / np.linalg.norm(a0 - b0)
+    assert 0.0 < r < 1e-5
+    # Only d = a - b moves, by r relative. An anchor is a power, quadratic
+    # in the sources, so that moves it by at most (1 + r)^2 - 1 relative;
+    # the duty, which follows Re m with m = vdot(d, b) / |d|^2, moves it as
+    # much again.
+    # The steer is the root of a lobe's apex offset, read off powers across
+    # a scan window of 1.2 lambda/D, so it moves by that window times the
+    # same relative bound.
+    level = 2.0 * ((1.0 + r) ** 2 - 1.0)
+    fn = 1.0 / (GEOM10.rows * GEOM10.cell_size_wl)
+    assert abs(moved.beam_ref.steer_u - base.beam_ref.steer_u) <= 1.2 * fn * level
+    for bound in ("anchor_lower", "anchor_upper"):
+        old, new = getattr(base, bound), getattr(moved, bound)
+        active = (old > 0.0) & np.isfinite(old)
+        assert np.array_equal(active, (new > 0.0) & np.isfinite(new))
+        assert np.all(np.abs(new[active] - old[active]) <= level * old[active])
 
 
 def test_mirror_image_boxes():
@@ -135,8 +186,7 @@ def test_beam_reference_lands_on_target():
     cases = [(40.0, -np.sin(np.radians(20.0)))]  # the beam-pair scenario
     cases += [(theta, 0.0) for theta in (20.0, 30.0, 40.0, 50.0)]  # localization candidates
     for theta_deg, beam_u in cases:
-        ref = beam_reference(GEOM10, PlaneWaveIncidence(theta_deg=theta_deg), beam_u,
-                             scalar_states=IDEAL_PAIR)
+        ref = beam_reference(GEOM10, PlaneWaveIncidence(theta_deg=theta_deg), beam_u, IDEAL)
         assert np.all((ref.duty >= 0.0) & (ref.duty <= 1.0))
         if beam_u != 0.0:
             # compensation moves the steer off the geometric target
@@ -161,11 +211,12 @@ def test_default_scenario_reference_is_centred():
 
 def test_beam_reference_validation():
     with pytest.raises(ValueError, match="visible"):
-        beam_reference(GEOM10, INC40, 1.5)
+        beam_reference(GEOM10, INC40, 1.5, IDEAL)
     with pytest.raises(ValueError, match="contrast"):
-        beam_reference(GEOM10, INC40, 0.0, scalar_states=(0.5 + 0j, 0.5 + 0j))
+        beam_reference(GEOM10, INC40, 0.0, ReflectionStates(0.5 * np.eye(2), 0.5 * np.eye(2)))
     with pytest.raises(ValueError, match="lobe not found"):
-        beam_reference(GEOM10, PlaneWaveIncidence(theta_deg=50.0), np.sin(np.radians(20.0)))
+        beam_reference(GEOM10, PlaneWaveIncidence(theta_deg=50.0), np.sin(np.radians(20.0)),
+                       IDEAL)
 
 
 def test_box_never_empty_on_coarse_grid():

@@ -202,14 +202,6 @@ def test_reflection_states_validation():
                          gamma_off=-np.eye(2))
     with pytest.raises(ValueError, match="2x2"):
         ReflectionStates(gamma_on=np.eye(3), gamma_off=-np.eye(3))
-    ideal = ReflectionStates.ideal()
-    assert ideal.scalar_pair() == (1.0 + 0j, -1.0 + 0j)
-    mixed = ReflectionStates(gamma_on=np.array([[1.0, 0.0], [0.0, 0.5]]),
-                             gamma_off=-np.eye(2))
-    assert mixed.scalar_pair() is None
-    cross = ReflectionStates(gamma_on=np.array([[0.5, 0.1], [0.0, 0.5]]),
-                             gamma_off=-np.eye(2))
-    assert cross.scalar_pair() is None
 
 
 def test_pulse_schedule_validation(rng):

@@ -40,7 +40,8 @@ def upper_only_masks(geom, inc, grid, upper):
     nu, nv = grid.shape
     return MaskSet(grid=grid, lower=np.zeros((2, nu, nv)), upper=upper,
                    anchor_uv=np.zeros((0, 2)), anchor_lower=np.zeros((2, 0)),
-                   anchor_upper=np.zeros((2, 0)), beam_ref=beam_reference(geom, inc, 0.0))
+                   anchor_upper=np.zeros((2, 0)),
+                   beam_ref=beam_reference(geom, inc, 0.0, ReflectionStates.ideal()))
 
 
 def small_evaluator():
@@ -1304,7 +1305,7 @@ def test_conjugate_guess_reuses_the_masks_reference():
     half = codec.dim // 2
     assert np.array_equal(conjugate_guess(ev, codec)[half:], ev.masks.beam_ref.duty.ravel())
     # the guess follows whatever reference the masks carry
-    other = beam_reference(ev.geometry, ev.incidence, 0.3)
+    other = beam_reference(ev.geometry, ev.incidence, 0.3, ev.states)
     masks = replace(ev.masks, beam_ref=other)
     ev2 = CostEvaluator(ev.geometry, ev.states, ev.incidence, masks, ev.period_s)
     assert np.array_equal(conjugate_guess(ev2, codec)[half:], other.duty.ravel())
@@ -1326,7 +1327,7 @@ def test_duty_driven_to_one_by_power_floor():
                     anchor_uv=np.array([[0.0, 0.0]]),
                     anchor_lower=np.array([[0.95 * pmax], [0.0]]),
                     anchor_upper=np.array([[np.inf], [np.inf]]),
-                    beam_ref=beam_reference(geom, inc, 0.0, states.scalar_pair()))
+                    beam_ref=beam_reference(geom, inc, 0.0, states))
     ev = CostEvaluator(geom, states, inc, masks, 1e-6)
     [[res]] = pso_optimize([ev], ControlMode.FULL,
                            PsoConfig(swarm_size=12, iterations=60, seed=3,
