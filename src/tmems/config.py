@@ -164,17 +164,6 @@ _SCHEMA = {
         "ripple_db": _float_field(minimum=0.0),
         "null_depth_db": _float_field(),
         "lobe_floor_db": _float_field(),
-        "main_halfwidth_u": _float_field(minimum=0.0, exclusive=True),
-        "main_halfwidth_v": _float_field(minimum=0.0, exclusive=True),
-        "lobe_offset_u": _float_field(minimum=0.0, exclusive=True),
-        "lobe_halfwidth_u": _float_field(minimum=0.0, exclusive=True),
-        "lobe_halfwidth_v": _float_field(minimum=0.0, exclusive=True),
-        "null_halfwidth_u": _float_field(minimum=0.0, exclusive=True),
-        "null_halfwidth_v": _float_field(minimum=0.0, exclusive=True),
-        "shoulder_scale": _float_field(minimum=0.0, exclusive=True),
-        "shoulder_margin_db": _float_field(minimum=0.0),
-        "flank_scale": _float_field(minimum=0.0, exclusive=True),
-        "flank_margin_db": _float_field(minimum=0.0),
     },
     "synthesis": {
         "grid_n": _int_field(minimum=2),

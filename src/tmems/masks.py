@@ -11,12 +11,14 @@ nodes, are carried as anchors: the carrier power floor and the
 first-harmonic null depth, both at the exact beam direction. A deep null
 over a finite box is unreachable for a plain zero-crossing pattern (one grid
 cell away from a perfect null the power is already within ~12 dB of the
-lobes), so the null is pinned at its exact direction instead; an optional
-grid notch box can still be requested explicitly.
+lobes), so the null is pinned at its exact direction instead.
+
+Only the levels are parameters. The widths scale with the standard beamwidth
+lambda/D of the uniform aperture, per axis, and the anchor positions with the
+half-power half-width of the beam; both are fixed constants below.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +26,16 @@ from .fields import (DirectionGrid, PlaneWaveIncidence, incident_phase_factors, 
                      steering_factors, steering_rows)
 from .geometry import EmsGeometry
 from .modulation import ReflectionStates
+
+# box sizes in units of lambda/D per axis: the main box's half-width, and the
+# u offset and the half-width of the two first-harmonic lobe boxes
+MAIN_HALFWIDTH = 2.0
+LOBE_OFFSET = 0.75
+LOBE_HALFWIDTH = 0.2
+# beam-shaping anchors: (offset in half-power half-widths, margin in dB) of
+# the shoulder caps and of the flank floors
+SHOULDER = (1.2, 0.7)
+FLANK = (0.5, 0.2)
 
 
 def reference_power(geometry: EmsGeometry, amplitude_v_m: float) -> float:
@@ -157,49 +169,21 @@ def beam_reference(geometry: EmsGeometry, incidence: PlaneWaveIncidence, beam_u:
 
 @dataclass(frozen=True)
 class MaskParams:
-    """Mask levels and optional width overrides; None widths derive from
-    the aperture size.
-
-    Widths are in direction-cosine units. The natural scale is the standard
-    beamwidth lambda/D of the uniform aperture, computed per axis. A None
-    null halfwidth means the null is enforced only at its exact direction.
-    """
+    """Mask levels in dB relative to the reference power R0."""
 
     sidelobe_db: float = -10.0
     peak_floor_db: float = -3.0
     ripple_db: float = 3.0
     null_depth_db: float = -40.0
     lobe_floor_db: float = -12.0
-    main_halfwidth_u: Optional[float] = None
-    main_halfwidth_v: Optional[float] = None
-    lobe_offset_u: Optional[float] = None
-    lobe_halfwidth_u: Optional[float] = None
-    lobe_halfwidth_v: Optional[float] = None
-    null_halfwidth_u: Optional[float] = None
-    null_halfwidth_v: Optional[float] = None
-    shoulder_scale: float = 1.2
-    shoulder_margin_db: float = 0.7
-    flank_scale: float = 0.5
-    flank_margin_db: float = 0.2
 
     def __post_init__(self):
         # written so that NaN fails every test
-        for name in ("sidelobe_db", "peak_floor_db", "ripple_db", "null_depth_db",
-                     "lobe_floor_db"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("main_halfwidth_u", "main_halfwidth_v", "lobe_offset_u", "lobe_halfwidth_u",
-                     "lobe_halfwidth_v", "null_halfwidth_u", "null_halfwidth_v"):
-            value = getattr(self, name)
-            if value is not None and not (0.0 < value < np.inf):
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("shoulder_scale", "flank_scale"):
-            if not (0.0 < getattr(self, name) < np.inf):
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("shoulder_margin_db", "flank_margin_db"):
-            if not (0.0 <= getattr(self, name) < np.inf):
-                raise ValueError(
-                    f"{name}: shoulder and flank margins must be finite and non-negative")
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if self.ripple_db < 0.0:
+            raise ValueError("ripple_db must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,21 +238,17 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, incidence: PlaneWave
     mirror lobes get their own ripple-bounded boxes. full_v drops every
     bound along v, for column-wise schedules that cannot steer in v.
 
-    Raises ValueError for inconsistent parameters, e.g. a null that lands
-    inside a required-lobe box or a lower bound above its upper bound.
+    Raises ValueError when a lower bound exceeds its upper bound, e.g. a lobe
+    floor above the ripple bound.
     """
     ref = beam_reference(geometry, incidence, beam_u, states)
     r0 = reference_power(geometry, incidence.amplitude_v_m)
 
     fn_u = 1.0 / (geometry.rows * geometry.cell_size_wl)
     fn_v = 1.0 / (geometry.cols * geometry.cell_size_wl)
-    hw_u = params.main_halfwidth_u if params.main_halfwidth_u is not None else 2.0 * fn_u
-    hw_v = params.main_halfwidth_v if params.main_halfwidth_v is not None else 2.0 * fn_v
-    lobe_off = params.lobe_offset_u if params.lobe_offset_u is not None else 0.75 * fn_u
-    lobe_hw_u = params.lobe_halfwidth_u if params.lobe_halfwidth_u is not None else 0.2 * fn_u
-    lobe_hw_v = params.lobe_halfwidth_v if params.lobe_halfwidth_v is not None else 0.2 * fn_v
-    if lobe_hw_u >= lobe_off:
-        raise ValueError("lobe boxes overlap the null direction; shrink lobe_halfwidth_u")
+    hw_u, hw_v = MAIN_HALFWIDTH * fn_u, MAIN_HALFWIDTH * fn_v
+    lobe_off = LOBE_OFFSET * fn_u
+    lobe_hw_u, lobe_hw_v = LOBE_HALFWIDTH * fn_u, LOBE_HALFWIDTH * fn_v
 
     sidelobe = r0 * 10.0 ** (params.sidelobe_db / 10.0)
     ripple = r0 * 10.0 ** (params.ripple_db / 10.0)
@@ -309,17 +289,6 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, incidence: PlaneWave
     lobes = np.zeros(grid.shape, dtype=bool)
     for sign in (-1.0, 1.0):
         lobes |= _box_nodes(grid, beam_u + sign * lobe_off, 0.0, lobe_hw_u, lobe_hw_v, False)
-
-    if params.null_halfwidth_u is not None or params.null_halfwidth_v is not None:
-        null_hw_u = (params.null_halfwidth_u if params.null_halfwidth_u is not None
-                     else params.null_halfwidth_v)
-        null_hw_v = (params.null_halfwidth_v if params.null_halfwidth_v is not None
-                     else params.null_halfwidth_u)
-        notch = _box_nodes(grid, beam_u, 0.0, null_hw_u, null_hw_v, False)
-        if (lobes & notch).any():
-            raise ValueError("null notch overlaps a required-lobe box")
-        upper[1][notch] = np.minimum(upper[1][notch], null_depth)
-
     lower[1][lobes] = lobe_floor
 
     # exact-direction requirements: carrier floor at the beam, h=1 ceiling at
@@ -340,9 +309,7 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, incidence: PlaneWave
         beam_axes.append((geometry.cols, 0.0, 1.0))
     for n, eu, ev in beam_axes:
         hp = half_power_halfwidth(n, geometry.cell_size_wl)
-        for scale, margin, is_cap in (
-                (params.shoulder_scale, params.shoulder_margin_db, True),
-                (params.flank_scale, params.flank_margin_db, False)):
+        for (scale, margin), is_cap in ((SHOULDER, True), (FLANK, False)):
             d = scale * hp
             for sign in (-1.0, 1.0):
                 su = beam_u + sign * d * eu
@@ -360,7 +327,9 @@ def build_masks(grid: DirectionGrid, geometry: EmsGeometry, incidence: PlaneWave
     anchor_lower = np.array(anchor_lower).T
     anchor_upper = np.array(anchor_upper).T
 
-    if np.any(lower > upper) or np.any(anchor_lower > anchor_upper):
+    # the anchors' bounds are ordered by construction; a grid floor can
+    # still pass its ceiling
+    if np.any(lower > upper):
         raise ValueError("mask lower bound exceeds upper bound")
     return MaskSet(grid=grid, lower=lower, upper=upper, anchor_uv=anchor_uv,
                    anchor_lower=anchor_lower, anchor_upper=anchor_upper, beam_ref=ref)

@@ -1,5 +1,7 @@
 """Strict YAML configuration: defaults, suggestions, and scenario wiring."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from tmems.config import (
     ConfigError,
     RunConfig,
     _DEFAULTS,
+    _SCHEMA,
     apply_overrides,
     load_config,
     parse_config,
@@ -41,7 +44,7 @@ def test_default_codebook_digest_is_pinned():
     # a renamed, added or re-defaulted mask or PSO field would silently make
     # every existing codebook.bin stale
     digest = codebook_digest(parse_config({}).scenario(), 1, 1)
-    assert digest.hex() == "2f658e280f7aeb55416d675f592a3781f498aff7567af0c6da15256a79331faa"
+    assert digest.hex() == "23ba2f5ff43243c50f26856f0ebd96a315f3b6b1a2bb3177f5e394594513fd46"
 
 
 def test_partial_yaml_gets_defaults(tmp_path):
@@ -60,6 +63,18 @@ def test_unknown_key_suggestion():
         parse_config({"surfaces": {}})
     with pytest.raises(ConfigError, match="unknown key 'pso'"):
         parse_config({"pso": {}})
+    # the mask widths, anchor scales and margins are fixed; only levels are keys
+    for key in ("main_halfwidth_u", "main_halfwidth_v", "lobe_offset_u", "lobe_halfwidth_u",
+                "lobe_halfwidth_v", "null_halfwidth_u", "null_halfwidth_v", "shoulder_scale",
+                "shoulder_margin_db", "flank_scale", "flank_margin_db"):
+        with pytest.raises(ConfigError, match=f"unknown key 'masks.{key}'"):
+            parse_config({"masks": {key: 0.1}})
+
+
+def test_schema_keys_are_the_dataclass_fields():
+    # a field missing from the schema could not be configured at all
+    assert set(_SCHEMA["masks"]) == {f.name for f in fields(MaskParams)}
+    assert set(_SCHEMA["synthesis"]) == {f.name for f in fields(PsoConfig)} | {"grid_n"}
 
 
 def test_errors_name_the_dotted_key():

@@ -1,11 +1,15 @@
 """Text export formats and the command-line workflow, end to end."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from tmems.cli import main
+from tmems.config import load_config, parse_config
 from tmems.export import (
     DB_FLOOR,
     format_float,
@@ -25,6 +29,7 @@ from tmems.fields import (
 )
 from tmems.geometry import EmsGeometry
 from tmems.isac import SweepSample
+from tmems.masks import beam_reference
 from tmems.modulation import ReflectionStates
 
 from conftest import random_schedule
@@ -319,6 +324,39 @@ def cli_config(tmp_path):
     return str(path)
 
 
+def apex_offset(scenario):
+    """Offset of the beam reference's carrier apex from the beam, read on a
+    4,001-point scan of beam +- 0.2, and the scan's step."""
+    ref = beam_reference(scenario.geometry, scenario.incidence(), scenario.bs_u,
+                         scenario.states)
+    us, step = np.linspace(scenario.bs_u - 0.2, scenario.bs_u + 0.2, 4001, retstep=True)
+    return us[np.argmax(ref.power_at(us, np.zeros_like(us)))] - scenario.bs_u, step
+
+
+@pytest.mark.parametrize("name", ["beam-pair", "localization", "user-sweep"])
+def test_shipped_beam_references_peak_on_the_beam(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml"
+    offset, step = apex_offset(load_config(str(path)).scenario())
+    assert abs(offset) <= step
+
+
+@pytest.mark.xfail(strict=True, reason="no sign change among the 21 scanned steers: the "
+                                       "reference apex lies at u -0.2423, the beam at -0.3420")
+def test_small_aperture_beam_reference_peaks_on_the_beam():
+    offset, step = apex_offset(parse_config(yaml.safe_load(CLI_CONFIG)).scenario())
+    assert abs(offset) <= step
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="the specular floor of cross-polarised states rises across the scan "
+                          "window: every scanned lobe peaks on its edge")
+def test_small_aperture_calibrates_cross_polarised_states():
+    cross = ReflectionStates(gamma_on=0.9 * np.array([[0.0, 1.0], [1.0, 0.0]]),
+                             gamma_off=-0.8 * np.eye(2))
+    scenario = parse_config(yaml.safe_load(CLI_CONFIG)).scenario()
+    replace(scenario, states=cross).evaluator()
+
+
 OUTPUTS = ("schedule.csv", "convergence.csv", "pattern_h0.csv", "pattern_h1.csv")
 
 
@@ -603,6 +641,9 @@ def test_cli_error_paths(tmp_path, cli_config, capsys, rng):
     assert main(["synthesize", "--config", str(bad_cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown key 'surfce'")
+    bad_cfg.write_text("masks:\n  shoulder_scale: 1.2\n")
+    assert main(["synthesize", "--config", str(bad_cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown key 'masks.shoulder_scale'")
     assert main(["synthesize", "--config", cli_config, "--out", str(tmp_path / "x"),
                  "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err

@@ -342,9 +342,12 @@ def test_full_and_notched_cost_match_dense_reference(fast_scenario):
     rises, duties = rng.random((2, 5, 6, 4))
     want = dense_phi(ev, rises, duties, ControlMode.FULL)[0]
     assert np.all(np.abs(ev.phi_batch(rises, duties) - want) <= 1e-12 * want)
-    # a null notch gives some u-rows two ceilings
-    notch = replace(sc, mask=MaskParams(null_halfwidth_u=0.05, null_halfwidth_v=0.05))
-    ev = notch.evaluator()
+    # column-wise masks hold each u-row's ceiling constant along v; a deep
+    # h = 1 ceiling around the null gives some u-rows two ceilings
+    upper = ev.masks.upper.copy()
+    iu, iv = ev.grid.nearest_index(sc.bs_u, 0.0)
+    upper[1, iu - 1:iu + 2, iv - 1:iv + 2] = 1e-3 * upper[1, iu, iv]
+    ev = with_ceilings(ev, upper)
     x = rng.random((5, codec.dim))
     rises, duties = codec.blocks(x)
     got = ev.phi_batch(rises, duties, mode)

@@ -30,6 +30,8 @@ COMMANDS = (
     ("synthesize", ["synthesize", "--config", "configs/beam-pair.yaml"]),
     ("synthesize-seed20", ["synthesize", "--config", "configs/beam-pair.yaml", "--seed", "20"]),
     ("synthesize-full", ["synthesize", "--config", "configs/beam-pair.yaml", "--mode", "full"]),
+    ("synthesize-colwise", ["synthesize", "--config", "configs/beam-pair.yaml",
+                            "--mode", "colwise"]),
     ("evaluate", ["evaluate", "--config", "configs/beam-pair.yaml",
                   "--schedule", "synthesize/schedule.csv"]),
     ("localize-cold", ["localize", "--config", "perfbench/configs/localize.yaml",
