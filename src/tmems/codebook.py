@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .modulation import ControlMode, PulseSchedule
+from .modulation import ControlMode, PulseSchedule, check_mode
 
 MAGIC = b"TMEMSCB1"
 FORMAT_VERSION = 1
@@ -161,8 +161,7 @@ def write_codebook(path, book: Codebook) -> None:
     would reject."""
     if len(book.digest) != 32:
         raise ValueError("digest must be 32 bytes")
-    if book.mode not in _MODE_CODES:
-        raise ValueError(f"unknown control mode {book.mode!r}")
+    check_mode(book.mode)
     n_pairs = pairs_per_record(book.mode, book.rows, book.cols)
     entries = sorted(book.entries, key=lambda e: e.angle_mdeg)
     for a, b in zip(entries, entries[1:]):

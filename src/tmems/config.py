@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .geometry import EmsGeometry
+from .geometry import EmsGeometry, check_integer, check_real
 from .isac import Scenario, check_candidates
 from .masks import MaskParams
 from .modulation import ControlMode, ReflectionStates
@@ -32,38 +32,20 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _num(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{path}' must be a number")
-    v = float(value)
-    if not np.isfinite(v):
-        raise ConfigError(f"'{path}' must be finite")
-    return v
-
-
-def _float_field(minimum=None, exclusive=False, maximum=None, max_exclusive=False):
+def _checked(check, *bounds, **flags):
+    """A schema leaf: check (check_real or check_integer) with the quoted
+    dotted key as the name, its ValueError raised as a ConfigError."""
     def parse(value, path):
-        v = _num(value, path)
-        if minimum is not None and (v <= minimum if exclusive else v < minimum):
-            op = ">" if exclusive else ">="
-            raise ConfigError(f"'{path}' must be {op} {minimum}")
-        if maximum is not None and (v >= maximum if max_exclusive else v > maximum):
-            op = "<" if max_exclusive else "<="
-            raise ConfigError(f"'{path}' must be {op} {maximum}")
-        return v
+        try:
+            return check(f"'{path}'", value, *bounds, **flags)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return parse
 
 
-def _int_field(minimum=None, maximum=None):
-    def parse(value, path):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"'{path}' must be an integer")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"'{path}' must be >= {minimum}")
-        if maximum is not None and value > maximum:
-            raise ConfigError(f"'{path}' must be <= {maximum}")
-        return value
-    return parse
+_finite = _checked(check_real)
+_positive = _checked(check_real, 0.0, low_open=True)
+_non_negative = _checked(check_real, 0.0)
 
 
 def _choice_field(choices):
@@ -75,25 +57,18 @@ def _choice_field(choices):
     return parse
 
 
-def _angle_list_field(minimum, maximum, closed_min=False):
-    span = (f"in [{minimum}, {maximum}) degrees" if closed_min
-            else f"strictly between {minimum} and {maximum} degrees")
+def _angle_list_field(*bounds, **flags):
+    angle = _checked(check_real, *bounds, **flags)
 
     def parse(value, path):
         if not isinstance(value, (list, tuple)) or not value:
             raise ConfigError(f"'{path}' must be a non-empty list of angles")
-        out = []
-        for i, item in enumerate(value):
-            v = _num(item, f"{path}[{i}]")
-            if not (minimum <= v < maximum and (closed_min or v > minimum)):
-                raise ConfigError(f"'{path}[{i}]' must lie {span}")
-            out.append(v)
-        return out
+        return [angle(item, f"{path}[{i}]") for i, item in enumerate(value)]
     return parse
 
 
 # angles used as an assumed incidence angle
-_incidence_angles = _angle_list_field(0.0, 90.0, closed_min=True)
+_incidence_angles = _angle_list_field(0.0, 90.0)
 
 
 def _candidate_angles(value, path):
@@ -113,7 +88,7 @@ def _gamma_field(value, path):
 
     if is_num(value) or (isinstance(value, (list, tuple)) and len(value) == 2
                          and all(map(is_num, value))):
-        z = [_num(value, path), 0.0] if is_num(value) else [_num(x, path) for x in value]
+        z = [_finite(value, path), 0.0] if is_num(value) else [_finite(x, path) for x in value]
         return [[z, [0.0, 0.0]], [[0.0, 0.0], list(z)]]
     if isinstance(value, (list, tuple)) and len(value) == 2:
         rows = []
@@ -126,7 +101,7 @@ def _gamma_field(value, path):
                 if not (isinstance(cell, (list, tuple)) and len(cell) == 2
                         and all(map(is_num, cell))):
                     raise ConfigError(f"'{where}' must be a [real, imaginary] pair of numbers")
-                cells.append([_num(x, where) for x in cell])
+                cells.append([_finite(x, where) for x in cell])
             rows.append(cells)
         return rows
     raise ConfigError(
@@ -135,13 +110,13 @@ def _gamma_field(value, path):
 
 _SCHEMA = {
     "surface": {
-        "rows": _int_field(minimum=1),
-        "cols": _int_field(minimum=1),
-        "cell_size_wl": _float_field(minimum=0.0, exclusive=True),
-        "f0_hz": _float_field(minimum=0.0, exclusive=True),
+        "rows": _checked(check_integer, 1),
+        "cols": _checked(check_integer, 1),
+        "cell_size_wl": _positive,
+        "f0_hz": _positive,
     },
     "modulation": {
-        "period_s": _float_field(minimum=0.0, exclusive=True),
+        "period_s": _positive,
         "mode": _choice_field(MODE_NAMES),
     },
     "states": {
@@ -149,45 +124,39 @@ _SCHEMA = {
         "gamma_off": _gamma_field,
     },
     "incidence": {
-        "theta_deg": _float_field(minimum=0.0, maximum=90.0, max_exclusive=True),
-        "phi_deg": _float_field(),
-        "amplitude_v_m": _float_field(minimum=0.0, exclusive=True),
+        "theta_deg": _checked(check_real, 0.0, 90.0),
+        "phi_deg": _finite,
+        "amplitude_v_m": _positive,
         "polarization": _choice_field(tuple(_JONES)),
     },
     "reflection": {
-        "theta_deg": _float_field(minimum=-90.0, exclusive=True,
-                                  maximum=90.0, max_exclusive=True),
+        "theta_deg": _checked(check_real, -90.0, 90.0, low_open=True),
     },
     "masks": {
-        "sidelobe_db": _float_field(),
-        "peak_floor_db": _float_field(),
-        "ripple_db": _float_field(minimum=0.0),
-        "null_depth_db": _float_field(),
-        "lobe_floor_db": _float_field(),
+        "sidelobe_db": _finite,
+        "peak_floor_db": _finite,
+        "ripple_db": _non_negative,
+        "null_depth_db": _finite,
+        "lobe_floor_db": _finite,
     },
     "synthesis": {
-        "grid_n": _int_field(minimum=2),
-        "swarm_size": _int_field(minimum=1),
-        "iterations": _int_field(minimum=0),
-        "inertia": _float_field(minimum=0.0),
-        "cognitive": _float_field(minimum=0.0),
-        "social": _float_field(minimum=0.0),
+        "grid_n": _checked(check_integer, 2),
+        "swarm_size": _checked(check_integer, 1),
+        "iterations": _checked(check_integer, 0),
         # the codebook header stores the seed as a u64
-        "seed": _int_field(minimum=0, maximum=2**64 - 1),
-        "stagnation_window": _int_field(minimum=0),
-        "stagnation_rtol": _float_field(minimum=0.0),
-        "velocity_clamp": _float_field(minimum=0.0, exclusive=True),
+        "seed": _checked(check_integer, 0, 2**64 - 1),
+        "stagnation_window": _checked(check_integer, 0),
     },
     "evaluation": {
-        "grid_n": _int_field(minimum=2),
-        "noise_power": _float_field(minimum=0.0),
+        "grid_n": _checked(check_integer, 2),
+        "noise_power": _non_negative,
     },
     "sweep": {
-        "angles_deg": _angle_list_field(-90.0, 90.0),
+        "angles_deg": _angle_list_field(-90.0, 90.0, low_open=True),
     },
     "localization": {
         "candidates_deg": _candidate_angles,
-        "repeats": _int_field(minimum=1),
+        "repeats": _checked(check_integer, 1),
     },
 }
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import EmsGeometry, check_integer
+from .geometry import EmsGeometry, check_integer, check_real
 from .modulation import PulseSchedule, ReflectionStates
 
 # Ratio floor in squared-field units: keeps the monopulse ratio finite when a
@@ -51,12 +51,9 @@ class PlaneWaveIncidence:
     jones: tuple = (1.0 + 0.0j, 0.0 + 0.0j)
 
     def __post_init__(self):
-        if not (0.0 <= self.theta_deg < 90.0):
-            raise ValueError("incidence theta_deg must lie in [0, 90)")
-        if not np.isfinite(self.phi_deg):
-            raise ValueError("incidence phi_deg must be finite")
-        if not (0.0 < self.amplitude_v_m < np.inf):
-            raise ValueError("incidence amplitude_v_m must be positive and finite")
+        check_real("incidence theta_deg", self.theta_deg, 0.0, 90.0)
+        check_real("incidence phi_deg", self.phi_deg)
+        check_real("incidence amplitude_v_m", self.amplitude_v_m, 0.0, low_open=True)
         j = np.asarray(self.jones, dtype=complex)
         if j.shape != (2,):
             raise ValueError("jones must have exactly 2 components (TE, TM)")
@@ -298,6 +295,8 @@ class FieldEngine:
     def pattern(self, schedule: PulseSchedule, states: ReflectionStates,
                 incidence: PlaneWaveIncidence, h: int) -> HarmonicPattern:
         """Far-field pattern of harmonic h over the engine's grid."""
+        if self.grid is None:
+            raise ValueError("pattern needs an engine built with a direction grid")
         w = self._cell_weights(schedule, states, incidence, h)
         field = self._apply_steering(w)
         field[self._hidden] = 0.0

@@ -15,13 +15,32 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0
 
 
-def check_integer(name: str, value, low: int, high: float = np.inf) -> None:
-    """Raise ValueError unless value is an int or a numpy integer, not a
-    bool, in [low, high]."""
+def check_integer(name: str, value, low: int, high: float = np.inf) -> int:
+    """value as an int; ValueError unless it is an int or a numpy integer,
+    not a bool, in [low, high]."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or not low <= value <= high):
         span = f">= {low}" if high == np.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value, low: float = -np.inf, high: float = np.inf,
+               low_open: bool = False) -> float:
+    """value as a float; ValueError unless it is a real number (an int, a
+    float or a numpy integer or float), not a bool, finite and in [low,
+    high), or in (low, high) when low_open."""
+    v = np.nan
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            v = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if not (np.isfinite(v) and (low < v if low_open else low <= v) and v < high):
+        span = ("" if (low, high) == (-np.inf, np.inf)
+                else f" in {'(' if low_open else '['}{low}, {high})")
+        raise ValueError(f"{name} must be a finite number{span}, got {value!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -36,10 +55,8 @@ class EmsGeometry:
     def __post_init__(self):
         check_integer("geometry: rows", self.rows, 1)
         check_integer("geometry: cols", self.cols, 1)
-        if not (0.0 < self.cell_size_wl < np.inf):
-            raise ValueError("geometry: cell_size_wl must be positive and finite")
-        if not (0.0 < self.f0_hz < np.inf):
-            raise ValueError("geometry: f0_hz must be positive and finite")
+        check_real("geometry: cell_size_wl", self.cell_size_wl, 0.0, low_open=True)
+        check_real("geometry: f0_hz", self.f0_hz, 0.0, low_open=True)
 
     @property
     def wavelength_m(self) -> float:

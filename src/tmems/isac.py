@@ -30,10 +30,11 @@ from .fields import (
     PlaneWaveIncidence,
     ratio_from_powers,
 )
-from .geometry import EmsGeometry, check_integer
+from .geometry import EmsGeometry, check_integer, check_real
 from .masks import MaskParams, build_masks, reference_power
-from .modulation import ControlMode, PulseSchedule, ReflectionStates, check_delta_applicable
-from .synthesis import CostEvaluator, PsoConfig, SynthesisResult, pso_optimize
+from .modulation import ControlMode, PulseSchedule, ReflectionStates
+from .synthesis import (COGNITIVE, INERTIA, SOCIAL, STAGNATION_RTOL, VELOCITY_CLAMP, CostEvaluator,
+                        ModeCodec, PsoConfig, SynthesisResult, pso_optimize)
 
 
 def derive_seed(master_seed: int, angle_deg: float, rep: int) -> int:
@@ -62,16 +63,12 @@ class Scenario:
     synth_grid_n: int = 64
 
     def __post_init__(self):
-        if not (0.0 < self.period_s < np.inf):
-            raise ValueError("period must be positive and finite")
-        if not (-90.0 < self.theta_refl_deg < 90.0):
-            raise ValueError("reflection angle must lie in (-90, 90) degrees")
-        if not (0.0 <= self.theta_inc_deg < 90.0):
-            raise ValueError("incidence angle must lie in [0, 90) degrees")
-        self.incidence()  # rejects a non-finite phi, amplitude or a bad Jones vector
+        check_real("period_s", self.period_s, 0.0, low_open=True)
+        check_real("theta_refl_deg", self.theta_refl_deg, -90.0, 90.0, low_open=True)
+        self.incidence()  # checks theta_inc_deg, phi_inc_deg, amplitude_v_m and jones
         check_integer("synth_grid_n", self.synth_grid_n, 2)
-        if self.mode.mirrored:
-            check_delta_applicable(self.geometry.rows)
+        # the codec rejects a mode's name, and odd rows under a mirrored mode
+        ModeCodec(self.mode, self.geometry.rows, self.geometry.cols)
 
     @property
     def bs_u(self) -> float:
@@ -113,7 +110,10 @@ class Scenario:
             "gamma_on": _matrix_payload(self.states.gamma_on),
             "gamma_off": _matrix_payload(self.states.gamma_off),
             "mask": asdict(self.mask),
-            "pso": {k: v for k, v in asdict(self.pso).items() if k != "seed"},
+            # the swarm's constants, under their old keys: a book built under others is stale
+            "pso": {**{k: v for k, v in asdict(self.pso).items() if k != "seed"},
+                    "inertia": INERTIA, "cognitive": COGNITIVE, "social": SOCIAL,
+                    "stagnation_rtol": STAGNATION_RTOL, "velocity_clamp": VELOCITY_CLAMP},
             "synth_grid_n": self.synth_grid_n,
             # the anchors' calibration model; books built under another are stale
             "beam_reference": "state-sources",
@@ -141,8 +141,7 @@ def measure_bs_ratio(scenario: Scenario, schedule: PulseSchedule,
     exact base station direction; noise_power, if given, is added to both
     powers as a common receiver floor.
     """
-    if not (0.0 <= noise_power < np.inf):  # NaN fails this test too
-        raise ValueError("noise power must be finite and non-negative")
+    check_real("noise_power", noise_power, 0.0)
     inc = scenario.incidence()
     u, v = scenario.bs_u, 0.0
     engine = FieldEngine(scenario.geometry)

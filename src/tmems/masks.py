@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import (DirectionGrid, PlaneWaveIncidence, incident_phase_factors, state_sources,
                      steering_factors, steering_rows)
-from .geometry import EmsGeometry
+from .geometry import EmsGeometry, check_real
 from .modulation import ReflectionStates
 
 # box sizes in units of lambda/D per axis: the main box's half-width, and the
@@ -178,12 +178,8 @@ class MaskParams:
     lobe_floor_db: float = -12.0
 
     def __post_init__(self):
-        # written so that NaN fails every test
         for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        if self.ripple_db < 0.0:
-            raise ValueError("ripple_db must be non-negative")
+            check_real(f.name, getattr(self, f.name), 0.0 if f.name == "ripple_db" else -np.inf)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,8 @@ from enum import Enum
 
 import numpy as np
 
+from .geometry import check_real
+
 
 class ConstraintError(ValueError):
     """A structural schedule constraint cannot be applied to this geometry."""
@@ -40,6 +42,13 @@ class ControlMode(str, Enum):
         mode.mirrored = mirrored
         mode.columnwise = columnwise
         return mode
+
+
+def check_mode(mode) -> ControlMode:
+    """mode itself; ValueError unless it is a ControlMode (a mode's name is not)."""
+    if not isinstance(mode, ControlMode):
+        raise ValueError(f"unknown control mode {mode!r}")
+    return mode
 
 
 def check_pulses(rise: np.ndarray, duty: np.ndarray):
@@ -75,10 +84,7 @@ def pulse_fourier_coefficients(rise, duty, h: int):
     rise = np.asarray(rise, dtype=float)
     duty = np.asarray(duty, dtype=float)
     check_pulses(rise, duty)
-    if h == 0:
-        out = duty.astype(complex)
-        return out[()] if out.ndim == 0 else out
-    u = sideband_coefficients(rise, duty, h)
+    u = duty.astype(complex) if h == 0 else sideband_coefficients(rise, duty, h)
     return u[()] if u.ndim == 0 else u
 
 
@@ -132,8 +138,7 @@ class PulseSchedule:
     duty: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 < self.period_s < np.inf):
-            raise ValueError("period_s must be positive and finite")
+        check_real("period_s", self.period_s, 0.0, low_open=True)
         rise = np.array(self.rise, dtype=float)
         duty = np.array(self.duty, dtype=float)
         if rise.ndim != 2 or rise.shape != duty.shape:

@@ -23,6 +23,7 @@ from .modulation import (
     PulseSchedule,
     ReflectionStates,
     check_delta_applicable,
+    check_mode,
     check_pulses,
     mirror_rise,
     sideband_coefficients,
@@ -33,6 +34,14 @@ from .modulation import (
 # this relative slack against the bound's own rounding, exceeds the row's
 # lowest ceiling (CostEvaluator).
 BOUND_SLACK = 1e-9
+
+# The swarm's update coefficients, its velocity clamp (a fraction of the unit
+# coordinate range) and the relative stagnation tolerance of its stop rule.
+INERTIA = 0.4
+COGNITIVE = 2.0
+SOCIAL = 2.0
+VELOCITY_CLAMP = 0.5
+STAGNATION_RTOL = 1e-6
 
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -226,8 +235,7 @@ class CostEvaluator:
     def _fold(self, mode: ControlMode) -> list:
         """The mode's fold of each design, built at its first use and kept
         by that design's evaluator."""
-        if not isinstance(mode, ControlMode):
-            raise ValueError(f"unknown control mode {mode!r}")
+        check_mode(mode)
         folds = []
         for ev in self._designs():
             fold = ev._folds.get(mode)
@@ -410,7 +418,7 @@ class ModeCodec:
         check_integer("codec cols", self.cols, 0)
         if self.rows == 0 or self.cols == 0:
             raise ValueError("empty search space")
-        if self.mode.mirrored:
+        if check_mode(self.mode).mirrored:
             check_delta_applicable(self.rows)
 
     @cached_property
@@ -465,24 +473,13 @@ class ModeCodec:
 class PsoConfig:
     swarm_size: int = 20
     iterations: int = 1000
-    inertia: float = 0.4
-    cognitive: float = 2.0
-    social: float = 2.0
     seed: int = 1
     stagnation_window: int = 100
-    stagnation_rtol: float = 1e-6
-    velocity_clamp: float = 0.5
 
     def __post_init__(self):
         for name, low in (("swarm_size", 1), ("iterations", 0), ("stagnation_window", 0)):
             check_integer(name, getattr(self, name), low)
         check_integer("seed", self.seed, 0, 2**64 - 1)  # a codebook stores it as a u64
-        # written so that NaN fails every range test
-        for name in ("inertia", "cognitive", "social", "stagnation_rtol"):
-            if not (0.0 <= getattr(self, name) < np.inf):
-                raise ValueError(f"{name} must be finite and non-negative")
-        if not (0.0 < self.velocity_clamp < np.inf):
-            raise ValueError("velocity_clamp must be positive and finite")
 
 
 @dataclass
@@ -536,8 +533,8 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
         objective: batched callable objective(x, counts, limit), below;
             its costs must be finite.
         dim: search dimensionality (>= 1).
-        config: swarm hyperparameters; the velocity clamp is a fraction of
-            the unit coordinate range.
+        config: swarm size, iteration budget and stagnation window; the
+            coefficients are the module's constants (INERTIA and the rest).
         seeds: seeds[d] lists design d's seeds, one swarm each.
         n_wrap: how many leading coordinates are periodic (wrap mod 1,
             shortest-path attraction), in [0, dim]; the rest reflect at
@@ -610,8 +607,7 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
     results = [[None] * len(s) for s in seeds]
     draws = np.empty((len(rngs), c, 2, dim))
     r, delta = np.empty_like(best), np.empty_like(best)
-    coefs = np.array([config.cognitive, config.social])[:, None]
-    clamp = config.velocity_clamp
+    coefs = np.array([COGNITIVE, SOCIAL])[:, None]
     w = config.stagnation_window
     it = 0
 
@@ -636,11 +632,11 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
         t -= np.floor(t)
         t -= 0.5
         r *= delta
-        vel *= config.inertia
+        vel *= INERTIA
         vel += r[:, :, 0]
         vel += r[:, :, 1]
-        np.minimum(vel, clamp, out=vel)
-        np.maximum(vel, -clamp, out=vel)
+        np.minimum(vel, VELOCITY_CLAMP, out=vel)
+        np.maximum(vel, -VELOCITY_CLAMP, out=vel)
         x += vel
         _wrap_unit(x[:, :n_wrap])
         # the duties reflect off the walls at 0 and 1
@@ -670,7 +666,7 @@ def minimize_swarms(objective, dim: int, config: PsoConfig,
                 finish(row, "zero_cost")
             elif w > 0 and it >= w and (
                     history[-w - 1] - value
-                    <= config.stagnation_rtol * max(abs(history[-w - 1]), 1e-300)):
+                    <= STAGNATION_RTOL * max(abs(history[-w - 1]), 1e-300)):
                 finish(row, "stagnation")
             else:
                 keep.append(row)

@@ -147,6 +147,8 @@ def test_write_rejects_inconsistent_books(tmp_path, rng):
     mixed = Codebook(**{**book.__dict__, "entries": small.entries})
     with pytest.raises(ValueError, match="entry size"):
         write_codebook(path, mixed)
+    with pytest.raises(ValueError, match="unknown control mode"):
+        write_codebook(path, Codebook(**{**book.__dict__, "mode": book.mode.value}))
     # the writer refuses, leaving no file, every book the reader would reject
     with pytest.raises(ValueError, match="empty surface"):
         write_codebook(path, Codebook(**{**book.__dict__, "rows": 0, "entries": ()}))

@@ -1,6 +1,8 @@
 """Strict YAML configuration: defaults, suggestions, and scenario wiring."""
 
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +71,10 @@ def test_unknown_key_suggestion():
                 "shoulder_margin_db", "flank_scale", "flank_margin_db"):
         with pytest.raises(ConfigError, match=f"unknown key 'masks.{key}'"):
             parse_config({"masks": {key: 0.1}})
+    # so are the swarm's coefficients
+    for key in ("inertia", "cognitive", "social", "stagnation_rtol", "velocity_clamp"):
+        with pytest.raises(ConfigError, match=f"unknown key 'synthesis.{key}'"):
+            parse_config({"synthesis": {key: 0.5}})
 
 
 def test_schema_keys_are_the_dataclass_fields():
@@ -77,25 +83,47 @@ def test_schema_keys_are_the_dataclass_fields():
     assert set(_SCHEMA["synthesis"]) == {f.name for f in fields(PsoConfig)} | {"grid_n"}
 
 
+def test_readme_lists_the_schema_keys():
+    # the README's configuration table names each section's keys, and no others
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", section, re.MULTILINE)
+    listed = {name: set(re.findall(r"`(\w+)` \(", keys)) for name, keys in rows}
+    assert listed == {name: set(keys) for name, keys in _SCHEMA.items()}
+
+
 def test_errors_name_the_dotted_key():
-    with pytest.raises(ConfigError, match=r"'surface.rows' must be >= 1"):
+    with pytest.raises(ConfigError, match=r"'surface.rows' must be an integer >= 1, got 0$"):
         parse_config({"surface": {"rows": 0}})
     with pytest.raises(ConfigError, match=r"'surface.rows' must be an integer"):
         parse_config({"surface": {"rows": "ten"}})
     with pytest.raises(ConfigError, match=r"'surface.rows' must be an integer"):
         parse_config({"surface": {"rows": True}})
-    with pytest.raises(ConfigError, match=r"'incidence.theta_deg' must be < 90"):
+    with pytest.raises(ConfigError, match=r"'incidence.theta_deg' must be a finite number "
+                                          r"in \[0.0, 90.0\), got 90$"):
         parse_config({"incidence": {"theta_deg": 90}})
-    with pytest.raises(ConfigError, match=r"'reflection.theta_deg' must be > -90"):
+    with pytest.raises(ConfigError, match=r"'reflection.theta_deg' must be a finite number "
+                                          r"in \(-90.0, 90.0\), got -90$"):
         parse_config({"reflection": {"theta_deg": -90}})
     with pytest.raises(ConfigError, match=r"'modulation.mode' must be one of"):
         parse_config({"modulation": {"mode": "diag"}})
-    with pytest.raises(ConfigError, match=r"'synthesis.seed' must be <= 18446744073709551615"):
+    with pytest.raises(ConfigError, match=r"'synthesis.seed' must be an integer in "
+                                          r"\[0, 18446744073709551615\], got 18446744073709551616$"):
         parse_config({"synthesis": {"seed": 2**64}})
-    with pytest.raises(ConfigError, match=r"'synthesis.inertia' must be finite"):
-        parse_config({"synthesis": {"inertia": float("nan")}})
-    with pytest.raises(ConfigError, match=r"'masks.ripple_db' must be >= 0"):
+    with pytest.raises(ConfigError,
+                       match=r"'evaluation.noise_power' must be a finite number in \[0.0, inf\), "
+                             r"got nan$"):
+        parse_config({"evaluation": {"noise_power": float("nan")}})
+    with pytest.raises(ConfigError,
+                       match=r"'masks.ripple_db' must be a finite number in \[0.0, inf\), got -1.0$"):
         parse_config({"masks": {"ripple_db": -1.0}})
+    # an int beyond the float range is out of range, not an OverflowError
+    for key in ("f0_hz", "cell_size_wl"):
+        with pytest.raises(ConfigError, match=rf"'surface.{key}' must be a finite number in "
+                                              r"\(0.0, inf\), got 1000"):
+            parse_config({"surface": {key: 10**400}})
+    with pytest.raises(ConfigError, match=r"'states.gamma_on' must be a finite number, got -1000"):
+        parse_config({"states": {"gamma_on": [0.5, -10**400]}})
     with pytest.raises(ConfigError, match=r"'incidence.polarization' must be one of"):
         parse_config({"incidence": {"polarization": "circular"}})
 
@@ -103,20 +131,24 @@ def test_errors_name_the_dotted_key():
 def test_angle_list_validation():
     with pytest.raises(ConfigError, match=r"'sweep.angles_deg' must be a non-empty list"):
         parse_config({"sweep": {"angles_deg": []}})
-    with pytest.raises(ConfigError, match=r"'sweep.angles_deg\[1\]' must lie strictly"):
+    with pytest.raises(ConfigError, match=r"'sweep.angles_deg\[1\]' must be a finite number in "
+                                          r"\(-90.0, 90.0\), got 95.0$"):
         parse_config({"sweep": {"angles_deg": [0.0, 95.0]}})
-    with pytest.raises(ConfigError, match=r"'localization.candidates_deg\[0\]' must be a number"):
+    with pytest.raises(ConfigError, match=r"'localization.candidates_deg\[0\]' must be a finite "
+                                          r"number in \[0.0, 90.0\), got True$"):
         parse_config({"localization": {"candidates_deg": [True]}})
     cfg = parse_config({"sweep": {"angles_deg": [-10, 0, 10]}})
     assert cfg.sweep_angles_deg == [-10.0, 0.0, 10.0]
     # sweep-user reads the same list as incidence angles in [0, 90)
-    with pytest.raises(ConfigError, match=r"'sweep.angles_deg\[0\]' must lie in \[0.0, 90.0\)"):
+    with pytest.raises(ConfigError, match=r"'sweep.angles_deg\[0\]' must be a finite number "
+                                          r"in \[0.0, 90.0\), got -10.0$"):
         cfg.user_angles_deg
     assert parse_config({"sweep": {"angles_deg": [0, 89.5]}}).user_angles_deg == [0.0, 89.5]
     # every candidate becomes an assumed incidence angle in [0, 90)
     for bad, i in (([-10.0, 10.0], 0), ([10.0, 90.0], 1), ([0.0, -0.001], 1)):
         with pytest.raises(ConfigError,
-                           match=rf"'localization.candidates_deg\[{i}\]' must lie in \[0.0, 90.0\)"):
+                           match=rf"'localization.candidates_deg\[{i}\]' must be a finite number "
+                                 r"in \[0.0, 90.0\)"):
             parse_config({"localization": {"candidates_deg": bad}})
     cfg = parse_config({"localization": {"candidates_deg": [0, 89.999]}})
     assert cfg.candidates_deg == [0.0, 89.999]
@@ -154,14 +186,15 @@ def test_gamma_entry_forms(tmp_path):
         for bad in (".inf", "-.inf", ".nan"):
             path = tmp_path / "run.yaml"
             path.write_text(f"states:\n  {key}: {bad}\n")
-            with pytest.raises(ConfigError, match=rf"'states\.{key}' must be finite"):
+            with pytest.raises(ConfigError, match=rf"'states\.{key}' must be a finite number, got"):
                 load_config(str(path))
     nan = float("nan")
     for value in ([0.5, nan], [float("inf"), 0.0]):
-        with pytest.raises(ConfigError, match=r"'states\.gamma_on' must be finite"):
+        with pytest.raises(ConfigError, match=r"'states\.gamma_on' must be a finite number, got"):
             parse_config({"states": {"gamma_on": value}})
     full = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, nan]]]
-    with pytest.raises(ConfigError, match=r"'states\.gamma_off\[1\]\[1\]' must be finite"):
+    with pytest.raises(ConfigError,
+                       match=r"'states\.gamma_off\[1\]\[1\]' must be a finite number, got nan$"):
         parse_config({"states": {"gamma_off": full}})
 
 
@@ -205,10 +238,12 @@ def test_apply_overrides():
     assert cfg.seed == 1 and cfg.scenario().mode is ControlMode.DELTA
     assert out.resolved["surface"] == cfg.resolved["surface"]
     assert apply_overrides(cfg).resolved == cfg.resolved
-    with pytest.raises(ConfigError, match="'synthesis.seed' must be >= 0"):
+    with pytest.raises(ConfigError, match=r"'synthesis.seed' must be an integer in "
+                                          r"\[0, 18446744073709551615\], got -1$"):
         apply_overrides(cfg, seed=-1)
     # the codebook header stores the seed as a u64
-    with pytest.raises(ConfigError, match="'synthesis.seed' must be <= 18446744073709551615"):
+    with pytest.raises(ConfigError, match=r"'synthesis.seed' must be an integer in "
+                                          r"\[0, 18446744073709551615\], got 18446744073709551616$"):
         apply_overrides(cfg, seed=2**64)
     assert apply_overrides(cfg, seed=2**64 - 1).seed == 2**64 - 1
     with pytest.raises(ConfigError, match="'evaluation.grid_n'"):

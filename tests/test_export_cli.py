@@ -444,7 +444,8 @@ def test_cli_sweep_user_rejects_negative_angles(tmp_path, cli_config, capsys):
     out = tmp_path / "sweep_user"
     assert main(["sweep-user", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: 'sweep.angles_deg[1]' must lie in [0.0, 90.0)")
+    assert err.startswith("error: 'sweep.angles_deg[1]' must be a finite number in [0.0, 90.0), "
+                          "got -10.0")
     assert not out.exists()
 
 
@@ -652,7 +653,8 @@ def test_cli_error_paths(tmp_path, cli_config, capsys, rng):
     assert "--repeats" in capsys.readouterr().err
     assert main(["synthesize", "--config", cli_config, "--out", str(tmp_path / "x"),
                  "--seed", str(2**64)]) == 2
-    assert "'synthesis.seed' must be <= 18446744073709551615" in capsys.readouterr().err
+    assert ("'synthesis.seed' must be an integer in [0, 18446744073709551615], "
+            "got 18446744073709551616") in capsys.readouterr().err
     # schedule shape contradicts the configured surface
     sched_path = tmp_path / "wrong.csv"
     write_schedule_csv(sched_path, random_schedule(rng, 4, 4))

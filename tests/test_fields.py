@@ -241,6 +241,13 @@ def test_field_at_checks_visibility(geom4, ideal, rng):
         engine.field_at(0.0, 0.0, wrong, ideal, inc, 0)
 
 
+def test_pattern_needs_a_grid(geom4, ideal, rng):
+    # an engine built without a grid serves field_at only
+    with pytest.raises(ValueError, match="direction grid"):
+        FieldEngine(geom4).pattern(random_schedule(rng, 4, 4), ideal,
+                                   PlaneWaveIncidence(theta_deg=10.0), 0)
+
+
 def test_field_samples_match_pattern_nodes(geom4, ideal, rng):
     sched = random_schedule(rng, 4, 4)
     inc = PlaneWaveIncidence(theta_deg=40.0)

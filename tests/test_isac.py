@@ -24,7 +24,7 @@ from tmems.modulation import (
     PulseSchedule,
     ReflectionStates,
 )
-from tmems import isac
+from tmems import isac, synthesis
 from tmems.synthesis import CostEvaluator, PsoConfig, SynthesisResult, pso_optimize
 
 from conftest import random_schedule
@@ -55,9 +55,11 @@ def test_scenario_validation(fast_scenario):
         fast_scenario(amplitude_v_m=np.inf)
     with pytest.raises(ValueError, match="jones vector must be finite"):
         fast_scenario(jones=(np.nan, 0.0))
-    with pytest.raises(ValueError, match="reflection angle"):
+    with pytest.raises(ValueError,
+                       match=r"theta_refl_deg must be a finite number in \(-90.0, 90.0\), got 90.0$"):
         fast_scenario(theta_refl_deg=90.0)
-    with pytest.raises(ValueError, match="incidence angle"):
+    with pytest.raises(ValueError, match=r"incidence theta_deg must be a finite number "
+                                         r"in \[0.0, 90.0\), got -1.0$"):
         fast_scenario(theta_inc_deg=-1.0)
     with pytest.raises(ValueError, match="grid"):
         fast_scenario(synth_grid_n=1)
@@ -158,7 +160,8 @@ def test_design_runs_its_repeats_in_one_loop(fast_scenario, monkeypatch):
     # a swarm stops when its best cost has moved less than half in 4
     # iterations, so the repeats stop at different iterations
     sc = fast_scenario(iterations=40)
-    sc = replace(sc, pso=replace(sc.pso, stagnation_window=4, stagnation_rtol=0.5))
+    sc = replace(sc, pso=replace(sc.pso, stagnation_window=4))
+    monkeypatch.setattr(synthesis, "STAGNATION_RTOL", 0.5)
     calls = []
     score = CostEvaluator.phi_batch
 

@@ -3,7 +3,7 @@
 import gc
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from tmems.config import load_config, parse_config
 from tmems.fields import DirectionGrid, FieldEngine, PlaneWaveIncidence
 from tmems.geometry import EmsGeometry
+from tmems.isac import measure_bs_ratio
 from tmems.masks import MaskParams, MaskSet, beam_reference, build_masks
 from tmems.modulation import (
     ConstraintError,
@@ -642,11 +643,12 @@ def test_phi_batch_checks_the_limit():
 
 
 @pytest.mark.parametrize("seeds", [[(7,)], [(1, 2), (3, 4)]])
-def test_bounded_search_equals_the_exact_search(fast_scenario, seeds):
+def test_bounded_search_equals_the_exact_search(fast_scenario, seeds, monkeypatch):
     # one design, and 2 designs x 2 seeds: an objective that forwards the
     # limit and one that drops it find the same bests by the same path
     sc = fast_scenario(iterations=30)
-    pso = replace(sc.pso, stagnation_window=8, stagnation_rtol=0.05)
+    pso = replace(sc.pso, stagnation_window=8)
+    monkeypatch.setattr(synthesis, "STAGNATION_RTOL", 0.05)
     evaluators = [replace(sc, theta_inc_deg=a).evaluator() for a in (30.0, 40.0)[:len(seeds)]]
     stack = CostEvaluator.stack(evaluators) if len(seeds) > 1 else evaluators[0]
     codec = ModeCodec(mode=sc.mode, rows=6, cols=6)
@@ -803,7 +805,7 @@ def _minimize_per_particle(objective, dim, config, n_wrap, init=None):
     ig = int(np.argmin(pbest_f))
     gbest, gbest_f = pbest[ig].copy(), float(pbest_f[ig])
     history = [gbest_f]
-    clamp = config.velocity_clamp
+    clamp = synthesis.VELOCITY_CLAMP
     for it in range(1, config.iterations + 1):
         for i in range(c):
             r1 = rng.random(dim)
@@ -813,9 +815,9 @@ def _minimize_per_particle(objective, dim, config, n_wrap, init=None):
             if wrap_mask.any():
                 dp[wrap_mask] = (dp[wrap_mask] + 0.5) % 1.0 - 0.5
                 dg[wrap_mask] = (dg[wrap_mask] + 0.5) % 1.0 - 0.5
-            vel[i] = (config.inertia * vel[i]
-                      + config.cognitive * r1 * dp
-                      + config.social * r2 * dg)
+            vel[i] = (synthesis.INERTIA * vel[i]
+                      + synthesis.COGNITIVE * r1 * dp
+                      + synthesis.SOCIAL * r2 * dg)
         np.clip(vel, -clamp, clamp, out=vel)
         x = x + vel
         if wrap_mask.any():
@@ -845,7 +847,7 @@ def _minimize_per_particle(objective, dim, config, n_wrap, init=None):
         w = config.stagnation_window
         if w > 0 and it >= w:
             prev = history[-w - 1]
-            if prev - gbest_f <= config.stagnation_rtol * max(abs(prev), 1e-300):
+            if prev - gbest_f <= synthesis.STAGNATION_RTOL * max(abs(prev), 1e-300):
                 break
     return gbest, np.asarray(history)
 
@@ -870,12 +872,14 @@ def test_pso_array_update_matches_per_particle_loop(seed):
     assert np.array_equal(res.history, history)
 
 
-def test_pso_update_rounds_as_the_per_particle_loop():
+def test_pso_update_rounds_as_the_per_particle_loop(monkeypatch):
     # with coefficients that are not powers of 2, (c * r) * d and c * (r * d)
     # round differently; the in-place update keeps the reference's order
     dim = 6
-    cfg = PsoConfig(swarm_size=8, iterations=80, seed=4, stagnation_window=0,
-                    inertia=0.7, cognitive=1.7, social=1.3, velocity_clamp=0.3)
+    cfg = PsoConfig(swarm_size=8, iterations=80, seed=4, stagnation_window=0)
+    for name, value in (("INERTIA", 0.7), ("COGNITIVE", 1.7), ("SOCIAL", 1.3),
+                        ("VELOCITY_CLAMP", 0.3)):
+        monkeypatch.setattr(synthesis, name, value)
 
     def objective(x):
         return np.sum(np.abs(x - np.linspace(0.1, 0.9, dim)), axis=1)
@@ -1180,17 +1184,8 @@ def test_pso_config_validation():
         PsoConfig(swarm_size=0)
     with pytest.raises(ValueError):
         PsoConfig(iterations=-1)
-    with pytest.raises(ValueError):
-        PsoConfig(velocity_clamp=0.0)
     with pytest.raises(ValueError, match="stagnation_window"):
         PsoConfig(stagnation_window=-3)
-    for name in ("inertia", "cognitive", "social", "stagnation_rtol"):
-        for bad in (np.nan, np.inf, -1.0):
-            with pytest.raises(ValueError, match=name):
-                PsoConfig(**{name: bad})
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="velocity_clamp"):
-            PsoConfig(velocity_clamp=bad)
     with pytest.raises(ValueError, match="empty"):
         one_swarm(sphere, 0, PsoConfig())
 
@@ -1218,6 +1213,44 @@ def test_sizes_must_be_integers(size, fast_scenario):
             build(bad, fast_scenario)
     build(np.int64(4), fast_scenario)
     build(4, fast_scenario)
+
+
+_PULSES = {"rise": np.zeros((6, 6)), "duty": np.full((6, 6), 0.5)}
+# each owner of numeric inputs: a builder from keyword values, and their names
+NUMBERS = {
+    "EmsGeometry": (lambda make, **kw: EmsGeometry(**{"rows": 4, "cols": 4, **kw}),
+                    ("rows", "cols", "cell_size_wl", "f0_hz")),
+    "PlaneWaveIncidence": (lambda make, **kw: PlaneWaveIncidence(**{"theta_deg": 10.0, **kw}),
+                           ("theta_deg", "phi_deg", "amplitude_v_m")),
+    "PulseSchedule": (lambda make, **kw: PulseSchedule(**{"period_s": 1e-6, **_PULSES, **kw}),
+                      ("period_s",)),
+    "Scenario": (lambda make, **kw: make(**kw),
+                 ("period_s", "theta_inc_deg", "theta_refl_deg", "phi_inc_deg", "amplitude_v_m",
+                  "synth_grid_n")),
+    "MaskParams": (lambda make, **kw: MaskParams(**kw), [f.name for f in fields(MaskParams)]),
+    "PsoConfig": (lambda make, **kw: PsoConfig(**kw), [f.name for f in fields(PsoConfig)]),
+    "measure_bs_ratio": (lambda make, **kw: measure_bs_ratio(
+        make(), PulseSchedule(period_s=1e-6, **_PULSES), **kw), ("noise_power",)),
+}
+
+
+@pytest.mark.parametrize("owner, name", [(owner, name) for owner, (_, names) in NUMBERS.items()
+                                         for name in names])
+def test_api_numbers_reject_what_is_no_finite_real(owner, name, fast_scenario):
+    # the Python API rejects what the YAML schema rejects, with a ValueError
+    build = NUMBERS[owner][0]
+    build(fast_scenario)
+    for bad in ("1", None, True, 1j, np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be an? (finite number|integer)"):
+            build(fast_scenario, **{name: bad})
+
+
+def test_a_mode_name_is_no_mode(fast_scenario):
+    # ControlMode is a str enum: "delta" equals its mode but carries no rules
+    for build in (lambda: ModeCodec(mode="delta", rows=6, cols=6),
+                  lambda: fast_scenario(mode="delta")):
+        with pytest.raises(ValueError, match="unknown control mode 'delta'"):
+            build()
 
 
 def test_mode_codec_dims_and_wrap():
